@@ -16,7 +16,7 @@ import sys
 
 from . import acceptance, dynamics, phase
 from .integrate import IntegratorConfig, StepBudgetError, integrate
-from .model import FlowKind, FlowParams
+from .model import FlowKind, FlowParams, State
 
 
 def _fmt(x: float) -> str:
@@ -25,16 +25,11 @@ def _fmt(x: float) -> str:
 
 def _build_params(args) -> FlowParams:
     kind = FlowKind.COLLAPSE if args.flow == "collapse" else FlowKind.NORMALIZED
-    if args.a not in (-2.0, 2.0):
-        raise _ArgError("--a must be 2 or -2")
-    allowed = (-1.0, 1.0) if kind is FlowKind.COLLAPSE else (-0.5, 0.5)
-    if args.kappa not in allowed:
-        raise _ArgError(
-            f"--kappa must be one of {allowed} for --flow {args.flow}"
-        )
-    if not args.epsilon > 0:
-        raise _ArgError("--epsilon must be positive")
-    return FlowParams(kind, a=args.a, kappa=args.kappa, epsilon=args.epsilon)
+    try:
+        return FlowParams(kind, a=args.a, kappa=args.kappa, epsilon=args.epsilon)
+    except ValueError as exc:
+        # FlowParams messages start with the field name, which is the flag name
+        raise _ArgError(f"--{exc}")
 
 
 def _build_config(args) -> IntegratorConfig:
@@ -132,8 +127,6 @@ def cmd_portrait(args) -> int:
         out.write("x,y,ux,uy,mag\n")
         for p, d, m in zip(points, dirs, mags):
             out.write(",".join(_fmt(v) for v in (p[0], p[1], d[0], d[1], m)) + "\n")
-        from .model import State
-
         for x, y in seeds:
             try:
                 traj = integrate(params, config, args.t_end,
@@ -236,6 +229,10 @@ def main(argv=None) -> int:
     except (_ArgError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ArithmeticError as exc:
+        # overflow or division by zero at extreme but valid inputs
+        print(f"error: integration failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -11,17 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from .model import (
     TWO_PI_SQ,
     FlowKind,
     FlowParams,
     State,
-    energy_density_sixth,
+    metric_velocity,
     normalizing_constant,
-    q1_collapse_components,
-    q1_normalized_components,
 )
 
 
@@ -54,12 +50,8 @@ def vector_field(params: FlowParams, point) -> tuple[float, float]:
     """
     x, y = point
     _check_point(x, y)
-    if params.kind is FlowKind.COLLAPSE:
-        q00, q11 = q1_collapse_components(params, x, y)
-        return 0.5 * x * q00, 0.5 * y * q11
-    q00, q11 = q1_normalized_components(params, x, y)
-    e6 = energy_density_sixth(params, x, y)
-    return 0.5 * x * (q00 + e6), 0.5 * y * (q11 + e6)
+    q00, q11 = metric_velocity(params, x, y)
+    return 0.5 * x * q00, 0.5 * y * q11
 
 
 def explicit_rhs(params: FlowParams, point) -> tuple[float, float]:
@@ -173,25 +165,20 @@ def tangency_residual(params: FlowParams, epsilon: float) -> float:
 def equilibria(params: FlowParams) -> list[Equilibrium]:
     """Equilibria of the flow.
 
-    Normalized flow: the positive roots of the polynomial factor of the
-    reduced speed, refined by safeguarded root-finding and classified by
-    the sign of the speed on either side.  Collapse flow: the degenerate
-    boundary line, reported descriptively.
+    Normalized flow: the exact positive roots of the polynomial factor of
+    the reduced speed k, classified by the sign of k on either side.  For
+    a*kappa = 1 the factor -3e^2 + 5e - 2 = -(3e - 2)(e - 1) has roots 2/3
+    and 1; for a*kappa = -1 the factor -3e^4 + e^2 + 2 = -(3e^2 + 2)(e^2 - 1)
+    has the single positive root 1.  Collapse flow: the degenerate boundary
+    line, reported descriptively.
     """
     if params.kind is FlowKind.COLLAPSE:
         return [Equilibrium(epsilon_star=None, point=None, stability="degenerate-line")]
-    if params.product == 1.0:
-        factor = lambda e: -3.0 * e**2 + 5.0 * e - 2.0
-        brackets = [(0.3, 0.9), (0.9, 1.5)]
-    else:
-        factor = lambda e: -3.0 * e**4 + e**2 + 2.0
-        brackets = [(0.5, 1.5)]
+    roots = (2.0 / 3.0, 1.0) if params.product == 1.0 else (1.0,)
     out = []
-    for lo, hi in brackets:
-        root = brentq(factor, lo, hi, xtol=1e-12, rtol=1e-15)
-        delta = 1e-4 * max(root, 1.0)
-        left = curve_speed(params, root - delta)
-        right = curve_speed(params, root + delta)
+    for root in roots:
+        left = curve_speed(params, root - 1e-4)
+        right = curve_speed(params, root + 1e-4)
         if left > 0 > right:
             stability = "attracting"
         elif left < 0 < right:

@@ -70,8 +70,8 @@ class IntegratorConfig:
             raise ValueError("equilib_tol must be positive or None")
         if not self.event_time_tol > 0:
             raise ValueError("event_time_tol must be positive")
-        if self.output_stride < 1:
-            raise ValueError("output_stride must be >= 1")
+        if not (isinstance(self.output_stride, int) and self.output_stride >= 1):
+            raise ValueError(f"output_stride must be an integer >= 1, got {self.output_stride!r}")
 
 
 @dataclass(frozen=True)
@@ -94,20 +94,15 @@ class Trajectory:
 
 def _rk_step(f, t, y, h):
     """One Dormand-Prince step.  Returns (y_new, err_vec) or None if any
-    stage left the admissible region."""
+    stage left the admissible region; f is only called on admissible
+    states."""
     k = np.empty((7, y.size))
-    fy = f(t, y)
-    if fy is None:
-        return None
-    k[0] = fy
+    k[0] = f(t, y)
     for i in range(1, 7):
         yi = y + h * (_A[i] @ k[:i])
         if np.any(yi <= 0.0) or not np.all(np.isfinite(yi)):
             return None
-        fi = f(t + _C[i] * h, yi)
-        if fi is None:
-            return None
-        k[i] = fi
+        k[i] = f(t + _C[i] * h, yi)
     y_new = y + h * (_B5 @ k)
     if np.any(y_new <= 0.0) or not np.all(np.isfinite(y_new)):
         return None
@@ -124,61 +119,58 @@ def _advance(f, t0, y0, t_end, config, predicates):
     """Generic adaptive driver.
 
     ``predicates`` is an ordered list of (tag, pred) pairs; pred(t, y) is a
-    boolean terminal condition checked on accepted states.  Yields accepted
-    (t, y) pairs (including the initial point) and finally returns the
-    termination (tag, t_event, y_event) triple via StopIteration value.
+    boolean terminal condition checked on the initial and every accepted
+    state.  Returns ``(points, (tag, t_event, y_event))``.  ``points`` holds
+    every ``config.output_stride``-th (t, y) pair counting from the initial
+    one, followed by the final or event state, which is recorded exactly
+    once.
     """
-    t = t0
-    y = np.asarray(y0, dtype=float)
-    yield t, y.copy()
-    for tag, pred in predicates:
-        if pred(t, y):
-            return tag, t, y
+    t, y = t0, np.array(y0, dtype=float)
+    points = [(t, y)]
+    n_accepted = 0
+    outcome = next(((tag, t, y) for tag, pred in predicates if pred(t, y)), None)
     h = min(config.h_init, t_end - t0)
     err_prev = 1.0
     steps = 0
-    while t < t_end:
+    while outcome is None:
+        if t >= t_end:
+            outcome = ("ReachedTEnd", t, y)
+            break
         if steps >= config.max_steps:
             raise StepBudgetError(
                 f"step budget of {config.max_steps} exhausted at t={t:.6g}"
             )
+        steps += 1
         h = min(h, config.h_max, t_end - t)
         result = _rk_step(f, t, y, h)
-        if result is None:
-            # left the admissible region: reject and halve
-            if h / 2.0 < config.h_min:
-                return "StepUnderflow", t, y
-            h /= 2.0
-            steps += 1
-            continue
-        y_new, err = result
-        err_norm = _error_norm(err, y, y_new, config.rtol, config.atol)
-        if err_norm > 1.0:
-            fac = max(_MIN_FACTOR, _SAFETY * err_norm ** (-_PI_ALPHA))
+        if result is not None:
+            y_new, err = result
+            err_norm = _error_norm(err, y, y_new, config.rtol, config.atol)
+        if result is None or err_norm > 1.0:
+            # rejected: halve after leaving the admissible region, else
+            # shrink as the error controller says
+            fac = 0.5 if result is None else max(_MIN_FACTOR, _SAFETY * err_norm ** (-_PI_ALPHA))
             if h * fac < config.h_min:
-                return "StepUnderflow", t, y
+                outcome = ("StepUnderflow", t, y)
             h *= fac
-            steps += 1
             continue
         # accepted
-        triggered = None
-        for tag, pred in predicates:
-            if pred(t + h, y_new):
-                triggered = (tag, pred)
-                break
+        triggered = next(((tag, pred) for tag, pred in predicates if pred(t + h, y_new)), None)
         if triggered is not None:
             tag, pred = triggered
-            t_ev, y_ev = _bisect_event(f, t, y, h, pred, config.event_time_tol)
-            yield t_ev, y_ev
-            return tag, t_ev, y_ev
+            outcome = (tag, *_bisect_event(f, t, y, h, pred, config.event_time_tol))
+            break
         t += h
         y = y_new
-        yield t, y.copy()
+        n_accepted += 1
+        if n_accepted % config.output_stride == 0:
+            points.append((t, y))
         fac = _SAFETY * err_norm ** (-_PI_ALPHA) * err_prev**_PI_BETA if err_norm > 0 else _MAX_FACTOR
         h *= min(_MAX_FACTOR, max(_MIN_FACTOR, fac))
         err_prev = max(err_norm, 1e-10)
-        steps += 1
-    return "ReachedTEnd", t, y
+    if points[-1][0] != outcome[1]:
+        points.append(outcome[1:])
+    return points, outcome
 
 
 def _bisect_event(f, t0, y0, h_acc, pred, time_tol):
@@ -240,26 +232,13 @@ def integrate(
     s0 = initial_state(params) if start is None else start
 
     def f(t, y):
-        if y[0] <= 0 or y[1] <= 0:
-            return None
         return np.array(vector_field(params, (y[0], y[1])))
 
-    gen = _advance(f, s0.t, np.array([s0.alpha, s0.beta]), s0.t + t_end,
-                   config, _planar_predicates(params, config))
-    samples = []
-    n_seen = 0
-    last = None
-    try:
-        while True:
-            t, y = next(gen)
-            last = (t, y)
-            if n_seen % config.output_stride == 0:
-                samples.append(_sample(params, t, y))
-            n_seen += 1
-    except StopIteration as stop:
-        tag, t_ev, y_ev = stop.value
-    if samples[-1][0].t != last[0]:
-        samples.append(_sample(params, *last))
+    points, (tag, t_ev, y_ev) = _advance(
+        f, s0.t, np.array([s0.alpha, s0.beta]), s0.t + t_end,
+        config, _planar_predicates(params, config),
+    )
+    samples = [_sample(params, t, y) for t, y in points]
     termination = _classify(params, config, tag, t_ev, y_ev, s0)
     return Trajectory(params=params, samples=samples, termination=termination)
 
@@ -311,8 +290,6 @@ def integrate_reduced(
         raise ValueError(f"t_end must be positive, got {t_end}")
 
     def f(t, y):
-        if y[0] <= 0:
-            return None
         return np.array([curve_speed(params, float(y[0]))])
 
     preds = []
@@ -321,19 +298,5 @@ def integrate_reduced(
         preds.append(
             ("Equilibrium", lambda t, y: abs(curve_speed(params, float(y[0]))) / abs(y[0]) <= etol)
         )
-    gen = _advance(f, 0.0, np.array([epsilon0]), t_end, config, preds)
-    out = []
-    n_seen = 0
-    last = None
-    try:
-        while True:
-            t, y = next(gen)
-            last = (t, float(y[0]))
-            if n_seen % config.output_stride == 0:
-                out.append(last)
-            n_seen += 1
-    except StopIteration:
-        pass
-    if out[-1] != last:
-        out.append(last)
-    return out
+    points, _ = _advance(f, 0.0, np.array([epsilon0]), t_end, config, preds)
+    return [(t, float(y[0])) for t, y in points]

@@ -40,22 +40,22 @@ class FlowParams:
     epsilon: float
 
     def __post_init__(self):
+        # Messages start with the field name, which the CLI turns into
+        # the name of its flag.
         if self.a not in (-2.0, 2.0):
-            raise ValueError(f"orientation constant a must be +-2, got {self.a}")
+            raise ValueError(f"a (the orientation constant) must be 2 or -2, got {self.a}")
         if self.kind is FlowKind.COLLAPSE:
             if self.kappa not in (-1.0, 1.0):
-                raise ValueError(
-                    f"collapse flow requires kappa in {{-1, 1}}, got {self.kappa}"
-                )
+                raise ValueError(f"kappa must be 1 or -1 for the collapse flow, got {self.kappa}")
         elif self.kind is FlowKind.NORMALIZED:
             if self.kappa not in (-0.5, 0.5):
                 raise ValueError(
-                    f"normalized flow requires kappa in {{-1/2, 1/2}}, got {self.kappa}"
+                    f"kappa must be 1/2 or -1/2 for the normalized flow, got {self.kappa}"
                 )
         else:
             raise ValueError(f"unknown flow kind {self.kind!r}")
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
 
     @property
     def product(self) -> float:
@@ -72,9 +72,9 @@ class State:
     beta: float
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.beta > 0):
+        if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):
             raise ValueError(
-                f"metric scales must be positive, got ({self.alpha}, {self.beta})"
+                f"metric scales must be positive and finite, got ({self.alpha}, {self.beta})"
             )
 
 
@@ -164,6 +164,17 @@ def energy_density_sixth(params: FlowParams, alpha: float, beta: float) -> float
     )
 
 
+def metric_velocity(params: FlowParams, alpha: float, beta: float):
+    """Diagonal components (q00, q11) of the metric velocity that drives the
+    flow: the collapse components, or the normalized ones plus the
+    volume-conservation correction."""
+    if params.kind is FlowKind.COLLAPSE:
+        return q1_collapse_components(params, alpha, beta)
+    q00, q11 = q1_normalized_components(params, alpha, beta)
+    e6 = energy_density_sixth(params, alpha, beta)
+    return q00 + e6, q11 + e6
+
+
 def spinor_coefficients(params: FlowParams, alpha: float, beta: float):
     """Scalar coefficients (f, g) of the spinor covariant derivative.
 
@@ -194,12 +205,7 @@ def energy(params: FlowParams, alpha: float, beta: float) -> float:
 def geometry_scalars(params: FlowParams, alpha: float, beta: float) -> GeometryScalars:
     """Bundle all per-point diagnostics for one trajectory sample."""
     f, g = spinor_coefficients(params, alpha, beta)
-    if params.kind is FlowKind.COLLAPSE:
-        q00, q11 = q1_collapse_components(params, alpha, beta)
-    else:
-        q00, q11 = q1_normalized_components(params, alpha, beta)
-        e6 = energy_density_sixth(params, alpha, beta)
-        q00, q11 = q00 + e6, q11 + e6
+    q00, q11 = metric_velocity(params, alpha, beta)
     return GeometryScalars(
         volume=volume(alpha, beta),
         energy=energy(params, alpha, beta),

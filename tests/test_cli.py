@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import bergerflow
 from bergerflow import normalizing_constant, volume
 from bergerflow.cli import main
 
@@ -44,6 +48,15 @@ class TestArgumentErrors:
         )
         assert code == 1
         assert "--a" in err
+
+    def test_infinite_epsilon(self, capsys):
+        code, out, err = run(
+            capsys, "simulate", "--flow", "normalized", "--kappa", "0.5",
+            "--epsilon", "inf", "--t-end", "10",
+        )
+        assert code == 1
+        assert out == ""
+        assert "--epsilon" in err
 
     def test_missing_subcommand(self, capsys):
         assert main([]) == 1
@@ -138,6 +151,21 @@ class TestSimulate:
         assert code == 2
         assert "integration failure" in err
 
+    @pytest.mark.parametrize(
+        "flow,kappa,epsilon",
+        [("collapse", "1", "1e300"), ("normalized", "0.5", "1e-300")],
+    )
+    def test_arithmetic_failure_exit_code(self, capsys, flow, kappa, epsilon):
+        # overflow and division by zero at extreme scales are reported as
+        # integration failures, not raised
+        code, _, err = run(
+            capsys, "simulate", "--flow", flow, "--kappa", kappa,
+            "--epsilon", epsilon, "--t-end", "10",
+        )
+        assert code == 2
+        assert "error:" in err
+        assert "Traceback" not in err
+
     def test_writes_file(self, capsys, tmp_path):
         out_file = tmp_path / "run.csv"
         code, out, _ = run(
@@ -195,9 +223,9 @@ class TestEquilibria:
         entries = json.loads(out)
         assert len(entries) == 2
         by_eps = sorted(entries, key=lambda e: e["epsilon_star"])
-        assert by_eps[0]["epsilon_star"] == pytest.approx(2.0 / 3.0, abs=1e-10)
+        assert by_eps[0]["epsilon_star"] == 2.0 / 3.0
         assert by_eps[0]["stability"] == "repelling"
-        assert by_eps[1]["epsilon_star"] == pytest.approx(1.0, abs=1e-10)
+        assert by_eps[1]["epsilon_star"] == 1.0
         assert by_eps[1]["stability"] == "attracting"
         x, y = by_eps[1]["point"]
         assert x == pytest.approx(math.sqrt(normalizing_constant(1.0)), rel=1e-10)
@@ -237,3 +265,13 @@ class TestVerify:
         assert code == 3
         report = json.loads(out)
         assert report["status"] == "fail"
+
+
+def test_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(bergerflow.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, bergerflow.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert done.stdout.strip() == "False"

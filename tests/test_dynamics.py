@@ -214,16 +214,16 @@ class TestEquilibria:
         eqs = equilibria(NORMALIZED)
         assert len(eqs) == 2
         by_eps = sorted(eqs, key=lambda e: e.epsilon_star)
-        assert by_eps[0].epsilon_star == pytest.approx(2.0 / 3.0, abs=1e-10)
+        assert by_eps[0].epsilon_star == 2.0 / 3.0
         assert by_eps[0].stability == "repelling"
-        assert by_eps[1].epsilon_star == pytest.approx(1.0, abs=1e-10)
+        assert by_eps[1].epsilon_star == 1.0
         assert by_eps[1].stability == "attracting"
         assert by_eps[1].point[0] == pytest.approx(by_eps[1].point[1], rel=1e-12)
 
     def test_negative_product(self):
         eqs = equilibria(NORMALIZED_NEG)
         assert len(eqs) == 1
-        assert eqs[0].epsilon_star == pytest.approx(1.0, abs=1e-10)
+        assert eqs[0].epsilon_star == 1.0
         assert eqs[0].stability == "attracting"
 
     def test_collapse_degenerate_line(self):

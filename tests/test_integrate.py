@@ -146,6 +146,10 @@ class TestRobustness:
         with pytest.raises(ValueError):
             IntegratorConfig(output_stride=0)
 
+    def test_rejects_fractional_stride(self):
+        with pytest.raises(ValueError):
+            IntegratorConfig(output_stride=2.5)
+
     def test_rejects_bad_t_end(self):
         with pytest.raises(ValueError):
             integrate(COLLAPSE, NO_EQUILIB, t_end=0.0)
@@ -157,6 +161,24 @@ class TestRobustness:
         )
         assert len(thin.samples) < len(dense.samples)
         assert thin.final_state.t == pytest.approx(dense.final_state.t, abs=1e-12)
+
+    @pytest.mark.parametrize("stride", [1, 3, 7])
+    @pytest.mark.parametrize("driver", ["integrate", "integrate_reduced"])
+    def test_output_stride_keeps_every_kth_sample(self, driver, stride):
+        # both runs end in a terminal event: a collapse for the planar
+        # flow, the attracting equilibrium for the reduced one
+        def run(config):
+            if driver == "integrate":
+                traj = integrate(COLLAPSE, config, t_end=20.0)
+                return [(s.t, s.alpha, s.beta) for s, _ in traj.samples]
+            return integrate_reduced(NORMALIZED, config, epsilon0=1.4, t_end=200.0)
+
+        dense = run(IntegratorConfig())
+        thin = run(IntegratorConfig(output_stride=stride))
+        expected = dense[::stride]
+        if (len(dense) - 1) % stride:
+            expected.append(dense[-1])
+        assert thin == expected
 
     def test_off_curve_start(self):
         # a start with alpha/beta above the repelling ratio converges to

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from bergerflow import (
     FlowKind,
     FlowParams,
+    State,
     energy,
     energy_density_sixth,
     geometry_scalars,
@@ -43,6 +44,8 @@ class TestFlowParams:
             dict(a=2.0, kappa=0.5, epsilon=1.0),  # collapse needs +-1
             dict(a=2.0, kappa=1.0, epsilon=0.0),
             dict(a=2.0, kappa=1.0, epsilon=-1.0),
+            dict(a=2.0, kappa=1.0, epsilon=math.inf),
+            dict(a=2.0, kappa=1.0, epsilon=math.nan),
         ],
     )
     def test_invalid_collapse(self, kwargs):
@@ -52,6 +55,13 @@ class TestFlowParams:
     def test_invalid_normalized_kappa(self):
         with pytest.raises(ValueError):
             FlowParams(FlowKind.NORMALIZED, a=2.0, kappa=1.0, epsilon=1.0)
+
+
+class TestState:
+    @pytest.mark.parametrize("alpha,beta", [(math.inf, 1.0), (1.0, math.inf)])
+    def test_rejects_infinite_scale(self, alpha, beta):
+        with pytest.raises(ValueError):
+            State(t=0.0, alpha=alpha, beta=beta)
 
 
 class TestNormalizingConstant:
