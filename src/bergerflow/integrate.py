@@ -2,11 +2,13 @@
 
 A Dormand-Prince 5(4) embedded pair with a proportional-integral step
 controller drives both the planar integration and the reduced
-one-dimensional dynamics on the unit-volume curve.  Steps that would leave
-the open first quadrant are rejected and halved, so trajectories never
-cross the axes.  Terminal events (collapse of one or both scales,
-convergence to an equilibrium) are located by bisection over the last
-accepted step.
+one-dimensional dynamics on the unit-volume curve.  The step runs on float
+tuples and reuses its last stage as the next step's first (FSAL).  Steps
+that would leave the open first quadrant are rejected and halved, so
+trajectories never cross the axes.  Terminal events (collapse of one or
+both scales, convergence to an equilibrium) are located by bisection on
+the cubic Hermite interpolant of the step that crosses them, at no
+further right-hand-side cost.
 """
 
 from __future__ import annotations
@@ -14,25 +16,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import phase
 from .dynamics import curve_speed, initial_state, vector_field
 from .model import FlowKind, FlowParams, GeometryScalars, State, geometry_scalars
 
-# Dormand-Prince 5(4) tableau.
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+# Dormand-Prince 5(4) tableau.  The last row of _A holds the fifth-order
+# weights, so the seventh stage is evaluated at the step's result.
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 _ORDER = 5
 _SAFETY = 0.9
@@ -40,6 +40,7 @@ _PI_BETA = 0.04
 _PI_ALPHA = 1.0 / _ORDER - 0.75 * _PI_BETA
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
+_EVENT_TIME_TOL = 1e-9
 
 
 class StepBudgetError(RuntimeError):
@@ -56,20 +57,17 @@ class IntegratorConfig:
     max_steps: int = 500_000
     collapse_tol: float = 1e-3
     equilib_tol: float | None = 1e-10  # None disables equilibrium detection
-    event_time_tol: float = 1e-9
     output_stride: int = 1
 
     def __post_init__(self):
-        if not (self.rtol > 0 and self.atol > 0):
-            raise ValueError("tolerances must be positive")
-        if not (0 < self.h_min <= self.h_init <= self.h_max):
-            raise ValueError("step bounds must satisfy 0 < h_min <= h_init <= h_max")
-        if not self.collapse_tol > 0:
-            raise ValueError("collapse_tol must be positive")
-        if self.equilib_tol is not None and not self.equilib_tol > 0:
-            raise ValueError("equilib_tol must be positive or None")
-        if not self.event_time_tol > 0:
-            raise ValueError("event_time_tol must be positive")
+        if not (0 < self.rtol < math.inf and 0 < self.atol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
+        if not (0 < self.h_min <= self.h_init <= self.h_max < math.inf):
+            raise ValueError("step bounds must satisfy 0 < h_min <= h_init <= h_max < inf")
+        if not 0 < self.collapse_tol < math.inf:
+            raise ValueError("collapse_tol must be positive and finite")
+        if self.equilib_tol is not None and not 0 < self.equilib_tol < math.inf:
+            raise ValueError("equilib_tol must be positive and finite, or None")
         if not (isinstance(self.output_stride, int) and self.output_stride >= 1):
             raise ValueError(f"output_stride must be an integer >= 1, got {self.output_stride!r}")
 
@@ -92,43 +90,39 @@ class Trajectory:
         return self.samples[-1][0]
 
 
-def _rk_step(f, t, y, h):
-    """One Dormand-Prince step.  Returns (y_new, err_vec) or None if any
-    stage left the admissible region; f is only called on admissible
-    states."""
-    k = np.empty((7, y.size))
-    k[0] = f(t, y)
-    for i in range(1, 7):
-        yi = y + h * (_A[i] @ k[:i])
-        if np.any(yi <= 0.0) or not np.all(np.isfinite(yi)):
+def _admissible(y):
+    return all(0.0 < v < math.inf for v in y)
+
+
+def _rk_step(f, t, y, k0, h):
+    """One Dormand-Prince step from y, given k0 = f(t, y).  Returns
+    (stages, y_new) with stages[6] = f(t + h, y_new), or None if a stage
+    input left the open quadrant; f is only called on admissible states."""
+    k = [k0]
+    for c, a in zip(_C[1:], _A[1:]):
+        yi = tuple(yd + h * sum(aj * kj[d] for aj, kj in zip(a, k)) for d, yd in enumerate(y))
+        if not _admissible(yi):
             return None
-        k[i] = f(t + _C[i] * h, yi)
-    y_new = y + h * (_B5 @ k)
-    if np.any(y_new <= 0.0) or not np.all(np.isfinite(y_new)):
-        return None
-    err = h * (_E @ k)
-    return y_new, err
-
-
-def _error_norm(err, y, y_new, rtol, atol):
-    scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-    return float(np.sqrt(np.mean((err / scale) ** 2)))
+        k.append(f(t + c * h, yi))
+    return k, yi
 
 
 def _advance(f, t0, y0, t_end, config, predicates):
-    """Generic adaptive driver.
+    """Generic adaptive driver over states given as float tuples.
 
     ``predicates`` is an ordered list of (tag, pred) pairs; pred(t, y) is a
     boolean terminal condition checked on the initial and every accepted
-    state.  Returns ``(points, (tag, t_event, y_event))``.  ``points`` holds
-    every ``config.output_stride``-th (t, y) pair counting from the initial
-    one, followed by the final or event state, which is recorded exactly
-    once.
+    state.  When one fires, the event is located on the interpolant of the
+    step that crossed it.  Returns ``(points, (tag, t_event, y_event))``.
+    ``points`` holds every ``config.output_stride``-th (t, y) pair counting
+    from the initial one, followed by the final or event state, which is
+    recorded exactly once.
     """
-    t, y = t0, np.array(y0, dtype=float)
+    t, y = t0, y0
     points = [(t, y)]
     n_accepted = 0
     outcome = next(((tag, t, y) for tag, pred in predicates if pred(t, y)), None)
+    k0 = f(t, y) if outcome is None else None
     h = min(config.h_init, t_end - t0)
     err_prev = 1.0
     steps = 0
@@ -142,14 +136,19 @@ def _advance(f, t0, y0, t_end, config, predicates):
             )
         steps += 1
         h = min(h, config.h_max, t_end - t)
-        result = _rk_step(f, t, y, h)
-        if result is not None:
-            y_new, err = result
-            err_norm = _error_norm(err, y, y_new, config.rtol, config.atol)
-        if result is None or err_norm > 1.0:
+        step = _rk_step(f, t, y, k0, h)
+        if step is not None:
+            k, y_new = step
+            # RMS over components of the embedded error estimate h * (_E . k)
+            err_norm = math.sqrt(sum(
+                (h * sum(e * kj[d] for e, kj in zip(_E, k))
+                 / (config.atol + config.rtol * max(abs(y[d]), abs(y_new[d])))) ** 2
+                for d in range(len(y))
+            ) / len(y))
+        if step is None or err_norm > 1.0:
             # rejected: halve after leaving the admissible region, else
             # shrink as the error controller says
-            fac = 0.5 if result is None else max(_MIN_FACTOR, _SAFETY * err_norm ** (-_PI_ALPHA))
+            fac = 0.5 if step is None else max(_MIN_FACTOR, _SAFETY * err_norm ** (-_PI_ALPHA))
             if h * fac < config.h_min:
                 outcome = ("StepUnderflow", t, y)
             h *= fac
@@ -158,10 +157,10 @@ def _advance(f, t0, y0, t_end, config, predicates):
         triggered = next(((tag, pred) for tag, pred in predicates if pred(t + h, y_new)), None)
         if triggered is not None:
             tag, pred = triggered
-            outcome = (tag, *_bisect_event(f, t, y, h, pred, config.event_time_tol))
+            outcome = (tag, *_locate_event(pred, t, h, y, y_new, k[0], k[6]))
             break
         t += h
-        y = y_new
+        y, k0 = y_new, k[6]
         n_accepted += 1
         if n_accepted % config.output_stride == 0:
             points.append((t, y))
@@ -173,27 +172,25 @@ def _advance(f, t0, y0, t_end, config, predicates):
     return points, outcome
 
 
-def _bisect_event(f, t0, y0, h_acc, pred, time_tol):
-    """Locate the earliest time in (t0, t0+h_acc] where pred flips to true,
-    by bisection on the step length, re-integrating the bracketing step."""
-    lo, hi = 0.0, h_acc
-    y_hi = None
-    while hi - lo > time_tol:
-        mid = 0.5 * (lo + hi)
-        result = _rk_step(f, t0, y0, mid)
-        if result is None:
-            # substep left the region; shrink toward the event from above
-            hi = mid
-            continue
-        y_mid = result[0]
-        if pred(t0 + mid, y_mid):
-            hi, y_hi = mid, y_mid
+def _locate_event(pred, t, h, y0, y1, f0, f1):
+    """Earliest time in (t, t + h] where pred flips to true, by bisection
+    on the cubic Hermite interpolant through (y0, f0) and (y1, f1).
+    Interpolated states outside the open quadrant count as past the event
+    and are never reported as the event state."""
+    lo, hi, y_hi = 0.0, 1.0, y1
+    while (hi - lo) * h > _EVENT_TIME_TOL:
+        s = 0.5 * (lo + hi)
+        y_mid = tuple(
+            (1 - s) * a + s * b + s * (s - 1) * ((1 - 2 * s) * (b - a) + (s - 1) * h * fa + s * h * fb)
+            for a, b, fa, fb in zip(y0, y1, f0, f1)
+        )
+        if not _admissible(y_mid):
+            hi = s
+        elif pred(t + s * h, y_mid):
+            hi, y_hi = s, y_mid
         else:
-            lo = mid
-    if y_hi is None:
-        result = _rk_step(f, t0, y0, hi)
-        y_hi = result[0] if result is not None else y0.copy()
-    return t0 + hi, y_hi
+            lo = s
+    return t + hi * h, y_hi
 
 
 def _planar_predicates(params, config):
@@ -208,8 +205,7 @@ def _planar_predicates(params, config):
         etol = config.equilib_tol
 
         def at_equilibrium(t, y):
-            fx, fy = vector_field(params, (y[0], y[1]))
-            return math.hypot(fx, fy) / math.hypot(y[0], y[1]) <= etol
+            return math.hypot(*vector_field(params, y)) / math.hypot(*y) <= etol
 
         preds.append(("Equilibrium", at_equilibrium))
     return preds
@@ -232,10 +228,10 @@ def integrate(
     s0 = initial_state(params) if start is None else start
 
     def f(t, y):
-        return np.array(vector_field(params, (y[0], y[1])))
+        return vector_field(params, y)
 
     points, (tag, t_ev, y_ev) = _advance(
-        f, s0.t, np.array([s0.alpha, s0.beta]), s0.t + t_end,
+        f, s0.t, (float(s0.alpha), float(s0.beta)), s0.t + t_end,
         config, _planar_predicates(params, config),
     )
     samples = [_sample(params, t, y) for t, y in points]
@@ -244,13 +240,13 @@ def integrate(
 
 
 def _sample(params, t, y):
-    state = State(t=t, alpha=float(y[0]), beta=float(y[1]))
+    state = State(t, *y)
     return state, geometry_scalars(params, state.alpha, state.beta)
 
 
 def _classify(params, config, tag, t_ev, y_ev, s0):
     if tag == "Collapse":
-        alpha, beta = float(y_ev[0]), float(y_ev[1])
+        alpha, beta = y_ev
         # Factor 2: trajectories heading to the origin do so inside the
         # wedge y <= 3x/2, so the base scale can sit slightly above the
         # threshold when the fiber scale crosses it.
@@ -265,9 +261,9 @@ def _classify(params, config, tag, t_ev, y_ev, s0):
                     detail["bracket"] = bracket
         return TerminationEvent("CollapseFiber", t_ev, detail)
     if tag == "Equilibrium":
-        return TerminationEvent("Equilibrium", t_ev, {"location": (float(y_ev[0]), float(y_ev[1]))})
+        return TerminationEvent("Equilibrium", t_ev, {"location": y_ev})
     if tag == "StepUnderflow":
-        return TerminationEvent("StepUnderflow", t_ev, {"last_state": (float(y_ev[0]), float(y_ev[1]))})
+        return TerminationEvent("StepUnderflow", t_ev, {"last_state": y_ev})
     return TerminationEvent("ReachedTEnd", t_ev, {})
 
 
@@ -290,13 +286,13 @@ def integrate_reduced(
         raise ValueError(f"t_end must be positive, got {t_end}")
 
     def f(t, y):
-        return np.array([curve_speed(params, float(y[0]))])
+        return (curve_speed(params, y[0]),)
 
     preds = []
     if config.equilib_tol is not None:
         etol = config.equilib_tol
         preds.append(
-            ("Equilibrium", lambda t, y: abs(curve_speed(params, float(y[0]))) / abs(y[0]) <= etol)
+            ("Equilibrium", lambda t, y: abs(curve_speed(params, y[0])) / abs(y[0]) <= etol)
         )
-    points, _ = _advance(f, 0.0, np.array([epsilon0]), t_end, config, preds)
-    return [(t, float(y[0])) for t, y in points]
+    points, _ = _advance(f, 0.0, (float(epsilon0),), t_end, config, preds)
+    return [(t, e) for t, (e,) in points]

@@ -58,6 +58,16 @@ class TestArgumentErrors:
         assert out == ""
         assert "--epsilon" in err
 
+    def test_infinite_collapse_tol(self, capsys):
+        # an infinite threshold would report a collapse at t=0
+        code, out, err = run(
+            capsys, "simulate", "--flow", "normalized", "--kappa", "0.5",
+            "--epsilon", "0.8", "--t-end", "10", "--collapse-tol", "inf",
+        )
+        assert code == 1
+        assert out == ""
+        assert "collapse_tol" in err
+
     def test_missing_subcommand(self, capsys):
         assert main([]) == 1
 

@@ -1,6 +1,6 @@
 import math
+import sys
 
-import numpy as np
 import pytest
 
 from bergerflow import (
@@ -13,6 +13,7 @@ from bergerflow import (
     integrate,
     integrate_reduced,
     normalizing_constant,
+    vector_field,
 )
 from bergerflow.model import State
 
@@ -26,8 +27,8 @@ NO_EQUILIB = IntegratorConfig(equilib_tol=None)
 
 
 def max_closed_form_error(traj):
-    # the terminal sample of an event-ending run comes from one large
-    # re-integrated step and is only event-accurate, so skip it
+    # the terminal sample of an event-ending run is read off the cubic
+    # interpolant of the last step and is only event-accurate, so skip it
     samples = traj.samples
     if traj.termination.tag != "ReachedTEnd":
         samples = samples[:-1]
@@ -95,6 +96,37 @@ class TestEvents:
         traj = integrate(params, NO_EQUILIB, t_end=100.0)
         assert traj.termination.tag == "CollapsePoint"
 
+    def test_event_state_sits_at_collapse_threshold(self):
+        traj = integrate(COLLAPSE, NO_EQUILIB, t_end=20.0)
+        tol = NO_EQUILIB.collapse_tol
+        assert tol - 1e-7 <= traj.final_state.alpha <= tol
+
+    def test_event_state_sits_at_equilibrium_threshold(self):
+        params = FlowParams(FlowKind.NORMALIZED, a=2.0, kappa=0.5, epsilon=1.2)
+        config = IntegratorConfig()
+        traj = integrate(params, config, t_end=400.0)
+        assert traj.termination.tag == "Equilibrium"
+        x, y = traj.termination.detail["location"]
+        residual = math.hypot(*vector_field(params, (x, y))) / math.hypot(x, y)
+        assert 0.99 * config.equilib_tol <= residual <= config.equilib_tol
+
+    def test_event_location_costs_no_rhs_call(self, monkeypatch):
+        # FSAL: one call for the initial state, then six per attempted
+        # step; locating the collapse on the interpolant adds none.  The
+        # module is looked up in sys.modules because the package attribute
+        # bergerflow.integrate is the function.
+        module = sys.modules["bergerflow.integrate"]
+        calls = []
+
+        def counted(params, point):
+            calls.append(point)
+            return vector_field(params, point)
+
+        monkeypatch.setattr(module, "vector_field", counted)
+        traj = integrate(COLLAPSE, NO_EQUILIB, t_end=20.0)
+        assert traj.termination.tag == "CollapsePoint"
+        assert (len(calls) - 1) % 6 == 0
+
     def test_event_time_tightens_with_collapse_tol(self):
         tight = IntegratorConfig(equilib_tol=None, collapse_tol=1e-6)
         traj = integrate(COLLAPSE, tight, t_end=20.0)
@@ -145,6 +177,13 @@ class TestRobustness:
             IntegratorConfig(h_min=1.0, h_init=0.5)
         with pytest.raises(ValueError):
             IntegratorConfig(output_stride=0)
+        # non-finite settings would turn off error control or fire an
+        # event at t=0
+        for name in ("rtol", "atol", "h_init", "h_min", "h_max", "collapse_tol", "equilib_tol"):
+            for value in (math.inf, math.nan):
+                with pytest.raises(ValueError):
+                    IntegratorConfig(**{name: value})
+        IntegratorConfig(equilib_tol=None)
 
     def test_rejects_fractional_stride(self):
         with pytest.raises(ValueError):
