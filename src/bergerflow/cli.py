@@ -82,11 +82,7 @@ def cmd_simulate(args) -> int:
     config = _build_config(args)
     if not args.t_end > 0:
         raise _ArgError("--t-end must be positive")
-    try:
-        traj = integrate(params, config, args.t_end)
-    except StepBudgetError as exc:
-        print(f"integration failure: {exc}", file=sys.stderr)
-        return 2
+    traj = integrate(params, config, args.t_end)
     out = open(args.out, "w") if args.out else sys.stdout
     try:
         _emit_csv_trajectory(traj, out)
@@ -128,12 +124,7 @@ def cmd_portrait(args) -> int:
         for p, d, m in zip(points, dirs, mags):
             out.write(",".join(_fmt(v) for v in (p[0], p[1], d[0], d[1], m)) + "\n")
         for x, y in seeds:
-            try:
-                traj = integrate(params, config, args.t_end,
-                                 start=State(t=0.0, alpha=x, beta=y))
-            except StepBudgetError as exc:
-                print(f"integration failure: {exc}", file=sys.stderr)
-                return 2
+            traj = integrate(params, config, args.t_end, start=State(t=0.0, alpha=x, beta=y))
             out.write(f"\n# seed={_fmt(x)},{_fmt(y)}\n")
             out.write("t,alpha,beta\n")
             for state, _ in traj.samples:
@@ -229,6 +220,9 @@ def main(argv=None) -> int:
     except (_ArgError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except StepBudgetError as exc:
+        print(f"integration failure: {exc}", file=sys.stderr)
+        return 2
     except ArithmeticError as exc:
         # overflow or division by zero at extreme but valid inputs
         print(f"error: integration failure: {type(exc).__name__}: {exc}", file=sys.stderr)

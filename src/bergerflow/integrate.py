@@ -110,19 +110,21 @@ def _rk_step(f, t, y, k0, h):
 def _advance(f, t0, y0, t_end, config, predicates):
     """Generic adaptive driver over states given as float tuples.
 
-    ``predicates`` is an ordered list of (tag, pred) pairs; pred(t, y) is a
-    boolean terminal condition checked on the initial and every accepted
-    state.  When one fires, the event is located on the interpolant of the
-    step that crossed it.  Returns ``(points, (tag, t_event, y_event))``.
-    ``points`` holds every ``config.output_stride``-th (t, y) pair counting
-    from the initial one, followed by the final or event state, which is
-    recorded exactly once.
+    ``predicates`` is an ordered list of (tag, pred) pairs; pred(t, y, dy) is
+    a boolean terminal condition checked on the initial and every accepted
+    state, with dy = f(t, y) as the driver already holds it (the initial
+    evaluation or the step's last stage).  When one fires, the event is
+    located on the interpolant of the step that crossed it; there dy is None
+    and pred evaluates f itself if it needs the derivative.  Returns
+    ``(points, (tag, t_event, y_event))``.  ``points`` holds every
+    ``config.output_stride``-th (t, y) pair counting from the initial one,
+    followed by the final or event state, which is recorded exactly once.
     """
     t, y = t0, y0
     points = [(t, y)]
     n_accepted = 0
-    outcome = next(((tag, t, y) for tag, pred in predicates if pred(t, y)), None)
-    k0 = f(t, y) if outcome is None else None
+    k0 = f(t, y)
+    outcome = next(((tag, t, y) for tag, pred in predicates if pred(t, y, k0)), None)
     h = min(config.h_init, t_end - t0)
     err_prev = 1.0
     steps = 0
@@ -140,11 +142,13 @@ def _advance(f, t0, y0, t_end, config, predicates):
         if step is not None:
             k, y_new = step
             # RMS over components of the embedded error estimate h * (_E . k)
-            err_norm = math.sqrt(sum(
-                (h * sum(e * kj[d] for e, kj in zip(_E, k))
-                 / (config.atol + config.rtol * max(abs(y[d]), abs(y_new[d])))) ** 2
+            # (r * r overflows to inf, which rejects the step; r ** 2 raises)
+            ratios = [
+                h * sum(e * kj[d] for e, kj in zip(_E, k))
+                / (config.atol + config.rtol * max(abs(y[d]), abs(y_new[d])))
                 for d in range(len(y))
-            ) / len(y))
+            ]
+            err_norm = math.sqrt(sum(r * r for r in ratios) / len(y))
         if step is None or err_norm > 1.0:
             # rejected: halve after leaving the admissible region, else
             # shrink as the error controller says
@@ -154,7 +158,7 @@ def _advance(f, t0, y0, t_end, config, predicates):
             h *= fac
             continue
         # accepted
-        triggered = next(((tag, pred) for tag, pred in predicates if pred(t + h, y_new)), None)
+        triggered = next(((tag, pred) for tag, pred in predicates if pred(t + h, y_new, k[6])), None)
         if triggered is not None:
             tag, pred = triggered
             outcome = (tag, *_locate_event(pred, t, h, y, y_new, k[0], k[6]))
@@ -186,29 +190,24 @@ def _locate_event(pred, t, h, y0, y1, f0, f1):
         )
         if not _admissible(y_mid):
             hi = s
-        elif pred(t + s * h, y_mid):
+        elif pred(t + s * h, y_mid, None):
             hi, y_hi = s, y_mid
         else:
             lo = s
     return t + hi * h, y_hi
 
 
-def _planar_predicates(params, config):
-    preds = []
-    ctol = config.collapse_tol
+def _equilibrium(f, config):
+    """The Equilibrium predicate |f(y)| / |y| <= equilib_tol as a list of
+    (tag, pred) pairs, empty when equilibrium detection is disabled."""
+    etol = config.equilib_tol
+    if etol is None:
+        return []
 
-    def collapsed(t, y):
-        return y[0] <= ctol
+    def at_equilibrium(t, y, dy):
+        return math.hypot(*(f(t, y) if dy is None else dy)) / math.hypot(*y) <= etol
 
-    preds.append(("Collapse", collapsed))
-    if config.equilib_tol is not None:
-        etol = config.equilib_tol
-
-        def at_equilibrium(t, y):
-            return math.hypot(*vector_field(params, y)) / math.hypot(*y) <= etol
-
-        preds.append(("Equilibrium", at_equilibrium))
-    return preds
+    return [("Equilibrium", at_equilibrium)]
 
 
 def integrate(
@@ -230,9 +229,10 @@ def integrate(
     def f(t, y):
         return vector_field(params, y)
 
+    ctol = config.collapse_tol
+    predicates = [("Collapse", lambda t, y, dy: y[0] <= ctol)] + _equilibrium(f, config)
     points, (tag, t_ev, y_ev) = _advance(
-        f, s0.t, (float(s0.alpha), float(s0.beta)), s0.t + t_end,
-        config, _planar_predicates(params, config),
+        f, s0.t, (float(s0.alpha), float(s0.beta)), s0.t + t_end, config, predicates
     )
     samples = [_sample(params, t, y) for t, y in points]
     termination = _classify(params, config, tag, t_ev, y_ev, s0)
@@ -288,11 +288,5 @@ def integrate_reduced(
     def f(t, y):
         return (curve_speed(params, y[0]),)
 
-    preds = []
-    if config.equilib_tol is not None:
-        etol = config.equilib_tol
-        preds.append(
-            ("Equilibrium", lambda t, y: abs(curve_speed(params, y[0])) / abs(y[0]) <= etol)
-        )
-    points, _ = _advance(f, 0.0, (float(epsilon0),), t_end, config, preds)
+    points, _ = _advance(f, 0.0, (float(epsilon0),), t_end, config, _equilibrium(f, config))
     return [(t, e) for t, (e,) in points]

@@ -52,6 +52,9 @@ class Region:
             raise ValueError(f"unknown region tag {self.tag!r}")
 
     def vertices(self) -> list[tuple[float, float]]:
+        """The corners in counter-clockwise order, so the interior lies left
+        of each side: membership, flux edges, inward normals, the axis
+        bracket and distances are all derived from this list and rely on it."""
         v, w = self.v, self.w
         if self.tag == "K":
             return [(0.0, w), (v, w), (0.0, w + v)]
@@ -62,19 +65,19 @@ class Region:
         return [(0.0, 0.0), (v, w), (v, v)]
 
 
+def _sides(region: Region):
+    """The boundary as cyclic (p, q) vertex pairs, interior on the left."""
+    verts = region.vertices()
+    return zip(verts, verts[1:] + verts[:1])
+
+
 def region_contains(region: Region, point) -> bool:
-    """Closed-set membership with non-strict inequalities."""
+    """Closed-set membership: on or to the left of every side."""
     x, y = point
-    v, w = region.v, region.w
-    if not 0.0 <= x <= v:
-        return False
-    if region.tag == "K":
-        return w <= y <= w + v - x
-    if region.tag == "K1":
-        return 1.5 * x + w - 1.5 * v <= y <= w
-    if region.tag == "K2":
-        return x <= y <= 1.5 * x
-    return w / v * x <= y <= x
+    return all(
+        (q[0] - p[0]) * (y - p[1]) - (q[1] - p[1]) * (x - p[0]) >= 0.0
+        for p, q in _sides(region)
+    )
 
 
 def region_for_initial(params: FlowParams, state: State) -> Region | None:
@@ -99,28 +102,15 @@ def region_for_initial(params: FlowParams, state: State) -> Region | None:
 
 
 def _edges(region: Region):
-    """Boundary edges with x > 0 in the interior, as (p0, p1, inward normal)."""
-    v, w = region.v, region.w
-    if region.tag == "K":
-        return [
-            ((0.0, w), (v, w), (0.0, 1.0)),
-            ((v, w), (0.0, w + v), _unit((-1.0, -1.0))),
-        ]
-    if region.tag == "K1":
-        return [
-            ((0.0, w), (v, w), (0.0, -1.0)),
-            ((0.0, w - 1.5 * v), (v, w), _unit((-1.5, 1.0))),
-        ]
-    if region.tag == "K2":
-        return [
-            ((0.0, 0.0), (v, v), _unit((-1.0, 1.0))),
-            ((0.0, 0.0), (v, 1.5 * v), _unit((1.5, -1.0))),
-            ((v, v), (v, 1.5 * v), (-1.0, 0.0)),
-        ]
+    """Boundary edges with x > 0 in the interior, as (p0, p1, inward normal).
+
+    Each edge runs from its lexicographically smaller endpoint, which fixes
+    where the flux samples fall along it.
+    """
     return [
-        ((0.0, 0.0), (v, v), _unit((1.0, -1.0))),
-        ((0.0, 0.0), (v, w), _unit((-w / v, 1.0))),
-        ((v, w), (v, v), (-1.0, 0.0)),
+        (*sorted((p, q)), _unit((p[1] - q[1], q[0] - p[0])))
+        for p, q in _sides(region)
+        if not p[0] == q[0] == 0.0
     ]
 
 
@@ -154,10 +144,7 @@ def inward_flux_check(region: Region, params: FlowParams, n_samples: int = 1000)
 def _distance_outside(region: Region, point) -> float:
     if region_contains(region, point):
         return 0.0
-    verts = region.vertices()
-    return min(
-        _segment_distance(point, verts[i], verts[(i + 1) % 3]) for i in range(3)
-    )
+    return min(_segment_distance(point, p, q) for p, q in _sides(region))
 
 
 def _segment_distance(p, a, b):
@@ -183,12 +170,8 @@ def axis_extent(region: Region) -> tuple[float, float] | None:
     For a trapped fiber-collapse trajectory this brackets the limiting
     base scale.
     """
-    v, w = region.v, region.w
-    if region.tag == "K":
-        return (w, w + v)
-    if region.tag == "K1":
-        return (w - 1.5 * v, w)
-    return None
+    ys = sorted(y for x, y in region.vertices() if x == 0.0)
+    return tuple(ys) if len(ys) == 2 else None
 
 
 def sample_portrait(params: FlowParams, x_range, y_range, nx: int, ny: int):

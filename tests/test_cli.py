@@ -161,6 +161,15 @@ class TestSimulate:
         assert code == 2
         assert "integration failure" in err
 
+    def test_unattainable_tolerance_exit_code(self, capsys):
+        code, out, err = run(
+            capsys, "simulate", "--flow", "collapse", "--kappa", "1",
+            "--epsilon", "1", "--t-end", "20", "--rtol", "1e-300", "--atol", "1e-300",
+        )
+        assert code == 2
+        assert out.splitlines()[-1] == "# termination=StepUnderflow t=0"
+        assert err == ""
+
     @pytest.mark.parametrize(
         "flow,kappa,epsilon",
         [("collapse", "1", "1e300"), ("normalized", "0.5", "1e-300")],
@@ -213,6 +222,21 @@ class TestPortrait:
         assert out.count("# seed=") == 2
         blocks = out.split("\n\n")
         assert len(blocks) == 3  # grid plus two seed trajectories
+
+    def test_portrait_budget_exhaustion_keeps_the_grid(self, capsys, monkeypatch):
+        from bergerflow import IntegratorConfig, cli
+
+        monkeypatch.setattr(cli, "_build_config", lambda args: IntegratorConfig(max_steps=5))
+        code, out, err = run(
+            capsys, "portrait", "--flow", "collapse", "--kappa", "1",
+            "--epsilon", "1", "--grid", "2,2", "--seeds", "1,1",
+        )
+        assert code == 2
+        assert err.startswith("integration failure: step budget of 5 exhausted at t=")
+        header, rows = parse_csv(out)
+        assert header == ["x", "y", "ux", "uy", "mag"]
+        assert len(rows) == 4
+        assert "# seed=" not in out
 
     def test_bad_seed(self, capsys):
         code, _, err = run(

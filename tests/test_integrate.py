@@ -1,5 +1,6 @@
 import math
 import sys
+from collections import Counter
 
 import pytest
 
@@ -127,6 +128,23 @@ class TestEvents:
         assert traj.termination.tag == "CollapsePoint"
         assert (len(calls) - 1) % 6 == 0
 
+    def test_equilibrium_test_reads_the_fsal_stage(self, monkeypatch):
+        # the step's last stage is f at the accepted state, so the
+        # equilibrium predicate must not evaluate the field there again
+        module = sys.modules["bergerflow.integrate"]
+        calls = Counter()
+
+        def counted(params, point):
+            calls[tuple(point)] += 1
+            return vector_field(params, point)
+
+        monkeypatch.setattr(module, "vector_field", counted)
+        params = FlowParams(FlowKind.NORMALIZED, a=2.0, kappa=0.5, epsilon=1.2)
+        traj = integrate(params, IntegratorConfig(), t_end=400.0)
+        assert traj.termination.tag == "Equilibrium"
+        counts = [calls[(s.alpha, s.beta)] for s, _ in traj.samples[:-1]]
+        assert counts == [1] * len(counts)
+
     def test_event_time_tightens_with_collapse_tol(self):
         tight = IntegratorConfig(equilib_tol=None, collapse_tol=1e-6)
         traj = integrate(COLLAPSE, tight, t_end=20.0)
@@ -169,6 +187,12 @@ class TestRobustness:
         )
         traj = integrate(COLLAPSE, cfg, t_end=20.0)
         assert traj.termination.tag == "StepUnderflow"
+
+    def test_unattainable_tolerance_underflows(self):
+        # the scaled error overflows; that must reject the step, not raise
+        traj = integrate(COLLAPSE, IntegratorConfig(rtol=1e-300, atol=1e-300), t_end=20.0)
+        assert traj.termination.tag == "StepUnderflow"
+        assert traj.termination.t_event == 0.0
 
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError):

@@ -87,6 +87,16 @@ class TestMembership:
             for vert in region.vertices():
                 assert region_contains(region, vert)
 
+    @pytest.mark.parametrize(
+        "region",
+        [Region("K", 1.0, 1.0), Region("K1", 0.4, 1.0), Region("K2", 1.0), Region("K3", 1.0, 0.5)],
+    )
+    def test_vertices_are_counter_clockwise(self, region):
+        # membership, flux normals and the axis bracket are derived from
+        # the vertex list and need the interior on the left of each side
+        (x0, y0), (x1, y1), (x2, y2) = region.vertices()
+        assert (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0) > 0.0
+
 
 class TestRegionAssignment:
     def test_negative_product_always_k(self):
@@ -126,6 +136,12 @@ class TestInwardFlux:
             (COLLAPSE_NEG, Region("K", 0.5, 2.0)),
             (COLLAPSE, Region("K1", 0.4, 1.0)),
             (COLLAPSE, Region("K2", 0.8)),
+            # sampling the y = 3x/2 edge from (v, 3v/2) instead of from the
+            # origin moves the samples by rounding and finds outward flux here
+            (COLLAPSE, Region("K2", 0.9572956102878559)),
+            (COLLAPSE, Region("K2", 0.7645782708341894)),
+            (COLLAPSE, Region("K2", 0.6734879800390345)),
+            (COLLAPSE, Region("K2", 0.9402684005510822)),
             (COLLAPSE, Region("K3", 1.2, 1.0)),
         ],
     )
