@@ -54,6 +54,17 @@ class _ArgError(Exception):
     pass
 
 
+def _positive(text: str) -> float:
+    """argparse type: a number > 0, so nan, zero and negatives exit 1."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+    return value
+
+
 def _add_flow_flags(p: argparse.ArgumentParser):
     p.add_argument("--flow", required=True, choices=["collapse", "normalized"])
     p.add_argument("--a", type=float, default=2.0)
@@ -80,8 +91,6 @@ def _emit_csv_trajectory(traj, out):
 def cmd_simulate(args) -> int:
     params = _build_params(args)
     config = _build_config(args)
-    if not args.t_end > 0:
-        raise _ArgError("--t-end must be positive")
     traj = integrate(params, config, args.t_end)
     out = open(args.out, "w") if args.out else sys.stdout
     try:
@@ -101,31 +110,31 @@ def cmd_portrait(args) -> int:
         y_range = tuple(float(v) for v in args.y_range.split(","))
     except ValueError:
         raise _ArgError("--grid expects nx,ny and ranges expect lo,hi")
+    seeds = []
+    for chunk in args.seeds.split(";"):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        try:
+            x, y = (float(v) for v in chunk.split(","))
+        except ValueError:
+            raise _ArgError(f"--seeds entry {chunk!r} is not x,y")
+        try:
+            seeds.append(State(t=0.0, alpha=x, beta=y))
+        except ValueError as exc:
+            raise _ArgError(f"--seeds entry {chunk!r}: {exc}")
     try:
         points, dirs, mags = phase.sample_portrait(params, x_range, y_range, nx, ny)
     except ValueError as exc:
         raise _ArgError(str(exc))
-    seeds = []
-    if args.seeds:
-        for chunk in args.seeds.split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            try:
-                x, y = (float(v) for v in chunk.split(","))
-            except ValueError:
-                raise _ArgError(f"--seeds entry {chunk!r} is not x,y")
-            if x <= 0 or y <= 0:
-                raise _ArgError(f"--seeds entry {chunk!r} must be in the open first quadrant")
-            seeds.append((x, y))
     out = open(args.out, "w") if args.out else sys.stdout
     try:
         out.write("x,y,ux,uy,mag\n")
         for p, d, m in zip(points, dirs, mags):
             out.write(",".join(_fmt(v) for v in (p[0], p[1], d[0], d[1], m)) + "\n")
-        for x, y in seeds:
-            traj = integrate(params, config, args.t_end, start=State(t=0.0, alpha=x, beta=y))
-            out.write(f"\n# seed={_fmt(x)},{_fmt(y)}\n")
+        for start in seeds:
+            traj = integrate(params, config, args.t_end, start=start)
+            out.write(f"\n# seed={_fmt(start.alpha)},{_fmt(start.beta)}\n")
             out.write("t,alpha,beta\n")
             for state, _ in traj.samples:
                 out.write(",".join(_fmt(v) for v in (state.t, state.alpha, state.beta)) + "\n")
@@ -184,13 +193,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="integrate one trajectory and emit CSV")
     _add_flow_flags(p)
-    p.add_argument("--t-end", dest="t_end", type=float, required=True)
+    p.add_argument("--t-end", dest="t_end", type=_positive, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("portrait", help="sample the vector field on a grid")
     _add_flow_flags(p)
-    p.add_argument("--t-end", dest="t_end", type=float, default=10.0)
+    p.add_argument("--t-end", dest="t_end", type=_positive, default=10.0)
     p.add_argument("--grid", default="20,20")
     p.add_argument("--x-range", dest="x_range", default="0.05,1.5")
     p.add_argument("--y-range", dest="y_range", default="0.05,1.5")
@@ -204,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the verification suite")
     p.add_argument("--filter", default="")
-    p.add_argument("--oracle-tol", dest="oracle_tol", type=float, default=1e-8)
+    p.add_argument("--oracle-tol", dest="oracle_tol", type=_positive, default=1e-8)
     p.set_defaults(fn=cmd_verify)
     return parser
 

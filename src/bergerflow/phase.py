@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .dynamics import vector_field
 from .model import FlowKind, FlowParams, State
 
@@ -175,18 +173,21 @@ def axis_extent(region: Region) -> tuple[float, float] | None:
 
 
 def sample_portrait(params: FlowParams, x_range, y_range, nx: int, ny: int):
-    """Evaluate the field on a grid for plotting.
-
-    Returns (points, directions, magnitudes): points is (nx*ny, 2),
-    directions are unit vectors, magnitudes the field norms (reported
-    separately so plots can use a log scale).
+    """Evaluate the field on a grid for plotting; each range is (lo, hi) with
+    0 < lo <= hi < inf.  The package's one numpy user: it returns arrays of
+    points (nx*ny, 2), unit directions (nx*ny, 2) and field magnitudes
+    (nx*ny,), the last separate so that plots can use a log scale.
     """
-    x_lo, x_hi = x_range
-    y_lo, y_hi = y_range
-    if x_lo <= 0 or y_lo <= 0:
-        raise ValueError("portrait grid must lie in the open first quadrant")
+    for name, (lo, hi) in (("x_range", x_range), ("y_range", y_range)):
+        if not 0 < lo <= hi < math.inf:
+            raise ValueError(f"{name} must satisfy 0 < lo <= hi < inf, got ({lo}, {hi})")
     if nx < 1 or ny < 1:
         raise ValueError("grid counts must be positive")
+    # imported here because only this function's return contract is arrays
+    import numpy as np
+
+    x_lo, x_hi = x_range
+    y_lo, y_hi = y_range
     xs = np.linspace(x_lo, x_hi, nx)
     ys = np.linspace(y_lo, y_hi, ny)
     points = np.array([(x, y) for x in xs for y in ys])

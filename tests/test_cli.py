@@ -71,6 +71,32 @@ class TestArgumentErrors:
     def test_missing_subcommand(self, capsys):
         assert main([]) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["portrait", "--flow", "collapse", "--kappa", "1", "--epsilon", "1",
+             "--seeds", "inf,1"],
+            ["portrait", "--flow", "collapse", "--kappa", "1", "--epsilon", "1",
+             "--t-end", "-1"],
+            ["portrait", "--flow", "collapse", "--kappa", "1", "--epsilon", "1",
+             "--x-range", "0.1,inf"],
+            ["portrait", "--flow", "collapse", "--kappa", "1", "--epsilon", "1",
+             "--x-range", "2,1"],
+            ["verify", "--oracle-tol", "nan"],
+            ["verify", "--oracle-tol", "-1"],
+            ["simulate", "--flow", "collapse", "--kappa", "1", "--epsilon", "1",
+             "--t-end", "0"],
+        ],
+        ids=["seed-inf", "portrait-t-end", "x-range-inf", "x-range-reversed",
+             "oracle-tol-nan", "oracle-tol-negative", "simulate-t-end"],
+    )
+    def test_rejected_before_any_output(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        assert "Warning" not in err
+
     def test_bad_grid_spec(self, capsys):
         code, _, err = run(
             capsys, "portrait", "--flow", "collapse", "--kappa", "1",
@@ -301,11 +327,29 @@ class TestVerify:
         assert report["status"] == "fail"
 
 
-def test_import_does_not_load_scipy():
+# Runs in a fresh interpreter: imports the CLI, runs three subcommands that
+# do not draw a portrait, then reports whether the module named by argv[1]
+# was loaded along the way.
+_IMPORT_PROBE = """
+import contextlib, io, sys
+from bergerflow import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        cli.main(["simulate", "--flow", "collapse", "--kappa", "1", "--epsilon", "1",
+                  "--t-end", "5"]),
+        cli.main(["equilibria", "--flow", "normalized", "--kappa", "0.5", "--epsilon", "1"]),
+        cli.main(["verify", "--filter", "energy_monotonic"]),
+    ]
+print(codes, sys.argv[1] in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("module", ["scipy", "numpy"])
+def test_import_does_not_load(module):
     src = os.path.dirname(os.path.dirname(bergerflow.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(
-        [sys.executable, "-c", "import sys, bergerflow.cli; print('scipy' in sys.modules)"],
+        [sys.executable, "-c", _IMPORT_PROBE, module],
         capture_output=True, text=True, env=env, check=True,
     )
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[0, 0, 0] False"

@@ -220,7 +220,9 @@ class TestPortrait:
 
     def test_grid_shape_and_unit_directions(self):
         points, dirs, mags = sample_portrait(COLLAPSE, (0.1, 1.5), (0.1, 1.5), 7, 5)
-        assert points.shape == (35, 2)
+        # the array contract that benchmark and plotting callers index into
+        assert all(isinstance(arr, np.ndarray) for arr in (points, dirs, mags))
+        assert (points.shape, dirs.shape, mags.shape) == ((35, 2), (35, 2), (35,))
         norms = np.hypot(dirs[:, 0], dirs[:, 1])
         assert np.allclose(norms, 1.0, atol=1e-12)
         assert np.all(mags > 0.0)
@@ -228,6 +230,11 @@ class TestPortrait:
     def test_rejects_boundary_grid(self):
         with pytest.raises(ValueError):
             sample_portrait(COLLAPSE, (0.0, 1.0), (0.1, 1.0), 5, 5)
+        for bad in ((2.0, 1.0), (0.1, math.inf), (math.nan, 1.0), (0.1, math.nan)):
+            with pytest.raises(ValueError, match="x_range"):
+                sample_portrait(COLLAPSE, bad, (0.1, 1.0), 5, 5)
+            with pytest.raises(ValueError, match="y_range"):
+                sample_portrait(COLLAPSE, (0.1, 1.0), bad, 5, 5)
         with pytest.raises(ValueError):
             sample_portrait(COLLAPSE, (0.1, 1.0), (0.1, 1.0), 0, 5)
 
