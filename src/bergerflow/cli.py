@@ -11,6 +11,8 @@ Exit codes: 0 success, 1 argument error, 2 integration failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import json
 import sys
 
@@ -24,34 +26,25 @@ def _fmt(x: float) -> str:
 
 
 def _build_params(args) -> FlowParams:
-    kind = FlowKind.COLLAPSE if args.flow == "collapse" else FlowKind.NORMALIZED
     try:
-        return FlowParams(kind, a=args.a, kappa=args.kappa, epsilon=args.epsilon)
+        return FlowParams(FlowKind(args.flow), a=args.a, kappa=args.kappa, epsilon=args.epsilon)
     except ValueError as exc:
         # FlowParams messages start with the field name, which is the flag name
-        raise _ArgError(f"--{exc}")
+        raise ValueError(f"--{exc}")
 
 
 def _build_config(args) -> IntegratorConfig:
-    kwargs = {}
-    if args.rtol is not None:
-        kwargs["rtol"] = args.rtol
-    if args.atol is not None:
-        kwargs["atol"] = args.atol
-    if args.collapse_tol is not None:
-        kwargs["collapse_tol"] = args.collapse_tol
-    if args.equilib_tol is not None:
-        kwargs["equilib_tol"] = args.equilib_tol
-    if args.stride is not None:
-        kwargs["output_stride"] = args.stride
+    # each integrator flag's dest is a field name; an absent flag keeps the default
+    values = {f.name: getattr(args, f.name) for f in dataclasses.fields(IntegratorConfig)}
+    return IntegratorConfig(**{name: v for name, v in values.items() if v is not None})
+
+
+def _open_out(path):
+    """The --out file, opened for writing before any integration, or stdout."""
     try:
-        return IntegratorConfig(**kwargs)
-    except ValueError as exc:
-        raise _ArgError(str(exc))
-
-
-class _ArgError(Exception):
-    pass
+        return open(path, "w") if path else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        raise ValueError(f"--out {path!r}: {exc.strerror}")
 
 
 def _positive(text: str) -> float:
@@ -65,6 +58,29 @@ def _positive(text: str) -> float:
     return value
 
 
+def _pair(convert, form: str):
+    """argparse type: two comma-separated values, each passed through convert."""
+    def parse(text: str) -> tuple:
+        try:
+            first, second = (convert(v) for v in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}")
+        return first, second
+    return parse
+
+
+def _seeds(text: str) -> list[State]:
+    """argparse type: ';'-separated x,y start points, empty entries skipped."""
+    seeds = []
+    for chunk in filter(None, (c.strip() for c in text.split(";"))):
+        try:
+            x, y = (float(v) for v in chunk.split(","))
+            seeds.append(State(t=0.0, alpha=x, beta=y))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"entry {chunk!r}: {exc}")
+    return seeds
+
+
 def _add_flow_flags(p: argparse.ArgumentParser):
     p.add_argument("--flow", required=True, choices=["collapse", "normalized"])
     p.add_argument("--a", type=float, default=2.0)
@@ -74,7 +90,7 @@ def _add_flow_flags(p: argparse.ArgumentParser):
     p.add_argument("--atol", type=float, default=None)
     p.add_argument("--collapse-tol", dest="collapse_tol", type=float, default=None)
     p.add_argument("--equilib-tol", dest="equilib_tol", type=float, default=None)
-    p.add_argument("--stride", type=int, default=None)
+    p.add_argument("--stride", dest="output_stride", metavar="STRIDE", type=int, default=None)
 
 
 def _emit_csv_trajectory(traj, out):
@@ -91,74 +107,38 @@ def _emit_csv_trajectory(traj, out):
 def cmd_simulate(args) -> int:
     params = _build_params(args)
     config = _build_config(args)
-    traj = integrate(params, config, args.t_end)
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
+    with _open_out(args.out) as out:
+        traj = integrate(params, config, args.t_end)
         _emit_csv_trajectory(traj, out)
-    finally:
-        if args.out:
-            out.close()
     return 2 if traj.termination.tag == "StepUnderflow" else 0
 
 
 def cmd_portrait(args) -> int:
     params = _build_params(args)
     config = _build_config(args)
-    try:
-        nx, ny = (int(v) for v in args.grid.split(","))
-        x_range = tuple(float(v) for v in args.x_range.split(","))
-        y_range = tuple(float(v) for v in args.y_range.split(","))
-    except ValueError:
-        raise _ArgError("--grid expects nx,ny and ranges expect lo,hi")
-    seeds = []
-    for chunk in args.seeds.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        try:
-            x, y = (float(v) for v in chunk.split(","))
-        except ValueError:
-            raise _ArgError(f"--seeds entry {chunk!r} is not x,y")
-        try:
-            seeds.append(State(t=0.0, alpha=x, beta=y))
-        except ValueError as exc:
-            raise _ArgError(f"--seeds entry {chunk!r}: {exc}")
-    try:
-        points, dirs, mags = phase.sample_portrait(params, x_range, y_range, nx, ny)
-    except ValueError as exc:
-        raise _ArgError(str(exc))
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
+    points, dirs, mags = phase.sample_portrait(params, args.x_range, args.y_range, *args.grid)
+    with _open_out(args.out) as out:
         out.write("x,y,ux,uy,mag\n")
         for p, d, m in zip(points, dirs, mags):
             out.write(",".join(_fmt(v) for v in (p[0], p[1], d[0], d[1], m)) + "\n")
-        for start in seeds:
+        for start in args.seeds:
             traj = integrate(params, config, args.t_end, start=start)
             out.write(f"\n# seed={_fmt(start.alpha)},{_fmt(start.beta)}\n")
             out.write("t,alpha,beta\n")
             for state, _ in traj.samples:
                 out.write(",".join(_fmt(v) for v in (state.t, state.alpha, state.beta)) + "\n")
-    finally:
-        if args.out:
-            out.close()
     return 0
 
 
 def cmd_equilibria(args) -> int:
     if args.flow == "collapse":
-        print(
-            "error: the collapse flow has no isolated equilibria; its critical "
-            "set is the degenerate boundary line of points (0, k) with k != 0",
-            file=sys.stderr,
+        raise ValueError(
+            "the collapse flow has no isolated equilibria; its critical "
+            "set is the degenerate boundary line of points (0, k) with k != 0"
         )
-        return 1
     params = _build_params(args)
     entries = [
-        {
-            "epsilon_star": eq.epsilon_star,
-            "point": list(eq.point),
-            "stability": eq.stability,
-        }
+        {"epsilon_star": eq.epsilon_star, "point": list(eq.point), "stability": eq.stability}
         for eq in dynamics.equilibria(params)
     ]
     print(json.dumps(entries, indent=2))
@@ -167,6 +147,8 @@ def cmd_equilibria(args) -> int:
 
 def cmd_verify(args) -> int:
     results = acceptance.run_checks(name_filter=args.filter, oracle_tol=args.oracle_tol)
+    if not results:
+        raise ValueError(f"--filter {args.filter!r} matches no check")
     report = {
         "status": "pass" if all(r.passed for r in results) else "fail",
         "checks": [
@@ -200,10 +182,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("portrait", help="sample the vector field on a grid")
     _add_flow_flags(p)
     p.add_argument("--t-end", dest="t_end", type=_positive, default=10.0)
-    p.add_argument("--grid", default="20,20")
-    p.add_argument("--x-range", dest="x_range", default="0.05,1.5")
-    p.add_argument("--y-range", dest="y_range", default="0.05,1.5")
-    p.add_argument("--seeds", default="1,1;0.6666666666666666,1")
+    p.add_argument("--grid", type=_pair(int, "nx,ny"), default="20,20")
+    p.add_argument("--x-range", dest="x_range", type=_pair(float, "lo,hi"), default="0.05,1.5")
+    p.add_argument("--y-range", dest="y_range", type=_pair(float, "lo,hi"), default="0.05,1.5")
+    p.add_argument("--seeds", type=_seeds, default="1,1;0.6666666666666666,1")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_portrait)
 
@@ -226,7 +208,7 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (_ArgError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except StepBudgetError as exc:

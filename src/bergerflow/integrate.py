@@ -41,6 +41,10 @@ _PI_ALPHA = 1.0 / _ORDER - 0.75 * _PI_BETA
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _EVENT_TIME_TOL = 1e-9
+_H_INIT = 1e-3
+_H_MIN = 1e-13
+_H_MAX = 1.0
+_MAX_STEPS = 500_000
 
 
 class StepBudgetError(RuntimeError):
@@ -49,12 +53,11 @@ class StepBudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
+    """Caller settings: tolerances, event thresholds and output stride.  Step
+    bounds and the step budget are the module constants _H_* and _MAX_STEPS."""
+
     rtol: float = 1e-10
     atol: float = 1e-12
-    h_init: float = 1e-3
-    h_min: float = 1e-13
-    h_max: float = 1.0
-    max_steps: int = 500_000
     collapse_tol: float = 1e-3
     equilib_tol: float | None = 1e-10  # None disables equilibrium detection
     output_stride: int = 1
@@ -62,8 +65,6 @@ class IntegratorConfig:
     def __post_init__(self):
         if not (0 < self.rtol < math.inf and 0 < self.atol < math.inf):
             raise ValueError("tolerances must be positive and finite")
-        if not (0 < self.h_min <= self.h_init <= self.h_max < math.inf):
-            raise ValueError("step bounds must satisfy 0 < h_min <= h_init <= h_max < inf")
         if not 0 < self.collapse_tol < math.inf:
             raise ValueError("collapse_tol must be positive and finite")
         if self.equilib_tol is not None and not 0 < self.equilib_tol < math.inf:
@@ -119,25 +120,25 @@ def _advance(f, t0, y0, t_end, config, predicates):
     ``(points, (tag, t_event, y_event))``.  ``points`` holds every
     ``config.output_stride``-th (t, y) pair counting from the initial one,
     followed by the final or event state, which is recorded exactly once.
+    Steps start at _H_INIT, stay at most _H_MAX and end in StepUnderflow
+    below _H_MIN; attempting step _MAX_STEPS + 1 raises StepBudgetError.
     """
     t, y = t0, y0
     points = [(t, y)]
     n_accepted = 0
     k0 = f(t, y)
     outcome = next(((tag, t, y) for tag, pred in predicates if pred(t, y, k0)), None)
-    h = min(config.h_init, t_end - t0)
+    h = min(_H_INIT, t_end - t0)
     err_prev = 1.0
     steps = 0
     while outcome is None:
         if t >= t_end:
             outcome = ("ReachedTEnd", t, y)
             break
-        if steps >= config.max_steps:
-            raise StepBudgetError(
-                f"step budget of {config.max_steps} exhausted at t={t:.6g}"
-            )
+        if steps >= _MAX_STEPS:
+            raise StepBudgetError(f"step budget of {_MAX_STEPS} exhausted at t={t:.6g}")
         steps += 1
-        h = min(h, config.h_max, t_end - t)
+        h = min(h, _H_MAX, t_end - t)
         step = _rk_step(f, t, y, k0, h)
         if step is not None:
             k, y_new = step
@@ -153,7 +154,7 @@ def _advance(f, t0, y0, t_end, config, predicates):
             # rejected: halve after leaving the admissible region, else
             # shrink as the error controller says
             fac = 0.5 if step is None else max(_MIN_FACTOR, _SAFETY * err_norm ** (-_PI_ALPHA))
-            if h * fac < config.h_min:
+            if h * fac < _H_MIN:
                 outcome = ("StepUnderflow", t, y)
             h *= fac
             continue

@@ -1,3 +1,7 @@
+import contextlib
+import dataclasses
+import importlib
+import io
 import json
 import math
 import os
@@ -5,10 +9,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bergerflow
-from bergerflow import normalizing_constant, volume
-from bergerflow.cli import main
+from bergerflow import IntegratorConfig, State, cli, normalizing_constant, volume
+from bergerflow.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -22,6 +28,11 @@ def parse_csv(text):
     header = lines[0].split(",")
     rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
     return header, rows
+
+
+SIMULATE = ["simulate", "--flow", "collapse", "--kappa", "1", "--epsilon", "1"]
+PORTRAIT = ["portrait", "--flow", "collapse", "--kappa", "1", "--epsilon", "1"]
+MISSING = "<tmp_path/missing/x.csv>"  # replaced by a path whose directory does not exist
 
 
 class TestArgumentErrors:
@@ -72,30 +83,38 @@ class TestArgumentErrors:
         assert main([]) == 1
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv,needle",
         [
-            ["portrait", "--flow", "collapse", "--kappa", "1", "--epsilon", "1",
-             "--seeds", "inf,1"],
-            ["portrait", "--flow", "collapse", "--kappa", "1", "--epsilon", "1",
-             "--t-end", "-1"],
-            ["portrait", "--flow", "collapse", "--kappa", "1", "--epsilon", "1",
-             "--x-range", "0.1,inf"],
-            ["portrait", "--flow", "collapse", "--kappa", "1", "--epsilon", "1",
-             "--x-range", "2,1"],
-            ["verify", "--oracle-tol", "nan"],
-            ["verify", "--oracle-tol", "-1"],
-            ["simulate", "--flow", "collapse", "--kappa", "1", "--epsilon", "1",
-             "--t-end", "0"],
+            pytest.param(PORTRAIT + ["--seeds", "inf,1"], "--seeds", id="seed-inf"),
+            pytest.param(PORTRAIT + ["--seeds", "1"], "--seeds", id="seed-not-a-pair"),
+            pytest.param(PORTRAIT + ["--t-end", "-1"], "--t-end", id="portrait-t-end"),
+            pytest.param(PORTRAIT + ["--x-range", "0.1,inf"], "x_range", id="x-range-inf"),
+            pytest.param(PORTRAIT + ["--x-range", "2,1"], "x_range", id="x-range-reversed"),
+            pytest.param(PORTRAIT + ["--x-range", "1"], "--x-range", id="x-range-not-a-pair"),
+            pytest.param(PORTRAIT + ["--grid", "2,2,2"], "--grid", id="grid-not-a-pair"),
+            pytest.param(PORTRAIT + ["--out", MISSING], "--out", id="portrait-out"),
+            pytest.param(["verify", "--oracle-tol", "nan"], "--oracle-tol", id="oracle-tol-nan"),
+            pytest.param(["verify", "--oracle-tol", "-1"], "--oracle-tol", id="oracle-tol-negative"),
+            pytest.param(["verify", "--filter", "nosuchcheck"],
+                         "error: --filter 'nosuchcheck' matches no check", id="filter-no-match"),
+            pytest.param(SIMULATE + ["--t-end", "0"], "--t-end", id="simulate-t-end"),
+            pytest.param(SIMULATE + ["--t-end", "1", "--out", MISSING], "--out", id="simulate-out"),
         ],
-        ids=["seed-inf", "portrait-t-end", "x-range-inf", "x-range-reversed",
-             "oracle-tol-nan", "oracle-tol-negative", "simulate-t-end"],
     )
-    def test_rejected_before_any_output(self, capsys, argv):
-        code, out, err = run(capsys, *argv)
+    def test_rejected_before_any_output(self, capsys, monkeypatch, tmp_path, argv, needle):
+        def no_integration(*args, **kwargs):
+            raise AssertionError("a rejected invocation started an integration")
+
+        monkeypatch.setattr(cli, "integrate", no_integration)
+        missing = str(tmp_path / "missing" / "x.csv")
+        code, out, err = run(capsys, *(missing if a == MISSING else a for a in argv))
         assert code == 1
         assert out == ""
+        assert needle in err
         assert "Traceback" not in err
         assert "Warning" not in err
+        if MISSING in argv:
+            assert err == f"error: --out {missing!r}: No such file or directory\n"
 
     def test_bad_grid_spec(self, capsys):
         code, _, err = run(
@@ -103,6 +122,20 @@ class TestArgumentErrors:
             "--epsilon", "1", "--grid", "nope",
         )
         assert code == 1
+
+
+class TestSettingsSurface:
+    def test_integrator_flags_are_the_config_fields(self):
+        dests = set(vars(build_parser().parse_args(SIMULATE + ["--t-end", "1"])))
+        run_dests = {"command", "fn", "flow", "a", "kappa", "epsilon", "t_end", "out"}
+        assert dests - run_dests == {f.name for f in dataclasses.fields(IntegratorConfig)}
+
+    def test_portrait_defaults_pass_through_the_argument_types(self):
+        args = build_parser().parse_args(PORTRAIT)
+        assert args.grid == (20, 20)
+        assert args.x_range == (0.05, 1.5)
+        assert args.y_range == (0.05, 1.5)
+        assert args.seeds == [State(0.0, 1.0, 1.0), State(0.0, 0.6666666666666666, 1.0)]
 
 
 class TestSimulate:
@@ -174,18 +207,13 @@ class TestSimulate:
         assert out1 == out2
 
     def test_budget_exhaustion_exit_code(self, capsys, monkeypatch):
-        from bergerflow import IntegratorConfig, cli
-
-        def tiny_config(args):
-            return IntegratorConfig(max_steps=5)
-
-        monkeypatch.setattr(cli, "_build_config", tiny_config)
+        monkeypatch.setattr(importlib.import_module("bergerflow.integrate"), "_MAX_STEPS", 5)
         code, _, err = run(
             capsys, "simulate", "--flow", "collapse", "--kappa", "1",
             "--epsilon", "1", "--t-end", "20",
         )
         assert code == 2
-        assert "integration failure" in err
+        assert err.startswith("integration failure: step budget of 5 exhausted at t=")
 
     def test_unattainable_tolerance_exit_code(self, capsys):
         code, out, err = run(
@@ -250,9 +278,7 @@ class TestPortrait:
         assert len(blocks) == 3  # grid plus two seed trajectories
 
     def test_portrait_budget_exhaustion_keeps_the_grid(self, capsys, monkeypatch):
-        from bergerflow import IntegratorConfig, cli
-
-        monkeypatch.setattr(cli, "_build_config", lambda args: IntegratorConfig(max_steps=5))
+        monkeypatch.setattr(importlib.import_module("bergerflow.integrate"), "_MAX_STEPS", 5)
         code, out, err = run(
             capsys, "portrait", "--flow", "collapse", "--kappa", "1",
             "--epsilon", "1", "--grid", "2,2", "--seeds", "1,1",
@@ -353,3 +379,69 @@ def test_import_does_not_load(module):
         capture_output=True, text=True, env=env, check=True,
     )
     assert done.stdout.strip() == "[0, 0, 0] False"
+
+
+# The input contract over generated argv.  Each flag has a short list of
+# valid and one of invalid texts; None leaves the flag out, which is valid
+# for an optional flag and invalid for a required one.  At most two flags
+# per example draw from their invalid list, so that most runs integrate.
+# --t-end stays at most 20 and grids at most 5x5 to keep every run short;
+# --out and verify are left out.
+_TOL = ([None, "1e-6", "0.5", "1e-300", "1e300"], ["0", "-1", "inf", "nan", "x"])
+_T_END = (["1", "20"], ["0", "-1", "nan", "x"])
+_RANGE = ([None, "0.05,1.5", "1,1", "0.5,2"], ["2,1", "0,1", "0.1,inf", "nan,1", "1", "x,1"])
+_FLAGS = {
+    "--flow": (["collapse", "normalized"], [None, "x"]),
+    "--a": ([None, "2", "-2"], ["1", "inf", "x"]),
+    "--kappa": (["1", "-1", "0.5", "-0.5"], [None, "0", "nan", "x"]),  # valid for one flow
+    "--epsilon": (["1", "0.5", "2", "1e-300", "1e300"], [None, "0", "-1", "inf", "nan", "x"]),
+    "--rtol": _TOL,
+    "--atol": _TOL,
+    "--collapse-tol": _TOL,
+    "--equilib-tol": _TOL,
+    "--stride": ([None, "1", "3"], ["0", "-1", "2.5", "x"]),
+}
+_RUN_FLAGS = {
+    "simulate": {"--t-end": (_T_END[0], [None] + _T_END[1])},
+    "portrait": {
+        "--t-end": ([None] + _T_END[0], _T_END[1]),
+        "--grid": (["1,1", "5,5", "2,3"], ["0,2", "-1,2", "5", "x,1", "1,2,3"]),  # no 20x20 default
+        "--x-range": _RANGE,
+        "--y-range": _RANGE,
+        "--seeds": ([None, "", ";", "1,1", "0.5,0.5;1,1"], ["inf,1", "1,-1", "1", "x,1"]),
+    },
+    "equilibria": {},
+}
+_CSV_HEADERS = {"t,alpha,beta,volume,energy,f,g,dalpha,dbeta", "x,y,ux,uy,mag", "t,alpha,beta"}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_RUN_FLAGS)))
+    flags = {**_FLAGS, **_RUN_FLAGS[command]}
+    invalid = draw(st.sets(st.sampled_from(sorted(flags)), max_size=2))
+    argv = [command]
+    for flag, texts in flags.items():
+        value = draw(st.sampled_from(texts[flag in invalid]))
+        if value is not None:
+            argv += [flag, value]
+    return argv
+
+
+@settings(max_examples=50, deadline=None)
+@given(argv=_argvs())
+def test_every_input_has_a_documented_outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if code == 1:
+        assert out == ""
+    if code == 0 and argv[0] == "equilibria":
+        json.loads(out)
+    elif code == 0:
+        for line in out.splitlines():
+            if line and not line.startswith("#") and line not in _CSV_HEADERS:
+                assert all(f"{float(v):.17g}" == v for v in line.split(","))

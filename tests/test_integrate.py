@@ -173,20 +173,10 @@ class TestRobustness:
         assert errs[2] < errs[0]
         assert errs[2] <= 1e-8
 
-    def test_step_budget_error(self):
-        cfg = IntegratorConfig(max_steps=10, equilib_tol=None)
-        with pytest.raises(StepBudgetError):
-            integrate(COLLAPSE, cfg, t_end=20.0)
-
-    def test_step_underflow_termination(self):
-        # force an unsatisfiable first step: h is pinned to 0.5 and the
-        # error test can never pass at this tolerance
-        cfg = IntegratorConfig(
-            rtol=1e-14, atol=1e-16, h_init=0.5, h_min=0.5, h_max=0.5,
-            equilib_tol=None,
-        )
-        traj = integrate(COLLAPSE, cfg, t_end=20.0)
-        assert traj.termination.tag == "StepUnderflow"
+    def test_step_budget_error(self, monkeypatch):
+        monkeypatch.setattr(importlib.import_module("bergerflow.integrate"), "_MAX_STEPS", 10)
+        with pytest.raises(StepBudgetError, match="step budget of 10 exhausted"):
+            integrate(COLLAPSE, NO_EQUILIB, t_end=20.0)
 
     def test_unattainable_tolerance_underflows(self):
         # the scaled error overflows; that must reject the step, not raise
@@ -198,12 +188,10 @@ class TestRobustness:
         with pytest.raises(ValueError):
             IntegratorConfig(rtol=-1.0)
         with pytest.raises(ValueError):
-            IntegratorConfig(h_min=1.0, h_init=0.5)
-        with pytest.raises(ValueError):
             IntegratorConfig(output_stride=0)
         # non-finite settings would turn off error control or fire an
         # event at t=0
-        for name in ("rtol", "atol", "h_init", "h_min", "h_max", "collapse_tol", "equilib_tol"):
+        for name in ("rtol", "atol", "collapse_tol", "equilib_tol"):
             for value in (math.inf, math.nan):
                 with pytest.raises(ValueError):
                     IntegratorConfig(**{name: value})
