@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import math
 import sys
 
 from . import acceptance, dynamics, phase
@@ -48,13 +49,13 @@ def _open_out(path):
 
 
 def _positive(text: str) -> float:
-    """argparse type: a number > 0, so nan, zero and negatives exit 1."""
+    """argparse type: a finite number > 0, so nan, inf, zero and negatives exit 1."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
     return value
 
 

@@ -3,12 +3,13 @@
 A Dormand-Prince 5(4) embedded pair with a proportional-integral step
 controller drives both the planar integration and the reduced
 one-dimensional dynamics on the unit-volume curve.  The step runs on float
-tuples and reuses its last stage as the next step's first (FSAL).  Steps
-that would leave the open first quadrant are rejected and halved, so
-trajectories never cross the axes.  Terminal events (collapse of one or
-both scales, convergence to an equilibrium) are located by bisection on
-the cubic Hermite interpolant of the step that crosses them, at no
-further right-hand-side cost.
+tuples, is written out by hand for the two dimensions in use (2 and 1),
+chosen once per integration, and reuses its last stage as the next step's
+first (FSAL).  Steps that would leave the open first quadrant are rejected
+and halved, so trajectories never cross the axes.  Terminal events
+(collapse of one or both scales, convergence to an equilibrium) are
+located by bisection on the cubic Hermite interpolant of the step that
+crosses them, at no further right-hand-side cost.
 """
 
 from __future__ import annotations
@@ -33,6 +34,14 @@ _A = (
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+
+# The same tableau as scalars for the unrolled steps, which leave out the
+# zero terms a72 * k2 and e2 * k2.
+_C2, _C3, _C4, _C5, _C6, _C7 = _C[1:]
+(_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54) = _A[1:5]
+(_A61, _A62, _A63, _A64, _A65), (_A71, _, _A73, _A74, _A75, _A76) = _A[5:]
+_E1, _, _E3, _E4, _E5, _E6, _E7 = _E
+_INF = math.inf
 
 _ORDER = 5
 _SAFETY = 0.9
@@ -95,21 +104,90 @@ def _admissible(y):
     return all(0.0 < v < math.inf for v in y)
 
 
-def _rk_step(f, t, y, k0, h):
-    """One Dormand-Prince step from y, given k0 = f(t, y).  Returns
-    (stages, y_new) with stages[6] = f(t + h, y_new), or None if a stage
-    input left the open quadrant; f is only called on admissible states."""
-    k = [k0]
-    for c, a in zip(_C[1:], _A[1:]):
-        yi = tuple(yd + h * sum(aj * kj[d] for aj, kj in zip(a, k)) for d, yd in enumerate(y))
-        if not _admissible(yi):
-            return None
-        k.append(f(t + c * h, yi))
-    return k, yi
+def _rk_step2(f, t, y, k0, h, atol, rtol):
+    """One Dormand-Prince step of a planar system from y, given k0 = f(t, y).
+    Returns (k7, y_new, err_norm) with k7 = f(t + h, y_new) and err_norm the
+    RMS of the scaled error estimate, or None if a stage input left the open
+    quadrant; f is only called on admissible states.  The sums keep the
+    left-to-right order of a loop over _A and _E, and so its rounding."""
+    y0, y1 = y
+    k10, k11 = k0
+    s0 = y0 + h * (_A21 * k10)
+    s1 = y1 + h * (_A21 * k11)
+    if not (0.0 < s0 < _INF and 0.0 < s1 < _INF):
+        return None
+    k20, k21 = f(t + _C2 * h, (s0, s1))
+    s0 = y0 + h * (_A31 * k10 + _A32 * k20)
+    s1 = y1 + h * (_A31 * k11 + _A32 * k21)
+    if not (0.0 < s0 < _INF and 0.0 < s1 < _INF):
+        return None
+    k30, k31 = f(t + _C3 * h, (s0, s1))
+    s0 = y0 + h * (_A41 * k10 + _A42 * k20 + _A43 * k30)
+    s1 = y1 + h * (_A41 * k11 + _A42 * k21 + _A43 * k31)
+    if not (0.0 < s0 < _INF and 0.0 < s1 < _INF):
+        return None
+    k40, k41 = f(t + _C4 * h, (s0, s1))
+    s0 = y0 + h * (_A51 * k10 + _A52 * k20 + _A53 * k30 + _A54 * k40)
+    s1 = y1 + h * (_A51 * k11 + _A52 * k21 + _A53 * k31 + _A54 * k41)
+    if not (0.0 < s0 < _INF and 0.0 < s1 < _INF):
+        return None
+    k50, k51 = f(t + _C5 * h, (s0, s1))
+    s0 = y0 + h * (_A61 * k10 + _A62 * k20 + _A63 * k30 + _A64 * k40 + _A65 * k50)
+    s1 = y1 + h * (_A61 * k11 + _A62 * k21 + _A63 * k31 + _A64 * k41 + _A65 * k51)
+    if not (0.0 < s0 < _INF and 0.0 < s1 < _INF):
+        return None
+    k60, k61 = f(t + _C6 * h, (s0, s1))
+    s0 = y0 + h * (_A71 * k10 + _A73 * k30 + _A74 * k40 + _A75 * k50 + _A76 * k60)
+    s1 = y1 + h * (_A71 * k11 + _A73 * k31 + _A74 * k41 + _A75 * k51 + _A76 * k61)
+    if not (0.0 < s0 < _INF and 0.0 < s1 < _INF):
+        return None
+    k7 = f(t + _C7 * h, (s0, s1))
+    k70, k71 = k7
+    e0 = _E1 * k10 + _E3 * k30 + _E4 * k40 + _E5 * k50 + _E6 * k60 + _E7 * k70
+    e1 = _E1 * k11 + _E3 * k31 + _E4 * k41 + _E5 * k51 + _E6 * k61 + _E7 * k71
+    # both states are positive, so max() needs no abs(); r * r overflows to
+    # inf, which rejects the step, where r ** 2 would raise
+    r0 = h * e0 / (atol + rtol * max(y0, s0))
+    r1 = h * e1 / (atol + rtol * max(y1, s1))
+    return k7, (s0, s1), math.sqrt((r0 * r0 + r1 * r1) / 2)
+
+
+def _rk_step1(f, t, y, k0, h, atol, rtol):
+    """The one-dimensional counterpart of _rk_step2, on 1-tuples."""
+    (y0,) = y
+    (k1,) = k0
+    s = y0 + h * (_A21 * k1)
+    if not 0.0 < s < _INF:
+        return None
+    (k2,) = f(t + _C2 * h, (s,))
+    s = y0 + h * (_A31 * k1 + _A32 * k2)
+    if not 0.0 < s < _INF:
+        return None
+    (k3,) = f(t + _C3 * h, (s,))
+    s = y0 + h * (_A41 * k1 + _A42 * k2 + _A43 * k3)
+    if not 0.0 < s < _INF:
+        return None
+    (k4,) = f(t + _C4 * h, (s,))
+    s = y0 + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4)
+    if not 0.0 < s < _INF:
+        return None
+    (k5,) = f(t + _C5 * h, (s,))
+    s = y0 + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5)
+    if not 0.0 < s < _INF:
+        return None
+    (k6,) = f(t + _C6 * h, (s,))
+    s = y0 + h * (_A71 * k1 + _A73 * k3 + _A74 * k4 + _A75 * k5 + _A76 * k6)
+    if not 0.0 < s < _INF:
+        return None
+    k7 = f(t + _C7 * h, (s,))
+    e = _E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7[0]
+    r = h * e / (atol + rtol * max(y0, s))
+    return k7, (s,), math.sqrt(r * r)
 
 
 def _advance(f, t0, y0, t_end, config, predicates):
-    """Generic adaptive driver over states given as float tuples.
+    """Adaptive driver over states given as float tuples of length 2 or 1;
+    the step (_rk_step2 or _rk_step1) is chosen once from len(y0).
 
     ``predicates`` is an ordered list of (tag, pred) pairs; pred(t, y, dy) is
     a boolean terminal condition checked on the initial and every accepted
@@ -123,6 +201,8 @@ def _advance(f, t0, y0, t_end, config, predicates):
     Steps start at _H_INIT, stay at most _H_MAX and end in StepUnderflow
     below _H_MIN; attempting step _MAX_STEPS + 1 raises StepBudgetError.
     """
+    rk_step = _rk_step2 if len(y0) == 2 else _rk_step1
+    atol, rtol = config.atol, config.rtol
     t, y = t0, y0
     points = [(t, y)]
     n_accepted = 0
@@ -139,17 +219,9 @@ def _advance(f, t0, y0, t_end, config, predicates):
             raise StepBudgetError(f"step budget of {_MAX_STEPS} exhausted at t={t:.6g}")
         steps += 1
         h = min(h, _H_MAX, t_end - t)
-        step = _rk_step(f, t, y, k0, h)
+        step = rk_step(f, t, y, k0, h, atol, rtol)
         if step is not None:
-            k, y_new = step
-            # RMS over components of the embedded error estimate h * (_E . k)
-            # (r * r overflows to inf, which rejects the step; r ** 2 raises)
-            ratios = [
-                h * sum(e * kj[d] for e, kj in zip(_E, k))
-                / (config.atol + config.rtol * max(abs(y[d]), abs(y_new[d])))
-                for d in range(len(y))
-            ]
-            err_norm = math.sqrt(sum(r * r for r in ratios) / len(y))
+            k7, y_new, err_norm = step
         if step is None or err_norm > 1.0:
             # rejected: halve after leaving the admissible region, else
             # shrink as the error controller says
@@ -159,13 +231,13 @@ def _advance(f, t0, y0, t_end, config, predicates):
             h *= fac
             continue
         # accepted
-        triggered = next(((tag, pred) for tag, pred in predicates if pred(t + h, y_new, k[6])), None)
+        triggered = next(((tag, pred) for tag, pred in predicates if pred(t + h, y_new, k7)), None)
         if triggered is not None:
             tag, pred = triggered
-            outcome = (tag, *_locate_event(pred, t, h, y, y_new, k[0], k[6]))
+            outcome = (tag, *_locate_event(pred, t, h, y, y_new, k0, k7))
             break
         t += h
-        y, k0 = y_new, k[6]
+        y, k0 = y_new, k7
         n_accepted += 1
         if n_accepted % config.output_stride == 0:
             points.append((t, y))

@@ -208,7 +208,8 @@ def geometry_scalars(params: FlowParams, alpha: float, beta: float) -> GeometryS
     q00, q11 = metric_velocity(params, alpha, beta)
     return GeometryScalars(
         volume=volume(alpha, beta),
-        energy=energy(params, alpha, beta),
+        # energy() on the (f, g) already at hand, with its exact expression
+        energy=math.pi**2 * alpha * beta**2 * (f * f + 2.0 * g * g),
         q00=q00,
         q11=q11,
         f=f,

@@ -88,6 +88,7 @@ class TestArgumentErrors:
             pytest.param(PORTRAIT + ["--seeds", "inf,1"], "--seeds", id="seed-inf"),
             pytest.param(PORTRAIT + ["--seeds", "1"], "--seeds", id="seed-not-a-pair"),
             pytest.param(PORTRAIT + ["--t-end", "-1"], "--t-end", id="portrait-t-end"),
+            pytest.param(PORTRAIT + ["--t-end", "inf"], "--t-end", id="portrait-t-end-inf"),
             pytest.param(PORTRAIT + ["--x-range", "0.1,inf"], "x_range", id="x-range-inf"),
             pytest.param(PORTRAIT + ["--x-range", "2,1"], "x_range", id="x-range-reversed"),
             pytest.param(PORTRAIT + ["--x-range", "1"], "--x-range", id="x-range-not-a-pair"),
@@ -95,9 +96,11 @@ class TestArgumentErrors:
             pytest.param(PORTRAIT + ["--out", MISSING], "--out", id="portrait-out"),
             pytest.param(["verify", "--oracle-tol", "nan"], "--oracle-tol", id="oracle-tol-nan"),
             pytest.param(["verify", "--oracle-tol", "-1"], "--oracle-tol", id="oracle-tol-negative"),
+            pytest.param(["verify", "--oracle-tol", "inf"], "--oracle-tol", id="oracle-tol-inf"),
             pytest.param(["verify", "--filter", "nosuchcheck"],
                          "error: --filter 'nosuchcheck' matches no check", id="filter-no-match"),
             pytest.param(SIMULATE + ["--t-end", "0"], "--t-end", id="simulate-t-end"),
+            pytest.param(SIMULATE + ["--t-end", "inf"], "--t-end", id="simulate-t-end-inf"),
             pytest.param(SIMULATE + ["--t-end", "1", "--out", MISSING], "--out", id="simulate-out"),
         ],
     )
@@ -388,7 +391,7 @@ def test_import_does_not_load(module):
 # --t-end stays at most 20 and grids at most 5x5 to keep every run short;
 # --out and verify are left out.
 _TOL = ([None, "1e-6", "0.5", "1e-300", "1e300"], ["0", "-1", "inf", "nan", "x"])
-_T_END = (["1", "20"], ["0", "-1", "nan", "x"])
+_T_END = (["1", "20"], ["0", "-1", "inf", "nan", "x"])
 _RANGE = ([None, "0.05,1.5", "1,1", "0.5,2"], ["2,1", "0,1", "0.1,inf", "nan,1", "1", "x,1"])
 _FLAGS = {
     "--flow": (["collapse", "normalized"], [None, "x"]),

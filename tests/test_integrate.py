@@ -1,5 +1,6 @@
 import importlib
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -126,6 +127,20 @@ class TestEvents:
         monkeypatch.setattr(module, "vector_field", counted)
         traj = integrate(COLLAPSE, NO_EQUILIB, t_end=20.0)
         assert traj.termination.tag == "CollapsePoint"
+        assert (len(calls) - 1) % 6 == 0
+
+    def test_reduced_steps_cost_six_rhs_calls(self, monkeypatch):
+        # the 1-D path shares the FSAL stage just as the planar one does
+        module = importlib.import_module("bergerflow.integrate")
+        calls = []
+
+        def counted(params, epsilon):
+            calls.append(epsilon)
+            return curve_speed(params, epsilon)
+
+        monkeypatch.setattr(module, "curve_speed", counted)
+        samples = integrate_reduced(NORMALIZED, NO_EQUILIB, epsilon0=1.4, t_end=50.0)
+        assert samples[-1][0] == 50.0
         assert (len(calls) - 1) % 6 == 0
 
     def test_equilibrium_test_reads_the_fsal_stage(self, monkeypatch):
@@ -304,3 +319,64 @@ class TestReduced:
         t1, e1 = samples[-1]
         assert e1 > e0
         assert curve_speed(NORMALIZED, e0) > 0.0
+
+
+def reference_step(f, t, y, k0, h, atol, rtol):
+    """The Dormand-Prince step and error norm as loops over the module's
+    tableau, summing left to right from 0 with no zero term left out."""
+    module = importlib.import_module("bergerflow.integrate")
+    k = [k0]
+    for c, a in zip(module._C[1:], module._A[1:]):
+        stage = []
+        for d, yd in enumerate(y):
+            acc = 0
+            for aj, kj in zip(a, k):
+                acc = acc + aj * kj[d]
+            stage.append(yd + h * acc)
+        y_new = tuple(stage)
+        if not all(0.0 < v < math.inf for v in y_new):
+            return None
+        k.append(f(t + c * h, y_new))
+    squares = 0
+    for d in range(len(y)):
+        acc = 0
+        for e, kj in zip(module._E, k):
+            acc = acc + e * kj[d]
+        r = h * acc / (atol + rtol * max(abs(y[d]), abs(y_new[d])))
+        squares = squares + r * r
+    return k[6], y_new, math.sqrt(squares / len(y))
+
+
+@pytest.mark.parametrize(
+    "name,params",
+    [
+        pytest.param("_rk_step2", COLLAPSE, id="planar-collapse"),
+        pytest.param("_rk_step2", COLLAPSE_NEG, id="planar-collapse-neg"),
+        pytest.param("_rk_step2", NORMALIZED, id="planar-normalized"),
+        pytest.param("_rk_step2", NORMALIZED_NEG, id="planar-normalized-neg"),
+        pytest.param("_rk_step1", NORMALIZED, id="reduced"),
+        pytest.param("_rk_step1", NORMALIZED_NEG, id="reduced-neg"),
+    ],
+)
+def test_specialised_steps_match_the_tableau(name, params):
+    # the unrolled steps must give the loop's bits on every admissible
+    # input, and reject exactly the steps whose stages leave the quadrant
+    step = getattr(importlib.import_module("bergerflow.integrate"), name)
+    if name == "_rk_step2":
+        def f(t, y):
+            return vector_field(params, y)
+    else:
+        def f(t, y):
+            return (curve_speed(params, y[0]),)
+    rng = random.Random(2024)
+    outcomes = Counter()
+    for _ in range(300):
+        y = tuple(math.exp(rng.uniform(-3.0, 1.5)) for _ in range(2 if name == "_rk_step2" else 1))
+        h = math.exp(rng.uniform(-9.0, 1.0))
+        t = rng.uniform(0.0, 100.0)
+        atol, rtol = rng.choice([(1e-12, 1e-10), (1e-8, 1e-6)])
+        k0 = f(t, y)
+        got = step(f, t, y, k0, h, atol, rtol)
+        assert got == reference_step(f, t, y, k0, h, atol, rtol)
+        outcomes[got is None] += 1
+    assert outcomes[True] and outcomes[False]

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import pytest
@@ -223,3 +224,23 @@ def test_geometry_scalars_bundle():
     # volume-corrected diagonal vanishes at the critical point
     assert abs(scalars.q00) <= 1e-14
     assert abs(scalars.q11) <= 1e-14
+
+
+
+@settings(max_examples=50, deadline=None)
+@given(alpha=scales, beta=scales)
+def test_geometry_scalars_evaluate_the_spinor_once(alpha, beta):
+    # the bundled energy reuses the sample's (f, g) and keeps energy()'s bits
+    flows = (COLLAPSE, COLLAPSE_NEG, NORMALIZED, NORMALIZED_NEG)
+    expected = [energy(params, alpha, beta) for params in flows]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return spinor_coefficients(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(importlib.import_module("bergerflow.model"), "spinor_coefficients", counted)
+        bundled = [geometry_scalars(params, alpha, beta).energy for params in flows]
+    assert bundled == expected
+    assert len(calls) == len(flows)
