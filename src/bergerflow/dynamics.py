@@ -36,7 +36,7 @@ class Equilibrium:
 
 
 def _check_point(x: float, y: float):
-    if not (x > 0 and y > 0):
+    if not (0 < x < math.inf and 0 < y < math.inf):
         raise ValueError(f"vector field is only defined on the open first quadrant, got ({x}, {y})")
 
 

@@ -47,6 +47,15 @@ class TestVectorField:
         with pytest.raises(ValueError):
             vector_field(NORMALIZED, (1.0, -1.0))
 
+    @pytest.mark.parametrize("rhs", [vector_field, explicit_rhs])
+    @pytest.mark.parametrize("params", [COLLAPSE, NORMALIZED])
+    @pytest.mark.parametrize("point", [(math.inf, 1.0), (1.0, math.inf)])
+    def test_rejects_infinite_scale(self, rhs, params, point):
+        # unchecked, inf gives nan, or different values from the two
+        # transcriptions
+        with pytest.raises(ValueError, match="open first quadrant"):
+            rhs(params, point)
+
     @pytest.mark.parametrize("params", ALL_PARAMS)
     def test_matches_explicit_rhs(self, params):
         # the two transcriptions agree up to rounding; the comparison is

@@ -1,9 +1,12 @@
 import importlib
+import inspect
 import math
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bergerflow import (
     FlowKind,
@@ -285,6 +288,34 @@ class TestMonotoneDiagnostics:
             assert sc.volume == pytest.approx(1.0, abs=1e-9)
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    kind=st.sampled_from(FlowKind),
+    a=st.sampled_from([2.0, -2.0]),
+    kappa_sign=st.sampled_from([1.0, -1.0]),
+    log_eps=st.floats(-math.log(4.0), math.log(4.0)),
+)
+def test_properties_over_the_parameter_box(kind, a, kappa_sign, log_eps):
+    # samples stay in the open quadrant, energy never rises, the normalized
+    # flow keeps unit volume, and (a, kappa) -> (-a, -kappa) only negates f, g
+    kappa = kappa_sign * (1.0 if kind is FlowKind.COLLAPSE else 0.5)
+    params = FlowParams(kind, a, kappa, math.exp(log_eps))
+    traj = integrate(params, t_end=50.0)
+    flip = integrate(FlowParams(kind, -a, -kappa, params.epsilon), t_end=50.0)
+    energies = [sc.energy for _, sc in traj.samples]
+    assert all(e1 <= e0 + 1e-10 for e0, e1 in zip(energies, energies[1:]))
+    for (s, sc), (s_flip, sc_flip) in zip(traj.samples, flip.samples, strict=True):
+        assert 0.0 < s.alpha < math.inf and 0.0 < s.beta < math.inf
+        if kind is FlowKind.NORMALIZED:
+            assert abs(sc.volume - 1.0) <= 1e-8
+        assert s_flip == s
+        assert (sc_flip.energy, sc_flip.volume, sc_flip.q00, sc_flip.q11) == (
+            sc.energy, sc.volume, sc.q00, sc.q11,
+        )
+        assert (sc_flip.f, sc_flip.g) == (-sc.f, -sc.g)
+    assert flip.termination == traj.termination
+
+
 class TestReduced:
     def test_requires_normalized(self):
         with pytest.raises(ValueError):
@@ -380,3 +411,11 @@ def test_specialised_steps_match_the_tableau(name, params):
         assert got == reference_step(f, t, y, k0, h, atol, rtol)
         outcomes[got is None] += 1
     assert outcomes[True] and outcomes[False]
+
+
+@pytest.mark.parametrize("name", ["_rk_step2", "_rk_step1"])
+def test_generated_steps_show_their_source(name):
+    # the steps are compiled from generated text registered with linecache
+    source = inspect.getsource(getattr(importlib.import_module("bergerflow.integrate"), name))
+    assert source.count("f(") == 6
+    assert "for" not in source.split()
