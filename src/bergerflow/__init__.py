@@ -47,6 +47,7 @@ from .phase import (
     Region,
     containment_report,
     inward_flux_check,
+    portrait_rows,
     region_contains,
     region_for_initial,
     sample_portrait,
@@ -78,6 +79,7 @@ __all__ = [
     "integrate_reduced",
     "inward_flux_check",
     "normalizing_constant",
+    "portrait_rows",
     "q1_collapse_components",
     "q1_normalized_components",
     "region_contains",

@@ -17,7 +17,7 @@ import json
 import math
 import sys
 
-from . import acceptance, dynamics, phase
+from . import dynamics, phase
 from .integrate import IntegratorConfig, StepBudgetError, integrate
 from .model import FlowKind, FlowParams, State
 
@@ -117,11 +117,11 @@ def cmd_simulate(args) -> int:
 def cmd_portrait(args) -> int:
     params = _build_params(args)
     config = _build_config(args)
-    points, dirs, mags = phase.sample_portrait(params, args.x_range, args.y_range, *args.grid)
+    rows = phase.portrait_rows(params, args.x_range, args.y_range, *args.grid)
     with _open_out(args.out) as out:
         out.write("x,y,ux,uy,mag\n")
-        for p, d, m in zip(points, dirs, mags):
-            out.write(",".join(_fmt(v) for v in (p[0], p[1], d[0], d[1], m)) + "\n")
+        for row in rows:
+            out.write(",".join(_fmt(v) for v in row) + "\n")
         for start in args.seeds:
             traj = integrate(params, config, args.t_end, start=start)
             out.write(f"\n# seed={_fmt(start.alpha)},{_fmt(start.beta)}\n")
@@ -147,6 +147,9 @@ def cmd_equilibria(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # imported here so that the other subcommands do not pay for it
+    from . import acceptance
+
     results = acceptance.run_checks(name_filter=args.filter, oracle_tol=args.oracle_tol)
     if not results:
         raise ValueError(f"--filter {args.filter!r} matches no check")

@@ -11,6 +11,7 @@ the region they were assigned at start.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .dynamics import vector_field
@@ -172,26 +173,64 @@ def axis_extent(region: Region) -> tuple[float, float] | None:
     return tuple(ys) if len(ys) == 2 else None
 
 
-def sample_portrait(params: FlowParams, x_range, y_range, nx: int, ny: int):
-    """Evaluate the field on a grid for plotting; each range is (lo, hi) with
-    0 < lo <= hi < inf.  The package's one numpy user: it returns arrays of
-    points (nx*ny, 2), unit directions (nx*ny, 2) and field magnitudes
-    (nx*ny,), the last separate so that plots can use a log scale.
+def _axis(lo: float, hi: float, n: int) -> list[float]:
+    """n points from lo to hi as np.linspace places them, bit for bit: lo
+    plus i steps, the last point exactly hi, and [lo] alone when n == 1."""
+    if n == 1:
+        return [lo]
+    delta = hi - lo
+    step = delta / (n - 1)
+    if step == 0.0:
+        # a step that underflows to zero: linspace scales i / (n - 1) instead
+        return [lo + i / (n - 1) * delta for i in range(n - 1)] + [hi]
+    return [lo + i * step for i in range(n - 1)] + [hi]
+
+
+def portrait_rows(params: FlowParams, x_range, y_range, nx: int, ny: int):
+    """The field on an nx-by-ny grid, as a list of float tuples
+    (x, y, ux, uy, mag), x outermost and y innermost.
+
+    Each range is (lo, hi) with 0 < lo <= hi < inf and each count a
+    positive integer; the axes are placed as np.linspace places them.
+    (ux, uy) is the unit direction of the field and mag its length, kept
+    separate so that plots can use a log scale; the direction is (0, 0)
+    where the field vanishes.  Everything is computed on Python floats, and
+    a field that divides by zero or overflows at an extreme grid point
+    raises ZeroDivisionError or OverflowError instead of yielding nan/inf.
     """
     for name, (lo, hi) in (("x_range", x_range), ("y_range", y_range)):
         if not 0 < lo <= hi < math.inf:
             raise ValueError(f"{name} must satisfy 0 < lo <= hi < inf, got ({lo}, {hi})")
+    try:
+        nx, ny = operator.index(nx), operator.index(ny)
+    except TypeError:
+        nx = ny = 0
     if nx < 1 or ny < 1:
-        raise ValueError("grid counts must be positive")
+        raise ValueError("grid counts must be positive integers")
+    xs = _axis(float(x_range[0]), float(x_range[1]), nx)
+    ys = _axis(float(y_range[0]), float(y_range[1]), ny)
+    rows = []
+    for x in xs:
+        for y in ys:
+            fx, fy = vector_field(params, (x, y))
+            mag = math.hypot(fx, fy)
+            if not mag < math.inf:
+                # a product overflowed to inf without raising
+                raise OverflowError(f"field is not finite at ({x!r}, {y!r})")
+            ux, uy = (fx / mag, fy / mag) if mag != 0.0 else (0.0, 0.0)
+            rows.append((x, y, ux, uy, mag))
+    return rows
+
+
+def sample_portrait(params: FlowParams, x_range, y_range, nx: int, ny: int):
+    """:func:`portrait_rows` as numpy arrays: grid points (nx*ny, 2), unit
+    directions (nx*ny, 2) and field magnitudes (nx*ny,), in the same order
+    and with the same values.  The package's one numpy user; the arrays are
+    column views of one (nx*ny, 5) table.
+    """
+    rows = portrait_rows(params, x_range, y_range, nx, ny)
     # imported here because only this function's return contract is arrays
     import numpy as np
 
-    x_lo, x_hi = x_range
-    y_lo, y_hi = y_range
-    xs = np.linspace(x_lo, x_hi, nx)
-    ys = np.linspace(y_lo, y_hi, ny)
-    points = np.array([(x, y) for x in xs for y in ys])
-    field = np.array([vector_field(params, p) for p in points])
-    mags = np.hypot(field[:, 0], field[:, 1])
-    dirs = np.where(mags[:, None] > 0.0, field / np.where(mags[:, None] == 0.0, 1.0, mags[:, None]), 0.0)
-    return points, dirs, mags
+    table = np.array(rows)
+    return table[:, 0:2], table[:, 2:4], table[:, 4]

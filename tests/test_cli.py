@@ -228,19 +228,53 @@ class TestSimulate:
         assert err == ""
 
     @pytest.mark.parametrize(
-        "flow,kappa,epsilon",
-        [("collapse", "1", "1e300"), ("normalized", "0.5", "1e-300")],
+        "argv",
+        [
+            pytest.param(
+                ["simulate", "--flow", "collapse", "--kappa", "1", "--epsilon", "1e300",
+                 "--t-end", "10"],
+                id="collapse-1-1e300",
+            ),
+            pytest.param(
+                ["simulate", "--flow", "normalized", "--kappa", "0.5", "--epsilon", "1e-300",
+                 "--t-end", "10"],
+                id="normalized-0.5-1e-300",
+            ),
+            # valid ranges whose single grid point divides by zero or
+            # overflows in the field; the grid is evaluated before any output
+            pytest.param(
+                PORTRAIT + ["--grid", "1,1", "--seeds", "", "--x-range", "1e-100,1e-100",
+                            "--y-range", "1e-100,1e-100"],
+                id="portrait-tiny-x-y",
+            ),
+            pytest.param(
+                PORTRAIT + ["--grid", "1,1", "--seeds", "", "--x-range", "1e200,1e200",
+                            "--y-range", "1,1"],
+                id="portrait-huge-x",
+            ),
+            pytest.param(
+                PORTRAIT + ["--grid", "1,1", "--seeds", "", "--x-range", "1,1",
+                            "--y-range", "1e-120,1e-120"],
+                id="portrait-tiny-y",
+            ),
+            pytest.param(
+                PORTRAIT + ["--grid", "1,1", "--seeds", "",
+                            "--x-range", "4.265959041761247e113,4.265959041761247e113",
+                            "--y-range", "5353.280110530487,5353.280110530487"],
+                id="portrait-inf-field",
+            ),
+        ],
     )
-    def test_arithmetic_failure_exit_code(self, capsys, flow, kappa, epsilon):
+    def test_arithmetic_failure_exit_code(self, capsys, argv):
         # overflow and division by zero at extreme scales are reported as
-        # integration failures, not raised
-        code, _, err = run(
-            capsys, "simulate", "--flow", flow, "--kappa", kappa,
-            "--epsilon", epsilon, "--t-end", "10",
-        )
+        # failures with exit code 2, not raised and not printed as nan/inf
+        code, out, err = run(capsys, *argv)
         assert code == 2
         assert "error:" in err
         assert "Traceback" not in err
+        assert "RuntimeWarning" not in err
+        if argv[0] == "portrait":
+            assert out == ""
 
     def test_writes_file(self, capsys, tmp_path):
         out_file = tmp_path / "run.csv"
@@ -362,26 +396,40 @@ class TestVerify:
 _IMPORT_PROBE = """
 import contextlib, io, sys
 from bergerflow import cli
-with contextlib.redirect_stdout(io.StringIO()):
-    codes = [
-        cli.main(["simulate", "--flow", "collapse", "--kappa", "1", "--epsilon", "1",
-                  "--t-end", "5"]),
-        cli.main(["equilibria", "--flow", "normalized", "--kappa", "0.5", "--epsilon", "1"]),
-        cli.main(["verify", "--filter", "energy_monotonic"]),
-    ]
-print(codes, sys.argv[1] in sys.modules)
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(list(argv))
+codes = [
+    run("simulate", "--flow", "collapse", "--kappa", "1", "--epsilon", "1", "--t-end", "5"),
+    run("portrait", "--flow", "collapse", "--kappa", "1", "--epsilon", "1", "--grid", "3,3"),
+    run("equilibria", "--flow", "normalized", "--kappa", "0.5", "--epsilon", "1"),
+]
+loaded = [sys.argv[1] in sys.modules]
+codes.append(run("verify", "--filter", "energy_monotonic"))
+loaded.append(sys.argv[1] in sys.modules)
+print(codes, loaded)
 """
 
 
-@pytest.mark.parametrize("module", ["scipy", "numpy"])
-def test_import_does_not_load(module):
+def _probe_imports(module):
+    """Run all four subcommands in a fresh interpreter; report whether
+    module was loaded after the first three and after verify."""
     src = os.path.dirname(os.path.dirname(bergerflow.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, module],
         capture_output=True, text=True, env=env, check=True,
     )
-    assert done.stdout.strip() == "[0, 0, 0] False"
+    return done.stdout.strip()
+
+
+@pytest.mark.parametrize("module", ["scipy", "numpy"])
+def test_import_does_not_load(module):
+    assert _probe_imports(module) == "[0, 0, 0, 0] [False, False]"
+
+
+def test_only_verify_loads_acceptance():
+    assert _probe_imports("bergerflow.acceptance") == "[0, 0, 0, 0] [False, True]"
 
 
 # The input contract over generated argv.  Each flag has a short list of

@@ -15,12 +15,14 @@ from bergerflow import (
     curve_tangent,
     integrate,
     inward_flux_check,
+    portrait_rows,
     region_contains,
     region_for_initial,
     sample_portrait,
 )
+from bergerflow.dynamics import vector_field
 from bergerflow.model import State
-from bergerflow.phase import axis_extent
+from bergerflow.phase import _axis, axis_extent
 
 COLLAPSE = FlowParams(FlowKind.COLLAPSE, a=2.0, kappa=1.0, epsilon=1.0)
 COLLAPSE_NEG = FlowParams(FlowKind.COLLAPSE, a=2.0, kappa=-1.0, epsilon=1.0)
@@ -237,6 +239,8 @@ class TestPortrait:
                 sample_portrait(COLLAPSE, (0.1, 1.0), bad, 5, 5)
         with pytest.raises(ValueError):
             sample_portrait(COLLAPSE, (0.1, 1.0), (0.1, 1.0), 0, 5)
+        with pytest.raises(ValueError, match="grid counts must be positive integers"):
+            sample_portrait(COLLAPSE, (0.1, 1.0), (0.1, 1.0), 2.5, 3)
 
     def test_normalized_directions_follow_curve(self):
         # away from equilibria the sampled direction at a unit-volume curve
@@ -249,3 +253,57 @@ class TestPortrait:
             sign = 1.0 if curve_speed(NORMALIZED, eps) > 0 else -1.0
             assert dirs[0][0] == pytest.approx(sign * tx / tn, abs=1e-10)
             assert dirs[0][1] == pytest.approx(sign * ty / tn, abs=1e-10)
+
+    @pytest.mark.parametrize("params", [COLLAPSE, COLLAPSE_NEG, NORMALIZED])
+    def test_arrays_are_the_rows(self, params):
+        rows = portrait_rows(params, (0.05, 1.5), (0.2, 0.9), 9, 7)
+        points, dirs, mags = sample_portrait(params, (0.05, 1.5), (0.2, 0.9), 9, 7)
+        assert all(isinstance(v, float) for row in rows for v in row)
+        assert points.tolist() == [[x, y] for x, y, *_ in rows]
+        assert dirs.tolist() == [[ux, uy] for _, _, ux, uy, _ in rows]
+        assert mags.tolist() == [row[4] for row in rows]
+
+    def test_grid_is_linspace_bit_for_bit(self):
+        rng = np.random.default_rng(20261018)
+        cases = [(0.3, 0.3, 1), (0.3, 0.7, 1), (0.3, 0.7, 2), (0.7, 0.7, 2), (0.7, 0.7, 9),
+                 (1.0, 1e308, 17), (1e-310, 2e-310, 1000),
+                 # steps that underflow to zero
+                 (5e-324, 1e-323, 3), (5e-324, 2e-323, 10)]
+        for _ in range(300):
+            lo, hi = sorted(10.0 ** rng.uniform(-6, 6, size=2))
+            cases.append((float(lo), float(rng.choice([lo, hi])), int(rng.integers(1, 60))))
+        for lo, hi, n in cases:
+            assert _axis(lo, hi, n) == np.linspace(lo, hi, n).tolist(), (lo, hi, n)
+        rows = portrait_rows(COLLAPSE, (0.1, 1.3), (0.25, 0.8), 6, 4)
+        xs, ys = np.linspace(0.1, 1.3, 6).tolist(), np.linspace(0.25, 0.8, 4).tolist()
+        assert [(x, y) for x, y, *_ in rows] == [(x, y) for x in xs for y in ys]
+
+    @pytest.mark.parametrize("params", [COLLAPSE, COLLAPSE_NEG, NORMALIZED])
+    def test_directions_within_two_ulp_of_numpy(self, params):
+        # the former array formula: np.hypot, then division by the magnitude
+        rows = np.array(portrait_rows(params, (0.05, 1.5), (0.05, 1.5), 40, 40))
+        field = np.array([vector_field(params, (x, y)) for x, y in rows[:, :2].tolist()])
+        mags = np.hypot(field[:, 0], field[:, 1])
+        nonzero = mags > 0.0
+        dirs = field[nonzero] / mags[nonzero, None]
+        for got, want in ((rows[:, 4], mags), (rows[nonzero, 2:4], dirs)):
+            tol = 2.0 * np.spacing(np.maximum(np.abs(got), np.abs(want)))
+            assert np.all(np.abs(got - want) <= tol)
+
+    def test_zero_field_has_zero_direction(self):
+        # round spheres are rest points of the normalized flow
+        assert vector_field(NORMALIZED, (1.0, 1.0)) == (0.0, 0.0)
+        rows = portrait_rows(NORMALIZED, (1.0, 1.0), (1.0, 1.0), 1, 1)
+        assert rows == [(1.0, 1.0, 0.0, 0.0, 0.0)]
+
+    @pytest.mark.parametrize(
+        "x,y,error",
+        [
+            (1e-100, 1e-100, ZeroDivisionError),
+            # a product that overflows to inf without raising
+            (4.265959041761247e113, 5353.280110530487, OverflowError),
+        ],
+    )
+    def test_non_finite_field_raises(self, x, y, error):
+        with pytest.raises(error):
+            portrait_rows(COLLAPSE, (x, x), (y, y), 1, 1)
