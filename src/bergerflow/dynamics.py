@@ -35,9 +35,8 @@ class Equilibrium:
     stability: str  # "attracting" | "repelling" | "degenerate-line"
 
 
-def _check_point(x: float, y: float):
-    if not (0 < x < math.inf and 0 < y < math.inf):
-        raise ValueError(f"vector field is only defined on the open first quadrant, got ({x}, {y})")
+def _off_quadrant(x: float, y: float) -> ValueError:
+    return ValueError(f"vector field is only defined on the open first quadrant, got ({x}, {y})")
 
 
 def vector_field(params: FlowParams, point) -> tuple[float, float]:
@@ -49,7 +48,8 @@ def vector_field(params: FlowParams, point) -> tuple[float, float]:
     coefficients as an independent cross-check.
     """
     x, y = point
-    _check_point(x, y)
+    if not (0 < x < math.inf and 0 < y < math.inf):
+        raise _off_quadrant(x, y)
     q00, q11 = metric_velocity(params, x, y)
     return 0.5 * x * q00, 0.5 * y * q11
 
@@ -61,7 +61,8 @@ def explicit_rhs(params: FlowParams, point) -> tuple[float, float]:
     either form are caught by comparing the two.
     """
     x, y = point
-    _check_point(x, y)
+    if not (0 < x < math.inf and 0 < y < math.inf):
+        raise _off_quadrant(x, y)
     if params.kind is FlowKind.COLLAPSE:
         a, lam = params.a, params.kappa
         dx = (
@@ -137,6 +138,9 @@ def curve_tangent(epsilon: float) -> tuple[float, float]:
     return c * 2.0 / 3.0 * epsilon ** (-1.0 / 3.0), -c / 3.0 * epsilon ** (-4.0 / 3.0)
 
 
+_SPEED_SCALE = TWO_PI_SQ ** (2.0 / 3.0) / 8.0
+
+
 def curve_speed(params: FlowParams, epsilon: float) -> float:
     """Speed k(epsilon) of the normalized flow along the unit-volume curve.
 
@@ -147,10 +151,9 @@ def curve_speed(params: FlowParams, epsilon: float) -> float:
         raise ValueError("curve_speed requires normalized flow parameters")
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    c = TWO_PI_SQ ** (2.0 / 3.0) / 8.0
     if params.product == 1.0:
-        return c * epsilon ** (5.0 / 3.0) * (-3.0 * epsilon**2 + 5.0 * epsilon - 2.0)
-    return c * epsilon ** (-1.0 / 3.0) * (-3.0 * epsilon**4 + epsilon**2 + 2.0)
+        return _SPEED_SCALE * epsilon ** (5.0 / 3.0) * (-3.0 * epsilon**2 + 5.0 * epsilon - 2.0)
+    return _SPEED_SCALE * epsilon ** (-1.0 / 3.0) * (-3.0 * epsilon**4 + epsilon**2 + 2.0)
 
 
 def tangency_residual(params: FlowParams, epsilon: float) -> float:

@@ -5,12 +5,13 @@ controller drives both the planar integration and the reduced
 one-dimensional dynamics on the unit-volume curve.  The step runs on float
 tuples, is generated from the tableau at import as straight-line code for
 the two dimensions in use (2 and 1), chosen once per integration, and
-reuses its last stage as the next step's first (FSAL).  Steps that would
-leave the open first quadrant are rejected and halved, so trajectories
-never cross the axes.  Terminal events (collapse of one or both scales,
-convergence to an equilibrium) are located by bisection on the cubic
-Hermite interpolant of the step that crosses them, at no further
-right-hand-side cost.
+reuses its last stage as the next step's first (FSAL).  It calls the field
+itself as f(params, y), with no stage time, since both flows are
+autonomous.  Steps that would leave the open first quadrant are rejected
+and halved, so trajectories never cross the axes.  Terminal events
+(collapse of one or both scales, convergence to an equilibrium) are located
+by bisection on the cubic Hermite interpolant of the step that crosses
+them, at no further right-hand-side cost.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .model import FlowKind, FlowParams, GeometryScalars, State, geometry_scalar
 
 # Dormand-Prince 5(4) tableau.  The last row of _A holds the fifth-order
 # weights, so the seventh stage is evaluated at the step's result.
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _A = (
     (),
     (1 / 5,),
@@ -94,21 +94,18 @@ class Trajectory:
         return self.samples[-1][0]
 
 
-def _admissible(y):
-    return all(0.0 < v < math.inf for v in y)
-
-
 def _unrolled_step(n):
     """Compile the Dormand-Prince step for an n-dimensional system as
-    straight-line code from _C, _A and _E, registered with linecache so that
+    straight-line code from _A and _E, registered with linecache so that
     tracebacks and inspect.getsource show it.
 
-    step(f, t, y, k0, h, atol, rtol), given k0 = f(t, y), returns (k7, y_new,
-    err_norm) with k7 = f(t + h, y_new) and err_norm the RMS of the scaled
-    error estimate, or None if a stage input left the open quadrant; f is
-    only called on admissible states.  Sums run left to right over the
-    nonzero coefficients, inlined as float literals that round-trip exactly,
-    so the step rounds as a loop over the tableau does.
+    step(f, p, y, k0, h, atol, rtol), given k0 = f(p, y), returns (k7, y_new,
+    err_norm) with k7 = f(p, y_new) and err_norm the RMS of the scaled error
+    estimate, or None if a stage input left the open quadrant; f is only
+    called on admissible states, and with no stage time, as both flows are
+    autonomous.  Sums run left to right over the nonzero coefficients,
+    inlined as float literals that round-trip exactly, so the step rounds
+    as a loop over the tableau does.
     """
     name, dims = f"_rk_step{n}", range(n)
 
@@ -119,19 +116,19 @@ def _unrolled_step(n):
         return " + ".join(f"{c!r} * k{j}_{d}" for j, c in enumerate(coeffs, 1) if c)
 
     admissible = " and ".join(f"0.0 < s{d} < inf" for d in dims)
-    lines = [f"def {name}(f, t, y, k0, h, atol, rtol):", f"    {tup('y')} = y", f"    {tup('k1_')} = k0"]
-    for j, (c, a) in enumerate(zip(_C[1:], _A[1:]), 2):
+    lines = [f"def {name}(f, p, y, k0, h, atol, rtol):", f"    {tup('y')} = y", f"    {tup('k1_')} = k0"]
+    for j, a in enumerate(_A[1:], 2):
         lines += [f"    s{d} = y{d} + h * ({terms(a, d)})" for d in dims] + [
             f"    if not ({admissible}):",
             "        return None",
-            f"    k{j} = f(t + {c!r} * h, {tup('s')})",
+            f"    k{j} = f(p, {tup('s')})",
             f"    {tup(f'k{j}_')} = k{j}",
         ]
-    # both states are positive, so max() needs no abs(); r * r overflows to
-    # inf, which rejects the step, where r ** 2 would raise
-    lines += [f"    r{d} = h * ({terms(_E, d)}) / (atol + rtol * max(y{d}, s{d}))" for d in dims]
+    # both states are positive, so max(y, s) is the larger, with no abs();
+    # r * r overflows to inf, which rejects the step, where r ** 2 would raise
+    lines += [f"    r{d} = h * ({terms(_E, d)}) / (atol + rtol * (s{d} if s{d} > y{d} else y{d}))" for d in dims]
     squares = " + ".join(f"r{d} * r{d}" for d in dims)
-    lines.append(f"    return k{len(_C)}, {tup('s')}, sqrt(({squares}) / {n})")
+    lines.append(f"    return k{len(_A)}, {tup('s')}, sqrt(({squares}) / {n})")
     source = "\n".join(lines) + "\n"
     filename = f"<{__name__}.{name}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
@@ -144,13 +141,13 @@ _rk_step2 = _unrolled_step(2)
 _rk_step1 = _unrolled_step(1)
 
 
-def _advance(f, t0, y0, t_end, config, predicates):
-    """Adaptive driver over states given as float tuples of length 2 or 1;
+def _advance(f, p, t0, y0, t_end, config, predicates):
+    """Adaptive driver of y' = f(p, y) over float tuples of length 2 or 1;
     the step (_rk_step2 or _rk_step1) is chosen once from len(y0).
 
     ``predicates`` is an ordered list of (tag, pred) pairs; pred(t, y, dy) is
     a boolean terminal condition checked on the initial and every accepted
-    state, with dy = f(t, y) as the driver already holds it (the initial
+    state, with dy = f(p, y) as the driver already holds it (the initial
     evaluation or the step's last stage).  When one fires, the event is
     located on the interpolant of the step that crossed it; there dy is None
     and pred evaluates f itself if it needs the derivative.  Returns
@@ -165,7 +162,7 @@ def _advance(f, t0, y0, t_end, config, predicates):
     t, y = t0, y0
     points = [(t, y)]
     n_accepted = 0
-    k0 = f(t, y)
+    k0 = f(p, y)
     outcome = next(((tag, t, y) for tag, pred in predicates if pred(t, y, k0)), None)
     h = min(_H_INIT, t_end - t0)
     err_prev = 1.0
@@ -178,7 +175,7 @@ def _advance(f, t0, y0, t_end, config, predicates):
             raise StepBudgetError(f"step budget of {_MAX_STEPS} exhausted at t={t:.6g}")
         steps += 1
         h = min(h, _H_MAX, t_end - t)
-        step = rk_step(f, t, y, k0, h, atol, rtol)
+        step = rk_step(f, p, y, k0, h, atol, rtol)
         if step is not None:
             k7, y_new, err_norm = step
         if step is None or err_norm > 1.0:
@@ -190,10 +187,11 @@ def _advance(f, t0, y0, t_end, config, predicates):
             h *= fac
             continue
         # accepted
-        triggered = next(((tag, pred) for tag, pred in predicates if pred(t + h, y_new, k7)), None)
-        if triggered is not None:
-            tag, pred = triggered
-            outcome = (tag, *_locate_event(pred, t, h, y, y_new, k0, k7))
+        for tag, pred in predicates:
+            if pred(t + h, y_new, k7):
+                outcome = (tag, *_locate_event(pred, t, h, y, y_new, k0, k7))
+                break
+        if outcome is not None:
             break
         t += h
         y, k0 = y_new, k7
@@ -220,7 +218,7 @@ def _locate_event(pred, t, h, y0, y1, f0, f1):
             (1 - s) * a + s * b + s * (s - 1) * ((1 - 2 * s) * (b - a) + (s - 1) * h * fa + s * h * fb)
             for a, b, fa, fb in zip(y0, y1, f0, f1)
         )
-        if not _admissible(y_mid):
+        if not all(0.0 < v < math.inf for v in y_mid):
             hi = s
         elif pred(t + s * h, y_mid, None):
             hi, y_hi = s, y_mid
@@ -229,15 +227,15 @@ def _locate_event(pred, t, h, y0, y1, f0, f1):
     return t + hi * h, y_hi
 
 
-def _equilibrium(f, config):
-    """The Equilibrium predicate |f(y)| / |y| <= equilib_tol as a list of
+def _equilibrium(f, p, config):
+    """The Equilibrium predicate |f(p, y)| / |y| <= equilib_tol as a list of
     (tag, pred) pairs, empty when equilibrium detection is disabled."""
     etol = config.equilib_tol
     if etol is None:
         return []
 
     def at_equilibrium(t, y, dy):
-        return math.hypot(*(f(t, y) if dy is None else dy)) / math.hypot(*y) <= etol
+        return math.hypot(*(f(p, y) if dy is None else dy)) / math.hypot(*y) <= etol
 
     return [("Equilibrium", at_equilibrium)]
 
@@ -257,23 +255,15 @@ def integrate(
     if not t_end > 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
     s0 = initial_state(params) if start is None else start
-
-    def f(t, y):
-        return vector_field(params, y)
-
+    f = vector_field  # looked up per call, so that a wrapped field sees every evaluation
     ctol = config.collapse_tol
-    predicates = [("Collapse", lambda t, y, dy: y[0] <= ctol)] + _equilibrium(f, config)
+    predicates = [("Collapse", lambda t, y, dy: y[0] <= ctol)] + _equilibrium(f, params, config)
     points, (tag, t_ev, y_ev) = _advance(
-        f, s0.t, (float(s0.alpha), float(s0.beta)), s0.t + t_end, config, predicates
+        f, params, s0.t, (float(s0.alpha), float(s0.beta)), s0.t + t_end, config, predicates
     )
-    samples = [_sample(params, t, y) for t, y in points]
+    samples = [(State(t, *y), geometry_scalars(params, *y)) for t, y in points]
     termination = _classify(params, config, tag, t_ev, y_ev, s0)
     return Trajectory(params=params, samples=samples, termination=termination)
-
-
-def _sample(params, t, y):
-    state = State(t, *y)
-    return state, geometry_scalars(params, state.alpha, state.beta)
 
 
 def _classify(params, config, tag, t_ev, y_ev, s0):
@@ -316,9 +306,10 @@ def integrate_reduced(
         raise ValueError(f"epsilon0 must be positive, got {epsilon0}")
     if not t_end > 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
-
-    def f(t, y):
-        return (curve_speed(params, y[0]),)
-
-    points, _ = _advance(f, 0.0, (float(epsilon0),), t_end, config, _equilibrium(f, config))
+    equilibrium = _equilibrium(_reduced_rhs, params, config)
+    points, _ = _advance(_reduced_rhs, params, 0.0, (float(epsilon0),), t_end, config, equilibrium)
     return [(t, e) for t, (e,) in points]
+
+
+def _reduced_rhs(params, y):
+    return (curve_speed(params, y[0]),)

@@ -5,7 +5,10 @@ fiber and ``beta`` on the horizontal complement.  Everything here is a pure
 function of the flow parameters and those two scales: the unit-volume
 normalizing constant, the Riemannian volume, the diagonal components of the
 (negative) energy gradient, the spinorial energy itself, and the two scalar
-coefficients ``f`` and ``g`` through which the spinor enters.
+coefficients ``f`` and ``g`` through which the spinor enters.  The gradient
+components of each flow kind come from one straight-line body, which
+:func:`metric_velocity` calls directly and the ``q1_*`` and
+``energy_density_sixth`` helpers return parts of.
 """
 
 from __future__ import annotations
@@ -108,70 +111,72 @@ def volume(alpha: float, beta: float) -> float:
     return TWO_PI_SQ * alpha * beta**2
 
 
-def q1_collapse_components(params: FlowParams, alpha: float, beta: float):
-    """Diagonal metric-velocity components (q00, q11) for the collapse flow.
-
-    q22 equals q11 and all off-diagonal components vanish.
-    """
-    _require_kind(params, FlowKind.COLLAPSE)
+def _collapse(params: FlowParams, alpha: float, beta: float):
     a, lam = params.a, params.kappa
+    alpha2, beta2, beta3, beta4 = alpha**2, beta**2, beta**3, beta**4
     q00 = (
-        -9.0 / 64.0 * alpha**2 / beta**4 * a * a
-        + 1.0 / 2.0 * alpha / beta**3 * a * lam
-        - 1.0 / 2.0 / beta**2 * lam * lam
+        -9.0 / 64.0 * alpha2 / beta4 * a * a
+        + 1.0 / 2.0 * alpha / beta3 * a * lam
+        - 1.0 / 2.0 / beta2 * lam * lam
     )
-    q11 = 3.0 / 64.0 * alpha**2 / beta**4 * a * a - 1.0 / 8.0 * alpha / beta**3 * a * lam
+    q11 = 3.0 / 64.0 * alpha2 / beta4 * a * a - 1.0 / 8.0 * alpha / beta3 * a * lam
     return q00, q11
+
+
+def _normalized(params: FlowParams, alpha: float, beta: float):
+    a, mu = params.a, params.kappa
+    m = mu - a / 4.0
+    p = a / 4.0 + mu
+    alpha2, beta2, beta3, beta4 = alpha**2, beta**2, beta**3, beta**4
+    q00 = (
+        1.0 / 4.0 / alpha2 * m * m
+        + (-1.0 / 2.0 * mu * mu - 3.0 / 8.0 * a * mu) / beta2
+        + alpha / beta3 * (a * a / 8.0 + a * mu / 2.0)
+        - 9.0 / 64.0 * alpha2 / beta4 * a * a
+    )
+    q11 = (
+        -1.0 / 4.0 / alpha2 * m * m
+        + alpha / beta3 * (-a * a / 32.0 - a * mu / 8.0)
+        + 3.0 / 64.0 * alpha2 / beta4 * a * a
+    )
+    e6 = (
+        1.0 / 12.0 * m * m / alpha2
+        + 1.0 / 64.0 * a * a * alpha2 / beta4
+        + 1.0 / 24.0 * a * m / beta2
+        + 1.0 / 6.0 * p * p / beta2
+        - 1.0 / 12.0 * a * p * alpha / beta3
+    )
+    return q00, q11, e6
+
+
+def q1_collapse_components(params: FlowParams, alpha: float, beta: float):
+    """Diagonal metric-velocity components (q00, q11) for the collapse flow;
+    q22 equals q11 and all off-diagonal components vanish."""
+    _require_kind(params, FlowKind.COLLAPSE)
+    return _collapse(params, alpha, beta)
 
 
 def q1_normalized_components(params: FlowParams, alpha: float, beta: float):
     """Diagonal components (q00, q11) for the normalized flow, before the
     volume-conservation correction term (see :func:`energy_density_sixth`)."""
     _require_kind(params, FlowKind.NORMALIZED)
-    a, mu = params.a, params.kappa
-    m = mu - a / 4.0
-    q00 = (
-        1.0 / 4.0 / alpha**2 * m * m
-        + (-1.0 / 2.0 * mu * mu - 3.0 / 8.0 * a * mu) / beta**2
-        + alpha / beta**3 * (a * a / 8.0 + a * mu / 2.0)
-        - 9.0 / 64.0 * alpha**2 / beta**4 * a * a
-    )
-    q11 = (
-        -1.0 / 4.0 / alpha**2 * m * m
-        + alpha / beta**3 * (-a * a / 32.0 - a * mu / 8.0)
-        + 3.0 / 64.0 * alpha**2 / beta**4 * a * a
-    )
-    return q00, q11
+    return _normalized(params, alpha, beta)[:2]
 
 
 def energy_density_sixth(params: FlowParams, alpha: float, beta: float) -> float:
-    """One sixth of the energy per unit volume for the normalized flow.
-
-    Adding this to each diagonal component of
-    :func:`q1_normalized_components` gives the volume-corrected metric
-    velocity of the normalized flow.
-    """
+    """One sixth of the energy per unit volume for the normalized flow: the
+    volume-conservation correction added to each diagonal component of
+    :func:`q1_normalized_components`."""
     _require_kind(params, FlowKind.NORMALIZED)
-    a, mu = params.a, params.kappa
-    m = mu - a / 4.0
-    p = a / 4.0 + mu
-    return (
-        1.0 / 12.0 * m * m / alpha**2
-        + 1.0 / 64.0 * a * a * alpha**2 / beta**4
-        + 1.0 / 24.0 * a * m / beta**2
-        + 1.0 / 6.0 * p * p / beta**2
-        - 1.0 / 12.0 * a * p * alpha / beta**3
-    )
+    return _normalized(params, alpha, beta)[2]
 
 
 def metric_velocity(params: FlowParams, alpha: float, beta: float):
     """Diagonal components (q00, q11) of the metric velocity that drives the
-    flow: the collapse components, or the normalized ones plus the
-    volume-conservation correction."""
+    flow: the collapse body's, or the normalized body's plus its correction."""
     if params.kind is FlowKind.COLLAPSE:
-        return q1_collapse_components(params, alpha, beta)
-    q00, q11 = q1_normalized_components(params, alpha, beta)
-    e6 = energy_density_sixth(params, alpha, beta)
+        return _collapse(params, alpha, beta)
+    q00, q11, e6 = _normalized(params, alpha, beta)
     return q00 + e6, q11 + e6
 
 
@@ -207,7 +212,7 @@ def geometry_scalars(params: FlowParams, alpha: float, beta: float) -> GeometryS
     f, g = spinor_coefficients(params, alpha, beta)
     q00, q11 = metric_velocity(params, alpha, beta)
     return GeometryScalars(
-        volume=volume(alpha, beta),
+        volume=TWO_PI_SQ * alpha * beta**2,
         # energy() on the (f, g) already at hand, with its exact expression
         energy=math.pi**2 * alpha * beta**2 * (f * f + 2.0 * g * g),
         q00=q00,

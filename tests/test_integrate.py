@@ -352,12 +352,12 @@ class TestReduced:
         assert curve_speed(NORMALIZED, e0) > 0.0
 
 
-def reference_step(f, t, y, k0, h, atol, rtol):
+def reference_step(f, p, y, k0, h, atol, rtol):
     """The Dormand-Prince step and error norm as loops over the module's
     tableau, summing left to right from 0 with no zero term left out."""
     module = importlib.import_module("bergerflow.integrate")
     k = [k0]
-    for c, a in zip(module._C[1:], module._A[1:]):
+    for a in module._A[1:]:
         stage = []
         for d, yd in enumerate(y):
             acc = 0
@@ -367,7 +367,7 @@ def reference_step(f, t, y, k0, h, atol, rtol):
         y_new = tuple(stage)
         if not all(0.0 < v < math.inf for v in y_new):
             return None
-        k.append(f(t + c * h, y_new))
+        k.append(f(p, y_new))
     squares = 0
     for d in range(len(y)):
         acc = 0
@@ -392,23 +392,18 @@ def reference_step(f, t, y, k0, h, atol, rtol):
 def test_specialised_steps_match_the_tableau(name, params):
     # the unrolled steps must give the loop's bits on every admissible
     # input, and reject exactly the steps whose stages leave the quadrant
-    step = getattr(importlib.import_module("bergerflow.integrate"), name)
-    if name == "_rk_step2":
-        def f(t, y):
-            return vector_field(params, y)
-    else:
-        def f(t, y):
-            return (curve_speed(params, y[0]),)
+    module = importlib.import_module("bergerflow.integrate")
+    step = getattr(module, name)
+    f = vector_field if name == "_rk_step2" else module._reduced_rhs
     rng = random.Random(2024)
     outcomes = Counter()
     for _ in range(300):
         y = tuple(math.exp(rng.uniform(-3.0, 1.5)) for _ in range(2 if name == "_rk_step2" else 1))
         h = math.exp(rng.uniform(-9.0, 1.0))
-        t = rng.uniform(0.0, 100.0)
         atol, rtol = rng.choice([(1e-12, 1e-10), (1e-8, 1e-6)])
-        k0 = f(t, y)
-        got = step(f, t, y, k0, h, atol, rtol)
-        assert got == reference_step(f, t, y, k0, h, atol, rtol)
+        k0 = f(params, y)
+        got = step(f, params, y, k0, h, atol, rtol)
+        assert got == reference_step(f, params, y, k0, h, atol, rtol)
         outcomes[got is None] += 1
     assert outcomes[True] and outcomes[False]
 
