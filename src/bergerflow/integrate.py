@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import linecache
 import math
+import sys
+import types
 from dataclasses import dataclass, field
 
 from . import phase
@@ -96,8 +98,9 @@ class Trajectory:
 
 def _unrolled_step(n):
     """Compile the Dormand-Prince step for an n-dimensional system as
-    straight-line code from _A and _E, registered with linecache so that
-    tracebacks and inspect.getsource show it.
+    straight-line code from _A and _E, in a module of its own whose loader
+    returns the text, so that tracebacks and inspect.getsource show it, also
+    after linecache.clearcache().
 
     step(f, p, y, k0, h, atol, rtol), given k0 = f(p, y), returns (k7, y_new,
     err_norm) with k7 = f(p, y_new) and err_norm the RMS of the scaled error
@@ -130,11 +133,15 @@ def _unrolled_step(n):
     squares = " + ".join(f"r{d} * r{d}" for d in dims)
     lines.append(f"    return k{len(_A)}, {tup('s')}, sqrt(({squares}) / {n})")
     source = "\n".join(lines) + "\n"
-    filename = f"<{__name__}.{name}>"
-    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    namespace = {"__name__": __name__, "inf": math.inf, "sqrt": math.sqrt}
-    exec(compile(source, filename, "exec"), namespace)
-    return namespace[name]
+    # inspect reads a function's source through the module its __module__
+    # names, and linecache asks that module's loader again once cleared
+    module = types.ModuleType(f"{__name__}.{name}")
+    module.__loader__ = types.SimpleNamespace(get_source=lambda _name: source)
+    module.inf, module.sqrt = math.inf, math.sqrt
+    exec(compile(source, module.__name__, "exec"), vars(module))
+    sys.modules[module.__name__] = module
+    linecache.lazycache(module.__name__, vars(module))
+    return getattr(module, name)
 
 
 _rk_step2 = _unrolled_step(2)

@@ -1,7 +1,9 @@
 import importlib
 import inspect
+import linecache
 import math
 import random
+import traceback
 from collections import Counter
 
 import pytest
@@ -414,3 +416,27 @@ def test_generated_steps_show_their_source(name):
     source = inspect.getsource(getattr(importlib.import_module("bergerflow.integrate"), name))
     assert source.count("f(") == 6
     assert "for" not in source.split()
+
+
+@pytest.mark.parametrize("name", ["_rk_step2", "_rk_step1"])
+def test_generated_source_survives_a_cleared_linecache(name):
+    # the step's module has a loader that linecache can ask again
+    step = getattr(importlib.import_module("bergerflow.integrate"), name)
+    linecache.clearcache()
+    source = inspect.getsource(step)
+    assert source.startswith(f"def {name}(f, p, y, k0, h, atol, rtol):")
+    assert source.count("f(") == 6
+
+
+def test_traceback_inside_the_step_shows_its_line():
+    module = importlib.import_module("bergerflow.integrate")
+
+    def failing(p, y):
+        raise ZeroDivisionError("planted")
+
+    linecache.clearcache()
+    with pytest.raises(ZeroDivisionError) as info:
+        module._rk_step2(failing, COLLAPSE, (1.0, 1.0), (0.1, 0.1), 1e-2, 1e-12, 1e-10)
+    text = "".join(traceback.format_exception(info.value))
+    assert 'File "bergerflow.integrate._rk_step2", line 8, in _rk_step2' in text
+    assert "    k2 = f(p, (s0, s1))\n" in text
