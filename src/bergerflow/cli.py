@@ -4,8 +4,8 @@ Subcommands: ``simulate`` (CSV trajectory), ``portrait`` (CSV vector-field
 grid plus optional integral curves), ``equilibria`` (JSON), and ``verify``
 (JSON report of the built-in verification suite).
 
-Exit codes: 0 success, 1 argument error, 2 integration failure,
-3 verification failure.
+Exit codes: 0 success, 1 argument error, 2 integration or field-evaluation
+failure, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -114,10 +114,18 @@ def cmd_simulate(args) -> int:
     return 2 if traj.termination.tag == "StepUnderflow" else 0
 
 
+class _FieldEvaluationError(Exception):
+    """An ArithmeticError raised while portrait evaluates its grid, before
+    any integration."""
+
+
 def cmd_portrait(args) -> int:
     params = _build_params(args)
     config = _build_config(args)
-    rows = phase.portrait_rows(params, args.x_range, args.y_range, *args.grid)
+    try:
+        rows = phase.portrait_rows(params, args.x_range, args.y_range, *args.grid)
+    except ArithmeticError as exc:
+        raise _FieldEvaluationError(f"{type(exc).__name__}: {exc}") from exc
     with _open_out(args.out) as out:
         out.write("x,y,ux,uy,mag\n")
         for row in rows:
@@ -217,6 +225,9 @@ def main(argv=None) -> int:
         return 1
     except StepBudgetError as exc:
         print(f"integration failure: {exc}", file=sys.stderr)
+        return 2
+    except _FieldEvaluationError as exc:
+        print(f"error: field evaluation failure: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
         # overflow or division by zero at extreme but valid inputs

@@ -196,7 +196,8 @@ def portrait_rows(params: FlowParams, x_range, y_range, nx: int, ny: int):
     separate so that plots can use a log scale; the direction is (0, 0)
     where the field vanishes.  Everything is computed on Python floats, and
     a field that divides by zero or overflows at an extreme grid point
-    raises ZeroDivisionError or OverflowError instead of yielding nan/inf.
+    raises ZeroDivisionError or OverflowError, naming the point, instead of
+    yielding nan/inf.
     """
     for name, (lo, hi) in (("x_range", x_range), ("y_range", y_range)):
         if not 0 < lo <= hi < math.inf:
@@ -212,11 +213,14 @@ def portrait_rows(params: FlowParams, x_range, y_range, nx: int, ny: int):
     rows = []
     for x in xs:
         for y in ys:
-            fx, fy = vector_field(params, (x, y))
-            mag = math.hypot(fx, fy)
-            if not mag < math.inf:
-                # a product overflowed to inf without raising
-                raise OverflowError(f"field is not finite at ({x!r}, {y!r})")
+            try:
+                fx, fy = vector_field(params, (x, y))
+                mag = math.hypot(fx, fy)
+                if not mag < math.inf:
+                    # a product overflowed to inf without raising
+                    raise OverflowError("field is not finite")
+            except ArithmeticError as exc:
+                raise type(exc)(f"at grid point ({x!r}, {y!r}): {exc}") from exc
             ux, uy = (fx / mag, fy / mag) if mag != 0.0 else (0.0, 0.0)
             rows.append((x, y, ux, uy, mag))
     return rows

@@ -274,7 +274,12 @@ class TestSimulate:
         assert "Traceback" not in err
         assert "RuntimeWarning" not in err
         if argv[0] == "portrait":
+            # the grid is evaluated before any integration, and the message
+            # names the point where the field failed
             assert out == ""
+            x, y = (float(argv[argv.index(flag) + 1].split(",")[0]) for flag in ("--x-range", "--y-range"))
+            assert err.startswith("error: field evaluation failure: ")
+            assert f"at grid point ({x!r}, {y!r})" in err
 
     def test_writes_file(self, capsys, tmp_path):
         out_file = tmp_path / "run.csv"
