@@ -17,7 +17,6 @@ from .dynamics import (
     curve_tangent,
     equilibria,
     explicit_rhs,
-    initial_state,
     tangency_residual,
     vector_field,
 )
@@ -37,6 +36,7 @@ from .model import (
     energy,
     energy_density_sixth,
     geometry_scalars,
+    initial_state,
     normalizing_constant,
     q1_collapse_components,
     q1_normalized_components,

@@ -22,6 +22,7 @@ from .model import (
     FlowParams,
     energy,
     energy_density_sixth,
+    initial_state,
     normalizing_constant,
     spinor_coefficients,
     volume,
@@ -98,7 +99,7 @@ def check_constant_solutions(oracle_tol=1e-8):
     ]
     worst = 0.0
     for params in cases:
-        start = dynamics.initial_state(params)
+        start = initial_state(params)
         traj = _run(params, _NO_EQUILIB, 100.0)
         for state, _ in traj.samples:
             worst = max(worst, abs(state.alpha - start.alpha), abs(state.beta - start.beta))
@@ -239,7 +240,7 @@ def _trapping_cases():
     cases += [(_collapse(2.0, 1.0, e), 5000.0) for e in (0.4, 0.8, 1.3)]
     out = []
     for params, t_end in cases:
-        region = phase.region_for_initial(params, dynamics.initial_state(params))
+        region = phase.region_for_initial(params, initial_state(params))
         out.append((params, region, _run(params, _DEFAULT, t_end)))
     return out
 

@@ -82,14 +82,6 @@ def explicit_rhs(params: FlowParams, point) -> tuple[float, float]:
     return dx, dy
 
 
-def initial_state(params: FlowParams) -> State:
-    """Starting point of the flow for the given parameters."""
-    if params.kind is FlowKind.COLLAPSE:
-        return State(t=0.0, alpha=params.epsilon, beta=1.0)
-    s = math.sqrt(normalizing_constant(params.epsilon))
-    return State(t=0.0, alpha=s * params.epsilon, beta=s)
-
-
 def closed_form(params: FlowParams, t: float) -> State | None:
     """Exact solution state at time t, for the parameter combinations that
     admit one; None otherwise.

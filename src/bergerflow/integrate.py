@@ -23,8 +23,8 @@ import types
 from dataclasses import dataclass, field
 
 from . import phase
-from .dynamics import curve_speed, initial_state, vector_field
-from .model import FlowKind, FlowParams, GeometryScalars, State, geometry_scalars
+from .dynamics import curve_speed, vector_field
+from .model import FlowKind, FlowParams, GeometryScalars, State, geometry_scalars, initial_state
 
 # Dormand-Prince 5(4) tableau.  The last row of _A holds the fifth-order
 # weights, so the seventh stage is evaluated at the step's result.

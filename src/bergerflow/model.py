@@ -31,7 +31,10 @@ class FlowParams:
 
     ``a`` is the orientation constant (+-2).  ``kappa`` is the Killing
     constant of the initial spinor: +-1 for the collapse flow, +-1/2 for the
-    volume-normalized flow.  ``epsilon`` is the initial fiber length scale.
+    volume-normalized flow.  ``epsilon`` is the initial fiber length scale,
+    accepted where the field at the initial state is finite: up to about
+    8.6e102 for the collapse flow, and from about 1.0e-231 (a*kappa = 1) or
+    4.6e-186 (a*kappa = -1) up to about 3.4e92 for the normalized flow.
     All dynamics depend on (a, kappa) only through the product ``a*kappa``
     (and the fixed squares), so flipping both signs changes nothing except
     the signs of the coefficients f and g.
@@ -59,6 +62,16 @@ class FlowParams:
             raise ValueError(f"unknown flow kind {self.kind!r}")
         if not 0 < self.epsilon < math.inf:
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        # The start has x/y = epsilon, which no rescaling removes, and x^3/y^4
+        # there grows as epsilon^3 (collapse) or epsilon^(10/3) (normalized).
+        try:
+            start = initial_state(self)
+            q00, q11 = metric_velocity(self, start.alpha, start.beta)
+            finite = math.isfinite(0.5 * start.alpha * q00) and math.isfinite(0.5 * start.beta * q11)
+        except (ArithmeticError, ValueError):  # ValueError: the start itself left the quadrant
+            finite = False
+        if not finite:
+            raise ValueError(f"epsilon must keep the field finite at the start, got {self.epsilon}")
 
     @property
     def product(self) -> float:
@@ -79,6 +92,14 @@ class State:
             raise ValueError(
                 f"metric scales must be positive and finite, got ({self.alpha}, {self.beta})"
             )
+
+
+def initial_state(params: FlowParams) -> State:
+    """Starting point of the flow for the given parameters."""
+    if params.kind is FlowKind.COLLAPSE:
+        return State(t=0.0, alpha=params.epsilon, beta=1.0)
+    s = math.sqrt(normalizing_constant(params.epsilon))
+    return State(t=0.0, alpha=s * params.epsilon, beta=s)
 
 
 @dataclass(frozen=True)

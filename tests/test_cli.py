@@ -102,6 +102,12 @@ class TestArgumentErrors:
             pytest.param(SIMULATE + ["--t-end", "0"], "--t-end", id="simulate-t-end"),
             pytest.param(SIMULATE + ["--t-end", "inf"], "--t-end", id="simulate-t-end-inf"),
             pytest.param(SIMULATE + ["--t-end", "1", "--out", MISSING], "--out", id="simulate-out"),
+            # epsilon where the field at the initial state overflows or
+            # divides by zero
+            pytest.param(["simulate", "--flow", "collapse", "--kappa", "1", "--epsilon", "1e300",
+                          "--t-end", "10"], "--epsilon", id="collapse-1-1e300"),
+            pytest.param(["simulate", "--flow", "normalized", "--kappa", "0.5", "--epsilon", "1e-300",
+                          "--t-end", "10"], "--epsilon", id="normalized-0.5-1e-300"),
         ],
     )
     def test_rejected_before_any_output(self, capsys, monkeypatch, tmp_path, argv, needle):
@@ -230,16 +236,6 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "argv",
         [
-            pytest.param(
-                ["simulate", "--flow", "collapse", "--kappa", "1", "--epsilon", "1e300",
-                 "--t-end", "10"],
-                id="collapse-1-1e300",
-            ),
-            pytest.param(
-                ["simulate", "--flow", "normalized", "--kappa", "0.5", "--epsilon", "1e-300",
-                 "--t-end", "10"],
-                id="normalized-0.5-1e-300",
-            ),
             # valid ranges whose single grid point divides by zero or
             # overflows in the field; the grid is evaluated before any output
             pytest.param(

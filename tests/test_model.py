@@ -12,10 +12,12 @@ from bergerflow import (
     energy,
     energy_density_sixth,
     geometry_scalars,
+    initial_state,
     normalizing_constant,
     q1_collapse_components,
     q1_normalized_components,
     spinor_coefficients,
+    vector_field,
     volume,
 )
 
@@ -56,6 +58,27 @@ class TestFlowParams:
     def test_invalid_normalized_kappa(self):
         with pytest.raises(ValueError):
             FlowParams(FlowKind.NORMALIZED, a=2.0, kappa=1.0, epsilon=1.0)
+
+
+@settings(max_examples=300)
+@given(
+    kind=st.sampled_from(FlowKind),
+    a=st.sampled_from([2.0, -2.0]),
+    kappa_sign=st.sampled_from([1.0, -1.0]),
+    log_eps=st.floats(math.log(5e-324), math.log(1.7976931348623157e308)),
+)
+def test_accepted_epsilon_has_a_finite_field_at_the_start(kind, a, kappa_sign, log_eps):
+    # rejection names epsilon; the documented domain is always accepted
+    kappa = kappa_sign * (1.0 if kind is FlowKind.COLLAPSE else 0.5)
+    eps = math.exp(log_eps)
+    try:
+        params = FlowParams(kind, a, kappa, eps)
+    except ValueError as exc:
+        assert str(exc).startswith("epsilon must keep the field finite at the start")
+        assert not 1e-185 <= eps <= 3e92
+        return
+    start = initial_state(params)
+    assert all(math.isfinite(v) for v in vector_field(params, (start.alpha, start.beta)))
 
 
 class TestState:
