@@ -1,5 +1,6 @@
 import importlib
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from bergerflow import (
     FlowKind,
     FlowParams,
+    GeometryScalars,
     State,
     energy,
     energy_density_sixth,
@@ -20,6 +22,7 @@ from bergerflow import (
     vector_field,
     volume,
 )
+from bergerflow.model import metric_velocity
 
 TWO_PI_SQ = 2.0 * math.pi**2
 
@@ -267,3 +270,93 @@ def test_geometry_scalars_evaluate_the_spinor_once(alpha, beta):
         bundled = [geometry_scalars(params, alpha, beta).energy for params in flows]
     assert bundled == expected
     assert len(calls) == len(flows)
+
+
+# The field as the layered expressions it was written as before the
+# straight-line bodies, copied verbatim: the bodies must give these bits.
+def reference_q1_collapse(params, alpha, beta):
+    a, lam = params.a, params.kappa
+    q00 = (
+        -9.0 / 64.0 * alpha**2 / beta**4 * a * a
+        + 1.0 / 2.0 * alpha / beta**3 * a * lam
+        - 1.0 / 2.0 / beta**2 * lam * lam
+    )
+    q11 = 3.0 / 64.0 * alpha**2 / beta**4 * a * a - 1.0 / 8.0 * alpha / beta**3 * a * lam
+    return q00, q11
+
+
+def reference_q1_normalized(params, alpha, beta):
+    a, mu = params.a, params.kappa
+    m = mu - a / 4.0
+    q00 = (
+        1.0 / 4.0 / alpha**2 * m * m
+        + (-1.0 / 2.0 * mu * mu - 3.0 / 8.0 * a * mu) / beta**2
+        + alpha / beta**3 * (a * a / 8.0 + a * mu / 2.0)
+        - 9.0 / 64.0 * alpha**2 / beta**4 * a * a
+    )
+    q11 = (
+        -1.0 / 4.0 / alpha**2 * m * m
+        + alpha / beta**3 * (-a * a / 32.0 - a * mu / 8.0)
+        + 3.0 / 64.0 * alpha**2 / beta**4 * a * a
+    )
+    return q00, q11
+
+
+def reference_energy_density_sixth(params, alpha, beta):
+    a, mu = params.a, params.kappa
+    m = mu - a / 4.0
+    p = a / 4.0 + mu
+    return (
+        1.0 / 12.0 * m * m / alpha**2
+        + 1.0 / 64.0 * a * a * alpha**2 / beta**4
+        + 1.0 / 24.0 * a * m / beta**2
+        + 1.0 / 6.0 * p * p / beta**2
+        - 1.0 / 12.0 * a * p * alpha / beta**3
+    )
+
+
+def reference_metric_velocity(params, alpha, beta):
+    if params.kind is FlowKind.COLLAPSE:
+        return reference_q1_collapse(params, alpha, beta)
+    q00, q11 = reference_q1_normalized(params, alpha, beta)
+    e6 = reference_energy_density_sixth(params, alpha, beta)
+    return q00 + e6, q11 + e6
+
+
+def reference_vector_field(params, point):
+    x, y = point
+    q00, q11 = reference_metric_velocity(params, x, y)
+    return 0.5 * x * q00, 0.5 * y * q11
+
+
+def reference_geometry_scalars(params, alpha, beta):
+    f, g = spinor_coefficients(params, alpha, beta)
+    q00, q11 = reference_metric_velocity(params, alpha, beta)
+    return GeometryScalars(
+        volume=volume(alpha, beta),
+        energy=math.pi**2 * alpha * beta**2 * (f * f + 2.0 * g * g),
+        q00=q00,
+        q11=q11,
+        f=f,
+        g=g,
+    )
+
+
+@pytest.mark.parametrize(
+    "params",
+    [COLLAPSE, COLLAPSE_NEG, NORMALIZED, NORMALIZED_NEG],
+    ids=["collapse", "collapse-neg", "normalized", "normalized-neg"],
+)
+def test_field_bodies_match_the_layered_expressions(params):
+    # log-uniform over [1e-3, 1e3]^2; equality, not approx
+    rng = random.Random(11)
+    for _ in range(2000):
+        x, y = 10.0 ** rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-3.0, 3.0)
+        assert metric_velocity(params, x, y) == reference_metric_velocity(params, x, y)
+        assert vector_field(params, (x, y)) == reference_vector_field(params, (x, y))
+        assert geometry_scalars(params, x, y) == reference_geometry_scalars(params, x, y)
+        if params.kind is FlowKind.COLLAPSE:
+            assert q1_collapse_components(params, x, y) == reference_q1_collapse(params, x, y)
+        else:
+            assert q1_normalized_components(params, x, y) == reference_q1_normalized(params, x, y)
+            assert energy_density_sixth(params, x, y) == reference_energy_density_sixth(params, x, y)
