@@ -437,16 +437,21 @@ def test_only_verify_loads_acceptance():
 # valid and one of invalid texts; None leaves the flag out, which is valid
 # for an optional flag and invalid for a required one.  At most two flags
 # per example draw from their invalid list, so that most runs integrate.
-# --t-end stays at most 20 and grids at most 5x5 to keep every run short;
-# --out and verify are left out.
+# Grids stay at most 5x5, and verify runs only the cheap algebraic checks
+# (a missing --filter would run the whole suite).  OUT and MISSING stand
+# for a writable path and one whose directory does not exist.
+OUT = "<tmp_path/out.csv>"
 _TOL = ([None, "1e-6", "0.5", "1e-300", "1e300"], ["0", "-1", "inf", "nan", "x"])
-_T_END = (["1", "20"], ["0", "-1", "inf", "nan", "x"])
+_T_END = (["1", "20", "1e4"], ["0", "-1", "inf", "nan", "x"])
 _RANGE = ([None, "0.05,1.5", "1,1", "0.5,2"], ["2,1", "0,1", "0.1,inf", "nan,1", "1", "x,1"])
+_OUT = ([None, OUT], [MISSING])
 _FLAGS = {
     "--flow": (["collapse", "normalized"], [None, "x"]),
     "--a": ([None, "2", "-2"], ["1", "inf", "x"]),
     "--kappa": (["1", "-1", "0.5", "-0.5"], [None, "0", "nan", "x"]),  # valid for one flow
-    "--epsilon": (["1", "0.5", "2", "1e-300", "1e300"], [None, "0", "-1", "inf", "nan", "x"]),
+    # 1e-300 is valid for the collapse flow only; 1e300 overflows the field
+    # at the start of either flow
+    "--epsilon": (["1", "0.5", "2", "1e-300"], [None, "0", "-1", "inf", "nan", "x", "1e300"]),
     "--rtol": _TOL,
     "--atol": _TOL,
     "--collapse-tol": _TOL,
@@ -454,15 +459,21 @@ _FLAGS = {
     "--stride": ([None, "1", "3"], ["0", "-1", "2.5", "x"]),
 }
 _RUN_FLAGS = {
-    "simulate": {"--t-end": (_T_END[0], [None] + _T_END[1])},
+    "simulate": {**_FLAGS, "--t-end": (_T_END[0], [None] + _T_END[1]), "--out": _OUT},
     "portrait": {
+        **_FLAGS,
         "--t-end": ([None] + _T_END[0], _T_END[1]),
         "--grid": (["1,1", "5,5", "2,3"], ["0,2", "-1,2", "5", "x,1", "1,2,3"]),  # no 20x20 default
         "--x-range": _RANGE,
         "--y-range": _RANGE,
         "--seeds": ([None, "", ";", "1,1", "0.5,0.5;1,1"], ["inf,1", "1,-1", "1", "x,1"]),
+        "--out": _OUT,
     },
-    "equilibria": {},
+    "equilibria": _FLAGS,
+    "verify": {
+        "--filter": (["q_consistency", "sign_flip", "energy_identity", "tangency"], ["nosuchcheck"]),
+        "--oracle-tol": ([None, "1e-8", "1e-300"], ["0", "-1", "inf", "nan", "x"]),
+    },
 }
 _CSV_HEADERS = {"t,alpha,beta,volume,energy,f,g,dalpha,dbeta", "x,y,ux,uy,mag", "t,alpha,beta"}
 
@@ -470,7 +481,7 @@ _CSV_HEADERS = {"t,alpha,beta,volume,energy,f,g,dalpha,dbeta", "x,y,ux,uy,mag", 
 @st.composite
 def _argvs(draw):
     command = draw(st.sampled_from(sorted(_RUN_FLAGS)))
-    flags = {**_FLAGS, **_RUN_FLAGS[command]}
+    flags = _RUN_FLAGS[command]
     invalid = draw(st.sets(st.sampled_from(sorted(flags)), max_size=2))
     argv = [command]
     for flag, texts in flags.items():
@@ -482,7 +493,10 @@ def _argvs(draw):
 
 @settings(max_examples=50, deadline=None)
 @given(argv=_argvs())
-def test_every_input_has_a_documented_outcome(argv):
+def test_every_input_has_a_documented_outcome(tmp_path_factory, argv):
+    base = tmp_path_factory.mktemp("argv")
+    paths = {OUT: str(base / "out.csv"), MISSING: str(base / "missing" / "x.csv")}
+    argv = [paths.get(a, a) for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -491,7 +505,13 @@ def test_every_input_has_a_documented_outcome(argv):
     assert "Traceback" not in err
     if code == 1:
         assert out == ""
-    if code == 0 and argv[0] == "equilibria":
+    if paths[OUT] in argv:
+        assert out == ""
+        if code == 0:
+            out = (base / "out.csv").read_text()
+    if argv[0] == "verify" and code in (0, 3):
+        assert json.loads(out)["status"] == ("pass" if code == 0 else "fail")
+    elif code == 0 and argv[0] == "equilibria":
         json.loads(out)
     elif code == 0:
         for line in out.splitlines():
