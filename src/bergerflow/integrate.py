@@ -262,7 +262,7 @@ def integrate(
     if not t_end > 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
     s0 = initial_state(params) if start is None else start
-    f = vector_field  # looked up per call, so that a wrapped field sees every evaluation
+    f = vector_field  # read per integrate call, so that a wrapped field sees every evaluation
     ctol = config.collapse_tol
     predicates = [("Collapse", lambda t, y, dy: y[0] <= ctol)] + _equilibrium(f, params, config)
     points, (tag, t_ev, y_ev) = _advance(

@@ -62,13 +62,14 @@ class FlowParams:
             raise ValueError(f"unknown flow kind {self.kind!r}")
         if not 0 < self.epsilon < math.inf:
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
-        # The start has x/y = epsilon, which no rescaling removes, and x^3/y^4
-        # there grows as epsilon^3 (collapse) or epsilon^(10/3) (normalized).
+        # The field (x q00 / 2, y q11 / 2) at the start: x/y = epsilon there,
+        # which no rescaling removes, and x^3/y^4 grows as epsilon^3
+        # (collapse) or epsilon^(10/3) (normalized).
         try:
             start = initial_state(self)
             q00, q11 = metric_velocity(self, start.alpha, start.beta)
             finite = math.isfinite(0.5 * start.alpha * q00) and math.isfinite(0.5 * start.beta * q11)
-        except (ArithmeticError, ValueError):  # ValueError: the start itself left the quadrant
+        except (ArithmeticError, ValueError):  # ValueError: State rejects a start at 0 or inf
             finite = False
         if not finite:
             raise ValueError(f"epsilon must keep the field finite at the start, got {self.epsilon}")
