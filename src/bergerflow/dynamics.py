@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .model import (
+    _NORMALIZED,
     TWO_PI_SQ,
     FlowKind,
     FlowParams,
@@ -139,7 +140,7 @@ def curve_speed(params: FlowParams, epsilon: float) -> float:
     The field on the curve equals k(epsilon) times the curve tangent, so
     the curve parameter evolves by epsilon' = k(epsilon).
     """
-    if params.kind is not FlowKind.NORMALIZED:
+    if params.kind is not _NORMALIZED:
         raise ValueError("curve_speed requires normalized flow parameters")
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")

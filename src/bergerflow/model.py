@@ -25,6 +25,12 @@ class FlowKind(enum.Enum):
     NORMALIZED = "normalized"
 
 
+# Per-call kind tests read these module globals: FlowKind.X is a class
+# attribute lookup that Python does not specialise on an Enum.
+_COLLAPSE = FlowKind.COLLAPSE
+_NORMALIZED = FlowKind.NORMALIZED
+
+
 @dataclass(frozen=True)
 class FlowParams:
     """Parameters selecting one of the two flows.
@@ -80,37 +86,47 @@ class FlowParams:
         return self.a * self.kappa
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class State:
-    """A point on a flow trajectory: time plus the two metric scales."""
+    """A point on a flow trajectory: time plus the two metric scales.
+
+    The constructor checks that both scales are positive and finite before
+    it stores anything, and fills the instance dict directly, because
+    ``integrate`` builds one State per recorded sample.  A State carries no
+    derivative: a trajectory keeps the field's value at each sample, where
+    its step already held it, in ``Trajectory.derivatives``.
+    """
 
     t: float
     alpha: float
     beta: float
 
-    def __post_init__(self):
-        if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):
-            raise ValueError(
-                f"metric scales must be positive and finite, got ({self.alpha}, {self.beta})"
-            )
+    def __init__(self, t: float, alpha: float, beta: float):
+        if not (0 < alpha < math.inf and 0 < beta < math.inf):
+            raise ValueError(f"metric scales must be positive and finite, got ({alpha}, {beta})")
+        d = self.__dict__
+        d["t"] = t
+        d["alpha"] = alpha
+        d["beta"] = beta
 
 
 def initial_state(params: FlowParams) -> State:
     """Starting point of the flow for the given parameters."""
-    if params.kind is FlowKind.COLLAPSE:
+    if params.kind is _COLLAPSE:
         return State(t=0.0, alpha=params.epsilon, beta=1.0)
     s = math.sqrt(normalizing_constant(params.epsilon))
     return State(t=0.0, alpha=s * params.epsilon, beta=s)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GeometryScalars:
     """Per-sample diagnostics along a trajectory.
 
     ``q00``/``q11`` are the diagonal components of the metric velocity in
     the orthonormal frame (the volume-corrected ones for the normalized
     flow); the remaining diagonal entry equals ``q11`` and off-diagonal
-    entries vanish.
+    entries vanish.  Like :class:`State`, the constructor fills the
+    instance dict directly.
     """
 
     volume: float
@@ -119,6 +135,15 @@ class GeometryScalars:
     q11: float
     f: float
     g: float
+
+    def __init__(self, volume: float, energy: float, q00: float, q11: float, f: float, g: float):
+        d = self.__dict__
+        d["volume"] = volume
+        d["energy"] = energy
+        d["q00"] = q00
+        d["q11"] = q11
+        d["f"] = f
+        d["g"] = g
 
 
 def normalizing_constant(epsilon: float) -> float:
@@ -196,7 +221,7 @@ def energy_density_sixth(params: FlowParams, alpha: float, beta: float) -> float
 def metric_velocity(params: FlowParams, alpha: float, beta: float):
     """Diagonal components (q00, q11) of the metric velocity that drives the
     flow: the collapse body's, or the normalized body's plus its correction."""
-    if params.kind is FlowKind.COLLAPSE:
+    if params.kind is _COLLAPSE:
         return _collapse(params, alpha, beta)
     q00, q11, e6 = _normalized(params, alpha, beta)
     return q00 + e6, q11 + e6
@@ -210,7 +235,7 @@ def spinor_coefficients(params: FlowParams, alpha: float, beta: float):
     in this module is invariant.
     """
     a, kappa = params.a, params.kappa
-    if params.kind is FlowKind.COLLAPSE:
+    if params.kind is _COLLAPSE:
         f = 1.0 / 4.0 * alpha / beta**2 * a
         g = kappa / beta - f
     else:
@@ -233,14 +258,15 @@ def geometry_scalars(params: FlowParams, alpha: float, beta: float) -> GeometryS
     """Bundle all per-point diagnostics for one trajectory sample."""
     f, g = spinor_coefficients(params, alpha, beta)
     q00, q11 = metric_velocity(params, alpha, beta)
+    # positional, in field order: once per sample, where keywords cost more
     return GeometryScalars(
-        volume=TWO_PI_SQ * alpha * beta**2,
+        TWO_PI_SQ * alpha * beta**2,  # volume
         # energy() on the (f, g) already at hand, with its exact expression
-        energy=math.pi**2 * alpha * beta**2 * (f * f + 2.0 * g * g),
-        q00=q00,
-        q11=q11,
-        f=f,
-        g=g,
+        math.pi**2 * alpha * beta**2 * (f * f + 2.0 * g * g),
+        q00,
+        q11,
+        f,
+        g,
     )
 
 

@@ -1,5 +1,7 @@
+import dataclasses
 import importlib
 import math
+import pickle
 import random
 
 import pytest
@@ -22,6 +24,7 @@ from bergerflow import (
     vector_field,
     volume,
 )
+from bergerflow.dynamics import curve_speed
 from bergerflow.model import metric_velocity
 
 TWO_PI_SQ = 2.0 * math.pi**2
@@ -89,6 +92,92 @@ class TestState:
     def test_rejects_infinite_scale(self, alpha, beta):
         with pytest.raises(ValueError):
             State(t=0.0, alpha=alpha, beta=beta)
+
+    @pytest.mark.parametrize(
+        "alpha,beta,text",
+        [
+            (0.0, 1.0, "(0.0, 1.0)"),
+            (1.0, math.inf, "(1.0, inf)"),
+            (math.nan, 2.0, "(nan, 2.0)"),
+        ],
+    )
+    def test_rejection_message(self, alpha, beta, text):
+        with pytest.raises(ValueError) as info:
+            State(0.5, alpha, beta)
+        assert str(info.value) == f"metric scales must be positive and finite, got {text}"
+
+    def test_checks_before_storing(self):
+        state = State.__new__(State)
+        with pytest.raises(ValueError):
+            state.__init__(0.5, 0.0, 1.0)
+        assert vars(state) == {}
+
+
+# Both records are frozen dataclasses with a hand-written __init__; every
+# behaviour a generated one gave is pinned here.
+RECORDS = [
+    (State, (0.5, 1.25, 2.0), "State(t=0.5, alpha=1.25, beta=2.0)"),
+    (
+        GeometryScalars,
+        (1.0, 2.0, 3.0, 4.0, 5.0, 6.0),
+        "GeometryScalars(volume=1.0, energy=2.0, q00=3.0, q11=4.0, f=5.0, g=6.0)",
+    ),
+]
+
+
+@pytest.mark.parametrize("cls,values,text", RECORDS, ids=["State", "GeometryScalars"])
+class TestRecordApi:
+    def test_fields_in_order(self, cls, values, text):
+        names = [f.name for f in dataclasses.fields(cls)]
+        assert names == {State: ["t", "alpha", "beta"],
+                         GeometryScalars: ["volume", "energy", "q00", "q11", "f", "g"]}[cls]
+        assert cls.__match_args__ == tuple(names)
+        record = cls(**dict(zip(names, values)))
+        assert record == cls(*values)
+        assert vars(record) == dict(zip(names, values))
+
+    def test_repr_eq_hash(self, cls, values, text):
+        record = cls(*values)
+        assert repr(record) == text
+        assert record == cls(*values)
+        assert record != cls(*values[:-1], values[-1] + 1.0)
+        assert hash(record) == hash(values)
+        assert dataclasses.astuple(record) == values
+
+    def test_pickle_and_replace(self, cls, values, text):
+        record = cls(*values)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(record, protocol)) == record
+        last = dataclasses.fields(cls)[-1].name
+        moved = dataclasses.replace(record, **{last: 7.0})
+        assert dataclasses.astuple(moved) == (*values[:-1], 7.0)
+
+    def test_frozen(self, cls, values, text):
+        record = cls(*values)
+        for f in dataclasses.fields(cls):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, f.name, 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.extra = 1.0
+        assert dataclasses.astuple(record) == values
+
+    def test_missing_argument(self, cls, values, text):
+        last = dataclasses.fields(cls)[-1].name
+        with pytest.raises(TypeError) as info:
+            cls(*values[:-1])
+        assert str(info.value) == (
+            f"{cls.__name__}.__init__() missing 1 required positional argument: '{last}'"
+        )
+
+
+@pytest.mark.parametrize(
+    "fn", [metric_velocity, spinor_coefficients, initial_state, curve_speed],
+    ids=lambda fn: fn.__name__,
+)
+def test_per_call_kind_tests_do_not_look_up_the_enum(fn):
+    # FlowKind.X is an unspecialised class attribute lookup on every call;
+    # these functions read module aliases of the members instead
+    assert "FlowKind" not in fn.__code__.co_names
 
 
 class TestNormalizingConstant:
