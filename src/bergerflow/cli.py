@@ -96,8 +96,11 @@ def _add_flow_flags(p: argparse.ArgumentParser):
 
 def _emit_csv_trajectory(traj, out):
     out.write("t,alpha,beta,volume,energy,f,g,dalpha,dbeta\n")
-    for state, scalars in traj.samples:
-        dx, dy = dynamics.vector_field(traj.params, (state.alpha, state.beta))
+    # the field is evaluated only where the step held no derivative: the
+    # event row, or every row of a trajectory recorded without them
+    derivatives = traj.derivatives or [None] * len(traj.samples)
+    for (state, scalars), held in zip(traj.samples, derivatives):
+        dx, dy = dynamics.vector_field(traj.params, (state.alpha, state.beta)) if held is None else held
         row = [state.t, state.alpha, state.beta, scalars.volume, scalars.energy,
                scalars.f, scalars.g, dx, dy]
         out.write(",".join(_fmt(v) for v in row) + "\n")

@@ -87,9 +87,15 @@ class TerminationEvent:
 
 @dataclass(frozen=True)
 class Trajectory:
+    """``derivatives[i]`` is the field (dalpha, dbeta) at ``samples[i]`` as
+    the step held it, or None where the step held none: at an event state
+    read off the interpolant, or throughout a trajectory built without
+    them.  It is derived data, so it takes no part in repr or equality."""
+
     params: FlowParams
     samples: list[tuple[State, GeometryScalars]]
     termination: TerminationEvent
+    derivatives: list[tuple[float, float] | None] = field(default_factory=list, repr=False, compare=False)
 
     @property
     def final_state(self) -> State:
@@ -148,9 +154,10 @@ _rk_step2 = _unrolled_step(2)
 _rk_step1 = _unrolled_step(1)
 
 
-def _advance(f, p, t0, y0, t_end, config, predicates):
-    """Adaptive driver of y' = f(p, y) over float tuples of length 2 or 1;
-    the step (_rk_step2 or _rk_step1) is chosen once from len(y0).
+def _advance(f, p, t0, y0, k0, t_end, config, predicates):
+    """Adaptive driver of y' = f(p, y) over float tuples of length 2 or 1,
+    from y0 with k0 = f(p, y0) as the caller evaluated it; the step
+    (_rk_step2 or _rk_step1) is chosen once from len(y0).
 
     ``predicates`` is an ordered list of (tag, pred) pairs; pred(t, y, dy) is
     a boolean terminal condition checked on the initial and every accepted
@@ -158,25 +165,27 @@ def _advance(f, p, t0, y0, t_end, config, predicates):
     evaluation or the step's last stage).  When one fires, the event is
     located on the interpolant of the step that crossed it; there dy is None
     and pred evaluates f itself if it needs the derivative.  Returns
-    ``(points, (tag, t_event, y_event))``.  ``points`` holds every
-    ``config.output_stride``-th (t, y) pair counting from the initial one,
-    followed by the final or event state, which is recorded exactly once.
+    ``(points, (tag, t_event, y_event, dy_event))``.  ``points`` holds every
+    ``config.output_stride``-th (t, y, dy) triple counting from the initial
+    one, followed by the final or event state, which is recorded exactly
+    once.  dy is the derivative the driver already holds there: k0 at the
+    initial state, the step's last stage at an accepted one, and None at an
+    event state read off the interpolant.
     Steps start at _H_INIT, stay at most _H_MAX and end in StepUnderflow
     below _H_MIN; attempting step _MAX_STEPS + 1 raises StepBudgetError.
     """
     rk_step = _rk_step2 if len(y0) == 2 else _rk_step1
     atol, rtol = config.atol, config.rtol
     t, y = t0, y0
-    points = [(t, y)]
+    points = [(t, y, k0)]
     n_accepted = 0
-    k0 = f(p, y)
-    outcome = next(((tag, t, y) for tag, pred in predicates if pred(t, y, k0)), None)
+    outcome = next(((tag, t, y, k0) for tag, pred in predicates if pred(t, y, k0)), None)
     h = min(_H_INIT, t_end - t0)
     err_prev = 1.0
     steps = 0
     while outcome is None:
         if t >= t_end:
-            outcome = ("ReachedTEnd", t, y)
+            outcome = ("ReachedTEnd", t, y, k0)
             break
         if steps >= _MAX_STEPS:
             raise StepBudgetError(f"step budget of {_MAX_STEPS} exhausted at t={t:.6g}")
@@ -190,13 +199,13 @@ def _advance(f, p, t0, y0, t_end, config, predicates):
             # shrink as the error controller says
             fac = 0.5 if step is None else max(_MIN_FACTOR, _SAFETY * err_norm ** (-_PI_ALPHA))
             if h * fac < _H_MIN:
-                outcome = ("StepUnderflow", t, y)
+                outcome = ("StepUnderflow", t, y, k0)
             h *= fac
             continue
         # accepted
         for tag, pred in predicates:
             if pred(t + h, y_new, k7):
-                outcome = (tag, *_locate_event(pred, t, h, y, y_new, k0, k7))
+                outcome = (tag, *_locate_event(pred, t, h, y, y_new, k0, k7), None)
                 break
         if outcome is not None:
             break
@@ -204,7 +213,7 @@ def _advance(f, p, t0, y0, t_end, config, predicates):
         y, k0 = y_new, k7
         n_accepted += 1
         if n_accepted % config.output_stride == 0:
-            points.append((t, y))
+            points.append((t, y, k0))
         fac = _SAFETY * err_norm ** (-_PI_ALPHA) * err_prev**_PI_BETA if err_norm > 0 else _MAX_FACTOR
         h *= min(_MAX_FACTOR, max(_MIN_FACTOR, fac))
         err_prev = max(err_norm, 1e-10)
@@ -265,12 +274,13 @@ def integrate(
     f = vector_field  # read per integrate call, so that a wrapped field sees every evaluation
     ctol = config.collapse_tol
     predicates = [("Collapse", lambda t, y, dy: y[0] <= ctol)] + _equilibrium(f, params, config)
-    points, (tag, t_ev, y_ev) = _advance(
-        f, params, s0.t, (float(s0.alpha), float(s0.beta)), s0.t + t_end, config, predicates
+    y0 = (float(s0.alpha), float(s0.beta))
+    points, (tag, t_ev, y_ev, _) = _advance(
+        f, params, s0.t, y0, f(params, y0), s0.t + t_end, config, predicates
     )
-    samples = [(State(t, *y), geometry_scalars(params, *y)) for t, y in points]
+    samples = [(State(t, *y), geometry_scalars(params, *y)) for t, y, _ in points]
     termination = _classify(params, config, tag, t_ev, y_ev, s0)
-    return Trajectory(params=params, samples=samples, termination=termination)
+    return Trajectory(params, samples, termination, [dy for _, _, dy in points])
 
 
 def _classify(params, config, tag, t_ev, y_ev, s0):
@@ -305,17 +315,27 @@ def integrate_reduced(
     """Integrate the reduced curve dynamics epsilon' = k(epsilon).
 
     Returns the recorded (t, epsilon) samples.  Uses the same error control
-    and termination rules as the planar integration.
+    and termination rules as the planar integration.  ``epsilon0`` must be
+    positive and finite, with a finite speed k(epsilon0): about
+    epsilon0 <= 8.8e76 for a*kappa = -1 and 8.9e83 for a*kappa = 1.
     """
     if params.kind is not FlowKind.NORMALIZED:
         raise ValueError("reduced dynamics requires normalized flow parameters")
-    if not epsilon0 > 0:
-        raise ValueError(f"epsilon0 must be positive, got {epsilon0}")
+    if not 0 < epsilon0 < math.inf:
+        raise ValueError(f"epsilon0 must be positive and finite, got {epsilon0}")
     if not t_end > 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
+    y0 = (float(epsilon0),)
+    try:
+        k0 = _reduced_rhs(params, y0)
+        finite = math.isfinite(k0[0])
+    except ArithmeticError:
+        finite = False
+    if not finite:
+        raise ValueError(f"epsilon0 must keep the speed finite at the start, got {epsilon0}")
     equilibrium = _equilibrium(_reduced_rhs, params, config)
-    points, _ = _advance(_reduced_rhs, params, 0.0, (float(epsilon0),), t_end, config, equilibrium)
-    return [(t, e) for t, (e,) in points]
+    points, _ = _advance(_reduced_rhs, params, 0.0, y0, k0, t_end, config, equilibrium)
+    return [(t, e) for t, (e,), _ in points]
 
 
 def _reduced_rhs(params, y):

@@ -277,6 +277,48 @@ class TestSimulate:
             assert err.startswith("error: field evaluation failure: ")
             assert f"at grid point ({x!r}, {y!r})" in err
 
+    @pytest.mark.parametrize(
+        "argv,tag",
+        [
+            (SIMULATE + ["--t-end", "20"], "CollapsePoint"),
+            (SIMULATE + ["--t-end", "20", "--stride", "7"], "CollapsePoint"),
+            (SIMULATE + ["--t-end", "12", "--stride", "7"], "ReachedTEnd"),
+            (["simulate", "--flow", "collapse", "--kappa", "-1", "--epsilon", "3",
+              "--t-end", "5000", "--stride", "7"], "CollapseFiber"),
+            (["simulate", "--flow", "normalized", "--kappa", "0.5", "--epsilon", "1.2",
+              "--t-end", "400"], "Equilibrium"),
+            (SIMULATE + ["--t-end", "20", "--rtol", "1e-300", "--atol", "1e-300"], "StepUnderflow"),
+        ],
+        ids=["event", "event-stride-7", "t-end-stride-7", "fiber-stride-7", "equilibrium",
+             "underflow"],
+    )
+    def test_derivative_columns_reuse_the_step(self, capsys, monkeypatch, argv, tag):
+        # the step's held derivative fills dalpha,dbeta; the field is
+        # evaluated again only for the interpolated event row, and every
+        # row keeps the bits of a fresh evaluation at its state
+        calls = []
+
+        def counted(params, point):
+            calls.append(point)
+            return bergerflow.vector_field(params, point)
+
+        monkeypatch.setattr(importlib.import_module("bergerflow.dynamics"), "vector_field", counted)
+        code, out, _ = run(capsys, *argv)
+        monkeypatch.undo()
+        assert code == (2 if tag == "StepUnderflow" else 0)
+        assert out.splitlines()[-1].startswith(f"# termination={tag} ")
+        assert len(calls) == (0 if tag in ("ReachedTEnd", "StepUnderflow") else 1)
+        flags = dict(zip(argv[1::2], argv[2::2]))
+        params = bergerflow.FlowParams(
+            bergerflow.FlowKind(flags["--flow"]), 2.0, float(flags["--kappa"]),
+            float(flags["--epsilon"]),
+        )
+        rows = [ln.split(",") for ln in out.splitlines()[1:-1]]
+        assert rows
+        for row in rows:
+            field = bergerflow.vector_field(params, (float(row[1]), float(row[2])))
+            assert row[7:] == [cli._fmt(v) for v in field]
+
     def test_writes_file(self, capsys, tmp_path):
         out_file = tmp_path / "run.csv"
         code, out, _ = run(

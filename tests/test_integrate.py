@@ -17,6 +17,7 @@ from bergerflow import (
     StepBudgetError,
     closed_form,
     curve_speed,
+    geometry_scalars,
     integrate,
     integrate_reduced,
     normalizing_constant,
@@ -165,6 +166,43 @@ class TestEvents:
         counts = [calls[(s.alpha, s.beta)] for s, _ in traj.samples[:-1]]
         assert counts == [1] * len(counts)
 
+    @pytest.mark.parametrize("stride", [1, 7])
+    @pytest.mark.parametrize(
+        "params,t_end,tag",
+        [(COLLAPSE, 20.0, "CollapsePoint"), (COLLAPSE, 10.0, "ReachedTEnd"),
+         (FlowParams(FlowKind.NORMALIZED, a=2.0, kappa=0.5, epsilon=1.2), 400.0, "Equilibrium")],
+        ids=["collapse-event", "t-end", "equilibrium-event"],
+    )
+    def test_derivatives_are_the_held_stages(self, monkeypatch, params, t_end, tag, stride):
+        # each recorded derivative is a value the step computed at that
+        # sample, not a new call; only an interpolated event state has none
+        module = importlib.import_module("bergerflow.integrate")
+        returned = []
+
+        def counted(params, point):
+            returned.append(vector_field(params, point))
+            return returned[-1]
+
+        monkeypatch.setattr(module, "vector_field", counted)
+        traj = integrate(params, IntegratorConfig(output_stride=stride), t_end=t_end)
+        assert traj.termination.tag == tag
+        assert (len(returned) - 1) % 6 == 0
+        assert len(traj.derivatives) == len(traj.samples)
+        ids = {id(k) for k in returned}
+        held = traj.derivatives if tag == "ReachedTEnd" else traj.derivatives[:-1]
+        for (state, _), dy in zip(traj.samples, held):
+            assert id(dy) in ids
+            assert dy == vector_field(params, (state.alpha, state.beta))
+        if tag != "ReachedTEnd":
+            assert traj.derivatives[-1] is None
+
+    def test_derivatives_stay_out_of_repr_and_equality(self):
+        traj = integrate(COLLAPSE, NO_EQUILIB, t_end=1.0)
+        bare = type(traj)(traj.params, traj.samples, traj.termination)
+        assert bare.derivatives == []
+        assert bare == traj
+        assert repr(bare) == repr(traj)
+
     def test_event_time_tightens_with_collapse_tol(self):
         tight = IntegratorConfig(equilib_tol=None, collapse_tol=1e-6)
         traj = integrate(COLLAPSE, tight, t_end=20.0)
@@ -270,6 +308,24 @@ class TestRobustness:
         assert traj.termination.tag == "CollapseFiber"
 
 
+@pytest.mark.parametrize(
+    "params",
+    [COLLAPSE, COLLAPSE_NEG, FlowParams(FlowKind.NORMALIZED, a=2.0, kappa=0.5, epsilon=1.2),
+     FlowParams(FlowKind.NORMALIZED, a=2.0, kappa=-0.5, epsilon=0.6)],
+    ids=["collapse", "collapse-neg", "normalized", "normalized-neg"],
+)
+def test_samples_equal_the_public_constructors(params):
+    # the records integrate assembles are the ones State and
+    # geometry_scalars build, field for field and bit for bit
+    traj = integrate(params, IntegratorConfig(), t_end=50.0)
+    rebuilt = [
+        (State(s.t, s.alpha, s.beta), geometry_scalars(params, s.alpha, s.beta))
+        for s, _ in traj.samples
+    ]
+    assert traj.samples == rebuilt
+    assert [repr(pair) for pair in traj.samples] == [repr(pair) for pair in rebuilt]
+
+
 class TestMonotoneDiagnostics:
     @pytest.mark.parametrize(
         "params,eps",
@@ -352,6 +408,48 @@ class TestReduced:
         t1, e1 = samples[-1]
         assert e1 > e0
         assert curve_speed(NORMALIZED, e0) > 0.0
+
+    @pytest.mark.parametrize("params", [NORMALIZED, NORMALIZED_NEG], ids=["pos", "neg"])
+    @pytest.mark.parametrize(
+        "epsilon0,needle",
+        [
+            (math.inf, "epsilon0 must be positive and finite, got inf"),
+            (math.nan, "epsilon0 must be positive and finite, got nan"),
+            (0.0, "epsilon0 must be positive and finite, got 0.0"),
+            (1e300, "epsilon0 must keep the speed finite at the start, got 1e+300"),
+            (1e200, "epsilon0 must keep the speed finite at the start, got 1e+200"),
+            (1e85, "epsilon0 must keep the speed finite at the start, got 1e+85"),  # k = -inf
+        ],
+    )
+    def test_rejects_epsilon0_outside_the_domain(self, params, epsilon0, needle):
+        with pytest.raises(ValueError) as info:
+            integrate_reduced(params, NO_EQUILIB, epsilon0=epsilon0, t_end=1.0)
+        assert str(info.value) == needle
+
+    @pytest.mark.parametrize("params", [NORMALIZED, NORMALIZED_NEG], ids=["pos", "neg"])
+    def test_large_valid_epsilon0(self, params):
+        # a speed of about -1e11 at the start; the run still settles at 1
+        samples = integrate_reduced(params, IntegratorConfig(), epsilon0=1e3, t_end=20.0)
+        eps = [e for _, e in samples]
+        assert samples[0] == (0.0, 1e3)
+        assert all(b <= a for a, b in zip(eps, eps[1:]))
+        assert eps[-1] == pytest.approx(1.0, abs=1e-6)
+        # the edge of the domain is accepted
+        edge = 8.7e76 if params.product < 0 else 8.9e83
+        assert integrate_reduced(params, NO_EQUILIB, epsilon0=edge, t_end=1.0)[0] == (0.0, edge)
+
+    def test_domain_check_reuses_the_first_speed(self, monkeypatch):
+        # the start's speed is evaluated once: for the check and the driver
+        module = importlib.import_module("bergerflow.integrate")
+        calls = []
+
+        def counted(params, epsilon):
+            calls.append(epsilon)
+            return curve_speed(params, epsilon)
+
+        monkeypatch.setattr(module, "curve_speed", counted)
+        integrate_reduced(NORMALIZED, NO_EQUILIB, epsilon0=1.4, t_end=50.0)
+        assert calls.count(1.4) == 1
 
 
 def reference_step(f, p, y, k0, h, atol, rtol):
