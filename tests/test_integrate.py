@@ -438,19 +438,6 @@ class TestReduced:
         edge = 8.7e76 if params.product < 0 else 8.9e83
         assert integrate_reduced(params, NO_EQUILIB, epsilon0=edge, t_end=1.0)[0] == (0.0, edge)
 
-    def test_domain_check_reuses_the_first_speed(self, monkeypatch):
-        # the start's speed is evaluated once: for the check and the driver
-        module = importlib.import_module("bergerflow.integrate")
-        calls = []
-
-        def counted(params, epsilon):
-            calls.append(epsilon)
-            return curve_speed(params, epsilon)
-
-        monkeypatch.setattr(module, "curve_speed", counted)
-        integrate_reduced(NORMALIZED, NO_EQUILIB, epsilon0=1.4, t_end=50.0)
-        assert calls.count(1.4) == 1
-
 
 def reference_step(f, p, y, k0, h, atol, rtol):
     """The Dormand-Prince step and error norm as loops over the module's
