@@ -11,15 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import (
-    _NORMALIZED,
-    TWO_PI_SQ,
-    FlowKind,
-    FlowParams,
-    State,
-    metric_velocity,
-    normalizing_constant,
-)
+from .codegen import Formula, compile_module, function_text
+from .model import _NORMALIZED, TWO_PI_SQ, FlowKind, FlowParams, State, _field, normalizing_constant
 
 
 @dataclass(frozen=True)
@@ -44,15 +37,14 @@ def vector_field(params: FlowParams, point) -> tuple[float, float]:
     """Right-hand side (dx, dy) of the flow at a first-quadrant point.
 
     Assembled as half the scale times the diagonal metric-velocity
-    component, which is the form in which the planar reduction is exactly
-    self-consistent; :func:`explicit_rhs` carries the multiplied-out
-    coefficients as an independent cross-check.
+    component (``model._FIELD``), which is the form in which the planar
+    reduction is exactly self-consistent; :func:`explicit_rhs` carries the
+    multiplied-out coefficients as an independent cross-check.
     """
     x, y = point
     if not (0 < x < math.inf and 0 < y < math.inf):
         raise _off_quadrant(x, y)
-    q00, q11 = metric_velocity(params, x, y)
-    return 0.5 * x * q00, 0.5 * y * q11
+    return _field(params, x, y)
 
 
 def explicit_rhs(params: FlowParams, point) -> tuple[float, float]:
@@ -133,6 +125,23 @@ def curve_tangent(epsilon: float) -> tuple[float, float]:
 
 _SPEED_SCALE = TWO_PI_SQ ** (2.0 / 3.0) / 8.0
 
+# The speed k(epsilon), written once as text: curve_speed evaluates it
+# through _speed, and integrate's fused reduced step inlines it.
+SPEED_FORMULA = Formula(
+    "speed",
+    ("epsilon",),
+    "plus = params.product == 1.0\n",
+    "",
+    (
+        "_SPEED_SCALE * epsilon ** (5.0 / 3.0) * (-3.0 * epsilon**2 + 5.0 * epsilon - 2.0) if plus"
+        " else _SPEED_SCALE * epsilon ** (-1.0 / 3.0) * (-3.0 * epsilon**4 + epsilon**2 + 2.0)",
+    ),
+    {"_SPEED_SCALE": _SPEED_SCALE},
+)
+_speed = compile_module(
+    f"{__name__}._formulas", function_text("_speed", SPEED_FORMULA), SPEED_FORMULA.names
+)["_speed"]
+
 
 def curve_speed(params: FlowParams, epsilon: float) -> float:
     """Speed k(epsilon) of the normalized flow along the unit-volume curve.
@@ -144,9 +153,7 @@ def curve_speed(params: FlowParams, epsilon: float) -> float:
         raise ValueError("curve_speed requires normalized flow parameters")
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if params.product == 1.0:
-        return _SPEED_SCALE * epsilon ** (5.0 / 3.0) * (-3.0 * epsilon**2 + 5.0 * epsilon - 2.0)
-    return _SPEED_SCALE * epsilon ** (-1.0 / 3.0) * (-3.0 * epsilon**4 + epsilon**2 + 2.0)
+    return _speed(params, epsilon)
 
 
 def tangency_residual(params: FlowParams, epsilon: float) -> float:

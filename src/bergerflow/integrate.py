@@ -3,28 +3,44 @@
 A Dormand-Prince 5(4) embedded pair with a proportional-integral step
 controller drives both the planar integration and the reduced
 one-dimensional dynamics on the unit-volume curve.  The step runs on float
-tuples, is generated from the tableau at import as straight-line code for
-the two dimensions in use (2 and 1), chosen once per integration, and
-reuses its last stage as the next step's first (FSAL).  It calls the field
-itself as f(params, y), with no stage time, since both flows are
-autonomous.  Steps that would leave the open first quadrant are rejected
-and halved, so trajectories never cross the axes.  Terminal events
-(collapse of one or both scales, convergence to an equilibrium) are located
-by bisection on the cubic Hermite interpolant of the step that crosses
-them, at no further right-hand-side cost.
+tuples, is generated from the tableau as straight-line code, chosen once
+per integration, and reuses its last stage as the next step's first (FSAL).
+The generic step, one per dimension in use (2 and 1), calls the field as
+f(params, y), with no stage time, since both flows are autonomous.  For the
+package's own fields the step is fused instead: the text of the field's
+formula (model.COLLAPSE_FORMULA, model.NORMALIZED_FORMULA,
+dynamics.SPEED_FORMULA) stands inline at each stage, with its
+parameter-only part run once per step.  A fused step does the field's
+operations in the field's order, so both give the same bits.  A field that
+is wrapped, or that reads a wrapped global, takes the generic step, so the
+wrapper sees every evaluation.  Each step is compiled the first time a run
+needs it.  Steps that would leave the open first quadrant are rejected and
+halved, so trajectories never cross the axes.  Terminal events (collapse of
+one or both scales, convergence to an equilibrium) are located by bisection
+on the cubic Hermite interpolant of the step that crosses them, at no
+further right-hand-side cost.
 """
 
 from __future__ import annotations
 
-import linecache
 import math
-import sys
-import types
 from dataclasses import dataclass, field
 
 from . import phase
-from .dynamics import curve_speed, vector_field
-from .model import FlowKind, FlowParams, GeometryScalars, State, geometry_scalars, initial_state
+from .codegen import compile_module, indented
+from .dynamics import SPEED_FORMULA, curve_speed, vector_field
+from .model import (
+    _COLLAPSE,
+    _NORMALIZED,
+    COLLAPSE_FORMULA,
+    NORMALIZED_FORMULA,
+    FlowKind,
+    FlowParams,
+    GeometryScalars,
+    State,
+    geometry_scalars,
+    initial_state,
+)
 
 # Dormand-Prince 5(4) tableau.  The last row of _A holds the fifth-order
 # weights, so the seventh stage is evaluated at the step's result.
@@ -102,7 +118,7 @@ class Trajectory:
         return self.samples[-1][0]
 
 
-def _unrolled_step(n):
+def _unrolled_step(n, formula=None):
     """Compile the Dormand-Prince step for an n-dimensional system as
     straight-line code from _A and _E, in a module of its own whose loader
     returns the text, so that tracebacks and inspect.getsource show it, also
@@ -115,49 +131,75 @@ def _unrolled_step(n):
     autonomous.  Sums run left to right over the nonzero coefficients,
     inlined as float literals that round-trip exactly, so the step rounds
     as a loop over the tableau does.
-    """
-    name, dims = f"_rk_step{n}", range(n)
 
-    def tup(prefix):
-        return f"({', '.join(f'{prefix}{d}' for d in dims)}{',' if n == 1 else ''})"
+    Given the codegen.Formula that f evaluates, the step is fused: it runs
+    the formula's setup once, names each stage's input after the formula's
+    inputs and evaluates the formula's text there in place of calling f,
+    which it ignores.  It does f's operations in f's order, so it returns
+    the same bits.
+    """
+    name = f"_rk_step{n}" if formula is None else f"_rk_step{n}_{formula.name}"
+    dims = range(n)
+    s = [f"s{d}" for d in dims] if formula is None else formula.inputs
+
+    def tup(names):
+        return f"({', '.join(names)}{',' if n == 1 else ''})"
 
     def terms(coeffs, d):
         return " + ".join(f"{c!r} * k{j}_{d}" for j, c in enumerate(coeffs, 1) if c)
 
-    admissible = " and ".join(f"0.0 < s{d} < inf" for d in dims)
-    lines = [f"def {name}(f, p, y, k0, h, atol, rtol):", f"    {tup('y')} = y", f"    {tup('k1_')} = k0"]
+    admissible = " and ".join(f"0.0 < {s[d]} < inf" for d in dims)
+    lines = [f"def {name}(f, p, y, k0, h, atol, rtol):"]
+    if formula is not None:
+        lines += ["    params = p"] + indented(formula.setup)
+    lines += [f"    {tup(f'y{d}' for d in dims)} = y", f"    {tup(f'k1_{d}' for d in dims)} = k0"]
     for j, a in enumerate(_A[1:], 2):
-        lines += [f"    s{d} = y{d} + h * ({terms(a, d)})" for d in dims] + [
-            f"    if not ({admissible}):",
-            "        return None",
-            f"    k{j} = f(p, {tup('s')})",
-            f"    {tup(f'k{j}_')} = k{j}",
-        ]
+        lines += [f"    {s[d]} = y{d} + h * ({terms(a, d)})" for d in dims]
+        lines += [f"    if not ({admissible}):", "        return None"]
+        if formula is None:
+            lines += [f"    k{j} = f(p, {tup(s)})", f"    {tup(f'k{j}_{d}' for d in dims)} = k{j}"]
+        else:
+            lines += indented(formula.body) + [f"    k{j}_{d} = {formula.outputs[d]}" for d in dims]
     # both states are positive, so max(y, s) is the larger, with no abs();
     # r * r overflows to inf, which rejects the step, where r ** 2 would raise
-    lines += [f"    r{d} = h * ({terms(_E, d)}) / (atol + rtol * (s{d} if s{d} > y{d} else y{d}))" for d in dims]
+    lines += [
+        f"    r{d} = h * ({terms(_E, d)}) / (atol + rtol * ({s[d]} if {s[d]} > y{d} else y{d}))" for d in dims
+    ]
     squares = " + ".join(f"r{d} * r{d}" for d in dims)
-    lines.append(f"    return k{len(_A)}, {tup('s')}, sqrt(({squares}) / {n})")
-    source = "\n".join(lines) + "\n"
-    # inspect reads a function's source through the module its __module__
-    # names, and linecache asks that module's loader again once cleared
-    module = types.ModuleType(f"{__name__}.{name}")
-    module.__loader__ = types.SimpleNamespace(get_source=lambda _name: source)
-    module.inf, module.sqrt = math.inf, math.sqrt
-    exec(compile(source, module.__name__, "exec"), vars(module))
-    sys.modules[module.__name__] = module
-    linecache.lazycache(module.__name__, vars(module))
-    return getattr(module, name)
+    last = f"k{len(_A)}" if formula is None else tup(f"k{len(_A)}_{d}" for d in dims)
+    lines.append(f"    return {last}, {tup(s)}, sqrt(({squares}) / {n})")
+    names = {"inf": math.inf, "sqrt": math.sqrt, **({} if formula is None else formula.names)}
+    return compile_module(f"{__name__}.{name}", "\n".join(lines) + "\n", names)[name]
 
 
-_rk_step2 = _unrolled_step(2)
-_rk_step1 = _unrolled_step(1)
+_STEPS = {}  # (n, formula or None) -> step, compiled when first needed
+
+
+def _step(n, formula=None):
+    """The generic step for dimension n, or the one fused with ``formula``.
+    Each is compiled the first time a run needs it, so that a process pays
+    only for the steps it takes."""
+    key = (n, formula)
+    step = _STEPS.get(key)
+    if step is None:
+        step = _STEPS[key] = _unrolled_step(n, formula)
+    return step
+
+
+def __getattr__(name):
+    # the generic steps as module attributes, compiled on first access
+    if name in ("_rk_step2", "_rk_step1"):
+        return _step(int(name[-1]))
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _advance(f, p, t0, y0, k0, t_end, config, predicates):
     """Adaptive driver of y' = f(p, y) over float tuples of length 2 or 1,
-    from y0 with k0 = f(p, y0) as the caller evaluated it; the step
-    (_rk_step2 or _rk_step1) is chosen once from len(y0).
+    from y0 with k0 = f(p, y0) as the caller evaluated it.  The step is
+    chosen once, by _step_for: the fused step of f's formula when f is the
+    package's own field at p's flow kind and every global it reads is
+    unswapped, else the generic _rk_step2 or _rk_step1, which calls f at
+    each stage.  Both give the same bits.
 
     ``predicates`` is an ordered list of (tag, pred) pairs; pred(t, y, dy) is
     a boolean terminal condition checked on the initial and every accepted
@@ -174,7 +216,7 @@ def _advance(f, p, t0, y0, k0, t_end, config, predicates):
     Steps start at _H_INIT, stay at most _H_MAX and end in StepUnderflow
     below _H_MIN; attempting step _MAX_STEPS + 1 raises StepBudgetError.
     """
-    rk_step = _rk_step2 if len(y0) == 2 else _rk_step1
+    rk_step = _step_for(f, p, len(y0))
     atol, rtol = config.atol, config.rtol
     t, y = t0, y0
     points = [(t, y, k0)]
@@ -340,3 +382,25 @@ def integrate_reduced(
 
 def _reduced_rhs(params, y):
     return (curve_speed(params, y[0]),)
+
+
+# The package's own fields, keyed by the function object and the flow
+# kind, with the formula each evaluates and the integrate globals it reads
+# as they were at import.  Keys and values are not module globals, so a
+# tracer that swaps the globals holding a function leaves them alone: a
+# swapped field, or a field whose global was swapped, misses this table and
+# takes the generic step, which makes every evaluation through f.
+_STOCK = {
+    (vector_field, _COLLAPSE): (COLLAPSE_FORMULA, {}),
+    (vector_field, _NORMALIZED): (NORMALIZED_FORMULA, {}),
+    (_reduced_rhs, _NORMALIZED): (SPEED_FORMULA, {"curve_speed": curve_speed}),
+}
+
+
+def _step_for(f, p, n):
+    """The step fused with f's formula at p's flow kind if f, and every
+    global it reads, is still the package's own; else the generic step."""
+    stock = _STOCK.get((f, p.kind))
+    if stock is None or any(globals()[name] is not fn for name, fn in stock[1].items()):
+        return _step(n)
+    return _step(n, stock[0])

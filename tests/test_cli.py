@@ -278,6 +278,27 @@ class TestSimulate:
             assert f"at grid point ({x!r}, {y!r})" in err
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--flow", "collapse", "--kappa", "1", "--epsilon", "1e50", "--t-end", "10"],
+            ["simulate", "--flow", "collapse", "--kappa", "-1", "--epsilon", "8e102", "--t-end", "10"],
+            ["simulate", "--flow", "normalized", "--kappa", "0.5", "--epsilon", "3e92", "--t-end", "10"],
+        ],
+        ids=["collapse-1e50", "collapse-8e102", "normalized-3e92"],
+    )
+    def test_extreme_scales_report_alike_on_both_steps(self, capsys, monkeypatch, argv):
+        # the stock field takes the fused step and a wrapped one the generic
+        # step; exit code, stdout and stderr must not tell them apart
+        fused = run(capsys, *argv)
+        stock = bergerflow.vector_field
+        monkeypatch.setattr(
+            importlib.import_module("bergerflow.integrate"), "vector_field", lambda p, y: stock(p, y)
+        )
+        assert run(capsys, *argv) == fused
+        assert fused[0] == 2
+        assert fused[1].splitlines()[-1].startswith("# termination=StepUnderflow ")
+
+    @pytest.mark.parametrize(
         "argv,tag",
         [
             (SIMULATE + ["--t-end", "20"], "CollapsePoint"),

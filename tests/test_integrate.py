@@ -1,8 +1,10 @@
+import dataclasses
 import importlib
 import inspect
 import linecache
 import math
 import random
+import sys
 import traceback
 from collections import Counter
 
@@ -439,6 +441,12 @@ class TestReduced:
         assert integrate_reduced(params, NO_EQUILIB, epsilon0=edge, t_end=1.0)[0] == (0.0, edge)
 
 
+def selected_step(f, params):
+    """The step that integrate and integrate_reduced take for the field f."""
+    module = importlib.import_module("bergerflow.integrate")
+    return module._step_for(f, params, 2 if f is vector_field else 1)
+
+
 def reference_step(f, p, y, k0, h, atol, rtol):
     """The Dormand-Prince step and error norm as loops over the module's
     tableau, summing left to right from 0 with no zero term left out."""
@@ -474,25 +482,34 @@ def reference_step(f, p, y, k0, h, atol, rtol):
         pytest.param("_rk_step2", NORMALIZED_NEG, id="planar-normalized-neg"),
         pytest.param("_rk_step1", NORMALIZED, id="reduced"),
         pytest.param("_rk_step1", NORMALIZED_NEG, id="reduced-neg"),
+        pytest.param("_rk_step2_collapse", COLLAPSE, id="fused-collapse"),
+        pytest.param("_rk_step2_collapse", COLLAPSE_NEG, id="fused-collapse-neg"),
+        pytest.param("_rk_step2_normalized", NORMALIZED, id="fused-normalized"),
+        pytest.param("_rk_step2_normalized", NORMALIZED_NEG, id="fused-normalized-neg"),
+        pytest.param("_rk_step1_speed", NORMALIZED, id="fused-reduced"),
+        pytest.param("_rk_step1_speed", NORMALIZED_NEG, id="fused-reduced-neg"),
     ],
 )
 def test_specialised_steps_match_the_tableau(name, params):
-    # the unrolled steps must give the loop's bits on every admissible
-    # input, and reject exactly the steps whose stages leave the quadrant
+    # the unrolled steps, generic and fused, must give the loop's bits on
+    # every admissible input, and reject exactly the steps whose stages
+    # leave the quadrant; the loop calls the stock field
     module = importlib.import_module("bergerflow.integrate")
-    step = getattr(module, name)
-    f = vector_field if name == "_rk_step2" else module._reduced_rhs
+    planar = name.startswith("_rk_step2")
+    f = vector_field if planar else module._reduced_rhs
+    step = getattr(module, name) if name in ("_rk_step2", "_rk_step1") else selected_step(f, params)
+    assert step.__name__ == name
     rng = random.Random(2024)
     outcomes = Counter()
     for _ in range(300):
-        y = tuple(math.exp(rng.uniform(-3.0, 1.5)) for _ in range(2 if name == "_rk_step2" else 1))
+        y = tuple(math.exp(rng.uniform(-3.0, 1.5)) for _ in range(2 if planar else 1))
         h = math.exp(rng.uniform(-9.0, 1.0))
         atol, rtol = rng.choice([(1e-12, 1e-10), (1e-8, 1e-6)])
         k0 = f(params, y)
         got = step(f, params, y, k0, h, atol, rtol)
         assert got == reference_step(f, params, y, k0, h, atol, rtol)
-        outcomes[got is None] += 1
-    assert outcomes[True] and outcomes[False]
+        outcomes["domain" if got is None else "error" if got[2] > 1.0 else "accepted"] += 1
+    assert outcomes["domain"] and outcomes["error"] and outcomes["accepted"]
 
 
 @pytest.mark.parametrize("name", ["_rk_step2", "_rk_step1"])
@@ -525,3 +542,146 @@ def test_traceback_inside_the_step_shows_its_line():
     text = "".join(traceback.format_exception(info.value))
     assert 'File "bergerflow.integrate._rk_step2", line 8, in _rk_step2' in text
     assert "    k2 = f(p, (s0, s1))\n" in text
+
+
+FUSED = [
+    pytest.param("_rk_step2_collapse", COLLAPSE, id="collapse"),
+    pytest.param("_rk_step2_normalized", NORMALIZED, id="normalized"),
+    pytest.param("_rk_step1_speed", NORMALIZED, id="reduced"),
+]
+
+
+def stock_field(name):
+    if name.startswith("_rk_step2"):
+        return vector_field
+    return importlib.import_module("bergerflow.integrate")._reduced_rhs
+
+
+@pytest.mark.parametrize("name,params", FUSED)
+def test_fused_steps_show_their_source(name, params):
+    # the formula's text stands at each of the six stages, with no call
+    step = selected_step(stock_field(name), params)
+    linecache.clearcache()
+    source = inspect.getsource(step)
+    assert source.startswith(f"def {name}(f, p, y, k0, h, atol, rtol):")
+    assert "f(" not in source
+    assert "for" not in source.split()
+    output = "0.5 * alpha * v00" if name.startswith("_rk_step2") else "_SPEED_SCALE * epsilon ** (5.0 / 3.0)"
+    assert source.count(output) == 6
+
+
+@pytest.mark.parametrize("name,params", FUSED)
+def test_inlined_power_raises_as_the_field_does(name, params):
+    # a stage input too large for ** raises the field's OverflowError, and
+    # the traceback shows the fused step's line
+    f = stock_field(name)
+    y, k0 = ((1.0, 1.0), (1e200, 0.0)) if f is vector_field else ((1.0,), (1e200,))
+    generic = getattr(importlib.import_module("bergerflow.integrate"), f"_rk_step{len(y)}")
+    with pytest.raises(OverflowError) as want:
+        generic(f, params, y, k0, 1.0, 1e-12, 1e-10)
+    linecache.clearcache()
+    with pytest.raises(OverflowError) as got:
+        selected_step(f, params)(f, params, y, k0, 1.0, 1e-12, 1e-10)
+    assert str(got.value) == str(want.value)
+    text = "".join(traceback.format_exception(got.value))
+    assert f'File "bergerflow.integrate.{name}", line ' in text
+    line = "alpha2 = alpha**2" if f is vector_field else "k2_0 = _SPEED_SCALE * epsilon **"
+    assert f"\n    {line}" in text
+
+
+def wrap_in_module(monkeypatch, module_name, attr):
+    """Replace module_name.attr by a pass-through wrapper; returns its calls."""
+    module = importlib.import_module(module_name)
+    inner, calls = getattr(module, attr), []
+
+    def wrapper(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(module, attr, wrapper)
+    return calls
+
+
+def outcome(traj):
+    return repr(traj), traj.derivatives, repr(traj.termination.detail)
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+@pytest.mark.parametrize(
+    "kind,kappa,epsilon,t_end,tag",
+    [
+        (FlowKind.COLLAPSE, 1.0, 1.0, 20.0, "CollapsePoint"),
+        (FlowKind.COLLAPSE, 1.0, 0.5, 5000.0, "CollapseFiber"),
+        (FlowKind.COLLAPSE, -1.0, 3.0, 5000.0, "CollapseFiber"),
+        (FlowKind.COLLAPSE, -1.0, 1.0, 5.0, "ReachedTEnd"),
+        (FlowKind.COLLAPSE, 1.0, 1e50, 10.0, "StepUnderflow"),
+        (FlowKind.NORMALIZED, 0.5, 1.2, 400.0, "Equilibrium"),
+        (FlowKind.NORMALIZED, 0.5, 0.5, 5000.0, "CollapseFiber"),
+        (FlowKind.NORMALIZED, 0.5, 2.0, 5.0, "ReachedTEnd"),
+        (FlowKind.NORMALIZED, -0.5, 1.5, 400.0, "Equilibrium"),
+        (FlowKind.NORMALIZED, -0.5, 0.3, 1.0, "ReachedTEnd"),
+    ],
+)
+def test_fused_and_wrapped_fields_give_the_same_trajectory(monkeypatch, kind, kappa, epsilon, t_end, tag, stride):
+    # the stock field takes the fused step; a wrapped one takes the generic
+    # step and sees every evaluation; the two runs agree bit for bit
+    params = FlowParams(kind, a=2.0, kappa=kappa, epsilon=epsilon)
+    config = IntegratorConfig(output_stride=stride)
+    assert selected_step(vector_field, params).__name__ == f"_rk_step2_{kind.value}"
+    fused = integrate(params, config, t_end=t_end)
+    calls = wrap_in_module(monkeypatch, "bergerflow.integrate", "vector_field")
+    wrapped = integrate(params, config, t_end=t_end)
+    assert calls
+    assert fused.termination.tag == tag
+    assert outcome(fused) == outcome(wrapped)
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+@pytest.mark.parametrize(
+    "params,epsilon0,t_end,config",
+    [
+        (NORMALIZED, 1.4, 50.0, NO_EQUILIB),
+        (NORMALIZED, 0.8, 400.0, IntegratorConfig()),
+        (NORMALIZED, 0.5, 100.0, NO_EQUILIB),
+        (NORMALIZED_NEG, 0.4, 200.0, IntegratorConfig()),
+        (NORMALIZED_NEG, 1e6, 10.0, NO_EQUILIB),
+    ],
+    ids=["t-end", "equilibrium", "below-repeller", "neg-equilibrium", "underflow"],
+)
+def test_fused_and_wrapped_speeds_give_the_same_samples(monkeypatch, params, epsilon0, t_end, config, stride):
+    module = importlib.import_module("bergerflow.integrate")
+    config = dataclasses.replace(config, output_stride=stride)
+    assert selected_step(module._reduced_rhs, params).__name__ == "_rk_step1_speed"
+    fused = integrate_reduced(params, config, epsilon0=epsilon0, t_end=t_end)
+    calls = wrap_in_module(monkeypatch, "bergerflow.integrate", "curve_speed")
+    # a swapped global that the stock field reads selects the generic step
+    assert selected_step(module._reduced_rhs, params).__name__ == "_rk_step1"
+    wrapped = integrate_reduced(params, config, epsilon0=epsilon0, t_end=t_end)
+    assert calls
+    assert repr(fused) == repr(wrapped)
+
+
+def test_a_tracer_swap_sees_every_evaluation(monkeypatch):
+    # as perfbench's tracer does: every bergerflow module global that is the
+    # field becomes a counting wrapper; the run must then take the generic
+    # step, one call at the start and six per attempted step
+    original, calls = vector_field, []
+
+    def counted(params, point):
+        calls.append(point)
+        return original(params, point)
+
+    swapped = []
+    for name, module in list(sys.modules.items()):
+        if name == "bergerflow" or name.startswith("bergerflow."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+                    swapped.append(name)
+    assert "bergerflow.integrate" in swapped
+    traj = integrate(COLLAPSE, NO_EQUILIB, t_end=20.0)
+    monkeypatch.undo()
+    assert traj.termination.tag == "CollapsePoint"
+    assert len(calls) > 1
+    assert (len(calls) - 1) % 6 == 0
+    assert repr(traj) == repr(integrate(COLLAPSE, NO_EQUILIB, t_end=20.0))
