@@ -11,8 +11,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .codegen import Formula, compile_module, function_text
-from .model import _NORMALIZED, TWO_PI_SQ, FlowKind, FlowParams, State, _field, normalizing_constant
+from .model import (
+    _NORMALIZED,
+    TWO_PI_SQ,
+    FlowKind,
+    FlowParams,
+    State,
+    metric_velocity,
+    normalizing_constant,
+)
 
 
 @dataclass(frozen=True)
@@ -37,14 +44,17 @@ def vector_field(params: FlowParams, point) -> tuple[float, float]:
     """Right-hand side (dx, dy) of the flow at a first-quadrant point.
 
     Assembled as half the scale times the diagonal metric-velocity
-    component (``model._FIELD``), which is the form in which the planar
-    reduction is exactly self-consistent; :func:`explicit_rhs` carries the
-    multiplied-out coefficients as an independent cross-check.
+    component, which is the form in which the planar reduction is exactly
+    self-consistent; :func:`explicit_rhs` carries the multiplied-out
+    coefficients as an independent cross-check.  The integrator's fused
+    steps inline the returned expression after the per-point lines of
+    ``model._collapse`` or ``model._normalized``, which bind its names.
     """
-    x, y = point
-    if not (0 < x < math.inf and 0 < y < math.inf):
-        raise _off_quadrant(x, y)
-    return _field(params, x, y)
+    alpha, beta = point
+    if not (0 < alpha < math.inf and 0 < beta < math.inf):
+        raise _off_quadrant(alpha, beta)
+    v00, v11 = metric_velocity(params, alpha, beta)
+    return 0.5 * alpha * v00, 0.5 * beta * v11
 
 
 def explicit_rhs(params: FlowParams, point) -> tuple[float, float]:
@@ -125,24 +135,10 @@ def curve_tangent(epsilon: float) -> tuple[float, float]:
 
 _SPEED_SCALE = TWO_PI_SQ ** (2.0 / 3.0) / 8.0
 
-# The speed k(epsilon), written once as text: curve_speed evaluates it
-# through _speed, and integrate's fused reduced step inlines it.
-SPEED_FORMULA = Formula(
-    "speed",
-    ("epsilon",),
-    "plus = params.product == 1.0\n",
-    "",
-    (
-        "_SPEED_SCALE * epsilon ** (5.0 / 3.0) * (-3.0 * epsilon**2 + 5.0 * epsilon - 2.0) if plus"
-        " else _SPEED_SCALE * epsilon ** (-1.0 / 3.0) * (-3.0 * epsilon**4 + epsilon**2 + 2.0)",
-    ),
-    {"_SPEED_SCALE": _SPEED_SCALE},
-)
-_speed = compile_module(
-    f"{__name__}._formulas", function_text("_speed", SPEED_FORMULA), SPEED_FORMULA.names
-)["_speed"]
 
-
+# Straight-line code that the integrator's fused reduced step inlines: the
+# lines above "# per point" run once per step, the lines below it, up to the
+# return, at every stage.
 def curve_speed(params: FlowParams, epsilon: float) -> float:
     """Speed k(epsilon) of the normalized flow along the unit-volume curve.
 
@@ -151,9 +147,15 @@ def curve_speed(params: FlowParams, epsilon: float) -> float:
     """
     if params.kind is not _NORMALIZED:
         raise ValueError("curve_speed requires normalized flow parameters")
+    plus = params.product == 1.0
+    # per point
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    return _speed(params, epsilon)
+    return (
+        _SPEED_SCALE * epsilon ** (5.0 / 3.0) * (-3.0 * epsilon**2 + 5.0 * epsilon - 2.0)
+        if plus
+        else _SPEED_SCALE * epsilon ** (-1.0 / 3.0) * (-3.0 * epsilon**4 + epsilon**2 + 2.0)
+    )
 
 
 def tangency_residual(params: FlowParams, epsilon: float) -> float:

@@ -7,14 +7,15 @@ tuples, is generated from the tableau as straight-line code, chosen once
 per integration, and reuses its last stage as the next step's first (FSAL).
 The generic step, one per dimension in use (2 and 1), calls the field as
 f(params, y), with no stage time, since both flows are autonomous.  For the
-package's own fields the step is fused instead: the text of the field's
-formula (model.COLLAPSE_FORMULA, model.NORMALIZED_FORMULA,
-dynamics.SPEED_FORMULA) stands inline at each stage, with its
-parameter-only part run once per step.  A fused step does the field's
-operations in the field's order, so both give the same bits.  A field that
-is wrapped, or that reads a wrapped global, takes the generic step, so the
-wrapper sees every evaluation.  Each step is compiled the first time a run
-needs it.  Steps that would leave the open first quadrant are rejected and
+package's own fields the step is fused instead: it inlines, from their
+source, the lines of model._collapse, model._normalized or
+dynamics.curve_speed below the line "# per point" at each stage, with the
+lines above it run once per step, and the expression that vector_field or
+curve_speed returns.  A fused step does the field's operations in the
+field's order, so both give the same bits.  A field that is wrapped, or
+that reads a wrapped global, takes the generic step, so the wrapper sees
+every evaluation.  Each step is compiled the first time a run needs it.
+Steps that would leave the open first quadrant are rejected and
 halved, so trajectories never cross the axes.  Terminal events (collapse of
 one or both scales, convergence to an equilibrium) are located by bisection
 on the cubic Hermite interpolant of the step that crosses them, at no
@@ -23,21 +24,25 @@ further right-hand-side cost.
 
 from __future__ import annotations
 
+import ast
+import inspect
+import linecache
 import math
+import sys
+import types
 from dataclasses import dataclass, field
 
 from . import phase
-from .codegen import compile_module, indented
-from .dynamics import SPEED_FORMULA, curve_speed, vector_field
+from .dynamics import curve_speed, vector_field
 from .model import (
     _COLLAPSE,
     _NORMALIZED,
-    COLLAPSE_FORMULA,
-    NORMALIZED_FORMULA,
     FlowKind,
     FlowParams,
     GeometryScalars,
     State,
+    _collapse,
+    _normalized,
     geometry_scalars,
     initial_state,
 )
@@ -118,7 +123,17 @@ class Trajectory:
         return self.samples[-1][0]
 
 
-def _unrolled_step(n, formula=None):
+def _body_and_return(fn):
+    """The source lines of a straight-line function: its body, docstring
+    left out, up to the final return, and that return."""
+    lines = inspect.getsource(fn).splitlines()
+    node = ast.parse("\n".join(lines)).body[0]
+    first = node.body[0 if ast.get_docstring(node) is None else 1].lineno - 1
+    last = node.body[-1].lineno - 1
+    return lines[first:last], lines[last:]
+
+
+def _unrolled_step(n, stock=None):
     """Compile the Dormand-Prince step for an n-dimensional system as
     straight-line code from _A and _E, in a module of its own whose loader
     returns the text, so that tracebacks and inspect.getsource show it, also
@@ -132,15 +147,26 @@ def _unrolled_step(n, formula=None):
     inlined as float literals that round-trip exactly, so the step rounds
     as a loop over the tableau does.
 
-    Given the codegen.Formula that f evaluates, the step is fused: it runs
-    the formula's setup once, names each stage's input after the formula's
-    inputs and evaluates the formula's text there in place of calling f,
-    which it ignores.  It does f's operations in f's order, so it returns
-    the same bits.
+    Given stock = (suffix, formula, output), the step is fused with the
+    stock field that f is: it runs the parameter-only lines of formula's
+    source once, names each stage input after formula's point arguments,
+    and in place of calling f runs formula's per-point lines there and
+    assigns the stage the expression that output returns, which reads
+    names those lines bind.  It ignores f.  It does f's operations in f's
+    order, so it returns the same bits.
     """
-    name = f"_rk_step{n}" if formula is None else f"_rk_step{n}_{formula.name}"
-    dims = range(n)
-    s = [f"s{d}" for d in dims] if formula is None else formula.inputs
+    name, dims = f"_rk_step{n}", range(n)
+    s = [f"s{d}" for d in dims]
+    namespace = {"inf": math.inf, "sqrt": math.sqrt}
+    if stock is not None:
+        suffix, formula, output = stock
+        name, s = f"{name}_{suffix}", formula.__code__.co_varnames[1 : n + 1]
+        body = _body_and_return(formula)[0]
+        mark = body.index("    # per point")
+        prelude, per_point = body[:mark], body[mark + 1 :]
+        returned = _body_and_return(output)[1]
+        read = formula.__code__.co_names
+        namespace.update((key, value) for key, value in formula.__globals__.items() if key in read)
 
     def tup(names):
         return f"({', '.join(names)}{',' if n == 1 else ''})"
@@ -150,39 +176,48 @@ def _unrolled_step(n, formula=None):
 
     admissible = " and ".join(f"0.0 < {s[d]} < inf" for d in dims)
     lines = [f"def {name}(f, p, y, k0, h, atol, rtol):"]
-    if formula is not None:
-        lines += ["    params = p"] + indented(formula.setup)
+    if stock is not None:
+        lines += ["    params = p", *prelude]
     lines += [f"    {tup(f'y{d}' for d in dims)} = y", f"    {tup(f'k1_{d}' for d in dims)} = k0"]
     for j, a in enumerate(_A[1:], 2):
         lines += [f"    {s[d]} = y{d} + h * ({terms(a, d)})" for d in dims]
         lines += [f"    if not ({admissible}):", "        return None"]
-        if formula is None:
+        if stock is None:
             lines += [f"    k{j} = f(p, {tup(s)})", f"    {tup(f'k{j}_{d}' for d in dims)} = k{j}"]
         else:
-            lines += indented(formula.body) + [f"    k{j}_{d} = {formula.outputs[d]}" for d in dims]
+            target = ", ".join(f"k{j}_{d}" for d in dims)
+            lines += [*per_point, returned[0].replace("return", f"{target} =", 1), *returned[1:]]
     # both states are positive, so max(y, s) is the larger, with no abs();
     # r * r overflows to inf, which rejects the step, where r ** 2 would raise
     lines += [
         f"    r{d} = h * ({terms(_E, d)}) / (atol + rtol * ({s[d]} if {s[d]} > y{d} else y{d}))" for d in dims
     ]
     squares = " + ".join(f"r{d} * r{d}" for d in dims)
-    last = f"k{len(_A)}" if formula is None else tup(f"k{len(_A)}_{d}" for d in dims)
+    last = f"k{len(_A)}" if stock is None else tup(f"k{len(_A)}_{d}" for d in dims)
     lines.append(f"    return {last}, {tup(s)}, sqrt(({squares}) / {n})")
-    names = {"inf": math.inf, "sqrt": math.sqrt, **({} if formula is None else formula.names)}
-    return compile_module(f"{__name__}.{name}", "\n".join(lines) + "\n", names)[name]
+    source = "\n".join(lines) + "\n"
+    # inspect reads a function's source through the module its __module__
+    # names, and linecache asks that module's loader again once cleared
+    module = types.ModuleType(f"{__name__}.{name}")
+    module.__loader__ = types.SimpleNamespace(get_source=lambda _name: source)
+    vars(module).update(namespace)
+    exec(compile(source, module.__name__, "exec"), vars(module))
+    sys.modules[module.__name__] = module
+    linecache.lazycache(module.__name__, vars(module))
+    return getattr(module, name)
 
 
-_STEPS = {}  # (n, formula or None) -> step, compiled when first needed
+_STEPS = {}  # (n, stock or None) -> step, compiled when first needed
 
 
-def _step(n, formula=None):
-    """The generic step for dimension n, or the one fused with ``formula``.
+def _step(n, stock=None):
+    """The generic step for dimension n, or the one fused with ``stock``.
     Each is compiled the first time a run needs it, so that a process pays
     only for the steps it takes."""
-    key = (n, formula)
+    key = (n, stock)
     step = _STEPS.get(key)
     if step is None:
-        step = _STEPS[key] = _unrolled_step(n, formula)
+        step = _STEPS[key] = _unrolled_step(n, stock)
     return step
 
 
@@ -196,10 +231,11 @@ def __getattr__(name):
 def _advance(f, p, t0, y0, k0, t_end, config, predicates):
     """Adaptive driver of y' = f(p, y) over float tuples of length 2 or 1,
     from y0 with k0 = f(p, y0) as the caller evaluated it.  The step is
-    chosen once, by _step_for: the fused step of f's formula when f is the
+    chosen once, by _step_for: the step fused with f when f is the
     package's own field at p's flow kind and every global it reads is
     unswapped, else the generic _rk_step2 or _rk_step1, which calls f at
-    each stage.  Both give the same bits.
+    each stage, so that a wrapped field sees every evaluation.  Both give
+    the same bits.
 
     ``predicates`` is an ordered list of (tag, pred) pairs; pred(t, y, dy) is
     a boolean terminal condition checked on the initial and every accepted
@@ -385,22 +421,28 @@ def _reduced_rhs(params, y):
 
 
 # The package's own fields, keyed by the function object and the flow
-# kind, with the formula each evaluates and the integrate globals it reads
-# as they were at import.  Keys and values are not module globals, so a
-# tracer that swaps the globals holding a function leaves them alone: a
-# swapped field, or a field whose global was swapped, misses this table and
-# takes the generic step, which makes every evaluation through f.
+# kind, with the fused step's stock (its name suffix, the function whose
+# per-point lines it inlines and the function whose return it inlines) and
+# the integrate globals the field reads, as they were at import.  Keys and
+# values are not module globals, so a tracer that swaps the globals holding
+# a function leaves them alone: a swapped field, or a field whose global
+# was swapped, misses this table and takes the generic step, which makes
+# every evaluation through f.
 _STOCK = {
-    (vector_field, _COLLAPSE): (COLLAPSE_FORMULA, {}),
-    (vector_field, _NORMALIZED): (NORMALIZED_FORMULA, {}),
-    (_reduced_rhs, _NORMALIZED): (SPEED_FORMULA, {"curve_speed": curve_speed}),
+    (vector_field, _COLLAPSE): (("collapse", _collapse, vector_field), {}),
+    (vector_field, _NORMALIZED): (("normalized", _normalized, vector_field), {}),
+    (_reduced_rhs, _NORMALIZED): (("speed", curve_speed, curve_speed), {"curve_speed": curve_speed}),
 }
 
 
 def _step_for(f, p, n):
-    """The step fused with f's formula at p's flow kind if f, and every
-    global it reads, is still the package's own; else the generic step."""
+    """The step fused with f at p's flow kind if f, and every global it
+    reads, is still the package's own, and its source can be read; else
+    the generic step."""
     stock = _STOCK.get((f, p.kind))
     if stock is None or any(globals()[name] is not fn for name, fn in stock[1].items()):
         return _step(n)
-    return _step(n, stock[0])
+    try:
+        return _step(n, stock[0])
+    except OSError:  # no source to inline, as in an install without .py files
+        return _step(n)

@@ -5,11 +5,11 @@ fiber and ``beta`` on the horizontal complement.  Everything here is a pure
 function of the flow parameters and those two scales: the unit-volume
 normalizing constant, the Riemannian volume, the diagonal components of the
 (negative) energy gradient, the spinorial energy itself, and the two scalar
-coefficients ``f`` and ``g`` through which the spinor enters.  The metric
-velocity of each flow kind is written once, as the text of a straight-line
-body (``COLLAPSE_FORMULA``, ``NORMALIZED_FORMULA``); :func:`metric_velocity`,
-the ``q1_*`` and ``energy_density_sixth`` helpers and the planar field are
-compiled from it, and so are the integrator's fused steps.
+coefficients ``f`` and ``g`` through which the spinor enters.  The gradient
+components of each flow kind come from one straight-line body, which
+:func:`metric_velocity` calls directly, the ``q1_*`` and
+``energy_density_sixth`` helpers return parts of, and the integrator's
+fused steps inline.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-
-from .codegen import Formula, compile_module, function_text
 
 TWO_PI_SQ = 2.0 * math.pi**2
 
@@ -76,8 +74,8 @@ class FlowParams:
         # (collapse) or epsilon^(10/3) (normalized).
         try:
             start = initial_state(self)
-            dx, dy = _field(self, start.alpha, start.beta)
-            finite = math.isfinite(dx) and math.isfinite(dy)
+            v00, v11 = metric_velocity(self, start.alpha, start.beta)
+            finite = math.isfinite(0.5 * start.alpha * v00) and math.isfinite(0.5 * start.beta * v11)
         except (ArithmeticError, ValueError):  # ValueError: State rejects a start at 0 or inf
             finite = False
         if not finite:
@@ -161,93 +159,61 @@ def volume(alpha: float, beta: float) -> float:
     return TWO_PI_SQ * alpha * beta**2
 
 
-# The metric velocity (v00, v11) of each flow kind, written once as text:
-# the planar field is (dx, dy) = (alpha v00 / 2, beta v11 / 2), the form in
-# which the planar reduction is exactly self-consistent.  The functions
-# below and integrate's fused steps are all compiled from this text.  The
-# powers are one statement each: assigning four at once builds and unpacks
-# a tuple at every evaluation.
-_FIELD = ("0.5 * alpha * v00", "0.5 * beta * v11")
+# The metric velocity of each flow kind is one straight-line function.  The
+# integrator's fused steps inline its source: the lines above the line
+# "# per point" read only the parameters and run once per step, the lines
+# below it, up to the return, at every stage.  The powers are one statement
+# each: assigning four at once builds and unpacks a tuple at every call.
+def _collapse(params: FlowParams, alpha: float, beta: float):
+    a, lam = params.a, params.kappa
+    # per point
+    alpha2 = alpha**2
+    beta2 = beta**2
+    beta3 = beta**3
+    beta4 = beta**4
+    v00 = (
+        -9.0 / 64.0 * alpha2 / beta4 * a * a
+        + 1.0 / 2.0 * alpha / beta3 * a * lam
+        - 1.0 / 2.0 / beta2 * lam * lam
+    )
+    v11 = 3.0 / 64.0 * alpha2 / beta4 * a * a - 1.0 / 8.0 * alpha / beta3 * a * lam
+    return v00, v11
 
-COLLAPSE_FORMULA = Formula(
-    "collapse",
-    ("alpha", "beta"),
-    "a, lam = params.a, params.kappa\n",
-    """\
-alpha2 = alpha**2
-beta2 = beta**2
-beta3 = beta**3
-beta4 = beta**4
-v00 = (
-    -9.0 / 64.0 * alpha2 / beta4 * a * a
-    + 1.0 / 2.0 * alpha / beta3 * a * lam
-    - 1.0 / 2.0 / beta2 * lam * lam
-)
-v11 = 3.0 / 64.0 * alpha2 / beta4 * a * a - 1.0 / 8.0 * alpha / beta3 * a * lam
-""",
-    _FIELD,
-    {},
-)
 
-# q00 and q11 are the gradient components before the volume-conservation
-# correction e6, with m = mu - a/4 and n = a/4 + mu.  Each parameter-only
-# factor that leads a term is computed once, exactly as the term would
-# compute it, so this changes no bit; its name says what it multiplies
-# (a2: 1/alpha^2, b2: 1/beta^2, ab3: alpha/beta^3, a2b4: alpha^2/beta^4).
-NORMALIZED_FORMULA = Formula(
-    "normalized",
-    ("alpha", "beta"),
-    """\
-a, mu = params.a, params.kappa
-m = mu - a / 4.0
-n = a / 4.0 + mu
-q00_b2 = -1.0 / 2.0 * mu * mu - 3.0 / 8.0 * a * mu
-q00_ab3 = a * a / 8.0 + a * mu / 2.0
-q11_ab3 = -a * a / 32.0 - a * mu / 8.0
-e6_a2 = 1.0 / 12.0 * m * m
-e6_a2b4 = 1.0 / 64.0 * a * a
-e6_b2m = 1.0 / 24.0 * a * m
-e6_b2n = 1.0 / 6.0 * n * n
-e6_ab3 = 1.0 / 12.0 * a * n
-""",
-    """\
-alpha2 = alpha**2
-beta2 = beta**2
-beta3 = beta**3
-beta4 = beta**4
-q00 = (
-    1.0 / 4.0 / alpha2 * m * m
-    + q00_b2 / beta2
-    + alpha / beta3 * q00_ab3
-    - 9.0 / 64.0 * alpha2 / beta4 * a * a
-)
-q11 = -1.0 / 4.0 / alpha2 * m * m + alpha / beta3 * q11_ab3 + 3.0 / 64.0 * alpha2 / beta4 * a * a
-e6 = e6_a2 / alpha2 + e6_a2b4 * alpha2 / beta4 + e6_b2m / beta2 + e6_b2n / beta2 - e6_ab3 * alpha / beta3
-v00 = q00 + e6
-v11 = q11 + e6
-""",
-    _FIELD,
-    {},
-)
-
-_formulas = compile_module(
-    f"{__name__}._formulas",
-    "\n".join(
-        [
-            function_text("_collapse", COLLAPSE_FORMULA, ("v00", "v11")),
-            function_text("_collapse_field", COLLAPSE_FORMULA),
-            function_text("_normalized", NORMALIZED_FORMULA, ("q00", "q11", "e6")),
-            function_text("_normalized_velocity", NORMALIZED_FORMULA, ("v00", "v11")),
-            function_text("_normalized_field", NORMALIZED_FORMULA),
-        ]
-    ),
-    {},
-)
-_collapse = _formulas["_collapse"]
-_collapse_field = _formulas["_collapse_field"]
-_normalized = _formulas["_normalized"]
-_normalized_velocity = _formulas["_normalized_velocity"]
-_normalized_field = _formulas["_normalized_field"]
+# The metric velocity (v00, v11), then its parts: the gradient components
+# q00 and q11 before the volume-conservation correction e6.  With m = mu - a/4
+# and n = a/4 + mu, each parameter-only factor that leads a term is computed
+# once, exactly as the term would compute it; its name says what it
+# multiplies (a2: 1/alpha^2, b2: 1/beta^2, ab3: alpha/beta^3, a2b4:
+# alpha^2/beta^4).
+def _normalized(params: FlowParams, alpha: float, beta: float):
+    a, mu = params.a, params.kappa
+    m = mu - a / 4.0
+    n = a / 4.0 + mu
+    q00_b2 = -1.0 / 2.0 * mu * mu - 3.0 / 8.0 * a * mu
+    q00_ab3 = a * a / 8.0 + a * mu / 2.0
+    q11_ab3 = -a * a / 32.0 - a * mu / 8.0
+    e6_a2 = 1.0 / 12.0 * m * m
+    e6_a2b4 = 1.0 / 64.0 * a * a
+    e6_b2m = 1.0 / 24.0 * a * m
+    e6_b2n = 1.0 / 6.0 * n * n
+    e6_ab3 = 1.0 / 12.0 * a * n
+    # per point
+    alpha2 = alpha**2
+    beta2 = beta**2
+    beta3 = beta**3
+    beta4 = beta**4
+    q00 = (
+        1.0 / 4.0 / alpha2 * m * m
+        + q00_b2 / beta2
+        + alpha / beta3 * q00_ab3
+        - 9.0 / 64.0 * alpha2 / beta4 * a * a
+    )
+    q11 = -1.0 / 4.0 / alpha2 * m * m + alpha / beta3 * q11_ab3 + 3.0 / 64.0 * alpha2 / beta4 * a * a
+    e6 = e6_a2 / alpha2 + e6_a2b4 * alpha2 / beta4 + e6_b2m / beta2 + e6_b2n / beta2 - e6_ab3 * alpha / beta3
+    v00 = q00 + e6
+    v11 = q11 + e6
+    return v00, v11, q00, q11, e6
 
 
 def q1_collapse_components(params: FlowParams, alpha: float, beta: float):
@@ -261,7 +227,7 @@ def q1_normalized_components(params: FlowParams, alpha: float, beta: float):
     """Diagonal components (q00, q11) for the normalized flow, before the
     volume-conservation correction term (see :func:`energy_density_sixth`)."""
     _require_kind(params, FlowKind.NORMALIZED)
-    return _normalized(params, alpha, beta)[:2]
+    return _normalized(params, alpha, beta)[2:4]
 
 
 def energy_density_sixth(params: FlowParams, alpha: float, beta: float) -> float:
@@ -269,23 +235,15 @@ def energy_density_sixth(params: FlowParams, alpha: float, beta: float) -> float
     volume-conservation correction added to each diagonal component of
     :func:`q1_normalized_components`."""
     _require_kind(params, FlowKind.NORMALIZED)
-    return _normalized(params, alpha, beta)[2]
+    return _normalized(params, alpha, beta)[4]
 
 
 def metric_velocity(params: FlowParams, alpha: float, beta: float):
     """Diagonal components (q00, q11) of the metric velocity that drives the
-    flow: the collapse body's, or the normalized body's plus its correction."""
+    flow: the collapse body's, or the normalized body's corrected ones."""
     if params.kind is _COLLAPSE:
         return _collapse(params, alpha, beta)
-    return _normalized_velocity(params, alpha, beta)
-
-
-def _field(params: FlowParams, alpha: float, beta: float):
-    """The planar field (dx, dy) at a point of the open quadrant, unchecked:
-    the body of ``dynamics.vector_field``."""
-    if params.kind is _COLLAPSE:
-        return _collapse_field(params, alpha, beta)
-    return _normalized_field(params, alpha, beta)
+    return _normalized(params, alpha, beta)[:2]
 
 
 def spinor_coefficients(params: FlowParams, alpha: float, beta: float):

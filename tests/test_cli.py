@@ -475,16 +475,22 @@ print(codes, loaded)
 """
 
 
-def _probe_imports(module):
-    """Run all four subcommands in a fresh interpreter; report whether
-    module was loaded after the first three and after verify."""
+def _fresh_interpreter(code, *argv):
+    """Run code in a fresh interpreter that imports this bergerflow; return
+    its stripped stdout."""
     src = os.path.dirname(os.path.dirname(bergerflow.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, module],
+        [sys.executable, "-c", code, *argv],
         capture_output=True, text=True, env=env, check=True,
     )
     return done.stdout.strip()
+
+
+def _probe_imports(module):
+    """Run all four subcommands in a fresh interpreter; report whether
+    module was loaded after the first three and after verify."""
+    return _fresh_interpreter(_IMPORT_PROBE, module)
 
 
 @pytest.mark.parametrize("module", ["scipy", "numpy"])
@@ -494,6 +500,27 @@ def test_import_does_not_load(module):
 
 def test_only_verify_loads_acceptance():
     assert _probe_imports("bergerflow.acceptance") == "[0, 0, 0, 0] [False, True]"
+
+
+# Runs in a fresh interpreter: lists the Dormand-Prince steps compiled
+# after import, after equilibria and after a collapse simulate.
+_STEP_PROBE = """
+import contextlib, io, sys
+from bergerflow import cli
+def steps():
+    return sorted(n.rsplit(".", 1)[1] for n in sys.modules if n.startswith("bergerflow.integrate._rk_step"))
+seen = [steps()]
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(["equilibria", "--flow", "normalized", "--kappa", "0.5", "--epsilon", "1"])
+    seen.append(steps())
+    cli.main(["simulate", "--flow", "collapse", "--kappa", "1", "--epsilon", "1", "--t-end", "5"])
+    seen.append(steps())
+print(seen)
+"""
+
+
+def test_a_process_compiles_only_the_steps_it_takes():
+    assert _fresh_interpreter(_STEP_PROBE) == "[[], [], ['_rk_step2_collapse']]"
 
 
 # The input contract over generated argv.  Each flag has a short list of

@@ -550,6 +550,9 @@ FUSED = [
     pytest.param("_rk_step1_speed", NORMALIZED, id="reduced"),
 ]
 
+# the function whose per-point lines each fused step inlines
+FORMULA = {"collapse": "model._collapse", "normalized": "model._normalized", "speed": "dynamics.curve_speed"}
+
 
 def stock_field(name):
     if name.startswith("_rk_step2"):
@@ -559,21 +562,43 @@ def stock_field(name):
 
 @pytest.mark.parametrize("name,params", FUSED)
 def test_fused_steps_show_their_source(name, params):
-    # the formula's text stands at each of the six stages, with no call
+    # the formula function's lines below "# per point" stand, verbatim, at
+    # each of the six stages, and those above it once; no call is left
+    module_name, function = FORMULA[name.rsplit("_", 1)[1]].split(".")
+    formula = inspect.getsource(getattr(importlib.import_module(f"bergerflow.{module_name}"), function))
+    prelude, per_point = formula.split("    # per point\n")
+    per_point = per_point.rsplit("    return", 1)[0]
     step = selected_step(stock_field(name), params)
     linecache.clearcache()
     source = inspect.getsource(step)
     assert source.startswith(f"def {name}(f, p, y, k0, h, atol, rtol):")
+    assert source.count(per_point) == 6
+    assert source.count(prelude.splitlines()[-1] + "\n") == 1
     assert "f(" not in source
     assert "for" not in source.split()
     output = "0.5 * alpha * v00" if name.startswith("_rk_step2") else "_SPEED_SCALE * epsilon ** (5.0 / 3.0)"
     assert source.count(output) == 6
 
 
+def test_a_step_without_source_to_inline_is_generic(monkeypatch):
+    # where the stock function's source cannot be read, runs take the
+    # generic step, with the same bits
+    module = importlib.import_module("bergerflow.integrate")
+    fused = integrate(COLLAPSE, NO_EQUILIB, t_end=20.0)
+
+    def no_source(obj):
+        raise OSError("could not get source code")
+
+    monkeypatch.setattr(module, "_STEPS", {})
+    monkeypatch.setattr(inspect, "getsource", no_source)
+    assert selected_step(vector_field, COLLAPSE).__name__ == "_rk_step2"
+    assert repr(integrate(COLLAPSE, NO_EQUILIB, t_end=20.0)) == repr(fused)
+
+
 @pytest.mark.parametrize("name,params", FUSED)
 def test_inlined_power_raises_as_the_field_does(name, params):
     # a stage input too large for ** raises the field's OverflowError, and
-    # the traceback shows the fused step's line
+    # the traceback shows, in the fused step, the line the field failed on
     f = stock_field(name)
     y, k0 = ((1.0, 1.0), (1e200, 0.0)) if f is vector_field else ((1.0,), (1e200,))
     generic = getattr(importlib.import_module("bergerflow.integrate"), f"_rk_step{len(y)}")
@@ -585,7 +610,9 @@ def test_inlined_power_raises_as_the_field_does(name, params):
     assert str(got.value) == str(want.value)
     text = "".join(traceback.format_exception(got.value))
     assert f'File "bergerflow.integrate.{name}", line ' in text
-    line = "alpha2 = alpha**2" if f is vector_field else "k2_0 = _SPEED_SCALE * epsilon **"
+    line = traceback.extract_tb(want.value.__traceback__)[-1].line
+    assert line.startswith("alpha2 = alpha**2" if f is vector_field else "_SPEED_SCALE * epsilon **")
+    assert traceback.extract_tb(got.value.__traceback__)[-1].line == line
     assert f"\n    {line}" in text
 
 
