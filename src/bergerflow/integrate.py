@@ -3,19 +3,20 @@
 A Dormand-Prince 5(4) embedded pair with a proportional-integral step
 controller drives both the planar integration and the reduced
 one-dimensional dynamics on the unit-volume curve.  The step runs on float
-tuples, is generated from the tableau as straight-line code, chosen once
-per integration, and reuses its last stage as the next step's first (FSAL).
-The generic step, one per dimension in use (2 and 1), calls the field as
-f(params, y), with no stage time, since both flows are autonomous.  For the
-package's own fields the step is fused instead: it inlines, from their
-source, the lines of model._collapse, model._normalized or
-dynamics.curve_speed below the line "# per point" at each stage, with the
-lines above it run once per step, and the expression that vector_field or
-curve_speed returns.  A fused step does the field's operations in the
-field's order, so both give the same bits.  A field that is wrapped, or
-that reads a wrapped global, takes the generic step, so the wrapper sees
-every evaluation.  Each step is compiled the first time a run needs it.
-Steps that would leave the open first quadrant are rejected and
+tuples, is generated from the tableau as straight-line code, and reuses its
+last stage as the next step's first (FSAL).  The generic step, one per
+dimension in use (2 and 1), calls the field as f(params, y), with no stage
+time, since both flows are autonomous.  A step fused with one of the
+package's own fields instead inlines, from their source, the lines of
+model._collapse, model._normalized or dynamics.curve_speed below the line
+"# per point" at each stage, with the lines above it run once per step, and
+the expression that vector_field or curve_speed returns.  It does the
+field's operations in the field's order, so both steps give the same bits.
+Each run reads its field, vector_field or curve_speed, once from this
+module's globals and chooses its step by looking that field up in _STOCK: a
+wrapped field misses and takes the generic step, which makes every
+evaluation through the wrapper.  Each step is compiled the first time a run
+needs it.  Steps that would leave the open first quadrant are rejected and
 halved, so trajectories never cross the axes.  Terminal events (collapse of
 one or both scales, convergence to an equilibrium) are located by bisection
 on the cubic Hermite interpolant of the step that crosses them, at no
@@ -25,6 +26,7 @@ further right-hand-side cost.
 from __future__ import annotations
 
 import ast
+import functools
 import linecache
 import math
 import sys
@@ -155,12 +157,12 @@ def _unrolled_step(n, stock=None):
     as a loop over the tableau does.
 
     Given stock = (suffix, formula, output), the step is fused with the
-    stock field that f is: it runs the parameter-only lines of formula's
-    source once, names each stage input after formula's point arguments,
-    and in place of calling f runs formula's per-point lines there and
-    assigns the stage the expression that output returns, which reads
-    names those lines bind.  It ignores f.  It does f's operations in f's
-    order, so it returns the same bits.
+    stock field that f evaluates: it runs the parameter-only lines of
+    formula's source once, names each stage input after formula's point
+    arguments, and in place of calling f runs formula's per-point lines
+    there and assigns the stage the expression that output returns, which
+    reads names those lines bind.  It ignores f.  It does f's operations in
+    f's order, so it returns the same bits.
     """
     name, dims = f"_rk_step{n}", range(n)
     s = [f"s{d}" for d in dims]
@@ -214,35 +216,15 @@ def _unrolled_step(n, stock=None):
     return getattr(module, name)
 
 
-_STEPS = {}  # (n, stock or None) -> step, compiled when first needed
+# _step(n) is the generic step for dimension n and _step(n, stock) the one
+# fused with stock, each compiled when a run first needs it
+_step = functools.cache(_unrolled_step)
 
 
-def _step(n, stock=None):
-    """The generic step for dimension n, or the one fused with ``stock``.
-    Each is compiled the first time a run needs it, so that a process pays
-    only for the steps it takes."""
-    key = (n, stock)
-    step = _STEPS.get(key)
-    if step is None:
-        step = _STEPS[key] = _unrolled_step(n, stock)
-    return step
-
-
-def __getattr__(name):
-    # the generic steps as module attributes, compiled on first access
-    if name in ("_rk_step2", "_rk_step1"):
-        return _step(int(name[-1]))
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def _advance(f, p, t0, y0, k0, t_end, config, predicates):
+def _advance(rk_step, f, p, t0, y0, k0, t_end, config, predicates):
     """Adaptive driver of y' = f(p, y) over float tuples of length 2 or 1,
-    from y0 with k0 = f(p, y0) as the caller evaluated it.  The step is
-    chosen once, by _step_for: the step fused with f when f is the
-    package's own field at p's flow kind and every global it reads is
-    unswapped, else the generic _rk_step2 or _rk_step1, which calls f at
-    each stage, so that a wrapped field sees every evaluation.  Both give
-    the same bits.
+    from y0 with k0 = f(p, y0) as the caller evaluated it, taking the step
+    rk_step that the caller chose by _step_for from the field it read.
 
     ``predicates`` is an ordered list of (tag, pred) pairs; pred(t, y, dy) is
     a boolean terminal condition checked on the initial and every accepted
@@ -259,7 +241,6 @@ def _advance(f, p, t0, y0, k0, t_end, config, predicates):
     Steps start at _H_INIT, stay at most _H_MAX and end in StepUnderflow
     below _H_MIN; attempting step _MAX_STEPS + 1 raises StepBudgetError.
     """
-    rk_step = _step_for(f, p, len(y0))
     atol, rtol = config.atol, config.rtol
     t, y = t0, y0
     points = [(t, y, k0)]
@@ -361,7 +342,7 @@ def integrate(
     predicates = [("Collapse", lambda t, y, dy: y[0] <= ctol)] + _equilibrium(f, params, config)
     y0 = (float(s0.alpha), float(s0.beta))
     points, (tag, t_ev, y_ev, _) = _advance(
-        f, params, s0.t, y0, f(params, y0), s0.t + t_end, config, predicates
+        _step_for(f, params, 2), f, params, s0.t, y0, f(params, y0), s0.t + t_end, config, predicates
     )
     samples = [(State(t, *y), geometry_scalars(params, *y)) for t, y, _ in points]
     termination = _classify(params, config, tag, t_ev, y_ev, s0)
@@ -400,9 +381,10 @@ def integrate_reduced(
     """Integrate the reduced curve dynamics epsilon' = k(epsilon).
 
     Returns the recorded (t, epsilon) samples.  Uses the same error control
-    and termination rules as the planar integration.  ``epsilon0`` must be
-    positive and finite, with a finite speed k(epsilon0): about
-    epsilon0 <= 8.8e76 for a*kappa = -1 and 8.9e83 for a*kappa = 1.
+    and termination rules as the planar integration, except that a run
+    whose step falls below _H_MIN raises ValueError naming epsilon0, as
+    does an epsilon0 outside (0, inf) or with an infinite speed there.  At
+    the default tolerances this bounds epsilon0 at about 1.08e4.
     """
     if params.kind is not FlowKind.NORMALIZED:
         raise ValueError("reduced dynamics requires normalized flow parameters")
@@ -410,46 +392,48 @@ def integrate_reduced(
         raise ValueError(f"epsilon0 must be positive and finite, got {epsilon0}")
     if not t_end > 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
+    speed = curve_speed  # read per call, so that a wrapped speed sees every evaluation
+
+    def f(p, y):
+        return (speed(p, y[0]),)
+
     y0 = (float(epsilon0),)
     try:
-        k0 = _reduced_rhs(params, y0)
+        k0 = f(params, y0)
         finite = math.isfinite(k0[0])
     except ArithmeticError:
         finite = False
     if not finite:
         raise ValueError(f"epsilon0 must keep the speed finite at the start, got {epsilon0}")
-    equilibrium = _equilibrium(_reduced_rhs, params, config)
-    points, _ = _advance(_reduced_rhs, params, 0.0, y0, k0, t_end, config, equilibrium)
+    equilibrium = _equilibrium(f, params, config)
+    rk_step = _step_for(speed, params, 1)
+    points, (tag, t_ev, _, _) = _advance(rk_step, f, params, 0.0, y0, k0, t_end, config, equilibrium)
+    if tag == "StepUnderflow":
+        raise ValueError(
+            f"epsilon0 must keep the step above {_H_MIN:g} at rtol={config.rtol:g}, atol={config.atol:g},"
+            f" got {epsilon0}: underflow at t={t_ev:.6g}"
+        )
     return [(t, e) for t, (e,), _ in points]
 
 
-def _reduced_rhs(params, y):
-    return (curve_speed(params, y[0]),)
-
-
-# The package's own fields, keyed by the function object and the flow
-# kind, with the fused step's stock (its name suffix, the function whose
-# per-point lines it inlines and the function whose return it inlines) and
-# the integrate globals the field reads, as they were at import.  Keys and
-# values are not module globals, so a tracer that swaps the globals holding
-# a function leaves them alone: a swapped field, or a field whose global
-# was swapped, misses this table and takes the generic step, which makes
-# every evaluation through f.
+# The package's own fields, keyed by the function a run reads and the flow
+# kind, with the fused step's stock: its name suffix, the function whose
+# per-point lines it inlines and the function whose return it inlines.  A
+# tracer that swaps the module globals leaves this table alone, so a run
+# that reads a swapped field misses it and takes the generic step.
 _STOCK = {
-    (vector_field, _COLLAPSE): (("collapse", _collapse, vector_field), {}),
-    (vector_field, _NORMALIZED): (("normalized", _normalized, vector_field), {}),
-    (_reduced_rhs, _NORMALIZED): (("speed", curve_speed, curve_speed), {"curve_speed": curve_speed}),
+    (vector_field, _COLLAPSE): ("collapse", _collapse, vector_field),
+    (vector_field, _NORMALIZED): ("normalized", _normalized, vector_field),
+    (curve_speed, _NORMALIZED): ("speed", curve_speed, curve_speed),
 }
 
 
-def _step_for(f, p, n):
-    """The step fused with f at p's flow kind if f, and every global it
-    reads, is still the package's own, and its source can be read; else
-    the generic step."""
-    stock = _STOCK.get((f, p.kind))
-    if stock is None or any(globals()[name] is not fn for name, fn in stock[1].items()):
-        return _step(n)
+def _step_for(field, p, n):
+    """The step for a run that reads field at p's flow kind: the fused one
+    if field is the package's own and its source can be read, else the
+    generic step for dimension n."""
+    stock = _STOCK.get((field, p.kind))
     try:
-        return _step(n, stock[0])
+        return _step(n) if stock is None else _step(n, stock)
     except OSError:  # no source to inline, as in an install without .py files
         return _step(n)

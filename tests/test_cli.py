@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import importlib
 import io
 import json
@@ -454,6 +455,36 @@ class TestVerify:
         assert report["status"] == "fail"
 
 
+# The invocations whose standard output perfbench/identity.py hashes, and
+# the SHA-256 of "$ bergerflow <args>\n" followed by each one's stdout, with
+# verify's wall-clock runtime masked.  A change that moves any output bit
+# fails here; an intended one updates the digest and says why.
+_GOLDEN_INVOCATIONS = [
+    ["simulate", "--flow", "collapse", "--kappa", "1", "--epsilon", "1", "--t-end", "20"],
+    ["simulate", "--flow", "collapse", "--kappa", "-1", "--epsilon", "3", "--t-end", "5000"],
+    ["portrait", "--flow", "collapse", "--kappa", "1", "--epsilon", "1"],
+    ["equilibria", "--flow", "normalized", "--kappa", "0.5", "--epsilon", "1"],
+    ["verify"],
+]
+_GOLDEN_SHA256 = "a1e8cefeeee2f4f0baaa0815c4042fdbf917efebca91b1de387684ed14a89aa0"
+
+
+def test_golden_output(capsys):
+    digest = hashlib.sha256()
+    for args in _GOLDEN_INVOCATIONS:
+        code, out, _ = run(capsys, *args)
+        assert code == 0, args
+        if args == ["verify"]:
+            report = json.loads(out)
+            for check in report["checks"]:
+                if check["name"] == "oracle_eps1_runtime_seconds":
+                    check["measured"] = None
+            out = json.dumps(report, indent=2) + "\n"
+        digest.update(f"$ bergerflow {' '.join(args)}\n".encode())
+        digest.update(out.encode())
+    assert digest.hexdigest() == _GOLDEN_SHA256
+
+
 # Runs in a fresh interpreter: imports the CLI, runs three subcommands that
 # do not draw a portrait, then reports whether the module named by argv[1]
 # was loaded along the way.
@@ -503,9 +534,11 @@ def test_only_verify_loads_acceptance():
 
 
 # Runs in a fresh interpreter: lists the Dormand-Prince steps compiled
-# after import, after equilibria and after a collapse simulate.
+# after import, after equilibria, after a collapse simulate and after one
+# integrate_reduced.
 _STEP_PROBE = """
 import contextlib, io, sys
+import bergerflow
 from bergerflow import cli
 def steps():
     return sorted(n.rsplit(".", 1)[1] for n in sys.modules if n.startswith("bergerflow.integrate._rk_step"))
@@ -515,12 +548,17 @@ with contextlib.redirect_stdout(io.StringIO()):
     seen.append(steps())
     cli.main(["simulate", "--flow", "collapse", "--kappa", "1", "--epsilon", "1", "--t-end", "5"])
     seen.append(steps())
+params = bergerflow.FlowParams(bergerflow.FlowKind.NORMALIZED, 2.0, 0.5, 1.0)
+bergerflow.integrate_reduced(params, epsilon0=0.8, t_end=5.0)
+seen.append(steps())
 print(seen)
 """
 
 
 def test_a_process_compiles_only_the_steps_it_takes():
-    assert _fresh_interpreter(_STEP_PROBE) == "[[], [], ['_rk_step2_collapse']]"
+    assert _fresh_interpreter(_STEP_PROBE) == (
+        "[[], [], ['_rk_step2_collapse'], ['_rk_step1_speed', '_rk_step2_collapse']]"
+    )
 
 
 # The input contract over generated argv.  Each flag has a short list of

@@ -421,6 +421,10 @@ class TestReduced:
             (1e300, "epsilon0 must keep the speed finite at the start, got 1e+300"),
             (1e200, "epsilon0 must keep the speed finite at the start, got 1e+200"),
             (1e85, "epsilon0 must keep the speed finite at the start, got 1e+85"),  # k = -inf
+            # a finite speed too large for the smallest step
+            (1.09e4, "epsilon0 must keep the step above 1e-13 at rtol=1e-10, atol=1e-12, got 10900.0: underflow at t=0"),
+            (1e6, "epsilon0 must keep the step above 1e-13 at rtol=1e-10, atol=1e-12, got 1000000.0: underflow at t=0"),
+            (1e50, "epsilon0 must keep the step above 1e-13 at rtol=1e-10, atol=1e-12, got 1e+50: underflow at t=0"),
         ],
     )
     def test_rejects_epsilon0_outside_the_domain(self, params, epsilon0, needle):
@@ -436,15 +440,26 @@ class TestReduced:
         assert samples[0] == (0.0, 1e3)
         assert all(b <= a for a, b in zip(eps, eps[1:]))
         assert eps[-1] == pytest.approx(1.0, abs=1e-6)
-        # the edge of the domain is accepted
+        # at the default tolerances the step floor bounds the domain at
+        # about 1.08e4; beyond it, up to where the speed overflows, it raises
+        samples = integrate_reduced(params, IntegratorConfig(), epsilon0=1.08e4, t_end=10.0)
+        assert samples[0] == (0.0, 1.08e4)
+        assert samples[-1][1] == pytest.approx(1.0, abs=1e-4)
         edge = 8.7e76 if params.product < 0 else 8.9e83
-        assert integrate_reduced(params, NO_EQUILIB, epsilon0=edge, t_end=1.0)[0] == (0.0, edge)
+        with pytest.raises(ValueError, match="^epsilon0 must keep the step above 1e-13 at rtol=1e-10, atol=1e-12, got"):
+            integrate_reduced(params, NO_EQUILIB, epsilon0=edge, t_end=1.0)
 
 
-def selected_step(f, params):
-    """The step that integrate and integrate_reduced take for the field f."""
+def selected_step(field, params):
+    """The step that integrate and integrate_reduced take when they read
+    field: vector_field or curve_speed, or a wrapper of either."""
     module = importlib.import_module("bergerflow.integrate")
-    return module._step_for(f, params, 2 if f is vector_field else 1)
+    return module._step_for(field, params, 2 if field is vector_field else 1)
+
+
+def speed_rhs(p, y):
+    """The reduced field as integrate_reduced hands it to the step."""
+    return (curve_speed(p, y[0]),)
 
 
 def reference_step(f, p, y, k0, h, atol, rtol):
@@ -496,8 +511,11 @@ def test_specialised_steps_match_the_tableau(name, params):
     # leave the quadrant; the loop calls the stock field
     module = importlib.import_module("bergerflow.integrate")
     planar = name.startswith("_rk_step2")
-    f = vector_field if planar else module._reduced_rhs
-    step = getattr(module, name) if name in ("_rk_step2", "_rk_step1") else selected_step(f, params)
+    f = vector_field if planar else speed_rhs
+    if name in ("_rk_step2", "_rk_step1"):
+        step = module._step(int(name[-1]))
+    else:
+        step = selected_step(vector_field if planar else curve_speed, params)
     assert step.__name__ == name
     rng = random.Random(2024)
     outcomes = Counter()
@@ -515,7 +533,7 @@ def test_specialised_steps_match_the_tableau(name, params):
 @pytest.mark.parametrize("name", ["_rk_step2", "_rk_step1"])
 def test_generated_steps_show_their_source(name):
     # the steps are compiled from generated text registered with linecache
-    source = inspect.getsource(getattr(importlib.import_module("bergerflow.integrate"), name))
+    source = inspect.getsource(importlib.import_module("bergerflow.integrate")._step(int(name[-1])))
     assert source.count("f(") == 6
     assert "for" not in source.split()
 
@@ -523,7 +541,7 @@ def test_generated_steps_show_their_source(name):
 @pytest.mark.parametrize("name", ["_rk_step2", "_rk_step1"])
 def test_generated_source_survives_a_cleared_linecache(name):
     # the step's module has a loader that linecache can ask again
-    step = getattr(importlib.import_module("bergerflow.integrate"), name)
+    step = importlib.import_module("bergerflow.integrate")._step(int(name[-1]))
     linecache.clearcache()
     source = inspect.getsource(step)
     assert source.startswith(f"def {name}(f, p, y, k0, h, atol, rtol):")
@@ -538,7 +556,7 @@ def test_traceback_inside_the_step_shows_its_line():
 
     linecache.clearcache()
     with pytest.raises(ZeroDivisionError) as info:
-        module._rk_step2(failing, COLLAPSE, (1.0, 1.0), (0.1, 0.1), 1e-2, 1e-12, 1e-10)
+        module._step(2)(failing, COLLAPSE, (1.0, 1.0), (0.1, 0.1), 1e-2, 1e-12, 1e-10)
     text = "".join(traceback.format_exception(info.value))
     assert 'File "bergerflow.integrate._rk_step2", line 8, in _rk_step2' in text
     assert "    k2 = f(p, (s0, s1))\n" in text
@@ -555,9 +573,8 @@ FORMULA = {"collapse": "model._collapse", "normalized": "model._normalized", "sp
 
 
 def stock_field(name):
-    if name.startswith("_rk_step2"):
-        return vector_field
-    return importlib.import_module("bergerflow.integrate")._reduced_rhs
+    """The field whose run takes the fused step name."""
+    return vector_field if name.startswith("_rk_step2") else curve_speed
 
 
 @pytest.mark.parametrize("name,params", FUSED)
@@ -586,7 +603,7 @@ def test_a_step_without_source_to_inline_is_generic(monkeypatch):
     module = importlib.import_module("bergerflow.integrate")
     fused = integrate(COLLAPSE, NO_EQUILIB, t_end=20.0)
 
-    monkeypatch.setattr(module, "_STEPS", {})
+    module._step.cache_clear()
     monkeypatch.setattr(linecache, "getlines", lambda filename, module_globals=None: [])
     assert selected_step(vector_field, COLLAPSE).__name__ == "_rk_step2"
     assert repr(integrate(COLLAPSE, NO_EQUILIB, t_end=20.0)) == repr(fused)
@@ -596,14 +613,15 @@ def test_a_step_without_source_to_inline_is_generic(monkeypatch):
 def test_inlined_power_raises_as_the_field_does(name, params):
     # a stage input too large for ** raises the field's OverflowError, and
     # the traceback shows, in the fused step, the line the field failed on
-    f = stock_field(name)
+    field = stock_field(name)
+    f = vector_field if field is vector_field else speed_rhs
     y, k0 = ((1.0, 1.0), (1e200, 0.0)) if f is vector_field else ((1.0,), (1e200,))
-    generic = getattr(importlib.import_module("bergerflow.integrate"), f"_rk_step{len(y)}")
+    generic = importlib.import_module("bergerflow.integrate")._step(len(y))
     with pytest.raises(OverflowError) as want:
         generic(f, params, y, k0, 1.0, 1e-12, 1e-10)
     linecache.clearcache()
     with pytest.raises(OverflowError) as got:
-        selected_step(f, params)(f, params, y, k0, 1.0, 1e-12, 1e-10)
+        selected_step(field, params)(f, params, y, k0, 1.0, 1e-12, 1e-10)
     assert str(got.value) == str(want.value)
     text = "".join(traceback.format_exception(got.value))
     assert f'File "bergerflow.integrate.{name}", line ' in text
@@ -673,39 +691,64 @@ def test_fused_and_wrapped_fields_give_the_same_trajectory(monkeypatch, kind, ka
     ids=["t-end", "equilibrium", "below-repeller", "neg-equilibrium", "underflow"],
 )
 def test_fused_and_wrapped_speeds_give_the_same_samples(monkeypatch, params, epsilon0, t_end, config, stride):
+    # both paths give the same samples, or raise the same error where the
+    # start needs a step below the floor
+    def run():
+        try:
+            return repr(integrate_reduced(params, config, epsilon0=epsilon0, t_end=t_end))
+        except ValueError as error:
+            return f"ValueError: {error}"
+
     module = importlib.import_module("bergerflow.integrate")
     config = dataclasses.replace(config, output_stride=stride)
-    assert selected_step(module._reduced_rhs, params).__name__ == "_rk_step1_speed"
-    fused = integrate_reduced(params, config, epsilon0=epsilon0, t_end=t_end)
+    assert selected_step(curve_speed, params).__name__ == "_rk_step1_speed"
+    fused = run()
     calls = wrap_in_module(monkeypatch, "bergerflow.integrate", "curve_speed")
-    # a swapped global that the stock field reads selects the generic step
-    assert selected_step(module._reduced_rhs, params).__name__ == "_rk_step1"
-    wrapped = integrate_reduced(params, config, epsilon0=epsilon0, t_end=t_end)
+    # the run reads the wrapper, which misses the table of stock fields
+    assert selected_step(module.curve_speed, params).__name__ == "_rk_step1"
+    wrapped = run()
     assert calls
-    assert repr(fused) == repr(wrapped)
+    assert fused.startswith("ValueError: epsilon0 must keep the step above") == (epsilon0 > 1.08e4)
+    assert fused == wrapped
 
 
-def test_a_tracer_swap_sees_every_evaluation(monkeypatch):
+@pytest.mark.parametrize("field", [vector_field, curve_speed], ids=["vector_field", "curve_speed"])
+def test_a_tracer_swap_sees_every_evaluation(monkeypatch, field):
     # as perfbench's tracer does: every bergerflow module global that is the
     # field becomes a counting wrapper; the run must then take the generic
     # step, one call at the start and six per attempted step
-    original, calls = vector_field, []
+    module = importlib.import_module("bergerflow.integrate")
+    calls, taken, select = [], [], module._step_for
 
     def counted(params, point):
         calls.append(point)
-        return original(params, point)
+        return field(params, point)
+
+    def spy(*args):
+        taken.append(select(*args))
+        return taken[-1]
+
+    def run():
+        if field is vector_field:
+            return integrate(COLLAPSE, NO_EQUILIB, t_end=20.0)
+        return integrate_reduced(NORMALIZED, NO_EQUILIB, epsilon0=1.4, t_end=50.0)
 
     swapped = []
-    for name, module in list(sys.modules.items()):
+    for name, mod in list(sys.modules.items()):
         if name == "bergerflow" or name.startswith("bergerflow."):
-            for key, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, key, counted)
+            for key, value in list(vars(mod).items()):
+                if value is field:
+                    monkeypatch.setattr(mod, key, counted)
                     swapped.append(name)
     assert "bergerflow.integrate" in swapped
-    traj = integrate(COLLAPSE, NO_EQUILIB, t_end=20.0)
+    monkeypatch.setattr(module, "_step_for", spy)
+    result = run()
     monkeypatch.undo()
-    assert traj.termination.tag == "CollapsePoint"
+    if field is vector_field:
+        assert result.termination.tag == "CollapsePoint"
+    else:
+        assert result[-1][0] == 50.0
+    assert [step.__name__ for step in taken] == ["_rk_step2" if field is vector_field else "_rk_step1"]
     assert len(calls) > 1
     assert (len(calls) - 1) % 6 == 0
-    assert repr(traj) == repr(integrate(COLLAPSE, NO_EQUILIB, t_end=20.0))
+    assert repr(result) == repr(run())
