@@ -137,7 +137,7 @@ _SPEED_SCALE = TWO_PI_SQ ** (2.0 / 3.0) / 8.0
 
 
 # Straight-line code that the integrator's fused reduced step inlines: the
-# lines above "# per point" run once per step, the lines below it, up to the
+# lines above "# per point" run once per run, the lines below it, up to the
 # return, at every stage.
 def curve_speed(params: FlowParams, epsilon: float) -> float:
     """Speed k(epsilon) of the normalized flow along the unit-volume curve.

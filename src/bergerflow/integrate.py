@@ -9,18 +9,18 @@ dimension in use (2 and 1), calls the field as f(params, y), with no stage
 time, since both flows are autonomous.  A step fused with one of the
 package's own fields instead inlines, from their source, the lines of
 model._collapse, model._normalized or dynamics.curve_speed below the line
-"# per point" at each stage, with the lines above it run once per step, and
-the expression that vector_field or curve_speed returns.  It does the
-field's operations in the field's order, so both steps give the same bits.
-Each run reads its field, vector_field or curve_speed, once from this
-module's globals and chooses its step by looking that field up in _STOCK: a
-wrapped field misses and takes the generic step, which makes every
-evaluation through the wrapper.  Each step is compiled the first time a run
-needs it.  Steps that would leave the open first quadrant are rejected and
-halved, so trajectories never cross the axes.  Terminal events (collapse of
-one or both scales, convergence to an equilibrium) are located by bisection
-on the cubic Hermite interpolant of the step that crosses them, at no
-further right-hand-side cost.
+"# per point" at each stage, and the expression that vector_field or
+curve_speed returns; the lines above it run once per run.  Fused sample
+assembly inlines likewise the metric velocity's and spinor's bodies at each
+sample, and the expression geometry_scalars returns.  Fused code does the
+same operations in the same order, so it gives the same bits.  Each run
+reads its field, and integrate geometry_scalars, once from this module's
+globals and looks them up in _STOCK: a wrapped function misses and sees
+every evaluation.  Fused code is compiled the first time a run needs it.  Steps
+that would leave the open first quadrant are rejected and halved.  Terminal
+events (collapse of one or both scales, convergence to an equilibrium) are
+located by bisection on the cubic Hermite interpolant of the step that
+crosses them, at no further right-hand-side cost.
 """
 
 from __future__ import annotations
@@ -44,6 +44,8 @@ from .model import (
     State,
     _collapse,
     _normalized,
+    _spinor_collapse,
+    _spinor_normalized,
     geometry_scalars,
     initial_state,
 )
@@ -142,11 +144,42 @@ def _body_and_return(fn):
     return lines[first:last], lines[last:]
 
 
-def _unrolled_step(n, stock=None):
-    """Compile the Dormand-Prince step for an n-dimensional system as
-    straight-line code from _A and _E, in a module of its own whose loader
-    returns the text, so that tracebacks and inspect.getsource show it, also
-    after linecache.clearcache().
+def _inlined(stock):
+    """For stock = (suffix, formulas, output): the formulas' lines above
+    "# per point" and below it up to the return; output's return, which
+    reads names those lines bind; and the globals all of them read."""
+    _, formulas, output = stock
+    prelude, per_point = [], []
+    for formula in formulas:
+        body = _body_and_return(formula)[0]
+        mark = body.index("    # per point")
+        prelude, per_point = prelude + body[:mark], per_point + body[mark + 1 :]
+    namespace = {k: v for fn in (*formulas, output) for k, v in fn.__globals__.items() if k in fn.__code__.co_names}
+    return prelude, per_point, _body_and_return(output)[1], namespace
+
+
+def _compiled(name, lines, namespace, prelude):
+    """The function name that lines define, or given a prelude the factory
+    name_for(params) that runs it and returns the function, compiled in a
+    module of its own.  inspect reads a function's source through the module
+    its __module__ names, and linecache asks that module's loader again once
+    cleared, so tracebacks and inspect.getsource show the text."""
+    if prelude is not None:
+        lines = [f"def {name}_for(params):", *prelude, *(f"    {line}" for line in lines), f"    return {name}"]
+    source = "\n".join(lines) + "\n"
+    module = types.ModuleType(f"{__name__}.{name}")
+    module.__loader__ = types.SimpleNamespace(get_source=lambda _name: source)
+    vars(module).update(namespace)
+    exec(compile(source, module.__name__, "exec"), vars(module))
+    sys.modules[module.__name__] = module
+    linecache.lazycache(module.__name__, vars(module))
+    return getattr(module, name if prelude is None else f"{name}_for")
+
+
+@functools.cache
+def _step(n, stock=None):
+    """Compile, the first time a run needs it, the Dormand-Prince step for
+    an n-dimensional system as straight-line code from _A and _E.
 
     step(f, p, y, k0, h, atol, rtol), given k0 = f(p, y), returns (k7, y_new,
     err_norm) with k7 = f(p, y_new) and err_norm the RMS of the scaled error
@@ -156,26 +189,20 @@ def _unrolled_step(n, stock=None):
     inlined as float literals that round-trip exactly, so the step rounds
     as a loop over the tableau does.
 
-    Given stock = (suffix, formula, output), the step is fused with the
-    stock field that f evaluates: it runs the parameter-only lines of
-    formula's source once, names each stage input after formula's point
-    arguments, and in place of calling f runs formula's per-point lines
-    there and assigns the stage the expression that output returns, which
-    reads names those lines bind.  It ignores f.  It does f's operations in
-    f's order, so it returns the same bits.
+    Given stock = (suffix, (formula,), output), it returns the factory of
+    the step fused with the field f evaluates, which runs formula's
+    parameter-only lines once per run.  The step names each stage input
+    after formula's point arguments, and in place of calling f runs there
+    formula's per-point lines and assigns the stage the expression output
+    returns.  It ignores f and p, and returns f's bits.
     """
     name, dims = f"_rk_step{n}", range(n)
     s = [f"s{d}" for d in dims]
-    namespace = {"inf": math.inf, "sqrt": math.sqrt}
+    namespace, prelude = {"inf": math.inf, "sqrt": math.sqrt}, None
     if stock is not None:
-        suffix, formula, output = stock
-        name, s = f"{name}_{suffix}", formula.__code__.co_varnames[1 : n + 1]
-        body = _body_and_return(formula)[0]
-        mark = body.index("    # per point")
-        prelude, per_point = body[:mark], body[mark + 1 :]
-        returned = _body_and_return(output)[1]
-        read = formula.__code__.co_names
-        namespace.update((key, value) for key, value in formula.__globals__.items() if key in read)
+        name, s = f"{name}_{stock[0]}", stock[1][0].__code__.co_varnames[1 : n + 1]
+        prelude, per_point, returned, read = _inlined(stock)
+        namespace.update(read)
 
     def tup(names):
         return f"({', '.join(names)}{',' if n == 1 else ''})"
@@ -185,8 +212,6 @@ def _unrolled_step(n, stock=None):
 
     admissible = " and ".join(f"0.0 < {s[d]} < inf" for d in dims)
     lines = [f"def {name}(f, p, y, k0, h, atol, rtol):"]
-    if stock is not None:
-        lines += ["    params = p", *prelude]
     lines += [f"    {tup(f'y{d}' for d in dims)} = y", f"    {tup(f'k1_{d}' for d in dims)} = k0"]
     for j, a in enumerate(_A[1:], 2):
         lines += [f"    {s[d]} = y{d} + h * ({terms(a, d)})" for d in dims]
@@ -204,48 +229,48 @@ def _unrolled_step(n, stock=None):
     squares = " + ".join(f"r{d} * r{d}" for d in dims)
     last = f"k{len(_A)}" if stock is None else tup(f"k{len(_A)}_{d}" for d in dims)
     lines.append(f"    return {last}, {tup(s)}, sqrt(({squares}) / {n})")
-    source = "\n".join(lines) + "\n"
-    # inspect reads a function's source through the module its __module__
-    # names, and linecache asks that module's loader again once cleared
-    module = types.ModuleType(f"{__name__}.{name}")
-    module.__loader__ = types.SimpleNamespace(get_source=lambda _name: source)
-    vars(module).update(namespace)
-    exec(compile(source, module.__name__, "exec"), vars(module))
-    sys.modules[module.__name__] = module
-    linecache.lazycache(module.__name__, vars(module))
-    return getattr(module, name)
+    return _compiled(name, lines, namespace, prelude)
 
 
-# _step(n) is the generic step for dimension n and _step(n, stock) the one
-# fused with stock, each compiled when a run first needs it
-_step = functools.cache(_unrolled_step)
+@functools.cache
+def _samples(stock):
+    """Compile, the first time a run needs it, for stock = (suffix, formulas,
+    geometry_scalars), the factory of samples(points), which returns the bits of [(State(t, *y),
+    geometry_scalars(params, *y)) for t, y, _ in points] by running the
+    formulas' per-point lines and the expression geometry_scalars returns."""
+    name = f"_samples_{stock[0]}"
+    prelude, per_point, returned, namespace = _inlined(stock)
+    lines = [f"def {name}(points):", "    samples = []", "    for t, (alpha, beta), _ in points:"]
+    lines += [f"    {line}" for line in (*per_point, returned[0].replace("return", "scalars =", 1), *returned[1:])]
+    lines += ["        samples.append((State(t, alpha, beta), scalars))", "    return samples"]
+    return _compiled(name, lines, {**namespace, "State": State}, prelude)
 
 
-def _advance(rk_step, f, p, t0, y0, k0, t_end, config, predicates):
+def _advance(rk_step, f, p, t0, y0, k0, t_end, config, collapse_tol):
     """Adaptive driver of y' = f(p, y) over float tuples of length 2 or 1,
     from y0 with k0 = f(p, y0) as the caller evaluated it, taking the step
     rk_step that the caller chose by _step_for from the field it read.
 
-    ``predicates`` is an ordered list of (tag, pred) pairs; pred(t, y, dy) is
-    a boolean terminal condition checked on the initial and every accepted
-    state, with dy = f(p, y) as the driver already holds it (the initial
-    evaluation or the step's last stage).  When one fires, the event is
-    located on the interpolant of the step that crossed it; there dy is None
-    and pred evaluates f itself if it needs the derivative.  Returns
-    ``(points, (tag, t_event, y_event, dy_event))``.  ``points`` holds every
-    ``config.output_stride``-th (t, y, dy) triple counting from the initial
-    one, followed by the final or event state, which is recorded exactly
-    once.  dy is the derivative the driver already holds there: k0 at the
-    initial state, the step's last stage at an accepted one, and None at an
-    event state read off the interpolant.
+    On the initial and every accepted state y it tests, in this order,
+    Collapse, y[0] <= collapse_tol, and Equilibrium, |dy| / |y| <=
+    config.equilib_tol, with dy = f(p, y) as the driver holds it; a None
+    tolerance skips its test.  When one fires, the event is located on the
+    interpolant of the step that crossed it.  Returns ``(points, (tag,
+    t_event, y_event, dy_event))``.  ``points`` holds every
+    ``config.output_stride``-th (t, y, dy) triple from the initial one, then
+    the final or event state, recorded exactly once.  dy is the derivative
+    the driver holds there: k0 at the initial state, the step's last stage
+    at an accepted one, and None at an event state read off the interpolant.
     Steps start at _H_INIT, stay at most _H_MAX and end in StepUnderflow
     below _H_MIN; attempting step _MAX_STEPS + 1 raises StepBudgetError.
     """
-    atol, rtol = config.atol, config.rtol
+    atol, rtol, ctol, etol, hypot = config.atol, config.rtol, collapse_tol, config.equilib_tol, math.hypot
     t, y = t0, y0
     points = [(t, y, k0)]
     n_accepted = 0
-    outcome = next(((tag, t, y, k0) for tag, pred in predicates if pred(t, y, k0)), None)
+    outcome = ("Collapse", t, y, k0) if ctol is not None and y[0] <= ctol else None
+    if outcome is None and etol is not None and hypot(*k0) / hypot(*y) <= etol:
+        outcome = ("Equilibrium", t, y, k0)
     h = min(_H_INIT, t_end - t0)
     err_prev = 1.0
     steps = 0
@@ -256,7 +281,8 @@ def _advance(rk_step, f, p, t0, y0, k0, t_end, config, predicates):
         if steps >= _MAX_STEPS:
             raise StepBudgetError(f"step budget of {_MAX_STEPS} exhausted at t={t:.6g}")
         steps += 1
-        h = min(h, _H_MAX, t_end - t)
+        h = _H_MAX if h > _H_MAX else h  # min(h, _H_MAX, t_end - t)
+        h = t_end - t if h > t_end - t else h
         step = rk_step(f, p, y, k0, h, atol, rtol)
         if step is not None:
             k7, y_new, err_norm = step
@@ -269,11 +295,11 @@ def _advance(rk_step, f, p, t0, y0, k0, t_end, config, predicates):
             h *= fac
             continue
         # accepted
-        for tag, pred in predicates:
-            if pred(t + h, y_new, k7):
-                outcome = (tag, *_locate_event(pred, t, h, y, y_new, k0, k7), None)
-                break
-        if outcome is not None:
+        if ctol is not None and y_new[0] <= ctol:
+            outcome = ("Collapse", *_locate_event(f, p, ctol, None, t, h, y, y_new, k0, k7), None)
+            break
+        if etol is not None and hypot(*k7) / hypot(*y_new) <= etol:
+            outcome = ("Equilibrium", *_locate_event(f, p, None, etol, t, h, y, y_new, k0, k7), None)
             break
         t += h
         y, k0 = y_new, k7
@@ -281,45 +307,32 @@ def _advance(rk_step, f, p, t0, y0, k0, t_end, config, predicates):
         if n_accepted % config.output_stride == 0:
             points.append((t, y, k0))
         fac = _SAFETY * err_norm ** (-_PI_ALPHA) * err_prev**_PI_BETA if err_norm > 0 else _MAX_FACTOR
-        h *= min(_MAX_FACTOR, max(_MIN_FACTOR, fac))
-        err_prev = max(err_norm, 1e-10)
+        # min(_MAX_FACTOR, max(_MIN_FACTOR, fac)) and max(err_norm, 1e-10), without the calls
+        h *= _MAX_FACTOR if fac >= _MAX_FACTOR else fac if fac > _MIN_FACTOR else _MIN_FACTOR
+        err_prev = 1e-10 if err_norm < 1e-10 else err_norm
     if points[-1][0] != outcome[1]:
         points.append(outcome[1:])
     return points, outcome
 
 
-def _locate_event(pred, t, h, y0, y1, f0, f1):
-    """Earliest time in (t, t + h] where pred flips to true, by bisection
-    on the cubic Hermite interpolant through (y0, f0) and (y1, f1).
-    Interpolated states outside the open quadrant count as past the event
-    and are never reported as the event state."""
-    lo, hi, y_hi = 0.0, 1.0, y1
+def _locate_event(f, p, ctol, etol, t, h, y0, y1, f0, f1):
+    """Earliest time in (t, t + h] where y[0] <= ctol, or if ctol is None
+    |f(p, y)| / |y| <= etol, by bisection on the cubic Hermite interpolant
+    through (y0, f0) and (y1, f1).  Interpolated states outside the open
+    quadrant count as past the event and are never the event state."""
+    lo, hi, y_hi, nodes = 0.0, 1.0, y1, list(zip(y0, y1, f0, f1))
     while (hi - lo) * h > _EVENT_TIME_TOL:
         s = 0.5 * (lo + hi)
-        y_mid = tuple(
-            (1 - s) * a + s * b + s * (s - 1) * ((1 - 2 * s) * (b - a) + (s - 1) * h * fa + s * h * fb)
-            for a, b, fa, fb in zip(y0, y1, f0, f1)
-        )
-        if not all(0.0 < v < math.inf for v in y_mid):
+        # (1 - s) a + s b + s (s - 1) ((1 - 2 s) (b - a) + (s - 1) h fa + s h fb)
+        u, v, w, hu, hs = 1 - s, s * (s - 1), 1 - 2 * s, (s - 1) * h, s * h
+        y_mid = tuple([u * a + s * b + v * (w * (b - a) + hu * fa + hs * fb) for a, b, fa, fb in nodes])
+        if not (0.0 < y_mid[0] < math.inf and 0.0 < y_mid[-1] < math.inf):
             hi = s
-        elif pred(t + s * h, y_mid, None):
+        elif y_mid[0] <= ctol if ctol is not None else math.hypot(*f(p, y_mid)) / math.hypot(*y_mid) <= etol:
             hi, y_hi = s, y_mid
         else:
             lo = s
     return t + hi * h, y_hi
-
-
-def _equilibrium(f, p, config):
-    """The Equilibrium predicate |f(p, y)| / |y| <= equilib_tol as a list of
-    (tag, pred) pairs, empty when equilibrium detection is disabled."""
-    etol = config.equilib_tol
-    if etol is None:
-        return []
-
-    def at_equilibrium(t, y, dy):
-        return math.hypot(*(f(p, y) if dy is None else dy)) / math.hypot(*y) <= etol
-
-    return [("Equilibrium", at_equilibrium)]
 
 
 def integrate(
@@ -337,14 +350,13 @@ def integrate(
     if not t_end > 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
     s0 = initial_state(params) if start is None else start
-    f = vector_field  # read per integrate call, so that a wrapped field sees every evaluation
-    ctol = config.collapse_tol
-    predicates = [("Collapse", lambda t, y, dy: y[0] <= ctol)] + _equilibrium(f, params, config)
+    f, scalars = vector_field, geometry_scalars  # read per call, so that a wrapper sees every evaluation
     y0 = (float(s0.alpha), float(s0.beta))
     points, (tag, t_ev, y_ev, _) = _advance(
-        _step_for(f, params, 2), f, params, s0.t, y0, f(params, y0), s0.t + t_end, config, predicates
+        _step_for(f, params, 2), f, params, s0.t, y0, f(params, y0), s0.t + t_end, config, config.collapse_tol
     )
-    samples = [(State(t, *y), geometry_scalars(params, *y)) for t, y, _ in points]
+    build = _fused(scalars, params, _samples)
+    samples = build(points) if build else [(State(t, *y), scalars(params, *y)) for t, y, _ in points]
     termination = _classify(params, config, tag, t_ev, y_ev, s0)
     return Trajectory(params, samples, termination, [dy for _, _, dy in points])
 
@@ -405,9 +417,7 @@ def integrate_reduced(
         finite = False
     if not finite:
         raise ValueError(f"epsilon0 must keep the speed finite at the start, got {epsilon0}")
-    equilibrium = _equilibrium(f, params, config)
-    rk_step = _step_for(speed, params, 1)
-    points, (tag, t_ev, _, _) = _advance(rk_step, f, params, 0.0, y0, k0, t_end, config, equilibrium)
+    points, (tag, t_ev, _, _) = _advance(_step_for(speed, params, 1), f, params, 0.0, y0, k0, t_end, config, None)
     if tag == "StepUnderflow":
         raise ValueError(
             f"epsilon0 must keep the step above {_H_MIN:g} at rtol={config.rtol:g}, atol={config.atol:g},"
@@ -416,24 +426,31 @@ def integrate_reduced(
     return [(t, e) for t, (e,), _ in points]
 
 
-# The package's own fields, keyed by the function a run reads and the flow
-# kind, with the fused step's stock: its name suffix, the function whose
-# per-point lines it inlines and the function whose return it inlines.  A
+# The package's own functions that a run reads, keyed with the flow kind, and
+# the stock of the fused code that stands in for them: its name suffix, the
+# functions whose lines it inlines and the one whose return it inlines.  A
 # tracer that swaps the module globals leaves this table alone, so a run
-# that reads a swapped field misses it and takes the generic step.
+# that reads a swapped function misses it and calls that function.
 _STOCK = {
-    (vector_field, _COLLAPSE): ("collapse", _collapse, vector_field),
-    (vector_field, _NORMALIZED): ("normalized", _normalized, vector_field),
-    (curve_speed, _NORMALIZED): ("speed", curve_speed, curve_speed),
+    (vector_field, _COLLAPSE): ("collapse", (_collapse,), vector_field),
+    (vector_field, _NORMALIZED): ("normalized", (_normalized,), vector_field),
+    (curve_speed, _NORMALIZED): ("speed", (curve_speed,), curve_speed),
+    (geometry_scalars, _COLLAPSE): ("collapse", (_collapse, _spinor_collapse), geometry_scalars),
+    (geometry_scalars, _NORMALIZED): ("normalized", (_normalized, _spinor_normalized), geometry_scalars),
 }
 
 
-def _step_for(field, p, n):
-    """The step for a run that reads field at p's flow kind: the fused one
-    if field is the package's own and its source can be read, else the
-    generic step for dimension n."""
-    stock = _STOCK.get((field, p.kind))
+def _fused(field, p, build):
+    """build(stock)(p) for the entry stock of field at p's flow kind in
+    _STOCK, or None if field is not the package's own or has no source."""
     try:
-        return _step(n) if stock is None else _step(n, stock)
+        stock = _STOCK.get((field, p.kind))
+        return stock and build(stock)(p)
     except OSError:  # no source to inline, as in an install without .py files
-        return _step(n)
+        return None
+
+
+def _step_for(field, p, n):
+    """The step for a run that reads field at p: the fused one if field is
+    the package's own and its source can be read, else the generic one."""
+    return _fused(field, p, functools.partial(_step, n)) or _step(n)

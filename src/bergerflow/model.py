@@ -6,10 +6,10 @@ function of the flow parameters and those two scales: the unit-volume
 normalizing constant, the Riemannian volume, the diagonal components of the
 (negative) energy gradient, the spinorial energy itself, and the two scalar
 coefficients ``f`` and ``g`` through which the spinor enters.  The gradient
-components of each flow kind come from one straight-line body, which
-:func:`metric_velocity` calls directly, the ``q1_*`` and
-``energy_density_sixth`` helpers return parts of, and the integrator's
-fused steps inline.
+components and the spinor coefficients of each flow kind come from
+straight-line bodies, which :func:`metric_velocity` and
+:func:`spinor_coefficients` call, and the integrator's fused steps and
+sample assembly inline.
 """
 
 from __future__ import annotations
@@ -159,10 +159,11 @@ def volume(alpha: float, beta: float) -> float:
     return TWO_PI_SQ * alpha * beta**2
 
 
-# The metric velocity of each flow kind is one straight-line function.  The
-# integrator's fused steps inline its source: the lines above the line
-# "# per point" read only the parameters and run once per step, the lines
-# below it, up to the return, at every stage.  The powers are one statement
+# The metric velocity of each flow kind is one straight-line function, and
+# so are the spinor coefficients (f, g).  The integrator's fused code inlines
+# their source: the lines above the line "# per point" read only the
+# parameters and run once per run, the lines below it, up to the return, at
+# every stage of a step or at every sample.  The powers are one statement
 # each: assigning four at once builds and unpacks a tuple at every call.
 def _collapse(params: FlowParams, alpha: float, beta: float):
     a, lam = params.a, params.kappa
@@ -216,6 +217,22 @@ def _normalized(params: FlowParams, alpha: float, beta: float):
     return v00, v11, q00, q11, e6
 
 
+def _spinor_collapse(params: FlowParams, alpha: float, beta: float):
+    a, kappa = params.a, params.kappa
+    # per point
+    f = 1.0 / 4.0 * alpha / beta**2 * a
+    g = kappa / beta - f
+    return f, g
+
+
+def _spinor_normalized(params: FlowParams, alpha: float, beta: float):
+    a, kappa = params.a, params.kappa
+    # per point
+    f = (kappa - a / 4.0) / alpha + 1.0 / 4.0 * alpha / beta**2 * a
+    g = (-a / 4.0 * (alpha / beta - 1.0) + kappa) / beta
+    return f, g
+
+
 def q1_collapse_components(params: FlowParams, alpha: float, beta: float):
     """Diagonal metric-velocity components (q00, q11) for the collapse flow;
     q22 equals q11 and all off-diagonal components vanish."""
@@ -253,14 +270,9 @@ def spinor_coefficients(params: FlowParams, alpha: float, beta: float):
     Both flip sign under (a, kappa) -> (-a, -kappa); every other quantity
     in this module is invariant.
     """
-    a, kappa = params.a, params.kappa
     if params.kind is _COLLAPSE:
-        f = 1.0 / 4.0 * alpha / beta**2 * a
-        g = kappa / beta - f
-    else:
-        f = (kappa - a / 4.0) / alpha + 1.0 / 4.0 * alpha / beta**2 * a
-        g = (-a / 4.0 * (alpha / beta - 1.0) + kappa) / beta
-    return f, g
+        return _spinor_collapse(params, alpha, beta)
+    return _spinor_normalized(params, alpha, beta)
 
 
 def energy(params: FlowParams, alpha: float, beta: float) -> float:
@@ -274,16 +286,17 @@ def energy(params: FlowParams, alpha: float, beta: float) -> float:
 
 
 def geometry_scalars(params: FlowParams, alpha: float, beta: float) -> GeometryScalars:
-    """Bundle all per-point diagnostics for one trajectory sample."""
+    """Bundle all per-point diagnostics for one trajectory sample.  Fused
+    sample assembly inlines the return, whose names the bodies bind."""
     f, g = spinor_coefficients(params, alpha, beta)
-    q00, q11 = metric_velocity(params, alpha, beta)
+    v00, v11 = metric_velocity(params, alpha, beta)
     # positional, in field order: once per sample, where keywords cost more
     return GeometryScalars(
         TWO_PI_SQ * alpha * beta**2,  # volume
         # energy() on the (f, g) already at hand, with its exact expression
         math.pi**2 * alpha * beta**2 * (f * f + 2.0 * g * g),
-        q00,
-        q11,
+        v00,
+        v11,
         f,
         g,
     )

@@ -533,15 +533,15 @@ def test_only_verify_loads_acceptance():
     assert _probe_imports("bergerflow.acceptance") == "[0, 0, 0, 0] [False, True]"
 
 
-# Runs in a fresh interpreter: lists the Dormand-Prince steps compiled
-# after import, after equilibria, after a collapse simulate and after one
-# integrate_reduced.
+# Runs in a fresh interpreter: lists the modules of generated code (steps
+# and sample builders) compiled after import, after equilibria, after a
+# collapse simulate and after one integrate_reduced.
 _STEP_PROBE = """
 import contextlib, io, sys
 import bergerflow
 from bergerflow import cli
 def steps():
-    return sorted(n.rsplit(".", 1)[1] for n in sys.modules if n.startswith("bergerflow.integrate._rk_step"))
+    return sorted(n.rsplit(".", 1)[1] for n in sys.modules if n.startswith("bergerflow.integrate._"))
 seen = [steps()]
 with contextlib.redirect_stdout(io.StringIO()):
     cli.main(["equilibria", "--flow", "normalized", "--kappa", "0.5", "--epsilon", "1"])
@@ -556,8 +556,11 @@ print(seen)
 
 
 def test_a_process_compiles_only_the_steps_it_takes():
+    # equilibria compiles nothing; a collapse simulate compiles the collapse
+    # step and the collapse sample builder and nothing for the other kind
     assert _fresh_interpreter(_STEP_PROBE) == (
-        "[[], [], ['_rk_step2_collapse'], ['_rk_step1_speed', '_rk_step2_collapse']]"
+        "[[], [], ['_rk_step2_collapse', '_samples_collapse'],"
+        " ['_rk_step1_speed', '_rk_step2_collapse', '_samples_collapse']]"
     )
 
 

@@ -5,6 +5,7 @@ import linecache
 import math
 import random
 import sys
+import textwrap
 import traceback
 from collections import Counter
 
@@ -319,13 +320,99 @@ class TestRobustness:
 def test_samples_equal_the_public_constructors(params):
     # the records integrate assembles are the ones State and
     # geometry_scalars build, field for field and bit for bit
-    traj = integrate(params, IntegratorConfig(), t_end=50.0)
+    assert_samples_rebuild(integrate(params, IntegratorConfig(), t_end=50.0))
+
+
+def assert_samples_rebuild(traj):
+    """traj's samples are the records State and geometry_scalars build."""
     rebuilt = [
-        (State(s.t, s.alpha, s.beta), geometry_scalars(params, s.alpha, s.beta))
+        (State(s.t, s.alpha, s.beta), geometry_scalars(traj.params, s.alpha, s.beta))
         for s, _ in traj.samples
     ]
     assert traj.samples == rebuilt
     assert [repr(pair) for pair in traj.samples] == [repr(pair) for pair in rebuilt]
+
+
+def sweep_box_runs(seed):
+    """Seeded (params, t_end) draws over the benchmark's sweep box: both
+    flows, a = +-2 and both signs of kappa, epsilon log-uniform in [1/4, 4],
+    two runs to the terminal event and one to a short horizon each; then a
+    collapse start whose first steps underflow."""
+    rng = random.Random(seed)
+    runs = []
+    for kind in FlowKind:
+        for a in (-2.0, 2.0):
+            for sign in (-1.0, 1.0):
+                kappa = sign if kind is FlowKind.COLLAPSE else 0.5 * sign
+                for t_end in (1e4, 1e4, 2.0):
+                    epsilon = math.exp(rng.uniform(-math.log(4.0), math.log(4.0)))
+                    runs.append((FlowParams(kind, a, kappa, epsilon), t_end))
+    return runs + [(FlowParams(FlowKind.COLLAPSE, a=2.0, kappa=1.0, epsilon=1e50), 10.0)]
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+def test_sweep_box_samples_equal_the_public_constructors(stride):
+    # as above, over seeded draws: the fused sample assembly builds, at
+    # every stride and termination, the records of the public constructors
+    module = importlib.import_module("bergerflow.integrate")
+    config = IntegratorConfig(output_stride=stride)
+    tags = Counter()
+    for params, t_end in sweep_box_runs(15):
+        assert module._fused(geometry_scalars, params, module._samples) is not None
+        traj = integrate(params, config, t_end=t_end)
+        tags[traj.termination.tag] += 1
+        assert_samples_rebuild(traj)
+    assert set(tags) == {"CollapsePoint", "CollapseFiber", "Equilibrium", "ReachedTEnd", "StepUnderflow"}
+
+
+def test_a_tracer_swap_of_geometry_scalars_sees_every_sample(monkeypatch):
+    # as perfbench's tracer does: every bergerflow module global that is
+    # geometry_scalars becomes a counting wrapper; integrate then calls it
+    # once per sample, at the sample, and builds the fused assembly's records
+    runs = [(COLLAPSE, 20.0, 1), (COLLAPSE_NEG, 5000.0, 7), (NORMALIZED, 5.0, 1), (NORMALIZED_NEG, 400.0, 3)]
+    fused = [integrate(params, IntegratorConfig(output_stride=stride), t_end) for params, t_end, stride in runs]
+    calls = []
+
+    def counted(params, alpha, beta):
+        calls.append((alpha, beta))
+        return geometry_scalars(params, alpha, beta)
+
+    swapped = []
+    for name, mod in list(sys.modules.items()):
+        if name == "bergerflow" or name.startswith("bergerflow."):
+            for key, value in list(vars(mod).items()):
+                if value is geometry_scalars:
+                    monkeypatch.setattr(mod, key, counted)
+                    swapped.append(name)
+    assert "bergerflow.integrate" in swapped
+    for (params, t_end, stride), want in zip(runs, fused):
+        calls.clear()
+        got = integrate(params, IntegratorConfig(output_stride=stride), t_end)
+        assert calls == [(s.alpha, s.beta) for s, _ in got.samples]
+        assert got.samples == want.samples
+        assert repr(got) == repr(want)
+
+
+def test_a_reduced_run_reads_the_parameters_a_bounded_number_of_times():
+    # the fused speed step's parameter-only lines run once per run, not at
+    # every attempted step
+    reads = []
+
+    class Counted(FlowParams):
+        @property
+        def product(self):
+            reads.append(self)
+            return FlowParams.product.fget(self)
+
+    params = Counted(FlowKind.NORMALIZED, a=2.0, kappa=0.5, epsilon=1.0)
+    runs = []
+    for t_end in (0.1, 50.0):
+        reads.clear()
+        samples = integrate_reduced(params, NO_EQUILIB, epsilon0=1.4, t_end=t_end)
+        runs.append((len(reads), len(samples)))
+    (short_reads, short_samples), (long_reads, long_samples) = runs
+    assert long_samples > 10 * short_samples
+    assert short_reads == long_reads <= 2
 
 
 class TestMonotoneDiagnostics:
@@ -580,21 +667,47 @@ def stock_field(name):
 @pytest.mark.parametrize("name,params", FUSED)
 def test_fused_steps_show_their_source(name, params):
     # the formula function's lines below "# per point" stand, verbatim, at
-    # each of the six stages, and those above it once; no call is left
+    # each of the six stages of the step, and those above it once, in the
+    # factory around the step that runs them once per run; no call is left
     module_name, function = FORMULA[name.rsplit("_", 1)[1]].split(".")
     formula = inspect.getsource(getattr(importlib.import_module(f"bergerflow.{module_name}"), function))
     prelude, per_point = formula.split("    # per point\n")
     per_point = per_point.rsplit("    return", 1)[0]
     step = selected_step(stock_field(name), params)
     linecache.clearcache()
-    source = inspect.getsource(step)
+    source = textwrap.dedent(inspect.getsource(step))
+    factory = inspect.getsource(getattr(sys.modules[step.__module__], f"{name}_for"))
+    assert step.__module__ == f"bergerflow.integrate.{name}"
     assert source.startswith(f"def {name}(f, p, y, k0, h, atol, rtol):")
     assert source.count(per_point) == 6
-    assert source.count(prelude.splitlines()[-1] + "\n") == 1
+    assert factory.startswith(f"def {name}_for(params):\n")
+    assert factory.count(prelude.splitlines()[-1] + "\n") == 1
+    assert prelude.splitlines()[-1] + "\n" not in source
     assert "f(" not in source
     assert "for" not in source.split()
     output = "0.5 * alpha * v00" if name.startswith("_rk_step2") else "_SPEED_SCALE * epsilon ** (5.0 / 3.0)"
     assert source.count(output) == 6
+
+
+@pytest.mark.parametrize("kind,params", [("collapse", COLLAPSE), ("normalized", NORMALIZED)])
+def test_fused_sample_assembly_shows_its_source(kind, params):
+    # the lines of the metric velocity's and the spinor's bodies below
+    # "# per point" stand, verbatim, once in the loop over the points, and
+    # those above it once before the loop; no model function is called
+    module = importlib.import_module("bergerflow.integrate")
+    model = importlib.import_module("bergerflow.model")
+    samples = module._fused(geometry_scalars, params, module._samples)
+    assert samples.__module__ == f"bergerflow.integrate._samples_{kind}"
+    linecache.clearcache()
+    source = inspect.getsource(getattr(sys.modules[samples.__module__], f"_samples_{kind}_for"))
+    head, loop = source.split("        for t, (alpha, beta), _ in points:\n")
+    for body in (f"_{kind}", f"_spinor_{kind}"):
+        prelude, per_point = inspect.getsource(getattr(model, body)).split("    # per point\n")
+        assert loop.count(textwrap.indent(per_point.rsplit("    return", 1)[0], " " * 8)) == 1
+        assert head.count(prelude.splitlines()[-1] + "\n") == 1
+        assert prelude.splitlines()[-1] + "\n" not in loop
+    assert loop.count("GeometryScalars(") == 1
+    assert not [call for call in ("geometry_scalars(", "metric_velocity(", "spinor_coefficients(") if call in source]
 
 
 def test_a_step_without_source_to_inline_is_generic(monkeypatch):
