@@ -18,7 +18,7 @@ import math
 import sys
 
 from . import dynamics, phase
-from .integrate import IntegratorConfig, StepBudgetError, integrate
+from .integrate import IntegratorConfig, StepBudgetError, _field_at_start, integrate
 from .model import FlowKind, FlowParams, State
 
 
@@ -129,6 +129,9 @@ def cmd_portrait(args) -> int:
         rows = phase.portrait_rows(params, args.x_range, args.y_range, *args.grid)
     except ArithmeticError as exc:
         raise _FieldEvaluationError(f"{type(exc).__name__}: {exc}") from exc
+    for start in args.seeds:  # every start is checked before anything is written
+        point = (start.alpha, start.beta)
+        _field_at_start(dynamics.vector_field, params, point, "--seeds entry must keep the field finite", point)
     with _open_out(args.out) as out:
         out.write("x,y,ux,uy,mag\n")
         for row in rows:

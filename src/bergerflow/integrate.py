@@ -137,11 +137,17 @@ def _body_and_return(fn):
     if not lines:
         raise OSError(f"no source for {fn.__qualname__}")
     end = next((i for i, line in enumerate(lines[1:], 1) if line[:1] not in " \n#"), len(lines))
-    node = ast.parse("".join(lines[:end])).body[0]
-    lines = [line.rstrip("\n") for line in lines[: node.end_lineno]]
-    first = node.body[0 if ast.get_docstring(node) is None else 1].lineno - 1
-    last = node.body[-1].lineno - 1
+    first, last, end = _spans("".join(lines[:end]))
+    lines = [line.rstrip("\n") for line in lines[:end]]
     return lines[first:last], lines[last:]
+
+
+@functools.cache
+def _spans(source):
+    """Indices of the first body line after any docstring, of the last
+    statement and one past the end, in the one function source defines."""
+    node = ast.parse(source).body[0]
+    return node.body[0 if ast.get_docstring(node) is None else 1].lineno - 1, node.body[-1].lineno - 1, node.end_lineno
 
 
 def _inlined(stock):
@@ -345,20 +351,34 @@ def integrate(
     terminal event.
 
     ``start`` overrides the canonical initial state, which permits
-    off-curve starting points for the normalized flow.
+    off-curve starting points for the normalized flow.  A start where the
+    field raises an ArithmeticError or is not finite raises ValueError.
     """
     if not t_end > 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
     s0 = initial_state(params) if start is None else start
     f, scalars = vector_field, geometry_scalars  # read per call, so that a wrapper sees every evaluation
     y0 = (float(s0.alpha), float(s0.beta))
+    k0 = _field_at_start(f, params, y0, "start must keep the field finite", y0)
     points, (tag, t_ev, y_ev, _) = _advance(
-        _step_for(f, params, 2), f, params, s0.t, y0, f(params, y0), s0.t + t_end, config, config.collapse_tol
+        _step_for(f, params, 2), f, params, s0.t, y0, k0, s0.t + t_end, config, config.collapse_tol
     )
     build = _fused(scalars, params, _samples)
     samples = build(points) if build else [(State(t, *y), scalars(params, *y)) for t, y, _ in points]
     termination = _classify(params, config, tag, t_ev, y_ev, s0)
     return Trajectory(params, samples, termination, [dy for _, _, dy in points])
+
+
+def _field_at_start(f, p, y0, subject, value):
+    """k0 = f(p, y0); ValueError "{subject}, got {value}" if that raises ArithmeticError or is not finite."""
+    try:
+        k0 = f(p, y0)
+        finite = math.isfinite(k0[0]) and math.isfinite(k0[-1])
+    except ArithmeticError:
+        finite = False
+    if not finite:
+        raise ValueError(f"{subject}, got {value}")
+    return k0
 
 
 def _classify(params, config, tag, t_ev, y_ev, s0):
@@ -410,13 +430,7 @@ def integrate_reduced(
         return (speed(p, y[0]),)
 
     y0 = (float(epsilon0),)
-    try:
-        k0 = f(params, y0)
-        finite = math.isfinite(k0[0])
-    except ArithmeticError:
-        finite = False
-    if not finite:
-        raise ValueError(f"epsilon0 must keep the speed finite at the start, got {epsilon0}")
+    k0 = _field_at_start(f, params, y0, "epsilon0 must keep the speed finite at the start", epsilon0)
     points, (tag, t_ev, _, _) = _advance(_step_for(speed, params, 1), f, params, 0.0, y0, k0, t_end, config, None)
     if tag == "StepUnderflow":
         raise ValueError(

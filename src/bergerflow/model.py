@@ -40,7 +40,7 @@ class FlowParams:
     constant of the initial spinor: +-1 for the collapse flow, +-1/2 for the
     volume-normalized flow.  ``epsilon`` is the initial fiber length scale,
     accepted where the field at the initial state is finite: up to about
-    8.6e102 for the collapse flow, and from about 1.0e-231 (a*kappa = 1) or
+    8.6e102 for the collapse flow, and from about 2.9e-231 (a*kappa = 1) or
     4.6e-186 (a*kappa = -1) up to about 3.4e92 for the normalized flow.
     All dynamics depend on (a, kappa) only through the product ``a*kappa``
     (and the fixed squares), so flipping both signs changes nothing except
@@ -163,55 +163,53 @@ def volume(alpha: float, beta: float) -> float:
 # so are the spinor coefficients (f, g).  The integrator's fused code inlines
 # their source: the lines above the line "# per point" read only the
 # parameters and run once per run, the lines below it, up to the return, at
-# every stage of a step or at every sample.  The powers are one statement
-# each: assigning four at once builds and unpacks a tuple at every call.
+# every stage of a step or at every sample.  With r = alpha/beta,
+# u = 1/beta^2 and w = 1/alpha^2, the paper's monomials are r^2 u
+# (alpha^2/beta^4), r u (alpha/beta^3), u and w, so each component is a
+# Horner polynomial in r times u, plus a multiple of w, with no float power.
+# Collapse: v00 = (-9/64 a^2 r^2 + 1/2 a lam r - 1/2 lam^2) u and
+# v11 = (3/64 a^2 r^2 - 1/8 a lam r) u.
 def _collapse(params: FlowParams, alpha: float, beta: float):
     a, lam = params.a, params.kappa
+    c2 = -9.0 / 64.0 * a * a
+    c1 = 1.0 / 2.0 * a * lam
+    c0 = -1.0 / 2.0 * lam * lam
+    d2 = 3.0 / 64.0 * a * a
+    d1 = -1.0 / 8.0 * a * lam
     # per point
-    alpha2 = alpha**2
-    beta2 = beta**2
-    beta3 = beta**3
-    beta4 = beta**4
-    v00 = (
-        -9.0 / 64.0 * alpha2 / beta4 * a * a
-        + 1.0 / 2.0 * alpha / beta3 * a * lam
-        - 1.0 / 2.0 / beta2 * lam * lam
-    )
-    v11 = 3.0 / 64.0 * alpha2 / beta4 * a * a - 1.0 / 8.0 * alpha / beta3 * a * lam
+    r = alpha / beta
+    u = 1.0 / (beta * beta)
+    v00 = ((c2 * r + c1) * r + c0) * u
+    v11 = (d2 * r + d1) * r * u
     return v00, v11
 
 
 # The metric velocity (v00, v11), then its parts: the gradient components
-# q00 and q11 before the volume-conservation correction e6.  With m = mu - a/4
-# and n = a/4 + mu, each parameter-only factor that leads a term is computed
-# once, exactly as the term would compute it; its name says what it
-# multiplies (a2: 1/alpha^2, b2: 1/beta^2, ab3: alpha/beta^3, a2b4:
-# alpha^2/beta^4).
+# q00 and q11 before the volume-conservation correction e6.  With mu = kappa,
+# m = mu - a/4 and n = a/4 + mu, each coefficient is named after what it
+# multiplies: _w the term in w = 1/alpha^2, _0, _1 and _2 the terms in u, r u
+# and r^2 u, that is 1/beta^2, alpha/beta^3 and alpha^2/beta^4.
 def _normalized(params: FlowParams, alpha: float, beta: float):
     a, mu = params.a, params.kappa
     m = mu - a / 4.0
     n = a / 4.0 + mu
-    q00_b2 = -1.0 / 2.0 * mu * mu - 3.0 / 8.0 * a * mu
-    q00_ab3 = a * a / 8.0 + a * mu / 2.0
-    q11_ab3 = -a * a / 32.0 - a * mu / 8.0
-    e6_a2 = 1.0 / 12.0 * m * m
-    e6_a2b4 = 1.0 / 64.0 * a * a
-    e6_b2m = 1.0 / 24.0 * a * m
-    e6_b2n = 1.0 / 6.0 * n * n
-    e6_ab3 = 1.0 / 12.0 * a * n
+    q00_w = 1.0 / 4.0 * m * m
+    q00_0 = -1.0 / 2.0 * mu * mu - 3.0 / 8.0 * a * mu
+    q00_1 = a * a / 8.0 + a * mu / 2.0
+    q00_2 = -9.0 / 64.0 * a * a
+    q11_1 = -a * a / 32.0 - a * mu / 8.0
+    q11_2 = 3.0 / 64.0 * a * a
+    e6_w = m * m / 12.0
+    e6_0 = a * m / 24.0 + n * n / 6.0
+    e6_1 = -a * n / 12.0
+    e6_2 = a * a / 64.0
     # per point
-    alpha2 = alpha**2
-    beta2 = beta**2
-    beta3 = beta**3
-    beta4 = beta**4
-    q00 = (
-        1.0 / 4.0 / alpha2 * m * m
-        + q00_b2 / beta2
-        + alpha / beta3 * q00_ab3
-        - 9.0 / 64.0 * alpha2 / beta4 * a * a
-    )
-    q11 = -1.0 / 4.0 / alpha2 * m * m + alpha / beta3 * q11_ab3 + 3.0 / 64.0 * alpha2 / beta4 * a * a
-    e6 = e6_a2 / alpha2 + e6_a2b4 * alpha2 / beta4 + e6_b2m / beta2 + e6_b2n / beta2 - e6_ab3 * alpha / beta3
+    r = alpha / beta
+    u = 1.0 / (beta * beta)
+    w = 1.0 / (alpha * alpha)
+    q00 = q00_w * w + ((q00_2 * r + q00_1) * r + q00_0) * u
+    q11 = -q00_w * w + (q11_2 * r + q11_1) * r * u
+    e6 = e6_w * w + ((e6_2 * r + e6_1) * r + e6_0) * u
     v00 = q00 + e6
     v11 = q11 + e6
     return v00, v11, q00, q11, e6

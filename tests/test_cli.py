@@ -181,13 +181,11 @@ class TestSimulate:
         assert code == 0
         _, rows = parse_csv(out)
         target = math.sqrt(normalizing_constant(1.0))
-        # the run either reaches t_end or, if the field rounds to exactly
-        # zero along the way, ends early with an equilibrium event
-        assert rows[-1][0] <= 10.0 + 1e-12
-        assert len(rows) > 10
+        # the round sphere is an exact rest point: the field there is
+        # (0.0, 0.0), so the run ends at once with an equilibrium event
+        assert out.splitlines()[-1] == "# termination=Equilibrium t=0"
         for row in rows:
-            assert row[1] == pytest.approx(target, abs=1e-10)
-            assert row[2] == pytest.approx(target, abs=1e-10)
+            assert (row[1], row[2], row[7], row[8]) == (target, target, 0.0, 0.0)
             assert row[3] == pytest.approx(1.0, abs=1e-10)
 
     def test_default_equilibrium_detection(self, capsys):
@@ -228,7 +226,7 @@ class TestSimulate:
     def test_unattainable_tolerance_exit_code(self, capsys):
         code, out, err = run(
             capsys, "simulate", "--flow", "collapse", "--kappa", "1",
-            "--epsilon", "1", "--t-end", "20", "--rtol", "1e-300", "--atol", "1e-300",
+            "--epsilon", "1.3", "--t-end", "20", "--rtol", "1e-300", "--atol", "1e-300",
         )
         assert code == 2
         assert out.splitlines()[-1] == "# termination=StepUnderflow t=0"
@@ -240,8 +238,8 @@ class TestSimulate:
             # valid ranges whose single grid point divides by zero or
             # overflows in the field; the grid is evaluated before any output
             pytest.param(
-                PORTRAIT + ["--grid", "1,1", "--seeds", "", "--x-range", "1e-100,1e-100",
-                            "--y-range", "1e-100,1e-100"],
+                PORTRAIT + ["--grid", "1,1", "--seeds", "", "--x-range", "1e-170,1e-170",
+                            "--y-range", "1e-170,1e-170"],
                 id="portrait-tiny-x-y",
             ),
             pytest.param(
@@ -392,6 +390,16 @@ class TestPortrait:
         assert len(rows) == 4
         assert "# seed=" not in out
 
+    @pytest.mark.parametrize("seed", ["1e-160,1e-160", "1e-170,1e-170", "1,1e-120"])
+    def test_seed_with_a_non_finite_field_fails_before_any_output(self, capsys, seed):
+        # the field at the start overflows to inf or divides by zero: each
+        # seed is checked before the grid is written
+        code, out, err = run(capsys, *PORTRAIT, "--grid", "1,1", "--seeds", f"1,1;{seed}")
+        assert code == 1
+        assert out == ""
+        x, y = (float(v) for v in seed.split(","))
+        assert err == f"error: --seeds entry must keep the field finite, got ({x!r}, {y!r})\n"
+
     def test_bad_seed(self, capsys):
         code, _, err = run(
             capsys, "portrait", "--flow", "collapse", "--kappa", "1",
@@ -466,7 +474,7 @@ _GOLDEN_INVOCATIONS = [
     ["equilibria", "--flow", "normalized", "--kappa", "0.5", "--epsilon", "1"],
     ["verify"],
 ]
-_GOLDEN_SHA256 = "a1e8cefeeee2f4f0baaa0815c4042fdbf917efebca91b1de387684ed14a89aa0"
+_GOLDEN_SHA256 = "46f800ba9d5a8d266c9de13725dc481cfced525c7efca7796ddc0354ea141547"
 
 
 def test_golden_output(capsys):

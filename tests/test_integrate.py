@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -58,14 +59,22 @@ class TestOracleMatch:
         assert max_closed_form_error(traj) <= 1e-8
         traj = integrate(COLLAPSE, NO_EQUILIB, t_end=20.0)
         assert traj.termination.tag == "CollapsePoint"
-        assert traj.termination.t_event == pytest.approx(15.999984, abs=1e-5)
+        assert traj.termination.t_event == pytest.approx(15.999984, abs=1e-7)
+
+    def test_round_shrinker_stays_round_exactly(self):
+        # on the diagonal the field has dx == dy bit for bit, so each stage
+        # and each step moves alpha and beta alike
+        traj = integrate(COLLAPSE, NO_EQUILIB, t_end=20.0)
+        assert traj.termination.tag == "CollapsePoint"
+        assert len(traj.samples) > 50
+        assert all(state.alpha == state.beta for state, _ in traj.samples)
 
     def test_blow_down(self):
         traj = integrate(COLLAPSE_23, NO_EQUILIB, t_end=11.5)
         assert max_closed_form_error(traj) <= 1e-8
         traj = integrate(COLLAPSE_23, NO_EQUILIB, t_end=20.0)
         assert traj.termination.tag == "CollapsePoint"
-        assert traj.termination.t_event == pytest.approx(11.999973, abs=1e-5)
+        assert traj.termination.t_event == pytest.approx(11.999973, abs=1e-7)
 
     @pytest.mark.parametrize("params", [NORMALIZED, NORMALIZED_NEG])
     def test_constant_solution_drift(self, params):
@@ -241,7 +250,8 @@ class TestRobustness:
 
     def test_unattainable_tolerance_underflows(self):
         # the scaled error overflows; that must reject the step, not raise
-        traj = integrate(COLLAPSE, IntegratorConfig(rtol=1e-300, atol=1e-300), t_end=20.0)
+        params = dataclasses.replace(COLLAPSE, epsilon=1.3)
+        traj = integrate(params, IntegratorConfig(rtol=1e-300, atol=1e-300), t_end=20.0)
         assert traj.termination.tag == "StepUnderflow"
         assert traj.termination.t_event == 0.0
 
@@ -302,6 +312,21 @@ class TestRobustness:
         assert traj.termination.tag == "Equilibrium"
         x, y = traj.termination.detail["location"]
         assert x == pytest.approx(y, rel=1e-6)
+
+    @pytest.mark.parametrize("params", [COLLAPSE, NORMALIZED], ids=["collapse", "normalized"])
+    @pytest.mark.parametrize("point", [(1e-160, 1e-160), (1e-170, 1e-170), (1.0, 1e-120)])
+    def test_start_with_a_non_finite_field_is_rejected(self, params, point):
+        # the field there is infinite, or its evaluation divides by zero
+        with pytest.raises(ValueError) as error:
+            integrate(params, start=State(0.0, *point))
+        assert str(error.value) == f"start must keep the field finite, got {point!r}"
+
+    @pytest.mark.parametrize("params", [COLLAPSE, NORMALIZED], ids=["collapse", "normalized"])
+    def test_huge_start_reaches_t_end(self, params):
+        # alpha^2 overflows, but r = alpha/beta and u = 1/beta^2 do not
+        traj = integrate(params, start=State(0.0, 1.34e154, 9e76), t_end=10.0)
+        assert traj.termination.tag == "ReachedTEnd"
+        assert traj.final_state.t == 10.0
 
     def test_off_curve_start_below_repeller(self):
         traj = integrate(
@@ -722,26 +747,53 @@ def test_a_step_without_source_to_inline_is_generic(monkeypatch):
     assert repr(integrate(COLLAPSE, NO_EQUILIB, t_end=20.0)) == repr(fused)
 
 
-@pytest.mark.parametrize("name,params", FUSED)
-def test_inlined_power_raises_as_the_field_does(name, params):
-    # a stage input too large for ** raises the field's OverflowError, and
-    # the traceback shows, in the fused step, the line the field failed on
+def assert_fused_step_raises_as_the_field_does(name, params, y, k0, error, line_start):
+    # the fused step raises the generic step's exception, and the traceback
+    # shows, in the fused step, the line the field failed on
     field = stock_field(name)
     f = vector_field if field is vector_field else speed_rhs
-    y, k0 = ((1.0, 1.0), (1e200, 0.0)) if f is vector_field else ((1.0,), (1e200,))
     generic = importlib.import_module("bergerflow.integrate")._step(len(y))
-    with pytest.raises(OverflowError) as want:
+    with pytest.raises(error) as want:
         generic(f, params, y, k0, 1.0, 1e-12, 1e-10)
     linecache.clearcache()
-    with pytest.raises(OverflowError) as got:
+    with pytest.raises(error) as got:
         selected_step(field, params)(f, params, y, k0, 1.0, 1e-12, 1e-10)
     assert str(got.value) == str(want.value)
     text = "".join(traceback.format_exception(got.value))
     assert f'File "bergerflow.integrate.{name}", line ' in text
     line = traceback.extract_tb(want.value.__traceback__)[-1].line
-    assert line.startswith("alpha2 = alpha**2" if f is vector_field else "_SPEED_SCALE * epsilon **")
+    assert line.startswith(line_start)
     assert traceback.extract_tb(got.value.__traceback__)[-1].line == line
     assert f"\n    {line}" in text
+
+
+def test_each_inlined_function_is_parsed_once(monkeypatch):
+    # the collapse step and sample builder inline _collapse, vector_field,
+    # _spinor_collapse and geometry_scalars: four texts, each parsed once
+    module = importlib.import_module("bergerflow.integrate")
+    for cached in (module._step, module._samples, module._spans):
+        cached.cache_clear()
+    parse, parsed = ast.parse, []
+    monkeypatch.setattr(ast, "parse", lambda source, *args: parsed.append(source) or parse(source, *args))
+    selected_step(vector_field, COLLAPSE)
+    module._fused(geometry_scalars, COLLAPSE, module._samples)
+    assert len(parsed) == len(set(parsed)) == 4
+
+
+@pytest.mark.parametrize("name,params", FUSED[2:])
+def test_inlined_power_raises_as_the_field_does(name, params):
+    # a stage input too large for ** raises the speed's OverflowError
+    assert_fused_step_raises_as_the_field_does(
+        name, params, (1.0,), (1e200,), OverflowError, "_SPEED_SCALE * epsilon **"
+    )
+
+
+@pytest.mark.parametrize("name,params", FUSED[:2])
+def test_a_stage_division_by_zero_raises_as_the_field_does(name, params):
+    # the second stage's beta, about 2e-163, squares to 0.0
+    assert_fused_step_raises_as_the_field_does(
+        name, params, (1.0, 1e-160), (0.0, -4.99e-160), ZeroDivisionError, "u = 1.0 / (beta * beta)"
+    )
 
 
 def wrap_in_module(monkeypatch, module_name, attr):

@@ -362,7 +362,7 @@ def test_geometry_scalars_evaluate_the_spinor_once(alpha, beta):
 
 
 # The field as the layered expressions it was written as before the
-# straight-line bodies, copied verbatim: the bodies must give these bits.
+# polynomial bodies, copied verbatim: the reference the bodies are held to.
 def reference_q1_collapse(params, alpha, beta):
     a, lam = params.a, params.kappa
     q00 = (
@@ -431,21 +431,77 @@ def reference_geometry_scalars(params, alpha, beta):
     )
 
 
+def monomial_sums(params, alpha, beta):
+    """Sum of |term| over the layered expressions' terms of q00, q11 and
+    e6: each coefficient's magnitude times its monomial's, which is 1/alpha^2,
+    1/beta^2, alpha/beta^3 or alpha^2/beta^4.  The collapse flow has no e6."""
+    a, k = params.a, params.kappa
+    monomials = (1.0 / alpha**2, 1.0 / beta**2, alpha / beta**3, alpha**2 / beta**4)
+    if params.kind is FlowKind.COLLAPSE:
+        coeffs = ((0.0, -k * k / 2.0, a * k / 2.0, -9.0 / 64.0 * a * a), (0.0, 0.0, -a * k / 8.0, 3.0 / 64.0 * a * a))
+        coeffs += ((0.0,) * 4,)
+    else:
+        m, n = k - a / 4.0, a / 4.0 + k
+        coeffs = (
+            (m * m / 4.0, -k * k / 2.0 - 3.0 / 8.0 * a * k, a * a / 8.0 + a * k / 2.0, -9.0 / 64.0 * a * a),
+            (-m * m / 4.0, 0.0, -a * a / 32.0 - a * k / 8.0, 3.0 / 64.0 * a * a),
+            (m * m / 12.0, a * m / 24.0 + n * n / 6.0, -a * n / 12.0, a * a / 64.0),
+        )
+    return tuple(sum(abs(c) * x for c, x in zip(row, monomials)) for row in coeffs)
+
+
+# The bodies evaluate each component as a polynomial in alpha/beta, in
+# another order than the layered expressions: within 8 ulps of 1.0 times
+# the sum of the terms' magnitudes, a bound fixed from the dtype.
+BOUND = 8.0 * 2.0**-52
+
+
 @pytest.mark.parametrize(
     "params",
     [COLLAPSE, COLLAPSE_NEG, NORMALIZED, NORMALIZED_NEG],
     ids=["collapse", "collapse-neg", "normalized", "normalized-neg"],
 )
 def test_field_bodies_match_the_layered_expressions(params):
-    # log-uniform over [1e-3, 1e3]^2; equality, not approx
+    # log-uniform over [1e-3, 1e3]^2
     rng = random.Random(11)
     for _ in range(2000):
         x, y = 10.0 ** rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-3.0, 3.0)
-        assert metric_velocity(params, x, y) == reference_metric_velocity(params, x, y)
-        assert vector_field(params, (x, y)) == reference_vector_field(params, (x, y))
-        assert geometry_scalars(params, x, y) == reference_geometry_scalars(params, x, y)
+        s00, s11, s6 = monomial_sums(params, x, y)
+        tol00, tol11 = BOUND * (s00 + s6), BOUND * (s11 + s6)
+        v00, v11 = metric_velocity(params, x, y)
+        r00, r11 = reference_metric_velocity(params, x, y)
+        assert abs(v00 - r00) <= tol00 and abs(v11 - r11) <= tol11
+        (dx, dy), (rx, ry) = vector_field(params, (x, y)), reference_vector_field(params, (x, y))
+        assert abs(dx - rx) <= 0.5 * x * tol00 and abs(dy - ry) <= 0.5 * y * tol11
+        got, ref = geometry_scalars(params, x, y), reference_geometry_scalars(params, x, y)
+        assert (got.volume, got.energy, got.f, got.g) == (ref.volume, ref.energy, ref.f, ref.g)
+        assert abs(got.q00 - ref.q00) <= tol00 and abs(got.q11 - ref.q11) <= tol11
         if params.kind is FlowKind.COLLAPSE:
-            assert q1_collapse_components(params, x, y) == reference_q1_collapse(params, x, y)
+            assert q1_collapse_components(params, x, y) == (v00, v11)
         else:
-            assert q1_normalized_components(params, x, y) == reference_q1_normalized(params, x, y)
-            assert energy_density_sixth(params, x, y) == reference_energy_density_sixth(params, x, y)
+            q00, q11 = q1_normalized_components(params, x, y)
+            r00, r11 = reference_q1_normalized(params, x, y)
+            assert abs(q00 - r00) <= BOUND * s00 and abs(q11 - r11) <= BOUND * s11
+            e6 = energy_density_sixth(params, x, y)
+            assert abs(e6 - reference_energy_density_sixth(params, x, y)) <= BOUND * s6
+
+
+# On the diagonal r = alpha/beta is exactly 1, and the coefficients of each
+# polynomial sum exactly, so these invariances hold bit for bit.
+@pytest.mark.parametrize("params", [COLLAPSE, flipped(COLLAPSE)], ids=["collapse", "collapse-flipped"])
+def test_collapse_field_keeps_the_diagonal_exactly(params):
+    # a*kappa = 2: dx == dy at every round sphere (x, x)
+    rng = random.Random(5)
+    for _ in range(2000):
+        x = 10.0 ** rng.uniform(-6.0, 6.0)
+        dx, dy = vector_field(params, (x, x))
+        assert dx == dy
+
+
+@pytest.mark.parametrize("params", [NORMALIZED, flipped(NORMALIZED)], ids=["normalized", "normalized-flipped"])
+def test_round_spheres_are_exact_rest_points_of_the_normalized_field(params):
+    # a*kappa = 1: the field vanishes exactly at every round sphere (x, x)
+    rng = random.Random(6)
+    for _ in range(2000):
+        x = 10.0 ** rng.uniform(-6.0, 6.0)
+        assert vector_field(params, (x, x)) == (0.0, 0.0)

@@ -299,7 +299,7 @@ class TestPortrait:
     @pytest.mark.parametrize(
         "x,y,error",
         [
-            (1e-100, 1e-100, ZeroDivisionError),
+            (1e-170, 1e-170, ZeroDivisionError),
             # a product that overflows to inf without raising
             (4.265959041761247e113, 5353.280110530487, OverflowError),
         ],
