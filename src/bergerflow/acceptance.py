@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 
 from . import dynamics, phase
-from .integrate import IntegratorConfig, Trajectory, integrate, integrate_reduced
+from .integrate import IntegratorConfig, StepBudgetError, Trajectory, integrate, integrate_reduced
 from .model import (
     FlowKind,
     FlowParams,
@@ -25,7 +25,6 @@ from .model import (
     initial_state,
     normalizing_constant,
     spinor_coefficients,
-    volume,
 )
 
 
@@ -36,6 +35,7 @@ class CheckResult:
     measured: float
     threshold: float
     note: str = ""
+    error: str = ""  # why the run failed; measured and threshold are then nan
 
 
 def _collapse(a, lam, eps):
@@ -304,12 +304,19 @@ ALL_CHECKS = [
 
 def run_checks(name_filter: str = "", oracle_tol: float = 1e-8) -> list[CheckResult]:
     """Run the verification suite, optionally keeping only checks whose
-    name contains ``name_filter``."""
+    name contains ``name_filter``.  Where a producer's run exhausts the
+    step budget or raises ArithmeticError, each of its kept checks not yet
+    reported fails with the error, and the next producer runs."""
     results = []
     for names, fn in ALL_CHECKS:
-        if name_filter and not any(name_filter in n for n in names):
+        kept = [n for n in names if name_filter in n]
+        if not kept:
             continue
-        for result in fn(oracle_tol=oracle_tol):
-            if name_filter in result.name:
-                results.append(result)
+        try:
+            for result in fn(oracle_tol=oracle_tol):
+                if name_filter in result.name:
+                    results.append(result)
+        except (StepBudgetError, ArithmeticError) as exc:
+            error, reported = f"{type(exc).__name__}: {exc}", {r.name for r in results}
+            results += [CheckResult(n, False, math.nan, math.nan, error=error) for n in kept if n not in reported]
     return results

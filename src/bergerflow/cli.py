@@ -169,13 +169,9 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--filter {args.filter!r} matches no check")
     report = {
         "status": "pass" if all(r.passed for r in results) else "fail",
-        "checks": [
-            {
-                "name": r.name,
-                "passed": bool(r.passed),
-                "measured": float(r.measured),
-                "threshold": float(r.threshold),
-            }
+        "checks": [  # a check whose run failed carries its error in place of a measurement
+            {"name": r.name, "passed": bool(r.passed)}
+            | ({"error": r.error} if r.error else {"measured": float(r.measured), "threshold": float(r.threshold)})
             for r in results
         ],
     }

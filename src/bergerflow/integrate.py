@@ -126,42 +126,36 @@ class Trajectory:
         return self.samples[-1][0]
 
 
-def _body_and_return(fn):
-    """The source lines of a top-level straight-line function: its body,
-    docstring left out, up to the final return, and that return.  The
-    function ends before the next line that starts a top-level statement.
-    Reading it thus, and not through inspect.getsource, spares a process
-    the few milliseconds the tokenizer takes to start."""
+@functools.cache
+def _parts(fn):
+    """A top-level straight-line function's source, read and parsed once:
+    its body lines, docstring left out, above the line "# per point" (all
+    of them where it has none) and below it up to the final return; that
+    return's lines; and the globals it reads.  The function ends before the
+    next top-level statement.  Reading it thus, and not through
+    inspect.getsource, spares the few milliseconds the tokenizer takes to start."""
     code = fn.__code__
     lines = linecache.getlines(code.co_filename)[code.co_firstlineno - 1 :]
     if not lines:
         raise OSError(f"no source for {fn.__qualname__}")
     end = next((i for i, line in enumerate(lines[1:], 1) if line[:1] not in " \n#"), len(lines))
-    first, last, end = _spans("".join(lines[:end]))
-    lines = [line.rstrip("\n") for line in lines[:end]]
-    return lines[first:last], lines[last:]
-
-
-@functools.cache
-def _spans(source):
-    """Indices of the first body line after any docstring, of the last
-    statement and one past the end, in the one function source defines."""
-    node = ast.parse(source).body[0]
-    return node.body[0 if ast.get_docstring(node) is None else 1].lineno - 1, node.body[-1].lineno - 1, node.end_lineno
+    node = ast.parse("".join(lines[:end])).body[0]
+    first, last = node.body[0 if ast.get_docstring(node) is None else 1].lineno - 1, node.body[-1].lineno - 1
+    lines = [line.rstrip("\n") for line in lines[: node.end_lineno]]
+    body = lines[first:last]
+    mark = body.index("    # per point") if "    # per point" in body else len(body)
+    read = {k: v for k, v in fn.__globals__.items() if k in code.co_names}
+    return body[:mark], body[mark + 1 :], lines[last:], read
 
 
 def _inlined(stock):
     """For stock = (suffix, formulas, output): the formulas' lines above
     "# per point" and below it up to the return; output's return, which
     reads names those lines bind; and the globals all of them read."""
-    _, formulas, output = stock
-    prelude, per_point = [], []
-    for formula in formulas:
-        body = _body_and_return(formula)[0]
-        mark = body.index("    # per point")
-        prelude, per_point = prelude + body[:mark], per_point + body[mark + 1 :]
-    namespace = {k: v for fn in (*formulas, output) for k, v in fn.__globals__.items() if k in fn.__code__.co_names}
-    return prelude, per_point, _body_and_return(output)[1], namespace
+    *formulas, output = [_parts(fn) for fn in (*stock[1], stock[2])]
+    prelude = [line for part in formulas for line in part[0]]
+    per_point = [line for part in formulas for line in part[1]]
+    return prelude, per_point, output[2], {k: v for part in (*formulas, output) for k, v in part[3].items()}
 
 
 def _compiled(name, lines, namespace, prelude):
@@ -285,7 +279,8 @@ def _advance(rk_step, f, p, t0, y0, k0, t_end, config, collapse_tol):
             outcome = ("ReachedTEnd", t, y, k0)
             break
         if steps >= _MAX_STEPS:
-            raise StepBudgetError(f"step budget of {_MAX_STEPS} exhausted at t={t:.6g}")
+            state, h = ", ".join(f"{v:.6g}" for v in y), min(h, _H_MAX, t_end - t)
+            raise StepBudgetError(f"step budget of {_MAX_STEPS} exhausted at t={t:.6g}, state ({state}), h={h:.6g}")
         steps += 1
         h = _H_MAX if h > _H_MAX else h  # min(h, _H_MAX, t_end - t)
         h = t_end - t if h > t_end - t else h

@@ -35,3 +35,19 @@ def test_criterion(results, name):
         line += f" ({result.note})"
     print(line)
     assert result.passed, line
+
+
+@pytest.mark.parametrize("name_filter,kept", [("", ["first", "second", "third_x"]), ("_x", ["third_x"])])
+def test_a_producer_that_raises_fails_only_the_checks_it_has_not_reported(monkeypatch, name_filter, kept):
+    def producer(oracle_tol):
+        yield acceptance.CheckResult("first", True, 0.0, 1.0)
+        raise ZeroDivisionError("planted")
+
+    last = acceptance.ALL_CHECKS[-1]
+    monkeypatch.setattr(acceptance, "ALL_CHECKS", [(("first", "second", "third_x"), producer), last])
+    results = acceptance.run_checks(name_filter)
+    assert [r.name for r in results] == kept + [n for n in last[0] if name_filter in n]
+    failed = [r for r in results if r.error]
+    assert [r.name for r in failed] == [n for n in kept if n != "first"]
+    assert all(r.error == "ZeroDivisionError: planted" and not r.passed for r in failed)
+    assert all(r.passed for r in results if not r.error)

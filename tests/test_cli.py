@@ -339,6 +339,21 @@ class TestSimulate:
             field = bergerflow.vector_field(params, (float(row[1]), float(row[2])))
             assert row[7:] == [cli._fmt(v) for v in field]
 
+    def test_arithmetic_failure_mid_run_exit_code(self, capsys, monkeypatch):
+        # a field that raises after the start is an integration failure
+        calls = []
+
+        def failing(params, point):
+            calls.append(point)
+            if len(calls) == 10:
+                raise ZeroDivisionError("planted")
+            return bergerflow.vector_field(params, point)
+
+        monkeypatch.setattr(importlib.import_module("bergerflow.integrate"), "vector_field", failing)
+        code, out, err = run(capsys, *SIMULATE, "--t-end", "20")
+        assert (code, out) == (2, "")
+        assert err == "error: integration failure: ZeroDivisionError: planted\n"
+
     def test_writes_file(self, capsys, tmp_path):
         out_file = tmp_path / "run.csv"
         code, out, _ = run(
@@ -453,6 +468,32 @@ class TestVerify:
         assert report["status"] == "pass"
         assert len(report["checks"]) == 20
 
+    @pytest.mark.parametrize("name_filter", ["", "stability"])
+    def test_a_failed_run_fails_its_checks_and_the_rest_still_run(self, capsys, monkeypatch, name_filter):
+        # the runs that need more steps than the budget allows fail their
+        # producer's remaining checks; the report stays strict JSON
+        acceptance = importlib.import_module("bergerflow.acceptance")
+        acceptance._run.cache_clear()  # a cached trajectory would take no step
+        monkeypatch.setattr(importlib.import_module("bergerflow.integrate"), "_MAX_STEPS", 200)
+        code, out, err = run(capsys, "verify", "--filter", name_filter)
+        acceptance._run.cache_clear()
+        assert (code, err) == (3, "")
+        report = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in the report"))
+        names = [n for names, _ in acceptance.ALL_CHECKS for n in names if name_filter in n]
+        assert report["status"] == "fail"
+        assert [c["name"] for c in report["checks"]] == names
+        failed = {c["name"]: c for c in report["checks"] if "error" in c}
+        assert {"stability_convergence", "stability_divergence_beta"} <= set(failed)
+        for check in report["checks"]:
+            if check["name"] in failed:
+                assert list(check) == ["name", "passed", "error"]
+                assert not check["passed"]
+                assert check["error"].startswith("StepBudgetError: step budget of 200 exhausted at t=")
+            else:
+                assert list(check) == ["name", "passed", "measured", "threshold"]
+        if not name_filter:  # a producer after the failed ones passes
+            assert next(c for c in report["checks"] if c["name"] == "energy_monotonic_increase")["passed"]
+
     def test_unattainable_tolerance_fails(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--filter", "oracle_eps1_max_error",
@@ -539,6 +580,25 @@ def test_import_does_not_load(module):
 
 def test_only_verify_loads_acceptance():
     assert _probe_imports("bergerflow.acceptance") == "[0, 0, 0, 0] [False, True]"
+
+
+# The import probe where numpy cannot be imported, then sample_portrait,
+# the one function that needs it.
+_NO_NUMPY_PROBE = "import sys\nsys.modules['numpy'] = None\n" + _IMPORT_PROBE + """
+import bergerflow
+params = bergerflow.FlowParams(bergerflow.FlowKind.COLLAPSE, 2.0, 1.0, 1.0)
+try:
+    bergerflow.sample_portrait(params, (0.5, 1.0), (0.5, 1.0), 2, 2)
+except ImportError as exc:
+    print(type(exc).__name__)
+"""
+
+
+def test_every_subcommand_runs_without_numpy():
+    # numpy is no runtime dependency: only sample_portrait imports it
+    assert _fresh_interpreter(_NO_NUMPY_PROBE, "bergerflow.acceptance") == (
+        "[0, 0, 0, 0] [False, True]\nModuleNotFoundError"
+    )
 
 
 # Runs in a fresh interpreter: lists the modules of generated code (steps

@@ -209,6 +209,16 @@ class TestCurve:
         with pytest.raises(ValueError):
             curve_speed(COLLAPSE, 1.0)
 
+    @pytest.mark.parametrize("epsilon", [0.0, -0.0, -1.0, math.nan])
+    @pytest.mark.parametrize(
+        "fn",
+        [curve_point, curve_tangent, lambda e: curve_speed(NORMALIZED, e)],
+        ids=["point", "tangent", "speed"],
+    )
+    def test_curve_rejects_a_parameter_that_is_not_positive(self, fn, epsilon):
+        with pytest.raises(ValueError, match=f"epsilon must be positive, got {epsilon}"):
+            fn(epsilon)
+
     @pytest.mark.parametrize("params", [NORMALIZED, NORMALIZED_NEG])
     def test_field_tangent_to_curve(self, params):
         for eps in np.logspace(math.log10(0.05), math.log10(20.0), 100):

@@ -248,6 +248,23 @@ class TestRobustness:
         with pytest.raises(StepBudgetError, match="step budget of 10 exhausted"):
             integrate(COLLAPSE, NO_EQUILIB, t_end=20.0)
 
+    @pytest.mark.parametrize("budget", [10, 40])
+    def test_step_budget_error_names_the_state_and_step(self, monkeypatch, budget):
+        # the budget only decides where the run stops, so the state the
+        # message names is a sample of the same run without one
+        params = dataclasses.replace(COLLAPSE, epsilon=0.8)
+        samples = integrate(params, NO_EQUILIB, t_end=20.0).samples
+        monkeypatch.setattr(importlib.import_module("bergerflow.integrate"), "_MAX_STEPS", budget)
+        with pytest.raises(StepBudgetError) as info:
+            integrate(params, NO_EQUILIB, t_end=20.0)
+        head, h = str(info.value).split(", h=")
+        assert 0.0 < float(h) <= 1.0
+        named = [
+            f"step budget of {budget} exhausted at t={s.t:.6g}, state ({s.alpha:.6g}, {s.beta:.6g})"
+            for s, _ in samples
+        ]
+        assert head in named
+
     def test_unattainable_tolerance_underflows(self):
         # the scaled error overflows; that must reject the step, not raise
         params = dataclasses.replace(COLLAPSE, epsilon=1.3)
@@ -492,6 +509,11 @@ class TestReduced:
     def test_requires_normalized(self):
         with pytest.raises(ValueError):
             integrate_reduced(COLLAPSE)
+
+    @pytest.mark.parametrize("t_end", [0.0, -1.0, math.nan])
+    def test_rejects_a_t_end_that_is_not_positive(self, t_end):
+        with pytest.raises(ValueError, match=f"t_end must be positive, got {t_end}"):
+            integrate_reduced(NORMALIZED, epsilon0=1.4, t_end=t_end)
 
     def test_fixed_point_is_constant(self):
         samples = integrate_reduced(NORMALIZED, NO_EQUILIB, epsilon0=1.0, t_end=20.0)
@@ -742,6 +764,7 @@ def test_a_step_without_source_to_inline_is_generic(monkeypatch):
     fused = integrate(COLLAPSE, NO_EQUILIB, t_end=20.0)
 
     module._step.cache_clear()
+    module._parts.cache_clear()
     monkeypatch.setattr(linecache, "getlines", lambda filename, module_globals=None: [])
     assert selected_step(vector_field, COLLAPSE).__name__ == "_rk_step2"
     assert repr(integrate(COLLAPSE, NO_EQUILIB, t_end=20.0)) == repr(fused)
@@ -771,13 +794,26 @@ def test_each_inlined_function_is_parsed_once(monkeypatch):
     # the collapse step and sample builder inline _collapse, vector_field,
     # _spinor_collapse and geometry_scalars: four texts, each parsed once
     module = importlib.import_module("bergerflow.integrate")
-    for cached in (module._step, module._samples, module._spans):
+    for cached in (module._step, module._samples, module._parts):
         cached.cache_clear()
     parse, parsed = ast.parse, []
     monkeypatch.setattr(ast, "parse", lambda source, *args: parsed.append(source) or parse(source, *args))
     selected_step(vector_field, COLLAPSE)
     module._fused(geometry_scalars, COLLAPSE, module._samples)
     assert len(parsed) == len(set(parsed)) == 4
+
+
+def test_each_inlined_function_is_read_once(monkeypatch):
+    # the sample builder reuses the step's reading of _collapse: four
+    # functions, four reads of their module's lines
+    module = importlib.import_module("bergerflow.integrate")
+    for cached in (module._step, module._samples, module._parts):
+        cached.cache_clear()
+    getlines, read = linecache.getlines, []
+    monkeypatch.setattr(linecache, "getlines", lambda *args: read.append(args[0]) or getlines(*args))
+    selected_step(vector_field, COLLAPSE)
+    module._fused(geometry_scalars, COLLAPSE, module._samples)
+    assert len(read) == 4
 
 
 @pytest.mark.parametrize("name,params", FUSED[2:])
@@ -794,6 +830,33 @@ def test_a_stage_division_by_zero_raises_as_the_field_does(name, params):
     assert_fused_step_raises_as_the_field_does(
         name, params, (1.0, 1e-160), (0.0, -4.99e-160), ZeroDivisionError, "u = 1.0 / (beta * beta)"
     )
+
+
+@pytest.mark.parametrize(
+    "ctol,etol,f0",
+    [(1e-3, None, (-10.0, 0.0)), (1e-3, None, (-1.0, -20.0)), (None, 1e-10, (0.0, -20.0))],
+    ids=["collapse-alpha-leaves", "collapse-beta-leaves", "equilibrium-beta-leaves"],
+)
+def test_event_location_never_returns_a_state_outside_the_quadrant(ctol, etol, f0):
+    # the interpolant of this unit step leaves the quadrant at its midpoint,
+    # where bisection starts, since there (a + b) / 2 + h (fa - fb) / 8 < 0
+    # in the leaving component; such states count as past the event, so the
+    # event comes before the midpoint, the field is never evaluated at one,
+    # and none is returned
+    locate = importlib.import_module("bergerflow.integrate")._locate_event
+    y0, y1, f1, seen = (1.0, 1.0), (5e-4, 1.0), (0.0, 0.0), []
+
+    def field(p, y):
+        seen.append(y)
+        return vector_field(p, y)
+
+    assert min(0.5 * (a + b) + 0.125 * (fa - fb) for a, b, fa, fb in zip(y0, y1, f0, f1)) < 0.0
+    t_event, (alpha, beta) = locate(field, COLLAPSE, ctol, etol, 2.0, 1.0, y0, y1, f0, f1)
+    assert 2.0 < t_event < 2.5
+    assert 0.0 < alpha < math.inf and 0.0 < beta < math.inf
+    assert ctol is None or alpha <= ctol
+    assert all(0.0 < x < math.inf and 0.0 < y < math.inf for x, y in seen)
+    assert seen or etol is None
 
 
 def wrap_in_module(monkeypatch, module_name, attr):

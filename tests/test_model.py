@@ -65,6 +65,11 @@ class TestFlowParams:
         with pytest.raises(ValueError):
             FlowParams(FlowKind.NORMALIZED, a=2.0, kappa=1.0, epsilon=1.0)
 
+    def test_kind_must_be_a_flow_kind(self):
+        # the enum's value is not a kind
+        with pytest.raises(ValueError, match="unknown flow kind 'collapse'"):
+            FlowParams("collapse", a=2.0, kappa=1.0, epsilon=1.0)
+
 
 @settings(max_examples=300)
 @given(
