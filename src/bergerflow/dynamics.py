@@ -12,12 +12,14 @@ import math
 from dataclasses import dataclass
 
 from .model import (
+    _COLLAPSE,
     _NORMALIZED,
     TWO_PI_SQ,
     FlowKind,
     FlowParams,
     State,
-    metric_velocity,
+    _collapse_field,
+    _normalized_field,
     normalizing_constant,
 )
 
@@ -43,18 +45,18 @@ def _off_quadrant(x: float, y: float) -> ValueError:
 def vector_field(params: FlowParams, point) -> tuple[float, float]:
     """Right-hand side (dx, dy) of the flow at a first-quadrant point.
 
-    Assembled as half the scale times the diagonal metric-velocity
-    component, which is the form in which the planar reduction is exactly
-    self-consistent; :func:`explicit_rhs` carries the multiplied-out
-    coefficients as an independent cross-check.  The integrator's fused
-    steps inline the returned expression after the per-point lines of
-    ``model._collapse`` or ``model._normalized``, which bind its names.
+    Half the scale times the diagonal metric-velocity component, evaluated
+    by the straight-line body ``model._collapse_field`` or
+    ``model._normalized_field`` as a polynomial in alpha/beta over beta;
+    :func:`explicit_rhs` carries the multiplied-out coefficients as an
+    independent cross-check.  The integrator's fused steps inline the body.
     """
     alpha, beta = point
     if not (0 < alpha < math.inf and 0 < beta < math.inf):
         raise _off_quadrant(alpha, beta)
-    v00, v11 = metric_velocity(params, alpha, beta)
-    return 0.5 * alpha * v00, 0.5 * beta * v11
+    if params.kind is _COLLAPSE:
+        return _collapse_field(params, alpha, beta)
+    return _normalized_field(params, alpha, beta)
 
 
 def explicit_rhs(params: FlowParams, point) -> tuple[float, float]:
@@ -151,10 +153,11 @@ def curve_speed(params: FlowParams, epsilon: float) -> float:
     # per point
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
+    # Horner factors; e2 = epsilon^2 is bound only in the branch that uses it
     return (
-        _SPEED_SCALE * epsilon ** (5.0 / 3.0) * (-3.0 * epsilon**2 + 5.0 * epsilon - 2.0)
+        _SPEED_SCALE * epsilon ** (5.0 / 3.0) * ((-3.0 * epsilon + 5.0) * epsilon - 2.0)
         if plus
-        else _SPEED_SCALE * epsilon ** (-1.0 / 3.0) * (-3.0 * epsilon**4 + epsilon**2 + 2.0)
+        else _SPEED_SCALE * epsilon ** (-1.0 / 3.0) * ((-3.0 * (e2 := epsilon * epsilon) + 1.0) * e2 + 2.0)
     )
 
 

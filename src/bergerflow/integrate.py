@@ -8,12 +8,14 @@ last stage as the next step's first (FSAL).  The generic step, one per
 dimension in use (2 and 1), calls the field as f(params, y), with no stage
 time, since both flows are autonomous.  A step fused with one of the
 package's own fields instead inlines, from their source, the lines of
-model._collapse, model._normalized or dynamics.curve_speed below the line
-"# per point" at each stage, and the expression that vector_field or
-curve_speed returns; the lines above it run once per run.  Fused sample
-assembly inlines likewise the metric velocity's and spinor's bodies at each
-sample, and the expression geometry_scalars returns.  Fused code does the
-same operations in the same order, so it gives the same bits.  Each run
+model._collapse_field, model._normalized_field or dynamics.curve_speed
+below the line "# per point" at each stage, and the expression that body
+returns; the lines above it run once per run, and the run's start and
+event search call the same lines as a point field.  Fused sample assembly
+inlines likewise the metric velocity's and spinor's bodies at each sample,
+and fills each record's instance dict with the arguments of the
+constructor call geometry_scalars returns.  Fused code does the same
+operations in the same order, so it gives the same bits.  Each run
 reads its field, and integrate geometry_scalars, once from this module's
 globals and looks them up in _STOCK: a wrapped function misses and sees
 every evaluation.  Fused code is compiled the first time a run needs it.  Steps
@@ -31,7 +33,7 @@ import linecache
 import math
 import sys
 import types
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import phase
 from .dynamics import curve_speed, vector_field
@@ -43,7 +45,9 @@ from .model import (
     GeometryScalars,
     State,
     _collapse,
+    _collapse_field,
     _normalized,
+    _normalized_field,
     _spinor_collapse,
     _spinor_normalized,
     geometry_scalars,
@@ -131,9 +135,11 @@ def _parts(fn):
     """A top-level straight-line function's source, read and parsed once:
     its body lines, docstring left out, above the line "# per point" (all
     of them where it has none) and below it up to the final return; that
-    return's lines; and the globals it reads.  The function ends before the
-    next top-level statement.  Reading it thus, and not through
-    inspect.getsource, spares the few milliseconds the tokenizer takes to start."""
+    return's lines; the globals it reads; and where it returns a call of a
+    name, that name and the source of each positional argument, else None.
+    The function ends before the next top-level statement.  Reading it
+    thus, and not through inspect.getsource, spares the few milliseconds
+    the tokenizer takes to start; no syntax tree is kept."""
     code = fn.__code__
     lines = linecache.getlines(code.co_filename)[code.co_firstlineno - 1 :]
     if not lines:
@@ -145,7 +151,10 @@ def _parts(fn):
     body = lines[first:last]
     mark = body.index("    # per point") if "    # per point" in body else len(body)
     read = {k: v for k, v in fn.__globals__.items() if k in code.co_names}
-    return body[:mark], body[mark + 1 :], lines[last:], read
+    value, call = node.body[-1].value, None
+    if isinstance(value, ast.Call) and isinstance(value.func, ast.Name):
+        call = value.func.id, [ast.unparse(arg) for arg in value.args]
+    return body[:mark], body[mark + 1 :], lines[last:], read, call
 
 
 def _inlined(stock):
@@ -194,7 +203,10 @@ def _step(n, stock=None):
     parameter-only lines once per run.  The step names each stage input
     after formula's point arguments, and in place of calling f runs there
     formula's per-point lines and assigns the stage the expression output
-    returns.  It ignores f and p, and returns f's bits.
+    returns.  It ignores f and p, and returns f's bits.  Its attribute
+    field is f as the step inlines it, a function of (p, y) that reads the
+    same run's coefficients, ignores p and leaves the quadrant test to its
+    caller; it gives f's bits at every admissible y.
     """
     name, dims = f"_rk_step{n}", range(n)
     s = [f"s{d}" for d in dims]
@@ -229,21 +241,35 @@ def _step(n, stock=None):
     squares = " + ".join(f"r{d} * r{d}" for d in dims)
     last = f"k{len(_A)}" if stock is None else tup(f"k{len(_A)}_{d}" for d in dims)
     lines.append(f"    return {last}, {tup(s)}, sqrt(({squares}) / {n})")
+    if stock is not None:
+        field = f"_field{n}_{stock[0]}"
+        lines += [f"def {field}(p, y):", f"    {tup(s)} = y", *per_point, returned[0].replace("return", "k =", 1)]
+        lines += [*returned[1:], f"    return {'(k,)' if n == 1 else 'k'}", f"{name}.field = {field}"]
     return _compiled(name, lines, namespace, prelude)
 
 
 @functools.cache
 def _samples(stock):
     """Compile, the first time a run needs it, for stock = (suffix, formulas,
-    geometry_scalars), the factory of samples(points), which returns the bits of [(State(t, *y),
-    geometry_scalars(params, *y)) for t, y, _ in points] by running the
-    formulas' per-point lines and the expression geometry_scalars returns."""
+    geometry_scalars), the factory of samples(points), which returns the
+    bits of [(State(t, *y), geometry_scalars(params, *y)) for t, y, _ in
+    points] by running the formulas' per-point lines.  It tests State's
+    scales inline, and builds each record with no call to its __init__:
+    object.__new__, then its instance dict filled in the order of its
+    dataclass fields, State's with t, alpha and beta, the other with the
+    arguments of the constructor call that geometry_scalars returns."""
     name = f"_samples_{stock[0]}"
-    prelude, per_point, returned, namespace = _inlined(stock)
+    prelude, per_point, _, namespace = _inlined(stock)
+    namespace = {**namespace, "State": State, "new": object.__new__, "inf": math.inf}
+    records = [("state", "State", ["t", "alpha", "beta"]), ("scalars", *_parts(stock[2])[4])]
     lines = [f"def {name}(points):", "    samples = []", "    for t, (alpha, beta), _ in points:"]
-    lines += [f"    {line}" for line in (*per_point, returned[0].replace("return", "scalars =", 1), *returned[1:])]
-    lines += ["        samples.append((State(t, alpha, beta), scalars))", "    return samples"]
-    return _compiled(name, lines, {**namespace, "State": State}, prelude)
+    lines += [f"    {line}" for line in per_point]
+    lines += ["        if not (0.0 < alpha < inf and 0.0 < beta < inf):", "            State(t, alpha, beta)  # raises"]
+    for var, cls, values in records:
+        lines += [f"        {var} = new({cls})", f"        dct = {var}.__dict__"]
+        lines += [f"        dct[{f.name!r}] = {v}" for f, v in zip(fields(namespace[cls]), values, strict=True)]
+    lines += ["        samples.append((state, scalars))", "    return samples"]
+    return _compiled(name, lines, namespace, prelude)
 
 
 def _advance(rk_step, f, p, t0, y0, k0, t_end, config, collapse_tol):
@@ -319,9 +345,11 @@ def _advance(rk_step, f, p, t0, y0, k0, t_end, config, collapse_tol):
 def _locate_event(f, p, ctol, etol, t, h, y0, y1, f0, f1):
     """Earliest time in (t, t + h] where y[0] <= ctol, or if ctol is None
     |f(p, y)| / |y| <= etol, by bisection on the cubic Hermite interpolant
-    through (y0, f0) and (y1, f1).  Interpolated states outside the open
-    quadrant count as past the event and are never the event state."""
-    lo, hi, y_hi, nodes = 0.0, 1.0, y1, list(zip(y0, y1, f0, f1))
+    through (y0, f0) and (y1, f1), and the state there.  Interpolated states
+    outside the open quadrant count as past the event and are never the
+    event state; the time returned is that of the state returned, so where
+    no in-quadrant state at or past the event was seen it is (t + h, y1)."""
+    lo, hi, at, y_at, nodes = 0.0, 1.0, 1.0, y1, list(zip(y0, y1, f0, f1))
     while (hi - lo) * h > _EVENT_TIME_TOL:
         s = 0.5 * (lo + hi)
         # (1 - s) a + s b + s (s - 1) ((1 - 2 s) (b - a) + (s - 1) h fa + s h fb)
@@ -330,10 +358,11 @@ def _locate_event(f, p, ctol, etol, t, h, y0, y1, f0, f1):
         if not (0.0 < y_mid[0] < math.inf and 0.0 < y_mid[-1] < math.inf):
             hi = s
         elif y_mid[0] <= ctol if ctol is not None else math.hypot(*f(p, y_mid)) / math.hypot(*y_mid) <= etol:
-            hi, y_hi = s, y_mid
+            hi = at = s
+            y_at = y_mid
         else:
             lo = s
-    return t + hi * h, y_hi
+    return t + at * h, y_at
 
 
 def integrate(
@@ -354,10 +383,10 @@ def integrate(
     s0 = initial_state(params) if start is None else start
     f, scalars = vector_field, geometry_scalars  # read per call, so that a wrapper sees every evaluation
     y0 = (float(s0.alpha), float(s0.beta))
+    step = _step_for(f, params, 2)
+    f = getattr(step, "field", f)  # a fused step's own, for the start and the event search
     k0 = _field_at_start(f, params, y0, "start must keep the field finite", y0)
-    points, (tag, t_ev, y_ev, _) = _advance(
-        _step_for(f, params, 2), f, params, s0.t, y0, k0, s0.t + t_end, config, config.collapse_tol
-    )
+    points, (tag, t_ev, y_ev, _) = _advance(step, f, params, s0.t, y0, k0, s0.t + t_end, config, config.collapse_tol)
     build = _fused(scalars, params, _samples)
     samples = build(points) if build else [(State(t, *y), scalars(params, *y)) for t, y, _ in points]
     termination = _classify(params, config, tag, t_ev, y_ev, s0)
@@ -425,8 +454,10 @@ def integrate_reduced(
         return (speed(p, y[0]),)
 
     y0 = (float(epsilon0),)
+    step = _step_for(speed, params, 1)
+    f = getattr(step, "field", f)
     k0 = _field_at_start(f, params, y0, "epsilon0 must keep the speed finite at the start", epsilon0)
-    points, (tag, t_ev, _, _) = _advance(_step_for(speed, params, 1), f, params, 0.0, y0, k0, t_end, config, None)
+    points, (tag, t_ev, _, _) = _advance(step, f, params, 0.0, y0, k0, t_end, config, None)
     if tag == "StepUnderflow":
         raise ValueError(
             f"epsilon0 must keep the step above {_H_MIN:g} at rtol={config.rtol:g}, atol={config.atol:g},"
@@ -441,8 +472,8 @@ def integrate_reduced(
 # tracer that swaps the module globals leaves this table alone, so a run
 # that reads a swapped function misses it and calls that function.
 _STOCK = {
-    (vector_field, _COLLAPSE): ("collapse", (_collapse,), vector_field),
-    (vector_field, _NORMALIZED): ("normalized", (_normalized,), vector_field),
+    (vector_field, _COLLAPSE): ("collapse", (_collapse_field,), _collapse_field),
+    (vector_field, _NORMALIZED): ("normalized", (_normalized_field,), _normalized_field),
     (curve_speed, _NORMALIZED): ("speed", (curve_speed,), curve_speed),
     (geometry_scalars, _COLLAPSE): ("collapse", (_collapse, _spinor_collapse), geometry_scalars),
     (geometry_scalars, _NORMALIZED): ("normalized", (_normalized, _spinor_normalized), geometry_scalars),

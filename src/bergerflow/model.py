@@ -6,10 +6,10 @@ function of the flow parameters and those two scales: the unit-volume
 normalizing constant, the Riemannian volume, the diagonal components of the
 (negative) energy gradient, the spinorial energy itself, and the two scalar
 coefficients ``f`` and ``g`` through which the spinor enters.  The gradient
-components and the spinor coefficients of each flow kind come from
-straight-line bodies, which :func:`metric_velocity` and
-:func:`spinor_coefficients` call, and the integrator's fused steps and
-sample assembly inline.
+components, the planar field and the spinor coefficients of each flow kind
+come from straight-line bodies, which :func:`metric_velocity`,
+``dynamics.vector_field`` and :func:`spinor_coefficients` call, and the
+integrator's fused steps and sample assembly inline.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ import enum
 import math
 from dataclasses import dataclass
 
-TWO_PI_SQ = 2.0 * math.pi**2
+PI_SQ = math.pi**2
+TWO_PI_SQ = 2.0 * PI_SQ
 
 
 class FlowKind(enum.Enum):
@@ -40,7 +41,7 @@ class FlowParams:
     constant of the initial spinor: +-1 for the collapse flow, +-1/2 for the
     volume-normalized flow.  ``epsilon`` is the initial fiber length scale,
     accepted where the field at the initial state is finite: up to about
-    8.6e102 for the collapse flow, and from about 2.9e-231 (a*kappa = 1) or
+    8.6e102 for the collapse flow, and from about 8.8e-243 (a*kappa = 1) or
     4.6e-186 (a*kappa = -1) up to about 3.4e92 for the normalized flow.
     All dynamics depend on (a, kappa) only through the product ``a*kappa``
     (and the fixed squares), so flipping both signs changes nothing except
@@ -69,13 +70,14 @@ class FlowParams:
             raise ValueError(f"unknown flow kind {self.kind!r}")
         if not 0 < self.epsilon < math.inf:
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
-        # The field (x q00 / 2, y q11 / 2) at the start: x/y = epsilon there,
-        # which no rescaling removes, and x^3/y^4 grows as epsilon^3
-        # (collapse) or epsilon^(10/3) (normalized).
+        # The field at the start: r = alpha/beta = epsilon there, which no
+        # rescaling removes, and r^3/beta grows as epsilon^3 (collapse) or
+        # epsilon^(10/3) (normalized).
         try:
             start = initial_state(self)
-            v00, v11 = metric_velocity(self, start.alpha, start.beta)
-            finite = math.isfinite(0.5 * start.alpha * v00) and math.isfinite(0.5 * start.beta * v11)
+            body = _collapse_field if self.kind is FlowKind.COLLAPSE else _normalized_field
+            dx, dy = body(self, start.alpha, start.beta)
+            finite = math.isfinite(dx) and math.isfinite(dy)
         except (ArithmeticError, ValueError):  # ValueError: State rejects a start at 0 or inf
             finite = False
         if not finite:
@@ -215,19 +217,73 @@ def _normalized(params: FlowParams, alpha: float, beta: float):
     return v00, v11, q00, q11, e6
 
 
+# The planar field (dalpha, dbeta) = (alpha v00 / 2, beta v11 / 2) of each
+# flow kind.  It is homogeneous of degree -1: alpha u = r / beta, beta u =
+# 1 / beta, alpha w = 1 / alpha and beta w = beta / alpha^2, so each component
+# is a Horner polynomial in r divided by beta, plus, for the normalized flow,
+# a term in 1/alpha or beta/alpha^2.  Every coefficient, with its 1/2, is a
+# parameter-only line; the coefficients are the metric velocity's, halved.
+# The return holds both components, so that a fused stage stores them
+# straight into its stage names.
+def _collapse_field(params: FlowParams, alpha: float, beta: float):
+    a, lam = params.a, params.kappa
+    c3 = -9.0 / 128.0 * a * a
+    c2 = 1.0 / 4.0 * a * lam
+    c1 = -1.0 / 4.0 * lam * lam
+    d2 = 3.0 / 128.0 * a * a
+    d1 = -1.0 / 16.0 * a * lam
+    # per point
+    r = alpha / beta
+    return (
+        ((c3 * r + c2) * r + c1) * r / beta,  # dalpha
+        (d2 * r + d1) * r / beta,  # dbeta
+    )
+
+
+# The q and e6 polynomials stay apart and are summed, as in the metric
+# velocity: on the diagonal r = 1 each sums exactly, so every round sphere
+# stays an exact rest point of the a*kappa = 1 field.  e6 enters dalpha times
+# r and dbeta as it is.
+def _normalized_field(params: FlowParams, alpha: float, beta: float):
+    a, mu = params.a, params.kappa
+    m = mu - a / 4.0
+    n = a / 4.0 + mu
+    c3 = -9.0 / 128.0 * a * a
+    c2 = a * a / 16.0 + a * mu / 4.0
+    c1 = -1.0 / 4.0 * mu * mu - 3.0 / 16.0 * a * mu
+    d2 = 3.0 / 128.0 * a * a
+    d1 = -a * a / 64.0 - a * mu / 16.0
+    e2 = a * a / 128.0
+    e1 = -a * n / 24.0
+    e0 = a * m / 48.0 + n * n / 12.0
+    xw = m * m / 6.0
+    yw = -m * m / 12.0
+    # per point
+    r = alpha / beta
+    e6 = (e2 * r + e1) * r + e0
+    return (
+        (((c3 * r + c2) * r + c1) + e6) * r / beta + xw / alpha,  # dalpha
+        ((d2 * r + d1) * r + e6) / beta + yw * beta / (alpha * alpha),  # dbeta
+    )
+
+
 def _spinor_collapse(params: FlowParams, alpha: float, beta: float):
     a, kappa = params.a, params.kappa
     # per point
-    f = 1.0 / 4.0 * alpha / beta**2 * a
+    b2 = beta**2
+    f = 1.0 / 4.0 * alpha / b2 * a
     g = kappa / beta - f
     return f, g
 
 
 def _spinor_normalized(params: FlowParams, alpha: float, beta: float):
     a, kappa = params.a, params.kappa
+    fw = kappa - a / 4.0
+    gr = -a / 4.0
     # per point
-    f = (kappa - a / 4.0) / alpha + 1.0 / 4.0 * alpha / beta**2 * a
-    g = (-a / 4.0 * (alpha / beta - 1.0) + kappa) / beta
+    b2 = beta**2
+    f = fw / alpha + 1.0 / 4.0 * alpha / b2 * a
+    g = (gr * (alpha / beta - 1.0) + kappa) / beta
     return f, g
 
 
@@ -280,19 +336,22 @@ def energy(params: FlowParams, alpha: float, beta: float) -> float:
     so the energy is pi^2 * alpha * beta^2 * (f^2 + 2 g^2).
     """
     f, g = spinor_coefficients(params, alpha, beta)
-    return math.pi**2 * alpha * beta**2 * (f * f + 2.0 * g * g)
+    return PI_SQ * alpha * beta**2 * (f * f + 2.0 * g * g)
 
 
 def geometry_scalars(params: FlowParams, alpha: float, beta: float) -> GeometryScalars:
     """Bundle all per-point diagnostics for one trajectory sample.  Fused
-    sample assembly inlines the return, whose names the bodies bind."""
+    sample assembly fills the record's fields with the arguments of the
+    return, in field order, whose names the bodies bind: b2 = beta**2 the
+    spinor's."""
     f, g = spinor_coefficients(params, alpha, beta)
     v00, v11 = metric_velocity(params, alpha, beta)
-    # positional, in field order: once per sample, where keywords cost more
+    b2 = beta**2
+    # positional, in field order, which fused sample assembly pairs them with
     return GeometryScalars(
-        TWO_PI_SQ * alpha * beta**2,  # volume
+        TWO_PI_SQ * alpha * b2,  # volume
         # energy() on the (f, g) already at hand, with its exact expression
-        math.pi**2 * alpha * beta**2 * (f * f + 2.0 * g * g),
+        PI_SQ * alpha * b2 * (f * f + 2.0 * g * g),
         v00,
         v11,
         f,

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
@@ -204,6 +206,30 @@ class TestCurve:
         assert curve_speed(NORMALIZED_NEG, 1.0) == pytest.approx(0.0, abs=1e-14)
         assert curve_speed(NORMALIZED_NEG, 0.9) > 0.0
         assert curve_speed(NORMALIZED_NEG, 1.1) < 0.0
+
+    @pytest.mark.parametrize("params", [NORMALIZED, NORMALIZED_NEG], ids=["plus", "minus"])
+    def test_speed_matches_the_power_form(self, params):
+        # the Horner form against the integer powers it replaced, within 8
+        # ulps of 1.0 times the sum of the terms' magnitudes (2.8 measured),
+        # log-uniform over [1e-3, 1e3]
+        scale = (2.0 * math.pi**2) ** (2.0 / 3.0) / 8.0
+        rng = random.Random(12)
+        for _ in range(5000):
+            e = 10.0 ** rng.uniform(-3.0, 3.0)
+            if params.product == 1.0:
+                old = scale * e ** (5.0 / 3.0) * (-3.0 * e**2 + 5.0 * e - 2.0)
+                terms = scale * e ** (5.0 / 3.0) * (3.0 * e**2 + 5.0 * e + 2.0)
+            else:
+                old = scale * e ** (-1.0 / 3.0) * (-3.0 * e**4 + e**2 + 2.0)
+                terms = scale * e ** (-1.0 / 3.0) * (3.0 * e**4 + e**2 + 2.0)
+            assert abs(curve_speed(params, e) - old) <= 8.0 * 2.0**-52 * terms
+
+    def test_speed_vanishes_exactly_at_the_rounded_roots(self):
+        # -3 fl(2/3) and 3 fl(2/3) both round to 2, so the Horner factor
+        # (-3e + 5)e - 2 is exactly 0 there, as it is at 1
+        for params in (NORMALIZED, dataclasses.replace(NORMALIZED, a=-2.0, kappa=-0.5)):
+            assert curve_speed(params, 2.0 / 3.0) == curve_speed(params, 1.0) == 0.0
+        assert curve_speed(NORMALIZED_NEG, 1.0) == 0.0
 
     def test_speed_requires_normalized(self):
         with pytest.raises(ValueError):

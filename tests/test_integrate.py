@@ -4,7 +4,9 @@ import importlib
 import inspect
 import linecache
 import math
+import pickle
 import random
+import re
 import sys
 import textwrap
 import traceback
@@ -331,7 +333,7 @@ class TestRobustness:
         assert x == pytest.approx(y, rel=1e-6)
 
     @pytest.mark.parametrize("params", [COLLAPSE, NORMALIZED], ids=["collapse", "normalized"])
-    @pytest.mark.parametrize("point", [(1e-160, 1e-160), (1e-170, 1e-170), (1.0, 1e-120)])
+    @pytest.mark.parametrize("point", [(5e-324, 5e-324), (1e-310, 1e-310), (1.0, 1e-120)])
     def test_start_with_a_non_finite_field_is_rejected(self, params, point):
         # the field there is infinite, or its evaluation divides by zero
         with pytest.raises(ValueError) as error:
@@ -361,18 +363,30 @@ class TestRobustness:
 )
 def test_samples_equal_the_public_constructors(params):
     # the records integrate assembles are the ones State and
-    # geometry_scalars build, field for field and bit for bit
-    assert_samples_rebuild(integrate(params, IntegratorConfig(), t_end=50.0))
+    # geometry_scalars build, field for field and bit for bit, with the
+    # same instance dicts, in the same key order, hashes and pickles
+    traj = integrate(params, IntegratorConfig(), t_end=50.0)
+    rebuilt = assert_samples_rebuild(traj)
+    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+    for got, want in zip((r for pair in traj.samples for r in pair), (r for pair in rebuilt for r in pair)):
+        assert type(got) is type(want)
+        assert list(vars(got).items()) == list(vars(want).items())
+        assert hash(got) == hash(want)
+        assert [pickle.dumps(got, protocol) for protocol in protocols] == [
+            pickle.dumps(want, protocol) for protocol in protocols
+        ]
 
 
 def assert_samples_rebuild(traj):
-    """traj's samples are the records State and geometry_scalars build."""
+    """traj's samples are the records State and geometry_scalars build;
+    returns those."""
     rebuilt = [
         (State(s.t, s.alpha, s.beta), geometry_scalars(traj.params, s.alpha, s.beta))
         for s, _ in traj.samples
     ]
     assert traj.samples == rebuilt
     assert [repr(pair) for pair in traj.samples] == [repr(pair) for pair in rebuilt]
+    return rebuilt
 
 
 def sweep_box_runs(seed):
@@ -703,7 +717,11 @@ FUSED = [
 ]
 
 # the function whose per-point lines each fused step inlines
-FORMULA = {"collapse": "model._collapse", "normalized": "model._normalized", "speed": "dynamics.curve_speed"}
+FORMULA = {
+    "collapse": "model._collapse_field",
+    "normalized": "model._normalized_field",
+    "speed": "dynamics.curve_speed",
+}
 
 
 def stock_field(name):
@@ -714,8 +732,9 @@ def stock_field(name):
 @pytest.mark.parametrize("name,params", FUSED)
 def test_fused_steps_show_their_source(name, params):
     # the formula function's lines below "# per point" stand, verbatim, at
-    # each of the six stages of the step, and those above it once, in the
-    # factory around the step that runs them once per run; no call is left
+    # each of the six stages of the step and once in its point field, and
+    # those above it once, in the factory around the step that runs them
+    # once per run; no call is left
     module_name, function = FORMULA[name.rsplit("_", 1)[1]].split(".")
     formula = inspect.getsource(getattr(importlib.import_module(f"bergerflow.{module_name}"), function))
     prelude, per_point = formula.split("    # per point\n")
@@ -732,8 +751,13 @@ def test_fused_steps_show_their_source(name, params):
     assert prelude.splitlines()[-1] + "\n" not in source
     assert "f(" not in source
     assert "for" not in source.split()
-    output = "0.5 * alpha * v00" if name.startswith("_rk_step2") else "_SPEED_SCALE * epsilon ** (5.0 / 3.0)"
+    output = "  # dalpha" if name.startswith("_rk_step2") else "_SPEED_SCALE * epsilon ** (5.0 / 3.0)"
     assert source.count(output) == 6
+    field = textwrap.dedent(inspect.getsource(step.field))
+    assert step.field.__module__ == step.__module__
+    assert field.startswith(f"def _field{name[len('_rk_step'):]}(p, y):")
+    assert field.count(per_point) == field.count(output) == 1
+    assert "f(" not in field
 
 
 @pytest.mark.parametrize("kind,params", [("collapse", COLLAPSE), ("normalized", NORMALIZED)])
@@ -753,8 +777,27 @@ def test_fused_sample_assembly_shows_its_source(kind, params):
         assert loop.count(textwrap.indent(per_point.rsplit("    return", 1)[0], " " * 8)) == 1
         assert head.count(prelude.splitlines()[-1] + "\n") == 1
         assert prelude.splitlines()[-1] + "\n" not in loop
-    assert loop.count("GeometryScalars(") == 1
+    # each record is made by object.__new__ and its instance dict filled
+    # field by field, with no call to its __init__
+    assert loop.count("new(State)") == loop.count("new(GeometryScalars)") == 1
+    assert "GeometryScalars(" not in loop
+    assert loop.count("State(") == 1  # where the scales fail State's check, to raise its error
+    filled = re.findall(r"dct\['(\w+)'\] = ", loop)
+    assert filled == [f.name for cls in (State, model.GeometryScalars) for f in dataclasses.fields(cls)]
     assert not [call for call in ("geometry_scalars(", "metric_velocity(", "spinor_coefficients(") if call in source]
+
+
+@pytest.mark.parametrize("params", [COLLAPSE, NORMALIZED], ids=["collapse", "normalized"])
+def test_fused_samples_reject_a_scale_as_state_does(params):
+    # the records are built without State's constructor, but its check of
+    # the scales still runs, with its error
+    module = importlib.import_module("bergerflow.integrate")
+    samples = module._fused(geometry_scalars, params, module._samples)
+    with pytest.raises(ValueError) as want:
+        State(0.0, 1.0, math.inf)
+    with pytest.raises(ValueError) as got:
+        samples([(0.0, (1.0, math.inf), None)])
+    assert str(got.value) == str(want.value)
 
 
 def test_a_step_without_source_to_inline_is_generic(monkeypatch):
@@ -791,8 +834,9 @@ def assert_fused_step_raises_as_the_field_does(name, params, y, k0, error, line_
 
 
 def test_each_inlined_function_is_parsed_once(monkeypatch):
-    # the collapse step and sample builder inline _collapse, vector_field,
-    # _spinor_collapse and geometry_scalars: four texts, each parsed once
+    # the collapse step and sample builder inline _collapse_field,
+    # _collapse, _spinor_collapse and geometry_scalars: four texts, each
+    # parsed once
     module = importlib.import_module("bergerflow.integrate")
     for cached in (module._step, module._samples, module._parts):
         cached.cache_clear()
@@ -804,8 +848,8 @@ def test_each_inlined_function_is_parsed_once(monkeypatch):
 
 
 def test_each_inlined_function_is_read_once(monkeypatch):
-    # the sample builder reuses the step's reading of _collapse: four
-    # functions, four reads of their module's lines
+    # the step and the sample builder read four functions: four reads of
+    # their module's lines, none repeated
     module = importlib.import_module("bergerflow.integrate")
     for cached in (module._step, module._samples, module._parts):
         cached.cache_clear()
@@ -824,12 +868,26 @@ def test_inlined_power_raises_as_the_field_does(name, params):
     )
 
 
-@pytest.mark.parametrize("name,params", FUSED[:2])
+@pytest.mark.parametrize("name,params", FUSED[1:2])
 def test_a_stage_division_by_zero_raises_as_the_field_does(name, params):
-    # the second stage's beta, about 2e-163, squares to 0.0
+    # the second stage's alpha, about 2e-163, squares to 0.0
     assert_fused_step_raises_as_the_field_does(
-        name, params, (1.0, 1e-160), (0.0, -4.99e-160), ZeroDivisionError, "u = 1.0 / (beta * beta)"
+        name, params, (1e-160, 1.0), (-4.99e-160, 0.0), ZeroDivisionError, "((d2 * r + d1) * r + e6) / beta"
     )
+
+
+def test_an_overflowing_stage_gives_the_generic_bits():
+    # the collapse body divides only by beta, so it cannot raise inside the
+    # quadrant; where the second stage's beta, about 2e-163, makes r^3
+    # overflow, the field is infinite there, and the fused step gives the
+    # generic step's bits: the third stage leaves the quadrant
+    y, k0 = (1.0, 1e-160), (0.0, -4.99e-160)
+    stage = (1.0, 1e-160 + 0.2 * -4.99e-160)
+    assert not all(math.isfinite(v) for v in vector_field(COLLAPSE, stage))
+    generic = importlib.import_module("bergerflow.integrate")._step(2)
+    want = generic(vector_field, COLLAPSE, y, k0, 1.0, 1e-12, 1e-10)
+    assert want is None
+    assert selected_step(vector_field, COLLAPSE)(vector_field, COLLAPSE, y, k0, 1.0, 1e-12, 1e-10) == want
 
 
 @pytest.mark.parametrize(
@@ -842,7 +900,10 @@ def test_event_location_never_returns_a_state_outside_the_quadrant(ctol, etol, f
     # where bisection starts, since there (a + b) / 2 + h (fa - fb) / 8 < 0
     # in the leaving component; such states count as past the event, so the
     # event comes before the midpoint, the field is never evaluated at one,
-    # and none is returned
+    # and none is returned.  Where alpha leaves, an in-quadrant state at the
+    # event is found before the exit; where beta leaves first, none is, and
+    # the step's end (t + h, y1) is returned, a time and state that belong
+    # together
     locate = importlib.import_module("bergerflow.integrate")._locate_event
     y0, y1, f1, seen = (1.0, 1.0), (5e-4, 1.0), (0.0, 0.0), []
 
@@ -852,7 +913,10 @@ def test_event_location_never_returns_a_state_outside_the_quadrant(ctol, etol, f
 
     assert min(0.5 * (a + b) + 0.125 * (fa - fb) for a, b, fa, fb in zip(y0, y1, f0, f1)) < 0.0
     t_event, (alpha, beta) = locate(field, COLLAPSE, ctol, etol, 2.0, 1.0, y0, y1, f0, f1)
-    assert 2.0 < t_event < 2.5
+    if f0[1] < 0.0:  # beta leaves
+        assert (t_event, (alpha, beta)) == (3.0, y1)
+    else:
+        assert 2.0 < t_event < 2.5
     assert 0.0 < alpha < math.inf and 0.0 < beta < math.inf
     assert ctol is None or alpha <= ctol
     assert all(0.0 < x < math.inf and 0.0 < y < math.inf for x, y in seen)

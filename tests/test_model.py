@@ -1,5 +1,7 @@
 import dataclasses
+import dis
 import importlib
+import inspect
 import math
 import pickle
 import random
@@ -25,7 +27,7 @@ from bergerflow import (
     volume,
 )
 from bergerflow.dynamics import curve_speed
-from bergerflow.model import metric_velocity
+from bergerflow.model import _collapse_field, _normalized_field, metric_velocity
 
 TWO_PI_SQ = 2.0 * math.pi**2
 
@@ -455,9 +457,10 @@ def monomial_sums(params, alpha, beta):
     return tuple(sum(abs(c) * x for c, x in zip(row, monomials)) for row in coeffs)
 
 
-# The bodies evaluate each component as a polynomial in alpha/beta, in
-# another order than the layered expressions: within 8 ulps of 1.0 times
-# the sum of the terms' magnitudes, a bound fixed from the dtype.
+# The bodies evaluate each component as a polynomial in alpha/beta, the
+# field's over beta, in another order than the layered expressions: within
+# 8 ulps of 1.0 times the sum of the terms' magnitudes, a bound fixed from
+# the dtype (3.7 measured for the field, 3.6 for the metric velocity).
 BOUND = 8.0 * 2.0**-52
 
 
@@ -467,7 +470,10 @@ BOUND = 8.0 * 2.0**-52
     ids=["collapse", "collapse-neg", "normalized", "normalized-neg"],
 )
 def test_field_bodies_match_the_layered_expressions(params):
-    # log-uniform over [1e-3, 1e3]^2
+    # log-uniform over [1e-3, 1e3]^2; the field is the body's, and so is the
+    # event search's point field of the run's fused step
+    body = _collapse_field if params.kind is FlowKind.COLLAPSE else _normalized_field
+    point_field = importlib.import_module("bergerflow.integrate")._step_for(vector_field, params, 2).field
     rng = random.Random(11)
     for _ in range(2000):
         x, y = 10.0 ** rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-3.0, 3.0)
@@ -478,6 +484,7 @@ def test_field_bodies_match_the_layered_expressions(params):
         assert abs(v00 - r00) <= tol00 and abs(v11 - r11) <= tol11
         (dx, dy), (rx, ry) = vector_field(params, (x, y)), reference_vector_field(params, (x, y))
         assert abs(dx - rx) <= 0.5 * x * tol00 and abs(dy - ry) <= 0.5 * y * tol11
+        assert body(params, x, y) == point_field(None, (x, y)) == (dx, dy)
         got, ref = geometry_scalars(params, x, y), reference_geometry_scalars(params, x, y)
         assert (got.volume, got.energy, got.f, got.g) == (ref.volume, ref.energy, ref.f, ref.g)
         assert abs(got.q00 - ref.q00) <= tol00 and abs(got.q11 - ref.q11) <= tol11
@@ -510,3 +517,14 @@ def test_round_spheres_are_exact_rest_points_of_the_normalized_field(params):
     for _ in range(2000):
         x = 10.0 ** rng.uniform(-6.0, 6.0)
         assert vector_field(params, (x, x)) == (0.0, 0.0)
+
+
+# The per-point lines of each field body, as dis shows them, do at most the
+# arithmetic the polynomial form was sized by: a rewrite that adds an
+# operation to every stage of every step fails here.
+@pytest.mark.parametrize("body,most", [(_collapse_field, 11), (_normalized_field, 23)], ids=["collapse", "normalized"])
+def test_field_bodies_do_a_bounded_number_of_operations_per_point(body, most):
+    lines, first = inspect.getsourcelines(body)
+    marker = first + [line.strip() for line in lines].index("# per point")
+    ops = [op for op in dis.get_instructions(body) if op.opname == "BINARY_OP" and op.positions.lineno > marker]
+    assert 0 < len(ops) <= most

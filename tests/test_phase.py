@@ -297,13 +297,14 @@ class TestPortrait:
         assert rows == [(1.0, 1.0, 0.0, 0.0, 0.0)]
 
     @pytest.mark.parametrize(
-        "x,y,error",
+        "params,x,y,error",
         [
-            (1e-170, 1e-170, ZeroDivisionError),
+            # alpha^2 underflows to 0.0; the collapse field divides only by beta
+            (NORMALIZED, 1e-170, 1e-170, ZeroDivisionError),
             # a product that overflows to inf without raising
-            (4.265959041761247e113, 5353.280110530487, OverflowError),
+            (COLLAPSE, 4.265959041761247e113, 5353.280110530487, OverflowError),
         ],
     )
-    def test_non_finite_field_raises(self, x, y, error):
+    def test_non_finite_field_raises(self, params, x, y, error):
         with pytest.raises(error):
-            portrait_rows(COLLAPSE, (x, x), (y, y), 1, 1)
+            portrait_rows(params, (x, x), (y, y), 1, 1)
