@@ -12,17 +12,18 @@ model._collapse_field, model._normalized_field or dynamics.curve_speed
 below the line "# per point" at each stage, and the expression that body
 returns; the lines above it run once per run, and the run's start and
 event search call the same lines as a point field.  Fused sample assembly
-inlines likewise the metric velocity's and spinor's bodies at each sample,
-and fills each record's instance dict with the arguments of the
-constructor call geometry_scalars returns.  Fused code does the same
-operations in the same order, so it gives the same bits.  Each run
-reads its field, and integrate geometry_scalars, once from this module's
-globals and looks them up in _STOCK: a wrapped function misses and sees
-every evaluation.  Fused code is compiled the first time a run needs it.  Steps
-that would leave the open first quadrant are rejected and halved.  Terminal
-events (collapse of one or both scales, convergence to an equilibrium) are
-located by bisection on the cubic Hermite interpolant of the step that
-crosses them, at no further right-hand-side cost.
+inlines likewise the spinor's body at each sample, reads the metric
+velocity off the derivative the step held there, and fills each record's
+instance dict with the arguments of the constructor call geometry_scalars
+returns.  Fused code does the same operations in the same order, so it
+gives the same bits.  Each run reads its field, and integrate
+geometry_scalars, once from this module's globals and looks them up in
+_STOCK: a wrapped function misses and sees every evaluation.  Fused code
+is compiled the first time a run needs it.  Steps that would leave the
+open first quadrant are rejected and halved.  Terminal events (collapse of
+one or both scales, convergence to an equilibrium) are located by
+bisection on the cubic Hermite interpolant of the step that crosses
+them, at no further right-hand-side cost.
 """
 
 from __future__ import annotations
@@ -44,9 +45,7 @@ from .model import (
     FlowParams,
     GeometryScalars,
     State,
-    _collapse,
     _collapse_field,
-    _normalized,
     _normalized_field,
     _spinor_collapse,
     _spinor_normalized,
@@ -253,18 +252,21 @@ def _samples(stock):
     """Compile, the first time a run needs it, for stock = (suffix, formulas,
     geometry_scalars), the factory of samples(points), which returns the
     bits of [(State(t, *y), geometry_scalars(params, *y)) for t, y, _ in
-    points] by running the formulas' per-point lines.  It tests State's
-    scales inline, and builds each record with no call to its __init__:
-    object.__new__, then its instance dict filled in the order of its
-    dataclass fields, State's with t, alpha and beta, the other with the
-    arguments of the constructor call that geometry_scalars returns."""
+    points].  It tests State's scales first, inline, runs the formulas'
+    per-point lines, takes (dalpha, dbeta) from the point's derivative, or
+    where that is None from the step's field body, and builds each record
+    with no call to its __init__: object.__new__, then its instance dict
+    filled in the order of its dataclass fields, State's with t, alpha and
+    beta, the other with the arguments of the call geometry_scalars returns."""
     name = f"_samples_{stock[0]}"
     prelude, per_point, _, namespace = _inlined(stock)
-    namespace = {**namespace, "State": State, "new": object.__new__, "inf": math.inf}
+    body = next(other[2] for other in _STOCK.values() if other[0] == stock[0] and other[2] is not stock[2])
+    namespace = {**namespace, body.__name__: body, "State": State, "new": object.__new__, "inf": math.inf}
     records = [("state", "State", ["t", "alpha", "beta"]), ("scalars", *_parts(stock[2])[4])]
-    lines = [f"def {name}(points):", "    samples = []", "    for t, (alpha, beta), _ in points:"]
-    lines += [f"    {line}" for line in per_point]
+    lines = [f"def {name}(points):", "    samples = []", "    for t, (alpha, beta), held in points:"]
     lines += ["        if not (0.0 < alpha < inf and 0.0 < beta < inf):", "            State(t, alpha, beta)  # raises"]
+    lines += [f"    {line}" for line in per_point]
+    lines += [f"        dalpha, dbeta = {body.__name__}(params, alpha, beta) if held is None else held"]
     for var, cls, values in records:
         lines += [f"        {var} = new({cls})", f"        dct = {var}.__dict__"]
         lines += [f"        dct[{f.name!r}] = {v}" for f, v in zip(fields(namespace[cls]), values, strict=True)]
@@ -468,15 +470,16 @@ def integrate_reduced(
 
 # The package's own functions that a run reads, keyed with the flow kind, and
 # the stock of the fused code that stands in for them: its name suffix, the
-# functions whose lines it inlines and the one whose return it inlines.  A
-# tracer that swaps the module globals leaves this table alone, so a run
+# functions whose lines it inlines and the one whose return it inlines (a
+# sample stock reads q off the field body of the step stock of its suffix).
+# A tracer that swaps the module globals leaves this table alone, so a run
 # that reads a swapped function misses it and calls that function.
 _STOCK = {
     (vector_field, _COLLAPSE): ("collapse", (_collapse_field,), _collapse_field),
     (vector_field, _NORMALIZED): ("normalized", (_normalized_field,), _normalized_field),
     (curve_speed, _NORMALIZED): ("speed", (curve_speed,), curve_speed),
-    (geometry_scalars, _COLLAPSE): ("collapse", (_collapse, _spinor_collapse), geometry_scalars),
-    (geometry_scalars, _NORMALIZED): ("normalized", (_normalized, _spinor_normalized), geometry_scalars),
+    (geometry_scalars, _COLLAPSE): ("collapse", (_spinor_collapse,), geometry_scalars),
+    (geometry_scalars, _NORMALIZED): ("normalized", (_spinor_normalized,), geometry_scalars),
 }
 
 

@@ -5,11 +5,11 @@ fiber and ``beta`` on the horizontal complement.  Everything here is a pure
 function of the flow parameters and those two scales: the unit-volume
 normalizing constant, the Riemannian volume, the diagonal components of the
 (negative) energy gradient, the spinorial energy itself, and the two scalar
-coefficients ``f`` and ``g`` through which the spinor enters.  The gradient
-components, the planar field and the spinor coefficients of each flow kind
-come from straight-line bodies, which :func:`metric_velocity`,
-``dynamics.vector_field`` and :func:`spinor_coefficients` call, and the
-integrator's fused steps and sample assembly inline.
+coefficients ``f`` and ``g`` through which the spinor enters.  The planar
+field and the spinor coefficients of each flow kind come from straight-line
+bodies, which ``dynamics.vector_field``, :func:`spinor_coefficients` and
+:func:`geometry_scalars` call and the integrator's fused code inlines; the
+metric velocity is read off the field.
 """
 
 from __future__ import annotations
@@ -161,36 +161,11 @@ def volume(alpha: float, beta: float) -> float:
     return TWO_PI_SQ * alpha * beta**2
 
 
-# The metric velocity of each flow kind is one straight-line function, and
-# so are the spinor coefficients (f, g).  The integrator's fused code inlines
-# their source: the lines above the line "# per point" read only the
-# parameters and run once per run, the lines below it, up to the return, at
-# every stage of a step or at every sample.  With r = alpha/beta,
-# u = 1/beta^2 and w = 1/alpha^2, the paper's monomials are r^2 u
-# (alpha^2/beta^4), r u (alpha/beta^3), u and w, so each component is a
-# Horner polynomial in r times u, plus a multiple of w, with no float power.
-# Collapse: v00 = (-9/64 a^2 r^2 + 1/2 a lam r - 1/2 lam^2) u and
-# v11 = (3/64 a^2 r^2 - 1/8 a lam r) u.
-def _collapse(params: FlowParams, alpha: float, beta: float):
-    a, lam = params.a, params.kappa
-    c2 = -9.0 / 64.0 * a * a
-    c1 = 1.0 / 2.0 * a * lam
-    c0 = -1.0 / 2.0 * lam * lam
-    d2 = 3.0 / 64.0 * a * a
-    d1 = -1.0 / 8.0 * a * lam
-    # per point
-    r = alpha / beta
-    u = 1.0 / (beta * beta)
-    v00 = ((c2 * r + c1) * r + c0) * u
-    v11 = (d2 * r + d1) * r * u
-    return v00, v11
-
-
-# The metric velocity (v00, v11), then its parts: the gradient components
-# q00 and q11 before the volume-conservation correction e6.  With mu = kappa,
-# m = mu - a/4 and n = a/4 + mu, each coefficient is named after what it
-# multiplies: _w the term in w = 1/alpha^2, _0, _1 and _2 the terms in u, r u
-# and r^2 u, that is 1/beta^2, alpha/beta^3 and alpha^2/beta^4.
+# The normalized flow's gradient components q00 and q11 before the volume
+# correction e6, and e6, behind q1_normalized_components and
+# energy_density_sixth.  With mu = kappa, m = mu - a/4 and n = a/4 + mu, each
+# coefficient is named after what it multiplies: _w the term in 1/alpha^2,
+# _0, _1 and _2 those in u = 1/beta^2, r u and r^2 u, with r = alpha/beta.
 def _normalized(params: FlowParams, alpha: float, beta: float):
     a, mu = params.a, params.kappa
     m = mu - a / 4.0
@@ -205,26 +180,22 @@ def _normalized(params: FlowParams, alpha: float, beta: float):
     e6_0 = a * m / 24.0 + n * n / 6.0
     e6_1 = -a * n / 12.0
     e6_2 = a * a / 64.0
-    # per point
     r = alpha / beta
     u = 1.0 / (beta * beta)
     w = 1.0 / (alpha * alpha)
     q00 = q00_w * w + ((q00_2 * r + q00_1) * r + q00_0) * u
     q11 = -q00_w * w + (q11_2 * r + q11_1) * r * u
     e6 = e6_w * w + ((e6_2 * r + e6_1) * r + e6_0) * u
-    v00 = q00 + e6
-    v11 = q11 + e6
-    return v00, v11, q00, q11, e6
+    return q00, q11, e6
 
 
-# The planar field (dalpha, dbeta) = (alpha v00 / 2, beta v11 / 2) of each
-# flow kind.  It is homogeneous of degree -1: alpha u = r / beta, beta u =
-# 1 / beta, alpha w = 1 / alpha and beta w = beta / alpha^2, so each component
-# is a Horner polynomial in r divided by beta, plus, for the normalized flow,
-# a term in 1/alpha or beta/alpha^2.  Every coefficient, with its 1/2, is a
-# parameter-only line; the coefficients are the metric velocity's, halved.
-# The return holds both components, so that a fused stage stores them
-# straight into its stage names.
+# The planar field (dalpha, dbeta) = (alpha q00 / 2, beta q11 / 2) of each
+# flow kind: the one place the flow's coefficients are written, each with
+# its 1/2; metric_velocity reads q off it.  Homogeneous of degree -1, each
+# component is a Horner polynomial in r = alpha/beta divided by beta, plus,
+# for the normalized flow, a term in 1/alpha or beta/alpha^2.  Fused code
+# runs the lines above "# per point" once per run, those below it at every
+# stage, and stores the returned pair straight into its stage names.
 def _collapse_field(params: FlowParams, alpha: float, beta: float):
     a, lam = params.a, params.kappa
     c3 = -9.0 / 128.0 * a * a
@@ -240,10 +211,9 @@ def _collapse_field(params: FlowParams, alpha: float, beta: float):
     )
 
 
-# The q and e6 polynomials stay apart and are summed, as in the metric
-# velocity: on the diagonal r = 1 each sums exactly, so every round sphere
-# stays an exact rest point of the a*kappa = 1 field.  e6 enters dalpha times
-# r and dbeta as it is.
+# The q and e6 polynomials stay apart and are summed: on the diagonal r = 1
+# each sums exactly, so every round sphere stays an exact rest point of the
+# a*kappa = 1 field.  e6 enters dalpha times r and dbeta as it is.
 def _normalized_field(params: FlowParams, alpha: float, beta: float):
     a, mu = params.a, params.kappa
     m = mu - a / 4.0
@@ -291,14 +261,14 @@ def q1_collapse_components(params: FlowParams, alpha: float, beta: float):
     """Diagonal metric-velocity components (q00, q11) for the collapse flow;
     q22 equals q11 and all off-diagonal components vanish."""
     _require_kind(params, FlowKind.COLLAPSE)
-    return _collapse(params, alpha, beta)
+    return metric_velocity(params, alpha, beta)
 
 
 def q1_normalized_components(params: FlowParams, alpha: float, beta: float):
     """Diagonal components (q00, q11) for the normalized flow, before the
     volume-conservation correction term (see :func:`energy_density_sixth`)."""
     _require_kind(params, FlowKind.NORMALIZED)
-    return _normalized(params, alpha, beta)[2:4]
+    return _normalized(params, alpha, beta)[:2]
 
 
 def energy_density_sixth(params: FlowParams, alpha: float, beta: float) -> float:
@@ -306,15 +276,15 @@ def energy_density_sixth(params: FlowParams, alpha: float, beta: float) -> float
     volume-conservation correction added to each diagonal component of
     :func:`q1_normalized_components`."""
     _require_kind(params, FlowKind.NORMALIZED)
-    return _normalized(params, alpha, beta)[4]
+    return _normalized(params, alpha, beta)[2]
 
 
 def metric_velocity(params: FlowParams, alpha: float, beta: float):
     """Diagonal components (q00, q11) of the metric velocity that drives the
-    flow: the collapse body's, or the normalized body's corrected ones."""
-    if params.kind is _COLLAPSE:
-        return _collapse(params, alpha, beta)
-    return _normalized(params, alpha, beta)[:2]
+    flow, the normalized one volume-corrected: read off the planar field,
+    which moves each scale by half the scale times its component."""
+    dalpha, dbeta = (_collapse_field if params.kind is _COLLAPSE else _normalized_field)(params, alpha, beta)
+    return 2.0 * dalpha / alpha, 2.0 * dbeta / beta
 
 
 def spinor_coefficients(params: FlowParams, alpha: float, beta: float):
@@ -342,18 +312,18 @@ def energy(params: FlowParams, alpha: float, beta: float) -> float:
 def geometry_scalars(params: FlowParams, alpha: float, beta: float) -> GeometryScalars:
     """Bundle all per-point diagnostics for one trajectory sample.  Fused
     sample assembly fills the record's fields with the arguments of the
-    return, in field order, whose names the bodies bind: b2 = beta**2 the
-    spinor's."""
+    return, in field order, whose names it binds: b2 = beta**2 the spinor
+    body's, and (dalpha, dbeta) the field its step held at the sample."""
     f, g = spinor_coefficients(params, alpha, beta)
-    v00, v11 = metric_velocity(params, alpha, beta)
+    dalpha, dbeta = (_collapse_field if params.kind is _COLLAPSE else _normalized_field)(params, alpha, beta)
     b2 = beta**2
     # positional, in field order, which fused sample assembly pairs them with
     return GeometryScalars(
         TWO_PI_SQ * alpha * b2,  # volume
         # energy() on the (f, g) already at hand, with its exact expression
         PI_SQ * alpha * b2 * (f * f + 2.0 * g * g),
-        v00,
-        v11,
+        2.0 * dalpha / alpha,  # q00, as metric_velocity reads it
+        2.0 * dbeta / beta,  # q11
         f,
         g,
     )

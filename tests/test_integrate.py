@@ -5,6 +5,7 @@ import inspect
 import linecache
 import math
 import pickle
+import pkgutil
 import random
 import re
 import sys
@@ -762,21 +763,24 @@ def test_fused_steps_show_their_source(name, params):
 
 @pytest.mark.parametrize("kind,params", [("collapse", COLLAPSE), ("normalized", NORMALIZED)])
 def test_fused_sample_assembly_shows_its_source(kind, params):
-    # the lines of the metric velocity's and the spinor's bodies below
-    # "# per point" stand, verbatim, once in the loop over the points, and
-    # those above it once before the loop; no model function is called
+    # the spinor body's lines below "# per point" stand, verbatim, once in
+    # the loop over the points, and those above it once before the loop; the
+    # metric velocity is read off the derivative each point holds, and the
+    # field body is called only where it holds none; no public model
+    # function is called
     module = importlib.import_module("bergerflow.integrate")
     model = importlib.import_module("bergerflow.model")
     samples = module._fused(geometry_scalars, params, module._samples)
     assert samples.__module__ == f"bergerflow.integrate._samples_{kind}"
     linecache.clearcache()
     source = inspect.getsource(getattr(sys.modules[samples.__module__], f"_samples_{kind}_for"))
-    head, loop = source.split("        for t, (alpha, beta), _ in points:\n")
-    for body in (f"_{kind}", f"_spinor_{kind}"):
-        prelude, per_point = inspect.getsource(getattr(model, body)).split("    # per point\n")
-        assert loop.count(textwrap.indent(per_point.rsplit("    return", 1)[0], " " * 8)) == 1
-        assert head.count(prelude.splitlines()[-1] + "\n") == 1
-        assert prelude.splitlines()[-1] + "\n" not in loop
+    head, loop = source.split("        for t, (alpha, beta), held in points:\n")
+    prelude, per_point = inspect.getsource(getattr(model, f"_spinor_{kind}")).split("    # per point\n")
+    assert loop.count(textwrap.indent(per_point.rsplit("    return", 1)[0], " " * 8)) == 1
+    assert head.count(prelude.splitlines()[-1] + "\n") == 1
+    assert prelude.splitlines()[-1] + "\n" not in loop
+    held = f"            dalpha, dbeta = _{kind}_field(params, alpha, beta) if held is None else held\n"
+    assert loop.count(held) == 1 and loop.count("_field(") == 1
     # each record is made by object.__new__ and its instance dict filled
     # field by field, with no call to its __init__
     assert loop.count("new(State)") == loop.count("new(GeometryScalars)") == 1
@@ -787,17 +791,38 @@ def test_fused_sample_assembly_shows_its_source(kind, params):
     assert not [call for call in ("geometry_scalars(", "metric_velocity(", "spinor_coefficients(") if call in source]
 
 
+def test_the_per_point_marker_stands_only_in_inlined_functions():
+    # a line "# per point" splits a function for inlining: the functions of
+    # the package that hold one are exactly those whose lines _STOCK
+    # inlines, so a marker left behind in a function no longer inlined, or
+    # outside any function, fails here
+    module = importlib.import_module("bergerflow.integrate")
+    package = importlib.import_module("bergerflow")
+    marked = set()
+    for info in pkgutil.iter_modules(package.__path__):
+        source = inspect.getsource(importlib.import_module(f"bergerflow.{info.name}"))
+        functions = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)]
+        for number, line in enumerate(source.splitlines(), 1):
+            if line.strip() == "# per point":
+                inner = [node for node in functions if node.lineno <= number <= node.end_lineno]
+                marked.add((info.name, max(inner, key=lambda node: node.lineno).name if inner else None))
+    inlined = {(fn.__module__.rsplit(".", 1)[1], fn.__name__) for stock in module._STOCK.values() for fn in stock[1]}
+    assert marked == inlined
+
+
 @pytest.mark.parametrize("params", [COLLAPSE, NORMALIZED], ids=["collapse", "normalized"])
 def test_fused_samples_reject_a_scale_as_state_does(params):
     # the records are built without State's constructor, but its check of
-    # the scales still runs, with its error
+    # the scales still runs, with its error, before any formula line: a
+    # zero scale would otherwise divide by zero first
     module = importlib.import_module("bergerflow.integrate")
     samples = module._fused(geometry_scalars, params, module._samples)
-    with pytest.raises(ValueError) as want:
-        State(0.0, 1.0, math.inf)
-    with pytest.raises(ValueError) as got:
-        samples([(0.0, (1.0, math.inf), None)])
-    assert str(got.value) == str(want.value)
+    for point in [(1.0, math.inf), (1.0, 0.0), (0.0, 1.0), (math.nan, 1.0)]:
+        with pytest.raises(ValueError) as want:
+            State(0.0, *point)
+        with pytest.raises(ValueError) as got:
+            samples([(0.0, point, None)])
+        assert str(got.value) == str(want.value)
 
 
 def test_a_step_without_source_to_inline_is_generic(monkeypatch):
@@ -835,8 +860,7 @@ def assert_fused_step_raises_as_the_field_does(name, params, y, k0, error, line_
 
 def test_each_inlined_function_is_parsed_once(monkeypatch):
     # the collapse step and sample builder inline _collapse_field,
-    # _collapse, _spinor_collapse and geometry_scalars: four texts, each
-    # parsed once
+    # _spinor_collapse and geometry_scalars: three texts, each parsed once
     module = importlib.import_module("bergerflow.integrate")
     for cached in (module._step, module._samples, module._parts):
         cached.cache_clear()
@@ -844,11 +868,11 @@ def test_each_inlined_function_is_parsed_once(monkeypatch):
     monkeypatch.setattr(ast, "parse", lambda source, *args: parsed.append(source) or parse(source, *args))
     selected_step(vector_field, COLLAPSE)
     module._fused(geometry_scalars, COLLAPSE, module._samples)
-    assert len(parsed) == len(set(parsed)) == 4
+    assert len(parsed) == len(set(parsed)) == 3
 
 
 def test_each_inlined_function_is_read_once(monkeypatch):
-    # the step and the sample builder read four functions: four reads of
+    # the step and the sample builder read three functions: three reads of
     # their module's lines, none repeated
     module = importlib.import_module("bergerflow.integrate")
     for cached in (module._step, module._samples, module._parts):
@@ -857,7 +881,7 @@ def test_each_inlined_function_is_read_once(monkeypatch):
     monkeypatch.setattr(linecache, "getlines", lambda *args: read.append(args[0]) or getlines(*args))
     selected_step(vector_field, COLLAPSE)
     module._fused(geometry_scalars, COLLAPSE, module._samples)
-    assert len(read) == 4
+    assert len(read) == 3
 
 
 @pytest.mark.parametrize("name,params", FUSED[2:])

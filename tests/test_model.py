@@ -26,7 +26,7 @@ from bergerflow import (
     vector_field,
     volume,
 )
-from bergerflow.dynamics import curve_speed
+from bergerflow.dynamics import curve_point, curve_speed
 from bergerflow.model import _collapse_field, _normalized_field, metric_velocity
 
 TWO_PI_SQ = 2.0 * math.pi**2
@@ -517,6 +517,23 @@ def test_round_spheres_are_exact_rest_points_of_the_normalized_field(params):
     for _ in range(2000):
         x = 10.0 ** rng.uniform(-6.0, 6.0)
         assert vector_field(params, (x, x)) == (0.0, 0.0)
+
+
+# Paper claim (iii): for a*kappa = 1 the Berger sphere at epsilon = 2/3 on
+# the unit-volume curve is a critical point of the normalized flow whose
+# spinor is not a Killing spinor (g = 2 f, where a Killing spinor has
+# f = g), beside the round sphere with its Killing spinor.
+@pytest.mark.parametrize("params", [NORMALIZED, flipped(NORMALIZED)], ids=["normalized", "normalized-flipped"])
+def test_a_non_killing_critical_point_at_two_thirds(params):
+    x, y = curve_point(2.0 / 3.0)
+    got = geometry_scalars(params, x, y)
+    s00, s11, s6 = monomial_sums(params, x, y)
+    assert abs(got.q00) <= BOUND * (s00 + s6) and abs(got.q11) <= BOUND * (s11 + s6)
+    assert got.f != got.g
+    assert abs(got.g / got.f - 2.0) <= 2.0 * math.ulp(2.0)
+    got = geometry_scalars(params, *curve_point(1.0))
+    assert got.f == got.g
+    assert got.q00 == got.q11 == 0.0
 
 
 # The per-point lines of each field body, as dis shows them, do at most the
