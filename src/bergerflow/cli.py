@@ -18,7 +18,7 @@ import math
 import sys
 
 from . import dynamics, phase
-from .integrate import IntegratorConfig, StepBudgetError, _field_at_start, integrate
+from .integrate import _H_MIN, IntegratorConfig, StepBudgetError, _field_at_start, integrate
 from .model import FlowKind, FlowParams, State
 
 
@@ -96,11 +96,7 @@ def _add_flow_flags(p: argparse.ArgumentParser):
 
 def _emit_csv_trajectory(traj, out):
     out.write("t,alpha,beta,volume,energy,f,g,dalpha,dbeta\n")
-    # the field is evaluated only where the step held no derivative: the
-    # event row, or every row of a trajectory recorded without them
-    derivatives = traj.derivatives or [None] * len(traj.samples)
-    for (state, scalars), held in zip(traj.samples, derivatives):
-        dx, dy = dynamics.vector_field(traj.params, (state.alpha, state.beta)) if held is None else held
+    for (state, scalars), (dx, dy) in zip(traj.samples, traj.derivatives, strict=True):
         row = [state.t, state.alpha, state.beta, scalars.volume, scalars.energy,
                scalars.f, scalars.g, dx, dy]
         out.write(",".join(_fmt(v) for v in row) + "\n")
@@ -114,7 +110,12 @@ def cmd_simulate(args) -> int:
     with _open_out(args.out) as out:
         traj = integrate(params, config, args.t_end)
         _emit_csv_trajectory(traj, out)
-    return 2 if traj.termination.tag == "StepUnderflow" else 0
+    term = traj.termination
+    if term.tag == "StepUnderflow":  # after the CSV, which ends with the termination line
+        state, h = ", ".join(f"{v:.6g}" for v in term.detail["last_state"]), term.detail["h"]
+        print(f"integration failure: step size underflow at t={term.t_event:.6g}, state ({state}), h={h:.6g}"
+              f" below the floor {_H_MIN:g}", file=sys.stderr)
+    return 2 if term.tag == "StepUnderflow" else 0
 
 
 class _FieldEvaluationError(Exception):

@@ -13,7 +13,7 @@ below the line "# per point" at each stage, and the expression that body
 returns; the lines above it run once per run, and the run's start and
 event search call the same lines as a point field.  Fused sample assembly
 inlines likewise the spinor's body at each sample, reads the metric
-velocity off the derivative the step held there, and fills each record's
+velocity off the derivative recorded there, and fills each record's
 instance dict with the arguments of the constructor call geometry_scalars
 returns.  Fused code does the same operations in the same order, so it
 gives the same bits.  Each run reads its field, and integrate
@@ -23,7 +23,8 @@ is compiled the first time a run needs it.  Steps that would leave the
 open first quadrant are rejected and halved.  Terminal events (collapse of
 one or both scales, convergence to an equilibrium) are located by
 bisection on the cubic Hermite interpolant of the step that crosses
-them, at no further right-hand-side cost.
+them, a collapse at no further right-hand-side cost; the event state's
+derivative is one more evaluation there.
 """
 
 from __future__ import annotations
@@ -114,15 +115,15 @@ class TerminationEvent:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """``derivatives[i]`` is the field (dalpha, dbeta) at ``samples[i]`` as
-    the step held it, or None where the step held none: at an event state
-    read off the interpolant, or throughout a trajectory built without
-    them.  It is derived data, so it takes no part in repr or equality."""
+    """``derivatives[i]`` is the field (dalpha, dbeta) at ``samples[i]``: the
+    value the step held there, or one evaluation at an event state read off
+    the interpolant.  It is derived data, so it takes no part in repr or
+    equality, and a trajectory built without it has an empty list."""
 
     params: FlowParams
     samples: list[tuple[State, GeometryScalars]]
     termination: TerminationEvent
-    derivatives: list[tuple[float, float] | None] = field(default_factory=list, repr=False, compare=False)
+    derivatives: list[tuple[float, float]] = field(default_factory=list, repr=False, compare=False)
 
     @property
     def final_state(self) -> State:
@@ -156,16 +157,6 @@ def _parts(fn):
     return body[:mark], body[mark + 1 :], lines[last:], read, call
 
 
-def _inlined(stock):
-    """For stock = (suffix, formulas, output): the formulas' lines above
-    "# per point" and below it up to the return; output's return, which
-    reads names those lines bind; and the globals all of them read."""
-    *formulas, output = [_parts(fn) for fn in (*stock[1], stock[2])]
-    prelude = [line for part in formulas for line in part[0]]
-    per_point = [line for part in formulas for line in part[1]]
-    return prelude, per_point, output[2], {k: v for part in (*formulas, output) for k, v in part[3].items()}
-
-
 def _compiled(name, lines, namespace, prelude):
     """The function name that lines define, or given a prelude the factory
     name_for(params) that runs it and returns the function, compiled in a
@@ -197,22 +188,22 @@ def _step(n, stock=None):
     inlined as float literals that round-trip exactly, so the step rounds
     as a loop over the tableau does.
 
-    Given stock = (suffix, (formula,), output), it returns the factory of
-    the step fused with the field f evaluates, which runs formula's
-    parameter-only lines once per run.  The step names each stage input
-    after formula's point arguments, and in place of calling f runs there
-    formula's per-point lines and assigns the stage the expression output
-    returns.  It ignores f and p, and returns f's bits.  Its attribute
-    field is f as the step inlines it, a function of (p, y) that reads the
-    same run's coefficients, ignores p and leaves the quadrant test to its
-    caller; it gives f's bits at every admissible y.
+    Given stock = (suffix, body), it returns the factory of the step fused
+    with the field f evaluates, which runs body's parameter-only lines once
+    per run.  The step names each stage input after body's point arguments,
+    and in place of calling f runs there body's per-point lines and assigns
+    the stage the expression body returns.  It ignores f and p, and returns
+    f's bits.  Its attribute field is f as the step inlines it, a function
+    of (p, y) that reads the same run's coefficients, ignores p and leaves
+    the quadrant test to its caller; it gives f's bits at every admissible
+    y.
     """
     name, dims = f"_rk_step{n}", range(n)
     s = [f"s{d}" for d in dims]
     namespace, prelude = {"inf": math.inf, "sqrt": math.sqrt}, None
     if stock is not None:
-        name, s = f"{name}_{stock[0]}", stock[1][0].__code__.co_varnames[1 : n + 1]
-        prelude, per_point, returned, read = _inlined(stock)
+        name, s = f"{name}_{stock[0]}", stock[1].__code__.co_varnames[1 : n + 1]
+        prelude, per_point, returned, read, _ = _parts(stock[1])
         namespace.update(read)
 
     def tup(names):
@@ -249,24 +240,23 @@ def _step(n, stock=None):
 
 @functools.cache
 def _samples(stock):
-    """Compile, the first time a run needs it, for stock = (suffix, formulas,
-    geometry_scalars), the factory of samples(points), which returns the
-    bits of [(State(t, *y), geometry_scalars(params, *y)) for t, y, _ in
-    points].  It tests State's scales first, inline, runs the formulas'
-    per-point lines, takes (dalpha, dbeta) from the point's derivative, or
-    where that is None from the step's field body, and builds each record
-    with no call to its __init__: object.__new__, then its instance dict
-    filled in the order of its dataclass fields, State's with t, alpha and
-    beta, the other with the arguments of the call geometry_scalars returns."""
+    """Compile, the first time a run needs it, for stock = (suffix,
+    spinor_body, geometry_scalars), the factory of samples(points), which
+    returns the bits of [(State(t, *y), geometry_scalars(params, *y)) for
+    t, y, _ in points].  It tests State's scales first, inline, runs the
+    spinor body's per-point lines, takes (dalpha, dbeta) from the point's
+    derivative and builds each record with no call to its __init__:
+    object.__new__, then its instance dict filled in the order of its
+    dataclass fields, State's with t, alpha and beta, the other with the
+    arguments of the call geometry_scalars returns."""
     name = f"_samples_{stock[0]}"
-    prelude, per_point, _, namespace = _inlined(stock)
-    body = next(other[2] for other in _STOCK.values() if other[0] == stock[0] and other[2] is not stock[2])
-    namespace = {**namespace, body.__name__: body, "State": State, "new": object.__new__, "inf": math.inf}
-    records = [("state", "State", ["t", "alpha", "beta"]), ("scalars", *_parts(stock[2])[4])]
-    lines = [f"def {name}(points):", "    samples = []", "    for t, (alpha, beta), held in points:"]
+    prelude, per_point, _, read, _ = _parts(stock[1])
+    *_, scalars_read, call = _parts(stock[2])
+    namespace = {**read, **scalars_read, "State": State, "new": object.__new__, "inf": math.inf}
+    records = [("state", "State", ["t", "alpha", "beta"]), ("scalars", *call)]
+    lines = [f"def {name}(points):", "    samples = []", "    for t, (alpha, beta), (dalpha, dbeta) in points:"]
     lines += ["        if not (0.0 < alpha < inf and 0.0 < beta < inf):", "            State(t, alpha, beta)  # raises"]
     lines += [f"    {line}" for line in per_point]
-    lines += [f"        dalpha, dbeta = {body.__name__}(params, alpha, beta) if held is None else held"]
     for var, cls, values in records:
         lines += [f"        {var} = new({cls})", f"        dct = {var}.__dict__"]
         lines += [f"        dct[{f.name!r}] = {v}" for f, v in zip(fields(namespace[cls]), values, strict=True)]
@@ -284,13 +274,14 @@ def _advance(rk_step, f, p, t0, y0, k0, t_end, config, collapse_tol):
     config.equilib_tol, with dy = f(p, y) as the driver holds it; a None
     tolerance skips its test.  When one fires, the event is located on the
     interpolant of the step that crossed it.  Returns ``(points, (tag,
-    t_event, y_event, dy_event))``.  ``points`` holds every
+    t_event, y_event, dy_event), h)``.  ``points`` holds every
     ``config.output_stride``-th (t, y, dy) triple from the initial one, then
-    the final or event state, recorded exactly once.  dy is the derivative
-    the driver holds there: k0 at the initial state, the step's last stage
-    at an accepted one, and None at an event state read off the interpolant.
-    Steps start at _H_INIT, stay at most _H_MAX and end in StepUnderflow
-    below _H_MIN; attempting step _MAX_STEPS + 1 raises StepBudgetError.
+    the final or event state, recorded exactly once.  dy is f there: k0 at
+    the initial state, the step's last stage at an accepted one, and one
+    more evaluation at an event state read off the interpolant.  Steps
+    start at _H_INIT, stay at most _H_MAX and end in StepUnderflow below
+    _H_MIN, h then the last one attempted; attempting step _MAX_STEPS + 1
+    raises StepBudgetError.
     """
     atol, rtol, ctol, etol, hypot = config.atol, config.rtol, collapse_tol, config.equilib_tol, math.hypot
     t, y = t0, y0
@@ -321,14 +312,14 @@ def _advance(rk_step, f, p, t0, y0, k0, t_end, config, collapse_tol):
             fac = 0.5 if step is None else max(_MIN_FACTOR, _SAFETY * err_norm ** (-_PI_ALPHA))
             if h * fac < _H_MIN:
                 outcome = ("StepUnderflow", t, y, k0)
+                break
             h *= fac
             continue
         # accepted
-        if ctol is not None and y_new[0] <= ctol:
-            outcome = ("Collapse", *_locate_event(f, p, ctol, None, t, h, y, y_new, k0, k7), None)
-            break
-        if etol is not None and hypot(*k7) / hypot(*y_new) <= etol:
-            outcome = ("Equilibrium", *_locate_event(f, p, None, etol, t, h, y, y_new, k0, k7), None)
+        collapse = ctol is not None and y_new[0] <= ctol
+        if collapse or etol is not None and hypot(*k7) / hypot(*y_new) <= etol:
+            t_ev, y_ev = _locate_event(f, p, ctol if collapse else None, etol, t, h, y, y_new, k0, k7)
+            outcome = ("Collapse" if collapse else "Equilibrium", t_ev, y_ev, f(p, y_ev))
             break
         t += h
         y, k0 = y_new, k7
@@ -341,7 +332,7 @@ def _advance(rk_step, f, p, t0, y0, k0, t_end, config, collapse_tol):
         err_prev = 1e-10 if err_norm < 1e-10 else err_norm
     if points[-1][0] != outcome[1]:
         points.append(outcome[1:])
-    return points, outcome
+    return points, outcome, h
 
 
 def _locate_event(f, p, ctol, etol, t, h, y0, y1, f0, f1):
@@ -388,10 +379,10 @@ def integrate(
     step = _step_for(f, params, 2)
     f = getattr(step, "field", f)  # a fused step's own, for the start and the event search
     k0 = _field_at_start(f, params, y0, "start must keep the field finite", y0)
-    points, (tag, t_ev, y_ev, _) = _advance(step, f, params, s0.t, y0, k0, s0.t + t_end, config, config.collapse_tol)
+    points, (tag, t_ev, y_ev, _), h = _advance(step, f, params, s0.t, y0, k0, s0.t + t_end, config, config.collapse_tol)
     build = _fused(scalars, params, _samples)
     samples = build(points) if build else [(State(t, *y), scalars(params, *y)) for t, y, _ in points]
-    termination = _classify(params, config, tag, t_ev, y_ev, s0)
+    termination = _classify(params, config, tag, t_ev, y_ev, h, s0)
     return Trajectory(params, samples, termination, [dy for _, _, dy in points])
 
 
@@ -407,7 +398,7 @@ def _field_at_start(f, p, y0, subject, value):
     return k0
 
 
-def _classify(params, config, tag, t_ev, y_ev, s0):
+def _classify(params, config, tag, t_ev, y_ev, h, s0):
     if tag == "Collapse":
         alpha, beta = y_ev
         # Factor 2: trajectories heading to the origin do so inside the
@@ -417,6 +408,11 @@ def _classify(params, config, tag, t_ev, y_ev, s0):
             return TerminationEvent("CollapsePoint", t_ev, {"alpha": alpha, "beta": beta})
         detail = {"beta_inf": beta}
         if params.kind is FlowKind.COLLAPSE:
+            # the limit (I/4)^(1/4) of beta, read at the event state: I = y^4
+            # (3u - p)^2 / |u - p/2|, u = x/y, p = a kappa, is constant on a
+            # collapse orbit and tends to 4 y^4 as x -> 0
+            u, p = alpha / beta, params.product
+            detail["beta_inf"] = beta * ((3.0 * u - p) ** 2 / (4.0 * abs(u - p / 2.0))) ** 0.25
             region = phase.region_for_initial(params, s0)
             if region is not None:
                 bracket = phase.axis_extent(region)
@@ -426,7 +422,7 @@ def _classify(params, config, tag, t_ev, y_ev, s0):
     if tag == "Equilibrium":
         return TerminationEvent("Equilibrium", t_ev, {"location": y_ev})
     if tag == "StepUnderflow":
-        return TerminationEvent("StepUnderflow", t_ev, {"last_state": y_ev})
+        return TerminationEvent("StepUnderflow", t_ev, {"last_state": y_ev, "h": h})
     return TerminationEvent("ReachedTEnd", t_ev, {})
 
 
@@ -459,7 +455,7 @@ def integrate_reduced(
     step = _step_for(speed, params, 1)
     f = getattr(step, "field", f)
     k0 = _field_at_start(f, params, y0, "epsilon0 must keep the speed finite at the start", epsilon0)
-    points, (tag, t_ev, _, _) = _advance(step, f, params, 0.0, y0, k0, t_end, config, None)
+    points, (tag, t_ev, _, _), _ = _advance(step, f, params, 0.0, y0, k0, t_end, config, None)
     if tag == "StepUnderflow":
         raise ValueError(
             f"epsilon0 must keep the step above {_H_MIN:g} at rtol={config.rtol:g}, atol={config.atol:g},"
@@ -469,17 +465,17 @@ def integrate_reduced(
 
 
 # The package's own functions that a run reads, keyed with the flow kind, and
-# the stock of the fused code that stands in for them: its name suffix, the
-# functions whose lines it inlines and the one whose return it inlines (a
-# sample stock reads q off the field body of the step stock of its suffix).
+# the stock of the fused code that stands in for them: its name suffix and
+# the body whose lines and return a step inlines, or the spinor body whose
+# lines a sample builder inlines and geometry_scalars, whose return it does.
 # A tracer that swaps the module globals leaves this table alone, so a run
 # that reads a swapped function misses it and calls that function.
 _STOCK = {
-    (vector_field, _COLLAPSE): ("collapse", (_collapse_field,), _collapse_field),
-    (vector_field, _NORMALIZED): ("normalized", (_normalized_field,), _normalized_field),
-    (curve_speed, _NORMALIZED): ("speed", (curve_speed,), curve_speed),
-    (geometry_scalars, _COLLAPSE): ("collapse", (_spinor_collapse,), geometry_scalars),
-    (geometry_scalars, _NORMALIZED): ("normalized", (_spinor_normalized,), geometry_scalars),
+    (vector_field, _COLLAPSE): ("collapse", _collapse_field),
+    (vector_field, _NORMALIZED): ("normalized", _normalized_field),
+    (curve_speed, _NORMALIZED): ("speed", curve_speed),
+    (geometry_scalars, _COLLAPSE): ("collapse", _spinor_collapse, geometry_scalars),
+    (geometry_scalars, _NORMALIZED): ("normalized", _spinor_normalized, geometry_scalars),
 }
 
 

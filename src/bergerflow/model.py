@@ -96,8 +96,8 @@ class State:
     The constructor checks that both scales are positive and finite before
     it stores anything, and fills the instance dict directly, because
     ``integrate`` builds one State per recorded sample.  A State carries no
-    derivative: a trajectory keeps the field's value at each sample, where
-    its step already held it, in ``Trajectory.derivatives``.
+    derivative: a trajectory keeps the field's value at each of its samples,
+    one per sample, in ``Trajectory.derivatives``.
     """
 
     t: float
@@ -313,7 +313,7 @@ def geometry_scalars(params: FlowParams, alpha: float, beta: float) -> GeometryS
     """Bundle all per-point diagnostics for one trajectory sample.  Fused
     sample assembly fills the record's fields with the arguments of the
     return, in field order, whose names it binds: b2 = beta**2 the spinor
-    body's, and (dalpha, dbeta) the field its step held at the sample."""
+    body's, and (dalpha, dbeta) the field recorded with the sample."""
     f, g = spinor_coefficients(params, alpha, beta)
     dalpha, dbeta = (_collapse_field if params.kind is _COLLAPSE else _normalized_field)(params, alpha, beta)
     b2 = beta**2

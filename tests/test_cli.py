@@ -230,7 +230,10 @@ class TestSimulate:
         )
         assert code == 2
         assert out.splitlines()[-1] == "# termination=StepUnderflow t=0"
-        assert err == ""
+        # one line naming the time, the state, the last step attempted and the floor
+        head, h = err.removesuffix(" below the floor 1e-13\n").split(", h=")
+        assert head == "integration failure: step size underflow at t=0, state (1.3, 1)"
+        assert 1e-13 <= float(h) < 5e-13
 
     @pytest.mark.parametrize(
         "argv",
@@ -313,9 +316,9 @@ class TestSimulate:
              "underflow"],
     )
     def test_derivative_columns_reuse_the_step(self, capsys, monkeypatch, argv, tag):
-        # the step's held derivative fills dalpha,dbeta; the field is
-        # evaluated again only for the interpolated event row, and every
-        # row keeps the bits of a fresh evaluation at its state
+        # the derivative the trajectory recorded fills dalpha,dbeta, the
+        # event row's included, so the CLI evaluates no field; every row
+        # keeps the bits of a fresh evaluation at its state
         calls = []
 
         def counted(params, point):
@@ -327,7 +330,7 @@ class TestSimulate:
         monkeypatch.undo()
         assert code == (2 if tag == "StepUnderflow" else 0)
         assert out.splitlines()[-1].startswith(f"# termination={tag} ")
-        assert len(calls) == (0 if tag in ("ReachedTEnd", "StepUnderflow") else 1)
+        assert calls == []
         flags = dict(zip(argv[1::2], argv[2::2]))
         params = bergerflow.FlowParams(
             bergerflow.FlowKind(flags["--flow"]), 2.0, float(flags["--kappa"]),

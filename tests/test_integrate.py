@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import functools
 import importlib
 import inspect
 import linecache
@@ -39,6 +40,33 @@ NORMALIZED = FlowParams(FlowKind.NORMALIZED, a=2.0, kappa=0.5, epsilon=1.0)
 NORMALIZED_NEG = FlowParams(FlowKind.NORMALIZED, a=2.0, kappa=-0.5, epsilon=1.0)
 
 NO_EQUILIB = IntegratorConfig(equilib_tol=None)
+
+
+def count_attempts(monkeypatch, module):
+    """The step sizes of every step attempted by the runs that follow, each
+    step that _step_for returns wrapped so that it records them."""
+    attempts, select = [], module._step_for
+
+    def counting(*args):
+        step = select(*args)
+
+        @functools.wraps(step)  # keeps its name and its attribute field
+        def counted(f, p, y, k0, h, atol, rtol):
+            attempts.append(h)
+            return step(f, p, y, k0, h, atol, rtol)
+
+        return counted
+
+    monkeypatch.setattr(module, "_step_for", counting)
+    return attempts
+
+
+def bisection_rounds(module, h):
+    """The rounds _locate_event takes over a step of size h."""
+    rounds = 0
+    while h / 2.0**rounds > module._EVENT_TIME_TOL:
+        rounds += 1
+    return rounds
 
 
 def max_closed_form_error(traj):
@@ -114,6 +142,24 @@ class TestEvents:
         assert (lo, hi) == (1.0, 2.0)
         assert lo <= beta_inf <= hi
 
+    @pytest.mark.parametrize(
+        "a,kappa,epsilon",
+        [(2.0, -1.0, 0.5), (2.0, -1.0, 1.0), (2.0, -1.0, 3.0), (-2.0, 1.0, 20.0), (2.0, 1.0, 0.05),
+         (-2.0, -1.0, 0.3), (2.0, 1.0, 0.6), (2.0, 1.0, 2.0 / 3.0 - 1e-3), (2.0, 1.0, 0.6666)],
+    )
+    def test_beta_inf_is_the_limit_of_the_orbit(self, a, kappa, epsilon):
+        # I = y^4 (3u - p)^2 / |u - p/2|, u = x/y, p = a kappa, is constant
+        # on a collapse orbit and tends to 4 y^4 as x -> 0, so the limit is
+        # (I0/4)^(1/4) from the start (epsilon, 1); near the separatrix
+        # u = 2/3 of p = 2, I loses digits as 1/|3u - p|
+        params = FlowParams(FlowKind.COLLAPSE, a=a, kappa=kappa, epsilon=epsilon)
+        traj = integrate(params, NO_EQUILIB, t_end=1e4)
+        assert traj.termination.tag == "CollapseFiber"
+        p = a * kappa
+        exact = ((3.0 * epsilon - p) ** 2 / abs(epsilon - p / 2.0) / 4.0) ** 0.25
+        bound = 1e-9 * max(1.0, 1.0 / abs(3.0 * epsilon - p))
+        assert traj.termination.detail["beta_inf"] == pytest.approx(exact, rel=bound)
+
     def test_collapse_point_off_diagonal(self):
         params = FlowParams(FlowKind.COLLAPSE, a=2.0, kappa=1.0, epsilon=0.8)
         traj = integrate(params, NO_EQUILIB, t_end=100.0)
@@ -135,9 +181,10 @@ class TestEvents:
 
     def test_event_location_costs_no_rhs_call(self, monkeypatch):
         # FSAL: one call for the initial state, then six per attempted
-        # step; locating the collapse on the interpolant adds none.  The
-        # package attribute bergerflow.integrate is the function, so the
-        # module comes from importlib.
+        # step; locating the collapse on the interpolant adds none, and the
+        # event state's derivative is the one call made there.  The package
+        # attribute bergerflow.integrate is the function, so the module
+        # comes from importlib.
         module = importlib.import_module("bergerflow.integrate")
         calls = []
 
@@ -146,9 +193,11 @@ class TestEvents:
             return vector_field(params, point)
 
         monkeypatch.setattr(module, "vector_field", counted)
+        attempts = count_attempts(monkeypatch, module)
         traj = integrate(COLLAPSE, NO_EQUILIB, t_end=20.0)
         assert traj.termination.tag == "CollapsePoint"
-        assert (len(calls) - 1) % 6 == 0
+        assert len(calls) == 1 + 6 * len(attempts) + 1
+        assert calls[-1] == (traj.final_state.alpha, traj.final_state.beta)
 
     def test_reduced_steps_cost_six_rhs_calls(self, monkeypatch):
         # the 1-D path shares the FSAL stage just as the planar one does
@@ -190,7 +239,8 @@ class TestEvents:
     )
     def test_derivatives_are_the_held_stages(self, monkeypatch, params, t_end, tag, stride):
         # each recorded derivative is a value the step computed at that
-        # sample, not a new call; only an interpolated event state has none
+        # sample, not a new call; an interpolated event state has the one
+        # evaluation made there, after the bisection's own
         module = importlib.import_module("bergerflow.integrate")
         returned = []
 
@@ -199,17 +249,18 @@ class TestEvents:
             return returned[-1]
 
         monkeypatch.setattr(module, "vector_field", counted)
+        attempts = count_attempts(monkeypatch, module)
         traj = integrate(params, IntegratorConfig(output_stride=stride), t_end=t_end)
         assert traj.termination.tag == tag
-        assert (len(returned) - 1) % 6 == 0
+        rounds = bisection_rounds(module, attempts[-1]) if tag == "Equilibrium" else 0
+        assert len(returned) == 1 + 6 * len(attempts) + rounds + (tag != "ReachedTEnd")
         assert len(traj.derivatives) == len(traj.samples)
         ids = {id(k) for k in returned}
-        held = traj.derivatives if tag == "ReachedTEnd" else traj.derivatives[:-1]
-        for (state, _), dy in zip(traj.samples, held):
+        for (state, _), dy in zip(traj.samples, traj.derivatives):
             assert id(dy) in ids
             assert dy == vector_field(params, (state.alpha, state.beta))
         if tag != "ReachedTEnd":
-            assert traj.derivatives[-1] is None
+            assert traj.derivatives[-1] is returned[-1]
 
     def test_derivatives_stay_out_of_repr_and_equality(self):
         traj = integrate(COLLAPSE, NO_EQUILIB, t_end=1.0)
@@ -274,6 +325,10 @@ class TestRobustness:
         traj = integrate(params, IntegratorConfig(rtol=1e-300, atol=1e-300), t_end=20.0)
         assert traj.termination.tag == "StepUnderflow"
         assert traj.termination.t_event == 0.0
+        # the last step attempted, which one more shrink by at most
+        # _MIN_FACTOR would take below the floor
+        module = importlib.import_module("bergerflow.integrate")
+        assert module._H_MIN <= traj.termination.detail["h"] < module._H_MIN / module._MIN_FACTOR
 
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError):
@@ -410,7 +465,8 @@ def sweep_box_runs(seed):
 @pytest.mark.parametrize("stride", [1, 7])
 def test_sweep_box_samples_equal_the_public_constructors(stride):
     # as above, over seeded draws: the fused sample assembly builds, at
-    # every stride and termination, the records of the public constructors
+    # every stride and termination, the records of the public constructors,
+    # and every derivative, the event state's included, is the field's bits
     module = importlib.import_module("bergerflow.integrate")
     config = IntegratorConfig(output_stride=stride)
     tags = Counter()
@@ -419,6 +475,8 @@ def test_sweep_box_samples_equal_the_public_constructors(stride):
         traj = integrate(params, config, t_end=t_end)
         tags[traj.termination.tag] += 1
         assert_samples_rebuild(traj)
+        fresh = [vector_field(params, (state.alpha, state.beta)) for state, _ in traj.samples]
+        assert traj.derivatives == fresh
     assert set(tags) == {"CollapsePoint", "CollapseFiber", "Equilibrium", "ReachedTEnd", "StepUnderflow"}
 
 
@@ -765,22 +823,20 @@ def test_fused_steps_show_their_source(name, params):
 def test_fused_sample_assembly_shows_its_source(kind, params):
     # the spinor body's lines below "# per point" stand, verbatim, once in
     # the loop over the points, and those above it once before the loop; the
-    # metric velocity is read off the derivative each point holds, and the
-    # field body is called only where it holds none; no public model
-    # function is called
+    # metric velocity is read off the derivative each point carries, and no
+    # field body nor public model function is called
     module = importlib.import_module("bergerflow.integrate")
     model = importlib.import_module("bergerflow.model")
     samples = module._fused(geometry_scalars, params, module._samples)
     assert samples.__module__ == f"bergerflow.integrate._samples_{kind}"
     linecache.clearcache()
     source = inspect.getsource(getattr(sys.modules[samples.__module__], f"_samples_{kind}_for"))
-    head, loop = source.split("        for t, (alpha, beta), held in points:\n")
+    head, loop = source.split("        for t, (alpha, beta), (dalpha, dbeta) in points:\n")
     prelude, per_point = inspect.getsource(getattr(model, f"_spinor_{kind}")).split("    # per point\n")
     assert loop.count(textwrap.indent(per_point.rsplit("    return", 1)[0], " " * 8)) == 1
     assert head.count(prelude.splitlines()[-1] + "\n") == 1
     assert prelude.splitlines()[-1] + "\n" not in loop
-    held = f"            dalpha, dbeta = _{kind}_field(params, alpha, beta) if held is None else held\n"
-    assert loop.count(held) == 1 and loop.count("_field(") == 1
+    assert "_field(" not in source and "dalpha, dbeta =" not in source
     # each record is made by object.__new__ and its instance dict filled
     # field by field, with no call to its __init__
     assert loop.count("new(State)") == loop.count("new(GeometryScalars)") == 1
@@ -806,7 +862,7 @@ def test_the_per_point_marker_stands_only_in_inlined_functions():
             if line.strip() == "# per point":
                 inner = [node for node in functions if node.lineno <= number <= node.end_lineno]
                 marked.add((info.name, max(inner, key=lambda node: node.lineno).name if inner else None))
-    inlined = {(fn.__module__.rsplit(".", 1)[1], fn.__name__) for stock in module._STOCK.values() for fn in stock[1]}
+    inlined = {(stock[1].__module__.rsplit(".", 1)[1], stock[1].__name__) for stock in module._STOCK.values()}
     assert marked == inlined
 
 
@@ -821,7 +877,7 @@ def test_fused_samples_reject_a_scale_as_state_does(params):
         with pytest.raises(ValueError) as want:
             State(0.0, *point)
         with pytest.raises(ValueError) as got:
-            samples([(0.0, point, None)])
+            samples([(0.0, point, (1.0, 1.0))])
         assert str(got.value) == str(want.value)
 
 
@@ -1032,7 +1088,8 @@ def test_fused_and_wrapped_speeds_give_the_same_samples(monkeypatch, params, eps
 def test_a_tracer_swap_sees_every_evaluation(monkeypatch, field):
     # as perfbench's tracer does: every bergerflow module global that is the
     # field becomes a counting wrapper; the run must then take the generic
-    # step, one call at the start and six per attempted step
+    # step, one call at the start, six per attempted step and, at a collapse
+    # event, one at the event state
     module = importlib.import_module("bergerflow.integrate")
     calls, taken, select = [], [], module._step_for
 
@@ -1058,6 +1115,7 @@ def test_a_tracer_swap_sees_every_evaluation(monkeypatch, field):
                     swapped.append(name)
     assert "bergerflow.integrate" in swapped
     monkeypatch.setattr(module, "_step_for", spy)
+    attempts = count_attempts(monkeypatch, module)
     result = run()
     monkeypatch.undo()
     if field is vector_field:
@@ -1065,6 +1123,6 @@ def test_a_tracer_swap_sees_every_evaluation(monkeypatch, field):
     else:
         assert result[-1][0] == 50.0
     assert [step.__name__ for step in taken] == ["_rk_step2" if field is vector_field else "_rk_step1"]
-    assert len(calls) > 1
-    assert (len(calls) - 1) % 6 == 0
+    assert attempts
+    assert len(calls) == 1 + 6 * len(attempts) + (field is vector_field)
     assert repr(result) == repr(run())
