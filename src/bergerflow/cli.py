@@ -87,6 +87,9 @@ def _add_flow_flags(p: argparse.ArgumentParser):
     p.add_argument("--a", type=float, default=2.0)
     p.add_argument("--kappa", type=float, required=True)
     p.add_argument("--epsilon", type=float, required=True)
+
+
+def _add_integrator_flags(p: argparse.ArgumentParser):
     p.add_argument("--rtol", type=float, default=None)
     p.add_argument("--atol", type=float, default=None)
     p.add_argument("--collapse-tol", dest="collapse_tol", type=float, default=None)
@@ -104,23 +107,23 @@ def _emit_csv_trajectory(traj, out):
     out.write(f"# termination={term.tag} t={_fmt(term.t_event)}\n")
 
 
+def _report_underflow(term) -> int:
+    """Exit code 2 for a StepUnderflow, after one stderr line naming t, the state, h and the floor; else 0."""
+    if term.tag != "StepUnderflow":
+        return 0
+    state, h = ", ".join(f"{v:.6g}" for v in term.detail["last_state"]), term.detail["h"]
+    print(f"integration failure: step size underflow at t={term.t_event:.6g}, state ({state}), h={h:.6g}"
+          f" below the floor {_H_MIN:g}", file=sys.stderr)
+    return 2
+
+
 def cmd_simulate(args) -> int:
     params = _build_params(args)
     config = _build_config(args)
     with _open_out(args.out) as out:
         traj = integrate(params, config, args.t_end)
         _emit_csv_trajectory(traj, out)
-    term = traj.termination
-    if term.tag == "StepUnderflow":  # after the CSV, which ends with the termination line
-        state, h = ", ".join(f"{v:.6g}" for v in term.detail["last_state"]), term.detail["h"]
-        print(f"integration failure: step size underflow at t={term.t_event:.6g}, state ({state}), h={h:.6g}"
-              f" below the floor {_H_MIN:g}", file=sys.stderr)
-    return 2 if term.tag == "StepUnderflow" else 0
-
-
-class _FieldEvaluationError(Exception):
-    """An ArithmeticError raised while portrait evaluates its grid, before
-    any integration."""
+    return _report_underflow(traj.termination)
 
 
 def cmd_portrait(args) -> int:
@@ -128,8 +131,9 @@ def cmd_portrait(args) -> int:
     config = _build_config(args)
     try:
         rows = phase.portrait_rows(params, args.x_range, args.y_range, *args.grid)
-    except ArithmeticError as exc:
-        raise _FieldEvaluationError(f"{type(exc).__name__}: {exc}") from exc
+    except ArithmeticError as exc:  # before any output or integration
+        print(f"error: field evaluation failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     for start in args.seeds:  # every start is checked before anything is written
         point = (start.alpha, start.beta)
         _field_at_start(dynamics.vector_field, params, point, "--seeds entry must keep the field finite", point)
@@ -137,21 +141,18 @@ def cmd_portrait(args) -> int:
         out.write("x,y,ux,uy,mag\n")
         for row in rows:
             out.write(",".join(_fmt(v) for v in row) + "\n")
+        terms = []
         for start in args.seeds:
             traj = integrate(params, config, args.t_end, start=start)
             out.write(f"\n# seed={_fmt(start.alpha)},{_fmt(start.beta)}\n")
             out.write("t,alpha,beta\n")
             for state, _ in traj.samples:
                 out.write(",".join(_fmt(v) for v in (state.t, state.alpha, state.beta)) + "\n")
-    return 0
+            terms.append(traj.termination)
+    return max([_report_underflow(term) for term in terms], default=0)  # one line per seed that underflowed
 
 
 def cmd_equilibria(args) -> int:
-    if args.flow == "collapse":
-        raise ValueError(
-            "the collapse flow has no isolated equilibria; its critical "
-            "set is the degenerate boundary line of points (0, k) with k != 0"
-        )
     params = _build_params(args)
     entries = [
         {"epsilon_star": eq.epsilon_star, "point": list(eq.point), "stability": eq.stability}
@@ -190,12 +191,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="integrate one trajectory and emit CSV")
     _add_flow_flags(p)
+    _add_integrator_flags(p)
     p.add_argument("--t-end", dest="t_end", type=_positive, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("portrait", help="sample the vector field on a grid")
     _add_flow_flags(p)
+    _add_integrator_flags(p)
     p.add_argument("--t-end", dest="t_end", type=_positive, default=10.0)
     p.add_argument("--grid", type=_pair(int, "nx,ny"), default="20,20")
     p.add_argument("--x-range", dest="x_range", type=_pair(float, "lo,hi"), default="0.05,1.5")
@@ -228,9 +231,6 @@ def main(argv=None) -> int:
         return 1
     except StepBudgetError as exc:
         print(f"integration failure: {exc}", file=sys.stderr)
-        return 2
-    except _FieldEvaluationError as exc:
-        print(f"error: field evaluation failure: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
         # overflow or division by zero at extreme but valid inputs

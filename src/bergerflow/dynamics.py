@@ -26,16 +26,12 @@ from .model import (
 
 @dataclass(frozen=True)
 class Equilibrium:
-    """An equilibrium of the reduced unit-volume dynamics.
+    """An equilibrium of the reduced unit-volume dynamics: its curve
+    parameter, its point on the unit-volume curve and its stability."""
 
-    For the collapse flow the critical set is the degenerate boundary line
-    {(0, k) : k != 0}; it is reported with ``stability="degenerate-line"``
-    and no curve parameter.
-    """
-
-    epsilon_star: float | None
-    point: tuple[float, float] | None
-    stability: str  # "attracting" | "repelling" | "degenerate-line"
+    epsilon_star: float
+    point: tuple[float, float]
+    stability: str  # "attracting" | "repelling"
 
 
 def _off_quadrant(x: float, y: float) -> ValueError:
@@ -174,24 +170,20 @@ def equilibria(params: FlowParams) -> list[Equilibrium]:
     """Equilibria of the flow.
 
     Normalized flow: the exact positive roots of the polynomial factor of
-    the reduced speed k, classified by the sign of k on either side.  For
-    a*kappa = 1 the factor -3e^2 + 5e - 2 = -(3e - 2)(e - 1) has roots 2/3
-    and 1; for a*kappa = -1 the factor -3e^4 + e^2 + 2 = -(3e^2 + 2)(e^2 - 1)
-    has the single positive root 1.  Collapse flow: the degenerate boundary
-    line, reported descriptively.
+    the reduced speed k.  For a*kappa = 1 the factor -3e^2 + 5e - 2 =
+    -(3e - 2)(e - 1) has roots 2/3 and 1; for a*kappa = -1 the factor
+    -3e^4 + e^2 + 2 = -(3e^2 + 2)(e^2 - 1) has the single positive root 1.
+    Each root is simple, so k changes sign there, and its sign just left of
+    the root classifies it: positive is attracting, negative repelling.  The
+    collapse flow has no isolated equilibrium: it raises ValueError.
     """
     if params.kind is FlowKind.COLLAPSE:
-        return [Equilibrium(epsilon_star=None, point=None, stability="degenerate-line")]
+        raise ValueError(
+            "the collapse flow has no isolated equilibria; its critical "
+            "set is the degenerate boundary line of points (0, k) with k != 0"
+        )
     roots = (2.0 / 3.0, 1.0) if params.product == 1.0 else (1.0,)
-    out = []
-    for root in roots:
-        left = curve_speed(params, root - 1e-4)
-        right = curve_speed(params, root + 1e-4)
-        if left > 0 > right:
-            stability = "attracting"
-        elif left < 0 < right:
-            stability = "repelling"
-        else:
-            stability = "degenerate-line"
-        out.append(Equilibrium(epsilon_star=root, point=curve_point(root), stability=stability))
-    return out
+    return [
+        Equilibrium(root, curve_point(root), "attracting" if curve_speed(params, root - 1e-4) > 0 else "repelling")
+        for root in roots
+    ]

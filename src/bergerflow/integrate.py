@@ -24,7 +24,7 @@ open first quadrant are rejected and halved.  Terminal events (collapse of
 one or both scales, convergence to an equilibrium) are located by
 bisection on the cubic Hermite interpolant of the step that crosses
 them, a collapse at no further right-hand-side cost; the event state's
-derivative is one more evaluation there.
+derivative is the equilibrium search's own, or one more evaluation.
 """
 
 from __future__ import annotations
@@ -74,6 +74,9 @@ _PI_ALPHA = 1.0 / _ORDER - 0.75 * _PI_BETA
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _EVENT_TIME_TOL = 1e-9
+# within this of u = 2/3 the event state's u cannot decide the basin better
+# than the integration: from fl(2/3) it lands within 1e-10 of 2/3
+_BASIN_MARGIN = 1e-8
 _H_INIT = 1e-3
 _H_MIN = 1e-13
 _H_MAX = 1.0
@@ -116,9 +119,9 @@ class TerminationEvent:
 @dataclass(frozen=True)
 class Trajectory:
     """``derivatives[i]`` is the field (dalpha, dbeta) at ``samples[i]``: the
-    value the step held there, or one evaluation at an event state read off
-    the interpolant.  It is derived data, so it takes no part in repr or
-    equality, and a trajectory built without it has an empty list."""
+    value the step or, at an event state, the event search held there.  It
+    is derived data, so it takes no part in repr or equality, and a
+    trajectory built without it has an empty list."""
 
     params: FlowParams
     samples: list[tuple[State, GeometryScalars]]
@@ -277,9 +280,9 @@ def _advance(rk_step, f, p, t0, y0, k0, t_end, config, collapse_tol):
     t_event, y_event, dy_event), h)``.  ``points`` holds every
     ``config.output_stride``-th (t, y, dy) triple from the initial one, then
     the final or event state, recorded exactly once.  dy is f there: k0 at
-    the initial state, the step's last stage at an accepted one, and one
-    more evaluation at an event state read off the interpolant.  Steps
-    start at _H_INIT, stay at most _H_MAX and end in StepUnderflow below
+    the initial state, the step's last stage at an accepted one, and at an
+    event state the value _locate_event returns with it.  Steps start at
+    _H_INIT, stay at most _H_MAX and end in StepUnderflow below
     _H_MIN, h then the last one attempted; attempting step _MAX_STEPS + 1
     raises StepBudgetError.
     """
@@ -318,8 +321,8 @@ def _advance(rk_step, f, p, t0, y0, k0, t_end, config, collapse_tol):
         # accepted
         collapse = ctol is not None and y_new[0] <= ctol
         if collapse or etol is not None and hypot(*k7) / hypot(*y_new) <= etol:
-            t_ev, y_ev = _locate_event(f, p, ctol if collapse else None, etol, t, h, y, y_new, k0, k7)
-            outcome = ("Collapse" if collapse else "Equilibrium", t_ev, y_ev, f(p, y_ev))
+            event = _locate_event(f, p, ctol if collapse else None, etol, t, h, y, y_new, k0, k7)
+            outcome = ("Collapse" if collapse else "Equilibrium", *event)
             break
         t += h
         y, k0 = y_new, k7
@@ -338,11 +341,12 @@ def _advance(rk_step, f, p, t0, y0, k0, t_end, config, collapse_tol):
 def _locate_event(f, p, ctol, etol, t, h, y0, y1, f0, f1):
     """Earliest time in (t, t + h] where y[0] <= ctol, or if ctol is None
     |f(p, y)| / |y| <= etol, by bisection on the cubic Hermite interpolant
-    through (y0, f0) and (y1, f1), and the state there.  Interpolated states
+    through (y0, f0) and (y1, f1), the state there and f at it: the value the
+    equilibrium test computed, else one evaluation.  Interpolated states
     outside the open quadrant count as past the event and are never the
     event state; the time returned is that of the state returned, so where
-    no in-quadrant state at or past the event was seen it is (t + h, y1)."""
-    lo, hi, at, y_at, nodes = 0.0, 1.0, 1.0, y1, list(zip(y0, y1, f0, f1))
+    no in-quadrant state at or past the event was seen it is (t + h, y1, f1)."""
+    lo, hi, at, y_at, dy_at, nodes = 0.0, 1.0, 1.0, y1, f1, list(zip(y0, y1, f0, f1))
     while (hi - lo) * h > _EVENT_TIME_TOL:
         s = 0.5 * (lo + hi)
         # (1 - s) a + s b + s (s - 1) ((1 - 2 s) (b - a) + (s - 1) h fa + s h fb)
@@ -350,12 +354,14 @@ def _locate_event(f, p, ctol, etol, t, h, y0, y1, f0, f1):
         y_mid = tuple([u * a + s * b + v * (w * (b - a) + hu * fa + hs * fb) for a, b, fa, fb in nodes])
         if not (0.0 < y_mid[0] < math.inf and 0.0 < y_mid[-1] < math.inf):
             hi = s
-        elif y_mid[0] <= ctol if ctol is not None else math.hypot(*f(p, y_mid)) / math.hypot(*y_mid) <= etol:
+            continue
+        dy = None if ctol is not None else f(p, y_mid)
+        if y_mid[0] <= ctol if dy is None else math.hypot(*dy) / math.hypot(*y_mid) <= etol:
             hi = at = s
-            y_at = y_mid
+            y_at, dy_at = y_mid, dy
         else:
             lo = s
-    return t + at * h, y_at
+    return t + at * h, y_at, f(p, y_at) if dy_at is None else dy_at
 
 
 def integrate(
@@ -382,7 +388,7 @@ def integrate(
     points, (tag, t_ev, y_ev, _), h = _advance(step, f, params, s0.t, y0, k0, s0.t + t_end, config, config.collapse_tol)
     build = _fused(scalars, params, _samples)
     samples = build(points) if build else [(State(t, *y), scalars(params, *y)) for t, y, _ in points]
-    termination = _classify(params, config, tag, t_ev, y_ev, h, s0)
+    termination = _classify(params, tag, t_ev, y_ev, h, s0)
     return Trajectory(params, samples, termination, [dy for _, _, dy in points])
 
 
@@ -398,26 +404,27 @@ def _field_at_start(f, p, y0, subject, value):
     return k0
 
 
-def _classify(params, config, tag, t_ev, y_ev, h, s0):
+def _classify(params, tag, t_ev, y_ev, h, s0):
+    """The termination record of an outcome of _advance.  By the basin rule a
+    collapse is a point collapse only for the collapse flow with a*kappa = 2
+    and u = alpha/beta >= 2/3 - _BASIN_MARGIN at the event state: there u is
+    monotone and never crosses 2/3."""
     if tag == "Collapse":
         alpha, beta = y_ev
-        # Factor 2: trajectories heading to the origin do so inside the
-        # wedge y <= 3x/2, so the base scale can sit slightly above the
-        # threshold when the fiber scale crosses it.
-        if beta <= 2.0 * config.collapse_tol:
+        u, p = alpha / beta, params.product
+        if params.kind is FlowKind.NORMALIZED:  # beta grows without bound as alpha -> 0
+            return TerminationEvent("CollapseFiber", t_ev, {"beta_inf": beta})
+        if p == 2.0 and u >= 2.0 / 3.0 - _BASIN_MARGIN:
             return TerminationEvent("CollapsePoint", t_ev, {"alpha": alpha, "beta": beta})
-        detail = {"beta_inf": beta}
-        if params.kind is FlowKind.COLLAPSE:
-            # the limit (I/4)^(1/4) of beta, read at the event state: I = y^4
-            # (3u - p)^2 / |u - p/2|, u = x/y, p = a kappa, is constant on a
-            # collapse orbit and tends to 4 y^4 as x -> 0
-            u, p = alpha / beta, params.product
-            detail["beta_inf"] = beta * ((3.0 * u - p) ** 2 / (4.0 * abs(u - p / 2.0))) ** 0.25
-            region = phase.region_for_initial(params, s0)
-            if region is not None:
-                bracket = phase.axis_extent(region)
-                if bracket is not None:
-                    detail["bracket"] = bracket
+        # the limit (I/4)^(1/4) of beta, read at the event state: I = y^4
+        # (3u - p)^2 / |u - p/2|, p = a kappa, is constant on a collapse orbit
+        # and tends to 4 y^4 as x -> 0
+        detail = {"beta_inf": beta * ((3.0 * u - p) ** 2 / (4.0 * abs(u - p / 2.0))) ** 0.25}
+        region = phase.region_for_initial(params, s0)
+        if region is not None:
+            bracket = phase.axis_extent(region)
+            if bracket is not None:
+                detail["bracket"] = bracket
         return TerminationEvent("CollapseFiber", t_ev, detail)
     if tag == "Equilibrium":
         return TerminationEvent("Equilibrium", t_ev, {"location": y_ev})

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -139,6 +140,19 @@ class TestSettingsSurface:
         dests = set(vars(build_parser().parse_args(SIMULATE + ["--t-end", "1"])))
         run_dests = {"command", "fn", "flow", "a", "kappa", "epsilon", "t_end", "out"}
         assert dests - run_dests == {f.name for f in dataclasses.fields(IntegratorConfig)}
+
+    def test_each_subcommand_parses_only_the_flags_it_reads(self):
+        # a flag that a subcommand would ignore is an argument error instead
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {name: {s for a in p._actions for s in a.option_strings} for name, p in sub.choices.items()}
+        flow = {"-h", "--help", "--flow", "--a", "--kappa", "--epsilon"}
+        run_flags = flow | {"--rtol", "--atol", "--collapse-tol", "--equilib-tol", "--stride", "--t-end", "--out"}
+        assert flags == {
+            "simulate": run_flags,
+            "portrait": run_flags | {"--grid", "--x-range", "--y-range", "--seeds"},
+            "equilibria": flow,
+            "verify": {"-h", "--help", "--filter", "--oracle-tol"},
+        }
 
     def test_portrait_defaults_pass_through_the_argument_types(self):
         args = build_parser().parse_args(PORTRAIT)
@@ -408,6 +422,24 @@ class TestPortrait:
         assert len(rows) == 4
         assert "# seed=" not in out
 
+    def test_seed_underflow_exit_code(self, capsys):
+        # the seed's first steps fall below the floor: its block holds only
+        # the start, and after the output one line on stderr names the time,
+        # the state, the last step attempted and the floor, as for simulate
+        code, out, err = run(
+            capsys, *PORTRAIT, "--grid", "1,1", "--seeds", "1.3,1", "--rtol", "1e-300",
+            "--atol", "1e-300", "--t-end", "5",
+        )
+        assert code == 2
+        assert out == (
+            "x,y,ux,uy,mag\n"
+            "0.050000000000000003,0.050000000000000003,-0.70710678118654746,-0.70710678118654746,"
+            "0.88388347648318444\n\n# seed=1.3,1\nt,alpha,beta\n0,1.3,1\n"
+        )
+        head, h = err.removesuffix(" below the floor 1e-13\n").split(", h=")
+        assert head == "integration failure: step size underflow at t=0, state (1.3, 1)"
+        assert 1e-13 <= float(h) < 5e-13
+
     @pytest.mark.parametrize("seed", ["5e-324,5e-324", "1e-310,1e-310", "1,1e-120"])
     def test_seed_with_a_non_finite_field_fails_before_any_output(self, capsys, seed):
         # the field at the start overflows to inf: each seed is checked
@@ -647,13 +679,16 @@ _TOL = ([None, "1e-6", "0.5", "1e-300", "1e300"], ["0", "-1", "inf", "nan", "x"]
 _T_END = (["1", "20", "1e4"], ["0", "-1", "inf", "nan", "x"])
 _RANGE = ([None, "0.05,1.5", "1,1", "0.5,2"], ["2,1", "0,1", "0.1,inf", "nan,1", "1", "x,1"])
 _OUT = ([None, OUT], [MISSING])
-_FLAGS = {
+_FLOW_FLAGS = {
     "--flow": (["collapse", "normalized"], [None, "x"]),
     "--a": ([None, "2", "-2"], ["1", "inf", "x"]),
     "--kappa": (["1", "-1", "0.5", "-0.5"], [None, "0", "nan", "x"]),  # valid for one flow
     # 1e-300 is valid for the collapse flow only; 1e300 overflows the field
     # at the start of either flow
     "--epsilon": (["1", "0.5", "2", "1e-300"], [None, "0", "-1", "inf", "nan", "x", "1e300"]),
+}
+_FLAGS = {
+    **_FLOW_FLAGS,
     "--rtol": _TOL,
     "--atol": _TOL,
     "--collapse-tol": _TOL,
@@ -671,7 +706,7 @@ _RUN_FLAGS = {
         "--seeds": ([None, "", ";", "1,1", "0.5,0.5;1,1"], ["inf,1", "1,-1", "1", "x,1"]),
         "--out": _OUT,
     },
-    "equilibria": _FLAGS,
+    "equilibria": _FLOW_FLAGS,
     "verify": {
         "--filter": (["q_consistency", "sign_flip", "energy_identity", "tangency"], ["nosuchcheck"]),
         "--oracle-tol": ([None, "1e-8", "1e-300"], ["0", "-1", "inf", "nan", "x"]),

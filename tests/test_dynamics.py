@@ -272,8 +272,6 @@ class TestEquilibria:
         assert eqs[0].stability == "attracting"
 
     def test_collapse_degenerate_line(self):
-        eqs = equilibria(COLLAPSE)
-        assert len(eqs) == 1
-        assert eqs[0].stability == "degenerate-line"
-        assert eqs[0].epsilon_star is None
-        assert eqs[0].point is None
+        # the critical set is the boundary line {(0, k)}, with no isolated point
+        with pytest.raises(ValueError, match=r"\(0, k\)"):
+            equilibria(COLLAPSE)

@@ -160,6 +160,25 @@ class TestEvents:
         bound = 1e-9 * max(1.0, 1.0 / abs(3.0 * epsilon - p))
         assert traj.termination.detail["beta_inf"] == pytest.approx(exact, rel=bound)
 
+    @pytest.mark.parametrize("a,kappa", [(2.0, 1.0), (-2.0, -1.0), (2.0, -1.0)])
+    @pytest.mark.parametrize(
+        "epsilon",
+        [2.0 / 3.0 - d for d in (1e-10, 1e-8, 1e-7, 3e-7)] + [2.0 / 3.0, 2.0 / 3.0 + 1e-8, 0.8, 1.0, 1.3],
+    )
+    def test_collapse_fate_follows_the_basin_rule(self, a, kappa, epsilon):
+        # for a*kappa = 2, u = x/y is monotone and never crosses 2/3: from
+        # u0 >= 2/3 the run ends at the origin, from below it the fiber
+        # collapses onto the y axis inside the K1 bracket, however close to
+        # 2/3 it starts; for a*kappa = -2 every start collapses the fiber
+        params = FlowParams(FlowKind.COLLAPSE, a=a, kappa=kappa, epsilon=epsilon)
+        term = integrate(params, NO_EQUILIB, t_end=1e4).termination
+        if a * kappa == 2.0 and epsilon >= 2.0 / 3.0:
+            assert term.tag == "CollapsePoint"
+        else:
+            assert term.tag == "CollapseFiber"
+            lo, hi = term.detail["bracket"]
+            assert lo < term.detail["beta_inf"] < hi
+
     def test_collapse_point_off_diagonal(self):
         params = FlowParams(FlowKind.COLLAPSE, a=2.0, kappa=1.0, epsilon=0.8)
         traj = integrate(params, NO_EQUILIB, t_end=100.0)
@@ -239,13 +258,15 @@ class TestEvents:
     )
     def test_derivatives_are_the_held_stages(self, monkeypatch, params, t_end, tag, stride):
         # each recorded derivative is a value the step computed at that
-        # sample, not a new call; an interpolated event state has the one
-        # evaluation made there, after the bisection's own
+        # sample, not a new call; an interpolated collapse state has the one
+        # evaluation made there, and an equilibrium state the value its last
+        # accepting bisection round computed
         module = importlib.import_module("bergerflow.integrate")
-        returned = []
+        returned, points = [], []
 
         def counted(params, point):
             returned.append(vector_field(params, point))
+            points.append(point)
             return returned[-1]
 
         monkeypatch.setattr(module, "vector_field", counted)
@@ -253,14 +274,17 @@ class TestEvents:
         traj = integrate(params, IntegratorConfig(output_stride=stride), t_end=t_end)
         assert traj.termination.tag == tag
         rounds = bisection_rounds(module, attempts[-1]) if tag == "Equilibrium" else 0
-        assert len(returned) == 1 + 6 * len(attempts) + rounds + (tag != "ReachedTEnd")
+        assert len(returned) == 1 + 6 * len(attempts) + rounds + (tag == "CollapsePoint")
         assert len(traj.derivatives) == len(traj.samples)
         ids = {id(k) for k in returned}
         for (state, _), dy in zip(traj.samples, traj.derivatives):
             assert id(dy) in ids
             assert dy == vector_field(params, (state.alpha, state.beta))
-        if tag != "ReachedTEnd":
+        if tag == "CollapsePoint":
             assert traj.derivatives[-1] is returned[-1]
+        if tag == "Equilibrium":
+            final = (traj.final_state.alpha, traj.final_state.beta)
+            assert traj.derivatives[-1] is returned[max(i for i, y in enumerate(points) if y == final)]
 
     def test_derivatives_stay_out_of_repr_and_equality(self):
         traj = integrate(COLLAPSE, NO_EQUILIB, t_end=1.0)
@@ -992,11 +1016,12 @@ def test_event_location_never_returns_a_state_outside_the_quadrant(ctol, etol, f
         return vector_field(p, y)
 
     assert min(0.5 * (a + b) + 0.125 * (fa - fb) for a, b, fa, fb in zip(y0, y1, f0, f1)) < 0.0
-    t_event, (alpha, beta) = locate(field, COLLAPSE, ctol, etol, 2.0, 1.0, y0, y1, f0, f1)
+    t_event, (alpha, beta), dy = locate(field, COLLAPSE, ctol, etol, 2.0, 1.0, y0, y1, f0, f1)
     if f0[1] < 0.0:  # beta leaves
-        assert (t_event, (alpha, beta)) == (3.0, y1)
+        assert (t_event, (alpha, beta), dy) == (3.0, y1, f1)
     else:
         assert 2.0 < t_event < 2.5
+        assert dy == vector_field(COLLAPSE, (alpha, beta))
     assert 0.0 < alpha < math.inf and 0.0 < beta < math.inf
     assert ctol is None or alpha <= ctol
     assert all(0.0 < x < math.inf and 0.0 < y < math.inf for x, y in seen)
