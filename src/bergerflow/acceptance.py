@@ -53,6 +53,7 @@ def _run(params: FlowParams, config: IntegratorConfig, t_end: float) -> Trajecto
 
 _DEFAULT = IntegratorConfig()
 _NO_EQUILIB = IntegratorConfig(equilib_tol=None)
+_ORACLE_TOL = 1e-8  # the largest error of a run against its closed-form solution
 
 
 def _closed_form_error(params, t_end):
@@ -64,34 +65,34 @@ def _closed_form_error(params, t_end):
     return worst
 
 
-def check_oracle_eps1_error(oracle_tol=1e-8):
+def check_oracle_eps1_error():
     start = time.perf_counter()
     worst = _closed_form_error(_collapse(2.0, 1.0, 1.0), 15.5)
     elapsed = time.perf_counter() - start
-    yield CheckResult("oracle_eps1_max_error", worst <= oracle_tol, worst, oracle_tol)
+    yield CheckResult("oracle_eps1_max_error", worst <= _ORACLE_TOL, worst, _ORACLE_TOL)
     yield CheckResult("oracle_eps1_runtime_seconds", elapsed < 1.0, elapsed, 1.0)
 
 
-def check_oracle_eps1_event(oracle_tol=1e-8):
+def check_oracle_eps1_event():
     traj = _run(_collapse(2.0, 1.0, 1.0), _NO_EQUILIB, 20.0)
     err = abs(traj.termination.t_event - 15.999984)
     ok = traj.termination.tag == "CollapsePoint" and err <= 1e-5
     yield CheckResult("oracle_eps1_event_time", ok, err, 1e-5, note=traj.termination.tag)
 
 
-def check_oracle_eps23_error(oracle_tol=1e-8):
+def check_oracle_eps23_error():
     worst = _closed_form_error(_collapse(2.0, 1.0, 2.0 / 3.0), 11.5)
-    yield CheckResult("oracle_eps23_max_error", worst <= oracle_tol, worst, oracle_tol)
+    yield CheckResult("oracle_eps23_max_error", worst <= _ORACLE_TOL, worst, _ORACLE_TOL)
 
 
-def check_oracle_eps23_event(oracle_tol=1e-8):
+def check_oracle_eps23_event():
     traj = _run(_collapse(2.0, 1.0, 2.0 / 3.0), _NO_EQUILIB, 20.0)
     err = abs(traj.termination.t_event - 11.999973)
     ok = traj.termination.tag == "CollapsePoint" and err <= 1e-5
     yield CheckResult("oracle_eps23_event_time", ok, err, 1e-5, note=traj.termination.tag)
 
 
-def check_constant_solutions(oracle_tol=1e-8):
+def check_constant_solutions():
     cases = [
         _normalized(2.0, 0.5, 2.0 / 3.0),
         _normalized(2.0, 0.5, 1.0),
@@ -112,7 +113,7 @@ def _convergent_runs():
     return [(p, _run(p, _DEFAULT, 500.0)) for p in cases]
 
 
-def check_convergence(oracle_tol=1e-8):
+def check_convergence():
     target = math.sqrt(normalizing_constant(1.0))
     worst = 0.0
     for params, traj in _convergent_runs():
@@ -132,7 +133,7 @@ def check_convergence(oracle_tol=1e-8):
     )
 
 
-def check_collapse_events(oracle_tol=1e-8):
+def check_collapse_events():
     ok = True
     worst_note = []
     for eps in (0.5, 1.0, 3.0):
@@ -155,7 +156,27 @@ def check_collapse_events(oracle_tol=1e-8):
     yield CheckResult("collapse_point_events", ok, float(ok), 1.0, note=";".join(notes))
 
 
-def check_volume_conservation(oracle_tol=1e-8):
+def check_collapse_fate_and_limit():
+    # by the basin rule only p = a kappa = 2 from u0 = epsilon >= 2/3 ends at the
+    # origin; a fiber collapse takes beta to (I0/4)^(1/4), I0 = (3 epsilon - p)^2
+    # / |epsilon - p/2|, whose digits go as 1/|3 epsilon - p| near u = 2/3 of p = 2
+    third = 2.0 / 3.0
+    wrong, worst = [], 0.0
+    for p in (2.0, -2.0):
+        for eps in (0.05, 0.3, 0.6, third - 1e-8, third, third + 1e-8, 0.8, 1.0, 3.0, 20.0):
+            term = _run(_collapse(2.0, p / 2.0, eps), _DEFAULT, 5000.0).termination
+            want = "CollapsePoint" if p == 2.0 and eps >= third else "CollapseFiber"
+            if term.tag != want:
+                wrong.append(f"p={p:g},eps={eps!r}:{term.tag}")
+            elif want == "CollapseFiber":
+                exact = ((3.0 * eps - p) ** 2 / abs(eps - p / 2.0) / 4.0) ** 0.25
+                err = abs(term.detail["beta_inf"] / exact - 1.0) * min(1.0, abs(3.0 * eps - p))
+                worst = max(worst, err)
+    yield CheckResult("collapse_fate_basin_rule", not wrong, float(len(wrong)), 0.0, note=";".join(wrong))
+    yield CheckResult("collapse_beta_inf_limit", worst <= 1e-9, worst, 1e-9)
+
+
+def check_volume_conservation():
     worst = 0.0
     for params, traj in _convergent_runs():
         for state, scalars in traj.samples:
@@ -163,7 +184,7 @@ def check_volume_conservation(oracle_tol=1e-8):
     yield CheckResult("volume_conservation", worst <= 1e-8, worst, 1e-8)
 
 
-def check_energy_monotonic(oracle_tol=1e-8):
+def check_energy_monotonic():
     rng = random.Random(12345)
     worst = -math.inf
     for _ in range(20):
@@ -182,7 +203,7 @@ def check_energy_monotonic(oracle_tol=1e-8):
     yield CheckResult("energy_monotonic_increase", worst <= 1e-10, worst, 1e-10)
 
 
-def check_algebraic_identities(oracle_tol=1e-8):
+def check_algebraic_identities():
     rng = random.Random(2024)
     pts = [(rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0)) for _ in range(1000)]
     param_sets = [
@@ -245,7 +266,7 @@ def _trapping_cases():
     return out
 
 
-def check_trapping(oracle_tol=1e-8):
+def check_trapping():
     worst = 0.0
     n_violations = 0
     for params, region, traj in _trapping_cases():
@@ -255,7 +276,7 @@ def check_trapping(oracle_tol=1e-8):
     yield CheckResult("trapping_inward_flux_violations", n_violations == 0, float(n_violations), 0.0)
 
 
-def check_spinor_limits(oracle_tol=1e-8):
+def check_spinor_limits():
     params = _normalized(2.0, -0.5, 1.5)
     traj = _run(params, _DEFAULT, 500.0)
     final = traj.final_state
@@ -265,7 +286,7 @@ def check_spinor_limits(oracle_tol=1e-8):
     yield CheckResult("spinor_coefficient_limits", worst <= 1e-6, worst, 1e-6)
 
 
-def check_reduced_planar(oracle_tol=1e-8):
+def check_reduced_planar():
     params = _normalized(2.0, 0.5, 2.0)
     worst = 0.0
     for t_end in (1.0, 2.0, 5.0):
@@ -285,6 +306,7 @@ ALL_CHECKS = [
     (("constant_solution_drift",), check_constant_solutions),
     (("stability_convergence", "stability_divergence_beta"), check_convergence),
     (("collapse_fiber_brackets", "collapse_point_events"), check_collapse_events),
+    (("collapse_fate_basin_rule", "collapse_beta_inf_limit"), check_collapse_fate_and_limit),
     (("volume_conservation",), check_volume_conservation),
     (("energy_monotonic_increase",), check_energy_monotonic),
     (
@@ -302,9 +324,10 @@ ALL_CHECKS = [
 ]
 
 
-def run_checks(name_filter: str = "", oracle_tol: float = 1e-8) -> list[CheckResult]:
+def run_checks(name_filter: str = "") -> list[CheckResult]:
     """Run the verification suite, optionally keeping only checks whose
-    name contains ``name_filter``.  Where a producer's run exhausts the
+    name contains ``name_filter``; every threshold is fixed in this
+    module, and no producer takes an argument.  Where a producer's run exhausts the
     step budget or raises ArithmeticError, each of its kept checks not yet
     reported fails with the error, and the next producer runs."""
     results = []
@@ -313,7 +336,7 @@ def run_checks(name_filter: str = "", oracle_tol: float = 1e-8) -> list[CheckRes
         if not kept:
             continue
         try:
-            for result in fn(oracle_tol=oracle_tol):
+            for result in fn():
                 if name_filter in result.name:
                     results.append(result)
         except (StepBudgetError, ArithmeticError) as exc:

@@ -166,7 +166,7 @@ def cmd_verify(args) -> int:
     # imported here so that the other subcommands do not pay for it
     from . import acceptance
 
-    results = acceptance.run_checks(name_filter=args.filter, oracle_tol=args.oracle_tol)
+    results = acceptance.run_checks(name_filter=args.filter)
     if not results:
         raise ValueError(f"--filter {args.filter!r} matches no check")
     report = {
@@ -213,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the verification suite")
     p.add_argument("--filter", default="")
-    p.add_argument("--oracle-tol", dest="oracle_tol", type=_positive, default=1e-8)
     p.set_defaults(fn=cmd_verify)
     return parser
 

@@ -412,8 +412,8 @@ def _classify(params, tag, t_ev, y_ev, h, s0):
     if tag == "Collapse":
         alpha, beta = y_ev
         u, p = alpha / beta, params.product
-        if params.kind is FlowKind.NORMALIZED:  # beta grows without bound as alpha -> 0
-            return TerminationEvent("CollapseFiber", t_ev, {"beta_inf": beta})
+        if params.kind is FlowKind.NORMALIZED:  # beta grows without bound as alpha -> 0: no limit
+            return TerminationEvent("CollapseFiber", t_ev, {"beta": beta})
         if p == 2.0 and u >= 2.0 / 3.0 - _BASIN_MARGIN:
             return TerminationEvent("CollapsePoint", t_ev, {"alpha": alpha, "beta": beta})
         # the limit (I/4)^(1/4) of beta, read at the event state: I = y^4

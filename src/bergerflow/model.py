@@ -89,28 +89,21 @@ class FlowParams:
         return self.a * self.kappa
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class State:
-    """A point on a flow trajectory: time plus the two metric scales.
-
-    The constructor checks that both scales are positive and finite before
-    it stores anything, and fills the instance dict directly, because
-    ``integrate`` builds one State per recorded sample.  A State carries no
-    derivative: a trajectory keeps the field's value at each of its samples,
-    one per sample, in ``Trajectory.derivatives``.
+    """A point on a flow trajectory: time plus the two metric scales, both
+    positive and finite.  A State carries no derivative: a trajectory keeps
+    the field's value at each of its samples, one per sample, in
+    ``Trajectory.derivatives``.
     """
 
     t: float
     alpha: float
     beta: float
 
-    def __init__(self, t: float, alpha: float, beta: float):
-        if not (0 < alpha < math.inf and 0 < beta < math.inf):
-            raise ValueError(f"metric scales must be positive and finite, got ({alpha}, {beta})")
-        d = self.__dict__
-        d["t"] = t
-        d["alpha"] = alpha
-        d["beta"] = beta
+    def __post_init__(self):
+        if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):
+            raise ValueError(f"metric scales must be positive and finite, got ({self.alpha}, {self.beta})")
 
 
 def initial_state(params: FlowParams) -> State:
@@ -121,15 +114,14 @@ def initial_state(params: FlowParams) -> State:
     return State(t=0.0, alpha=s * params.epsilon, beta=s)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class GeometryScalars:
     """Per-sample diagnostics along a trajectory.
 
     ``q00``/``q11`` are the diagonal components of the metric velocity in
     the orthonormal frame (the volume-corrected ones for the normalized
     flow); the remaining diagonal entry equals ``q11`` and off-diagonal
-    entries vanish.  Like :class:`State`, the constructor fills the
-    instance dict directly.
+    entries vanish.
     """
 
     volume: float
@@ -138,15 +130,6 @@ class GeometryScalars:
     q11: float
     f: float
     g: float
-
-    def __init__(self, volume: float, energy: float, q00: float, q11: float, f: float, g: float):
-        d = self.__dict__
-        d["volume"] = volume
-        d["energy"] = energy
-        d["q00"] = q00
-        d["q11"] = q11
-        d["f"] = f
-        d["g"] = g
 
 
 def normalizing_constant(epsilon: float) -> float:

@@ -39,7 +39,7 @@ def test_criterion(results, name):
 
 @pytest.mark.parametrize("name_filter,kept", [("", ["first", "second", "third_x"]), ("_x", ["third_x"])])
 def test_a_producer_that_raises_fails_only_the_checks_it_has_not_reported(monkeypatch, name_filter, kept):
-    def producer(oracle_tol):
+    def producer():
         yield acceptance.CheckResult("first", True, 0.0, 1.0)
         raise ZeroDivisionError("planted")
 

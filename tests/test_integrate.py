@@ -179,6 +179,13 @@ class TestEvents:
             lo, hi = term.detail["bracket"]
             assert lo < term.detail["beta_inf"] < hi
 
+    def test_normalized_fiber_collapse_reports_the_event_base_scale(self):
+        # beta grows without bound as the fiber collapses: there is no limit to report
+        params = FlowParams(FlowKind.NORMALIZED, a=2.0, kappa=0.5, epsilon=0.5)
+        traj = integrate(params, IntegratorConfig(), t_end=2000.0)
+        assert traj.termination.tag == "CollapseFiber"
+        assert traj.termination.detail == {"beta": traj.final_state.beta}
+
     def test_collapse_point_off_diagonal(self):
         params = FlowParams(FlowKind.COLLAPSE, a=2.0, kappa=1.0, epsilon=0.8)
         traj = integrate(params, NO_EQUILIB, t_end=100.0)

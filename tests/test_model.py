@@ -113,15 +113,10 @@ class TestState:
             State(0.5, alpha, beta)
         assert str(info.value) == f"metric scales must be positive and finite, got {text}"
 
-    def test_checks_before_storing(self):
-        state = State.__new__(State)
-        with pytest.raises(ValueError):
-            state.__init__(0.5, 0.0, 1.0)
-        assert vars(state) == {}
 
-
-# Both records are frozen dataclasses with a hand-written __init__; every
-# behaviour a generated one gave is pinned here.
+# Both records are plain frozen dataclasses, which fused sample assembly
+# builds without their generated __init__; the behaviour that __init__ and
+# the rest of the dataclass machinery give is pinned here.
 RECORDS = [
     (State, (0.5, 1.25, 2.0), "State(t=0.5, alpha=1.25, beta=2.0)"),
     (
