@@ -134,9 +134,17 @@ def curve_tangent(epsilon: float) -> tuple[float, float]:
 _SPEED_SCALE = TWO_PI_SQ ** (2.0 / 3.0) / 8.0
 
 
-# Straight-line code that the integrator's fused reduced step inlines: the
-# lines above "# per point" run once per run, the lines below it, up to the
-# return, at every stage.
+# The fused reduced step inlines this body; e2 = epsilon^2 is bound only in the branch that uses it.
+def _curve_speed(params: FlowParams, epsilon: float):
+    plus = params.product == 1.0
+    # per point
+    return (
+        _SPEED_SCALE * epsilon ** (5.0 / 3.0) * ((-3.0 * epsilon + 5.0) * epsilon - 2.0)
+        if plus
+        else _SPEED_SCALE * epsilon ** (-1.0 / 3.0) * ((-3.0 * (e2 := epsilon * epsilon) + 1.0) * e2 + 2.0)
+    )
+
+
 def curve_speed(params: FlowParams, epsilon: float) -> float:
     """Speed k(epsilon) of the normalized flow along the unit-volume curve.
 
@@ -145,16 +153,9 @@ def curve_speed(params: FlowParams, epsilon: float) -> float:
     """
     if params.kind is not _NORMALIZED:
         raise ValueError("curve_speed requires normalized flow parameters")
-    plus = params.product == 1.0
-    # per point
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    # Horner factors; e2 = epsilon^2 is bound only in the branch that uses it
-    return (
-        _SPEED_SCALE * epsilon ** (5.0 / 3.0) * ((-3.0 * epsilon + 5.0) * epsilon - 2.0)
-        if plus
-        else _SPEED_SCALE * epsilon ** (-1.0 / 3.0) * ((-3.0 * (e2 := epsilon * epsilon) + 1.0) * e2 + 2.0)
-    )
+    return _curve_speed(params, epsilon)
 
 
 def tangency_residual(params: FlowParams, epsilon: float) -> float:

@@ -8,23 +8,22 @@ last stage as the next step's first (FSAL).  The generic step, one per
 dimension in use (2 and 1), calls the field as f(params, y), with no stage
 time, since both flows are autonomous.  A step fused with one of the
 package's own fields instead inlines, from their source, the lines of
-model._collapse_field, model._normalized_field or dynamics.curve_speed
+model._collapse_field, model._normalized_field or dynamics._curve_speed
 below the line "# per point" at each stage, and the expression that body
-returns; the lines above it run once per run, and the run's start and
-event search call the same lines as a point field.  Fused sample assembly
-inlines likewise the spinor's body at each sample, reads the metric
-velocity off the derivative recorded there, and fills each record's
-instance dict with the arguments of the constructor call geometry_scalars
-returns.  Fused code does the same operations in the same order, so it
+returns; the lines above it run once per run, and the run's start and event
+search call the same lines as a point field.  Fused sample assembly inlines
+likewise the spinor's body at each sample, reads the metric velocity off
+the derivative recorded there, and fills each record's instance dict with
+the arguments of the constructor call geometry_scalars returns.  Fused code
+carries formulas only and does the same operations in the same order, so it
 gives the same bits.  Each run reads its field, and integrate
 geometry_scalars, once from this module's globals and looks them up in
-_STOCK: a wrapped function misses and sees every evaluation.  Fused code
-is compiled the first time a run needs it.  Steps that would leave the
-open first quadrant are rejected and halved.  Terminal events (collapse of
-one or both scales, convergence to an equilibrium) are located by
-bisection on the cubic Hermite interpolant of the step that crosses
-them, a collapse at no further right-hand-side cost; the event state's
-derivative is the equilibrium search's own, or one more evaluation.
+_STOCK: a wrapped function misses and sees every evaluation.  Steps that
+would leave the open first quadrant are rejected and halved.  Terminal
+events (collapse of one or both scales, convergence to an equilibrium) are
+located by bisection on the cubic Hermite interpolant of the step that
+crosses them, a collapse at no further right-hand-side cost; the event
+state's derivative is the equilibrium search's own, or one more evaluation.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ import types
 from dataclasses import dataclass, field, fields
 
 from . import phase
-from .dynamics import curve_speed, vector_field
+from .dynamics import _curve_speed, curve_speed, vector_field
 from .model import (
     _COLLAPSE,
     _NORMALIZED,
@@ -136,20 +135,20 @@ class Trajectory:
 @functools.cache
 def _parts(fn):
     """A top-level straight-line function's source, read and parsed once:
-    its body lines, docstring left out, above the line "# per point" (all
-    of them where it has none) and below it up to the final return; that
-    return's lines; the globals it reads; and where it returns a call of a
-    name, that name and the source of each positional argument, else None.
-    The function ends before the next top-level statement.  Reading it
-    thus, and not through inspect.getsource, spares the few milliseconds
-    the tokenizer takes to start; no syntax tree is kept."""
+    its body lines above the line "# per point" (all of them where it has
+    none) and below it up to the final return; that return's lines; the
+    globals it reads; and where it returns a call of a name, that name and
+    the source of each positional argument, else None.  The function ends
+    before the next top-level statement.  Reading it thus, and not through
+    inspect.getsource, spares the few milliseconds the tokenizer takes to
+    start; no syntax tree is kept."""
     code = fn.__code__
     lines = linecache.getlines(code.co_filename)[code.co_firstlineno - 1 :]
     if not lines:
         raise OSError(f"no source for {fn.__qualname__}")
     end = next((i for i, line in enumerate(lines[1:], 1) if line[:1] not in " \n#"), len(lines))
     node = ast.parse("".join(lines[:end])).body[0]
-    first, last = node.body[0 if ast.get_docstring(node) is None else 1].lineno - 1, node.body[-1].lineno - 1
+    first, last = node.body[0].lineno - 1, node.body[-1].lineno - 1
     lines = [line.rstrip("\n") for line in lines[: node.end_lineno]]
     body = lines[first:last]
     mark = body.index("    # per point") if "    # per point" in body else len(body)
@@ -246,19 +245,19 @@ def _samples(stock):
     """Compile, the first time a run needs it, for stock = (suffix,
     spinor_body, geometry_scalars), the factory of samples(points), which
     returns the bits of [(State(t, *y), geometry_scalars(params, *y)) for
-    t, y, _ in points].  It tests State's scales first, inline, runs the
-    spinor body's per-point lines, takes (dalpha, dbeta) from the point's
-    derivative and builds each record with no call to its __init__:
-    object.__new__, then its instance dict filled in the order of its
-    dataclass fields, State's with t, alpha and beta, the other with the
-    arguments of the call geometry_scalars returns."""
+    t, y, _ in points] on the points _advance records, all of which State
+    admits: the start, which the run checks, and states that a step or the
+    event search admitted.  It runs the spinor body's per-point lines, takes
+    (dalpha, dbeta) from the point's derivative and builds each record with
+    no call to its __init__: object.__new__, then its instance dict filled
+    in the order of its dataclass fields, State's with t, alpha and beta,
+    the other with the arguments of the call geometry_scalars returns."""
     name = f"_samples_{stock[0]}"
     prelude, per_point, _, read, _ = _parts(stock[1])
     *_, scalars_read, call = _parts(stock[2])
-    namespace = {**read, **scalars_read, "State": State, "new": object.__new__, "inf": math.inf}
+    namespace = {**read, **scalars_read, "State": State, "new": object.__new__}
     records = [("state", "State", ["t", "alpha", "beta"]), ("scalars", *call)]
     lines = [f"def {name}(points):", "    samples = []", "    for t, (alpha, beta), (dalpha, dbeta) in points:"]
-    lines += ["        if not (0.0 < alpha < inf and 0.0 < beta < inf):", "            State(t, alpha, beta)  # raises"]
     lines += [f"    {line}" for line in per_point]
     for var, cls, values in records:
         lines += [f"        {var} = new({cls})", f"        dct = {var}.__dict__"]
@@ -374,12 +373,13 @@ def integrate(
     terminal event.
 
     ``start`` overrides the canonical initial state, which permits
-    off-curve starting points for the normalized flow.  A start where the
-    field raises an ArithmeticError or is not finite raises ValueError.
+    off-curve starting points for the normalized flow.  A start that State
+    rejects, or where the field raises ArithmeticError or is not finite,
+    raises ValueError before any step.
     """
     if not t_end > 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
-    s0 = initial_state(params) if start is None else start
+    s0 = initial_state(params) if start is None else State(start.t, start.alpha, start.beta)
     f, scalars = vector_field, geometry_scalars  # read per call, so that a wrapper sees every evaluation
     y0 = (float(s0.alpha), float(s0.beta))
     step = _step_for(f, params, 2)
@@ -480,7 +480,7 @@ def integrate_reduced(
 _STOCK = {
     (vector_field, _COLLAPSE): ("collapse", _collapse_field),
     (vector_field, _NORMALIZED): ("normalized", _normalized_field),
-    (curve_speed, _NORMALIZED): ("speed", curve_speed),
+    (curve_speed, _NORMALIZED): ("speed", _curve_speed),
     (geometry_scalars, _COLLAPSE): ("collapse", _spinor_collapse, geometry_scalars),
     (geometry_scalars, _NORMALIZED): ("normalized", _spinor_normalized, geometry_scalars),
 }

@@ -91,10 +91,10 @@ class FlowParams:
 
 @dataclass(frozen=True)
 class State:
-    """A point on a flow trajectory: time plus the two metric scales, both
-    positive and finite.  A State carries no derivative: a trajectory keeps
-    the field's value at each of its samples, one per sample, in
-    ``Trajectory.derivatives``.
+    """A point on a flow trajectory: a finite time plus the two metric
+    scales, both positive and finite.  A State carries no derivative: a
+    trajectory keeps the field's value at each of its samples, one per
+    sample, in ``Trajectory.derivatives``.
     """
 
     t: float
@@ -104,6 +104,8 @@ class State:
     def __post_init__(self):
         if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):
             raise ValueError(f"metric scales must be positive and finite, got ({self.alpha}, {self.beta})")
+        if not math.isfinite(self.t):
+            raise ValueError(f"time must be finite, got {self.t}")
 
 
 def initial_state(params: FlowParams) -> State:
@@ -174,7 +176,7 @@ def _normalized(params: FlowParams, alpha: float, beta: float):
 
 # The planar field (dalpha, dbeta) = (alpha q00 / 2, beta q11 / 2) of each
 # flow kind: the one place the flow's coefficients are written, each with
-# its 1/2; metric_velocity reads q off it.  Homogeneous of degree -1, each
+# its 1/2; geometry_scalars reads q off it.  Homogeneous of degree -1, each
 # component is a Horner polynomial in r = alpha/beta divided by beta, plus,
 # for the normalized flow, a term in 1/alpha or beta/alpha^2.  Fused code
 # runs the lines above "# per point" once per run, those below it at every
@@ -244,7 +246,8 @@ def q1_collapse_components(params: FlowParams, alpha: float, beta: float):
     """Diagonal metric-velocity components (q00, q11) for the collapse flow;
     q22 equals q11 and all off-diagonal components vanish."""
     _require_kind(params, FlowKind.COLLAPSE)
-    return metric_velocity(params, alpha, beta)
+    dalpha, dbeta = _collapse_field(params, alpha, beta)
+    return 2.0 * dalpha / alpha, 2.0 * dbeta / beta
 
 
 def q1_normalized_components(params: FlowParams, alpha: float, beta: float):
@@ -260,14 +263,6 @@ def energy_density_sixth(params: FlowParams, alpha: float, beta: float) -> float
     :func:`q1_normalized_components`."""
     _require_kind(params, FlowKind.NORMALIZED)
     return _normalized(params, alpha, beta)[2]
-
-
-def metric_velocity(params: FlowParams, alpha: float, beta: float):
-    """Diagonal components (q00, q11) of the metric velocity that drives the
-    flow, the normalized one volume-corrected: read off the planar field,
-    which moves each scale by half the scale times its component."""
-    dalpha, dbeta = (_collapse_field if params.kind is _COLLAPSE else _normalized_field)(params, alpha, beta)
-    return 2.0 * dalpha / alpha, 2.0 * dbeta / beta
 
 
 def spinor_coefficients(params: FlowParams, alpha: float, beta: float):
@@ -305,7 +300,7 @@ def geometry_scalars(params: FlowParams, alpha: float, beta: float) -> GeometryS
         TWO_PI_SQ * alpha * b2,  # volume
         # energy() on the (f, g) already at hand, with its exact expression
         PI_SQ * alpha * b2 * (f * f + 2.0 * g * g),
-        2.0 * dalpha / alpha,  # q00, as metric_velocity reads it
+        2.0 * dalpha / alpha,  # q00, read off the field
         2.0 * dbeta / beta,  # q11
         f,
         g,

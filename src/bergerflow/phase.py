@@ -126,6 +126,8 @@ def inward_flux_check(region: Region, params: FlowParams, n_samples: int = 1000)
     """
     if params.kind is not FlowKind.COLLAPSE:
         raise ValueError("inward flux certification applies to the collapse flow only")
+    if n_samples < 1:  # no sample would read as a certified region
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     violations = []
     for p0, p1, normal in _edges(region):
         for i in range(1, n_samples + 1):

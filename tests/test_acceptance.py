@@ -5,9 +5,12 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the lines as they
 are produced, or rely on pytest's captured output on failure.
 """
 
+import importlib
+
 import pytest
 
-from bergerflow import acceptance
+from bergerflow import FlowKind, acceptance
+from bergerflow.integrate import TerminationEvent
 
 
 @pytest.fixture(scope="module")
@@ -51,3 +54,61 @@ def test_a_producer_that_raises_fails_only_the_checks_it_has_not_reported(monkey
     assert [r.name for r in failed] == [n for n in kept if n != "first"]
     assert all(r.error == "ZeroDivisionError: planted" and not r.passed for r in failed)
     assert all(r.passed for r in results if not r.error)
+
+
+# Planted errors in the collapse fate, each of which the check must report
+# as a failed result, not as an error: the basin margin at 0 and at 1e-2,
+# the old rule that called a collapse a point when beta <= 2 collapse_tol,
+# and a beta_inf off by 1e-4 relative.
+def basin_margin(value):
+    return lambda module, monkeypatch: monkeypatch.setattr(module, "_BASIN_MARGIN", value)
+
+
+def wrapped_classify(change):
+    def plant(module, monkeypatch):
+        classify = module._classify
+
+        def mutant(params, tag, t_ev, y_ev, h, s0):
+            return change(params, y_ev, classify(params, tag, t_ev, y_ev, h, s0))
+
+        monkeypatch.setattr(module, "_classify", mutant)
+
+    return plant
+
+
+def factor_two_rule(params, y_ev, term):
+    # where the basin rule calls a collapse a point, beta <= 1.5 collapse_tol
+    # at the event, so the old rule only turns fiber collapses into points
+    ctol = acceptance._DEFAULT.collapse_tol
+    if term.tag == "CollapseFiber" and params.kind is FlowKind.COLLAPSE and y_ev[1] <= 2.0 * ctol:
+        return TerminationEvent("CollapsePoint", term.t_event, {"alpha": y_ev[0], "beta": y_ev[1]})
+    return term
+
+
+def scaled_beta_inf(params, y_ev, term):
+    if "beta_inf" not in term.detail:
+        return term
+    return TerminationEvent(term.tag, term.t_event, {**term.detail, "beta_inf": term.detail["beta_inf"] * (1.0 + 1e-4)})
+
+
+@pytest.fixture
+def cold_runs():
+    acceptance._run.cache_clear()
+    yield
+    acceptance._run.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "plant,name",
+    [
+        pytest.param(basin_margin(0.0), "collapse_fate_basin_rule", id="basin-margin-0"),
+        pytest.param(basin_margin(1e-2), "collapse_fate_basin_rule", id="basin-margin-1e-2"),
+        pytest.param(wrapped_classify(factor_two_rule), "collapse_fate_basin_rule", id="factor-two-rule"),
+        pytest.param(wrapped_classify(scaled_beta_inf), "collapse_beta_inf_limit", id="beta-inf-scaled"),
+    ],
+)
+def test_collapse_fate_check_fails_on_a_planted_error(monkeypatch, cold_runs, plant, name):
+    plant(importlib.import_module("bergerflow.integrate"), monkeypatch)
+    results = {r.name: r for r in acceptance.check_collapse_fate_and_limit()}
+    assert set(results) == {"collapse_fate_basin_rule", "collapse_beta_inf_limit"}
+    assert not results[name].passed

@@ -160,6 +160,12 @@ class TestInwardFlux:
         with pytest.raises(ValueError):
             inward_flux_check(Region("K2", 1.0), NORMALIZED)
 
+    @pytest.mark.parametrize("n_samples", [0, -3])
+    def test_rejects_an_empty_sample(self, n_samples):
+        # no sample finds no violation, which would read as a certificate
+        with pytest.raises(ValueError, match=f"^n_samples must be at least 1, got {n_samples}$"):
+            inward_flux_check(Region("K3", 1.0, 0.5), COLLAPSE_NEG, n_samples=n_samples)
+
 
 class TestContainment:
     @pytest.mark.parametrize(
