@@ -34,12 +34,9 @@ from .model import (
     GeometryScalars,
     State,
     energy,
-    energy_density_sixth,
     geometry_scalars,
     initial_state,
     normalizing_constant,
-    q1_collapse_components,
-    q1_normalized_components,
     spinor_coefficients,
     volume,
 )
@@ -70,7 +67,6 @@ __all__ = [
     "curve_speed",
     "curve_tangent",
     "energy",
-    "energy_density_sixth",
     "equilibria",
     "explicit_rhs",
     "geometry_scalars",
@@ -80,8 +76,6 @@ __all__ = [
     "inward_flux_check",
     "normalizing_constant",
     "portrait_rows",
-    "q1_collapse_components",
-    "q1_normalized_components",
     "region_contains",
     "region_for_initial",
     "sample_portrait",

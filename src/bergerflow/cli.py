@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
-import json
 import math
 import sys
 
@@ -34,10 +32,25 @@ def _build_params(args) -> FlowParams:
         raise ValueError(f"--{exc}")
 
 
+# the integrator flags, keyed by the IntegratorConfig field each sets as its dest
+_CONFIG_FLAGS = {
+    "rtol": "--rtol",
+    "atol": "--atol",
+    "collapse_tol": "--collapse-tol",
+    "equilib_tol": "--equilib-tol",
+    "output_stride": "--stride",
+}
+
+
 def _build_config(args) -> IntegratorConfig:
-    # each integrator flag's dest is a field name; an absent flag keeps the default
-    values = {f.name: getattr(args, f.name) for f in dataclasses.fields(IntegratorConfig)}
-    return IntegratorConfig(**{name: v for name, v in values.items() if v is not None})
+    # an absent flag keeps the default
+    values = {name: getattr(args, name) for name in _CONFIG_FLAGS}
+    try:
+        return IntegratorConfig(**{name: v for name, v in values.items() if v is not None})
+    except ValueError as exc:
+        # IntegratorConfig messages start with the field name: put the flag's in its place
+        name, rest = str(exc).split(" ", 1)
+        raise ValueError(f"{_CONFIG_FLAGS[name]} {rest}")
 
 
 def _open_out(path):
@@ -90,11 +103,9 @@ def _add_flow_flags(p: argparse.ArgumentParser):
 
 
 def _add_integrator_flags(p: argparse.ArgumentParser):
-    p.add_argument("--rtol", type=float, default=None)
-    p.add_argument("--atol", type=float, default=None)
-    p.add_argument("--collapse-tol", dest="collapse_tol", type=float, default=None)
-    p.add_argument("--equilib-tol", dest="equilib_tol", type=float, default=None)
-    p.add_argument("--stride", dest="output_stride", metavar="STRIDE", type=int, default=None)
+    for name, flag in _CONFIG_FLAGS.items():
+        kind = int if name == "output_stride" else float
+        p.add_argument(flag, dest=name, metavar=flag[2:].upper().replace("-", "_"), type=kind, default=None)
 
 
 def _emit_csv_trajectory(traj, out):
@@ -153,6 +164,8 @@ def cmd_portrait(args) -> int:
 
 
 def cmd_equilibria(args) -> int:
+    import json  # here and in cmd_verify, so that simulate and portrait do not pay for it
+
     params = _build_params(args)
     entries = [
         {"epsilon_star": eq.epsilon_star, "point": list(eq.point), "stability": eq.stability}
@@ -163,7 +176,9 @@ def cmd_equilibria(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # imported here so that the other subcommands do not pay for it
+    # imported here so that the other subcommands do not pay for them
+    import json
+
     from . import acceptance
 
     results = acceptance.run_checks(name_filter=args.filter)

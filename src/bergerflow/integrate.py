@@ -89,7 +89,14 @@ class StepBudgetError(RuntimeError):
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Caller settings: tolerances, event thresholds and output stride.  Step
-    bounds and the step budget are the module constants _H_* and _MAX_STEPS."""
+    bounds and the step budget are the module constants _H_* and _MAX_STEPS.
+
+    Each driver tests ``equilib_tol`` against its own relative field size:
+    integrate against |F(y)| / |y|, integrate_reduced against |k(eps)| / eps.
+    So from one start eps0 on the unit-volume curve the reduced run's
+    Equilibrium comes later than the planar run's: by 0.700 to 0.703 at
+    a*kappa = 1 and by 0.058 to 0.082 at a*kappa = -1 (default config, six
+    starts each, eps0 from 0.7 or 0.03 up to 30)."""
 
     rtol: float = 1e-10
     atol: float = 1e-12
@@ -98,12 +105,13 @@ class IntegratorConfig:
     output_stride: int = 1
 
     def __post_init__(self):
-        if not (0 < self.rtol < math.inf and 0 < self.atol < math.inf):
-            raise ValueError("tolerances must be positive and finite")
-        if not 0 < self.collapse_tol < math.inf:
-            raise ValueError("collapse_tol must be positive and finite")
+        # Messages start with the field name, which the CLI turns into
+        # the name of its flag.
+        for name, value in (("rtol", self.rtol), ("atol", self.atol), ("collapse_tol", self.collapse_tol)):
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.equilib_tol is not None and not 0 < self.equilib_tol < math.inf:
-            raise ValueError("equilib_tol must be positive and finite, or None")
+            raise ValueError(f"equilib_tol must be positive and finite, or None, got {self.equilib_tol}")
         if not (isinstance(self.output_stride, int) and self.output_stride >= 1):
             raise ValueError(f"output_stride must be an integer >= 1, got {self.output_stride!r}")
 

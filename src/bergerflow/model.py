@@ -146,34 +146,6 @@ def volume(alpha: float, beta: float) -> float:
     return TWO_PI_SQ * alpha * beta**2
 
 
-# The normalized flow's gradient components q00 and q11 before the volume
-# correction e6, and e6, behind q1_normalized_components and
-# energy_density_sixth.  With mu = kappa, m = mu - a/4 and n = a/4 + mu, each
-# coefficient is named after what it multiplies: _w the term in 1/alpha^2,
-# _0, _1 and _2 those in u = 1/beta^2, r u and r^2 u, with r = alpha/beta.
-def _normalized(params: FlowParams, alpha: float, beta: float):
-    a, mu = params.a, params.kappa
-    m = mu - a / 4.0
-    n = a / 4.0 + mu
-    q00_w = 1.0 / 4.0 * m * m
-    q00_0 = -1.0 / 2.0 * mu * mu - 3.0 / 8.0 * a * mu
-    q00_1 = a * a / 8.0 + a * mu / 2.0
-    q00_2 = -9.0 / 64.0 * a * a
-    q11_1 = -a * a / 32.0 - a * mu / 8.0
-    q11_2 = 3.0 / 64.0 * a * a
-    e6_w = m * m / 12.0
-    e6_0 = a * m / 24.0 + n * n / 6.0
-    e6_1 = -a * n / 12.0
-    e6_2 = a * a / 64.0
-    r = alpha / beta
-    u = 1.0 / (beta * beta)
-    w = 1.0 / (alpha * alpha)
-    q00 = q00_w * w + ((q00_2 * r + q00_1) * r + q00_0) * u
-    q11 = -q00_w * w + (q11_2 * r + q11_1) * r * u
-    e6 = e6_w * w + ((e6_2 * r + e6_1) * r + e6_0) * u
-    return q00, q11, e6
-
-
 # The planar field (dalpha, dbeta) = (alpha q00 / 2, beta q11 / 2) of each
 # flow kind: the one place the flow's coefficients are written, each with
 # its 1/2; geometry_scalars reads q off it.  Homogeneous of degree -1, each
@@ -242,29 +214,6 @@ def _spinor_normalized(params: FlowParams, alpha: float, beta: float):
     return f, g
 
 
-def q1_collapse_components(params: FlowParams, alpha: float, beta: float):
-    """Diagonal metric-velocity components (q00, q11) for the collapse flow;
-    q22 equals q11 and all off-diagonal components vanish."""
-    _require_kind(params, FlowKind.COLLAPSE)
-    dalpha, dbeta = _collapse_field(params, alpha, beta)
-    return 2.0 * dalpha / alpha, 2.0 * dbeta / beta
-
-
-def q1_normalized_components(params: FlowParams, alpha: float, beta: float):
-    """Diagonal components (q00, q11) for the normalized flow, before the
-    volume-conservation correction term (see :func:`energy_density_sixth`)."""
-    _require_kind(params, FlowKind.NORMALIZED)
-    return _normalized(params, alpha, beta)[:2]
-
-
-def energy_density_sixth(params: FlowParams, alpha: float, beta: float) -> float:
-    """One sixth of the energy per unit volume for the normalized flow: the
-    volume-conservation correction added to each diagonal component of
-    :func:`q1_normalized_components`."""
-    _require_kind(params, FlowKind.NORMALIZED)
-    return _normalized(params, alpha, beta)[2]
-
-
 def spinor_coefficients(params: FlowParams, alpha: float, beta: float):
     """Scalar coefficients (f, g) of the spinor covariant derivative.
 
@@ -281,7 +230,9 @@ def energy(params: FlowParams, alpha: float, beta: float) -> float:
     """Spinorial energy: half the squared derivative norm times the volume.
 
     In the orthonormal frame the derivative norm squared is f^2 + 2 g^2,
-    so the energy is pi^2 * alpha * beta^2 * (f^2 + 2 g^2).
+    so the energy is pi^2 * alpha * beta^2 * (f^2 + 2 g^2).  Both fields are
+    its negative L2-gradient, the normalized one made trace-free; verify's
+    ``gradient_structure`` checks that by complex step, so scales may be complex.
     """
     f, g = spinor_coefficients(params, alpha, beta)
     return PI_SQ * alpha * beta**2 * (f * f + 2.0 * g * g)
@@ -305,8 +256,3 @@ def geometry_scalars(params: FlowParams, alpha: float, beta: float) -> GeometryS
         f,
         g,
     )
-
-
-def _require_kind(params: FlowParams, kind: FlowKind):
-    if params.kind is not kind:
-        raise ValueError(f"operation requires {kind.value} flow parameters, got {params.kind.value}")

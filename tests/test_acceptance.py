@@ -6,6 +6,7 @@ are produced, or rely on pytest's captured output on failure.
 """
 
 import importlib
+import inspect
 
 import pytest
 
@@ -112,3 +113,42 @@ def test_collapse_fate_check_fails_on_a_planted_error(monkeypatch, cold_runs, pl
     results = {r.name: r for r in acceptance.check_collapse_fate_and_limit()}
     assert set(results) == {"collapse_fate_basin_rule", "collapse_beta_inf_limit"}
     assert not results[name].passed
+
+
+# Planted errors in the field and spinor bodies and in the energy of each
+# sample, each of which its check must report as a failed result, not as an
+# error: one token of a model function's source is replaced, and the mutant
+# is set as the global that the check reads in the named module.
+def mutant(module, name, old, new):
+    def plant(monkeypatch):
+        fn = getattr(importlib.import_module("bergerflow.model"), name)
+        source = inspect.getsource(fn)
+        assert source.count(old) == 1, (name, old)
+        namespace = dict(fn.__globals__)
+        exec(source.replace(old, new), namespace)
+        monkeypatch.setattr(importlib.import_module(module), name, namespace[name])
+
+    return plant
+
+
+@pytest.mark.parametrize(
+    "plant,name",
+    [
+        pytest.param(mutant("bergerflow.dynamics", "_collapse_field", "-9.0 / 128.0", "-9.0 / 127.0"),
+                     "gradient_structure", id="collapse-field-c3"),
+        pytest.param(mutant("bergerflow.dynamics", "_normalized_field", "m * m / 6.0", "m * m / 6.1"),
+                     "gradient_structure", id="normalized-field-xw"),
+        pytest.param(mutant("bergerflow.model", "_spinor_collapse", "kappa / beta - f", "kappa / beta + f"),
+                     "gradient_structure", id="collapse-spinor-sign"),
+        pytest.param(mutant("bergerflow.model", "_spinor_normalized", "gr = -a / 4.0", "gr = -a / 4.01"),
+                     "gradient_structure", id="normalized-spinor-gr"),
+        pytest.param(mutant("bergerflow.integrate", "geometry_scalars", "PI_SQ * alpha * b2 * (",
+                            "2.0 * PI_SQ * alpha * b2 * ("), "energy_dissipation", id="sample-energy-doubled"),
+    ],
+)
+def test_gradient_checks_fail_on_a_planted_error(monkeypatch, cold_runs, plant, name):
+    plant(monkeypatch)
+    [result] = acceptance.run_checks(name)
+    assert result.name == name
+    assert not result.passed and not result.error
+    assert result.measured > result.threshold

@@ -79,7 +79,23 @@ class TestArgumentErrors:
         )
         assert code == 1
         assert out == ""
-        assert "collapse_tol" in err
+        assert "--collapse-tol" in err
+
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--rtol", "0", "--rtol must be positive and finite, got 0.0"),
+            ("--atol", "nan", "--atol must be positive and finite, got nan"),
+            ("--collapse-tol", "-1", "--collapse-tol must be positive and finite, got -1.0"),
+            ("--equilib-tol", "inf", "--equilib-tol must be positive and finite, or None, got inf"),
+            ("--stride", "0", "--stride must be an integer >= 1, got 0"),
+        ],
+    )
+    def test_integrator_flag_errors_name_the_flag_and_the_value(self, capsys, flag, value, message):
+        code, out, err = run(capsys, *SIMULATE, "--t-end", "1", flag, value)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     def test_missing_subcommand(self, capsys):
         assert main([]) == 1
@@ -499,7 +515,7 @@ class TestVerify:
         assert code == 0
         report = json.loads(out)
         assert report["status"] == "pass"
-        assert len(report["checks"]) == 22
+        assert len(report["checks"]) == 23
 
     @pytest.mark.parametrize("name_filter", ["", "stability"])
     def test_a_failed_run_fails_its_checks_and_the_rest_still_run(self, capsys, monkeypatch, name_filter):
@@ -546,7 +562,7 @@ _GOLDEN_INVOCATIONS = [
     ["equilibria", "--flow", "normalized", "--kappa", "0.5", "--epsilon", "1"],
     ["verify"],
 ]
-_GOLDEN_SHA256 = "b16f82f00234a17c10f649625e2d8078764d58772f745887816b56d64f0e11be"
+_GOLDEN_SHA256 = "82a8f0a96fbbfb498b8215d360b208619fafd32269c8bd0c55c50e92a2a7ffd9"
 
 
 def test_golden_output(capsys):
@@ -565,9 +581,10 @@ def test_golden_output(capsys):
     assert digest.hexdigest() == _GOLDEN_SHA256
 
 
-# Runs in a fresh interpreter: imports the CLI, runs three subcommands that
-# do not draw a portrait, then reports whether the module named by argv[1]
-# was loaded along the way.
+# Runs in a fresh interpreter: imports the CLI, runs simulate and portrait
+# (without drawing a portrait), then equilibria, then verify, and reports
+# after each of those three steps whether the module named by argv[1] was
+# loaded.
 _IMPORT_PROBE = """
 import contextlib, io, sys
 from bergerflow import cli
@@ -577,9 +594,10 @@ def run(*argv):
 codes = [
     run("simulate", "--flow", "collapse", "--kappa", "1", "--epsilon", "1", "--t-end", "5"),
     run("portrait", "--flow", "collapse", "--kappa", "1", "--epsilon", "1", "--grid", "3,3"),
-    run("equilibria", "--flow", "normalized", "--kappa", "0.5", "--epsilon", "1"),
 ]
 loaded = [sys.argv[1] in sys.modules]
+codes.append(run("equilibria", "--flow", "normalized", "--kappa", "0.5", "--epsilon", "1"))
+loaded.append(sys.argv[1] in sys.modules)
 codes.append(run("verify", "--filter", "energy_monotonic"))
 loaded.append(sys.argv[1] in sys.modules)
 print(codes, loaded)
@@ -600,17 +618,23 @@ def _fresh_interpreter(code, *argv):
 
 def _probe_imports(module):
     """Run all four subcommands in a fresh interpreter; report whether
-    module was loaded after the first three and after verify."""
+    module was loaded after simulate and portrait, after equilibria and
+    after verify."""
     return _fresh_interpreter(_IMPORT_PROBE, module)
 
 
 @pytest.mark.parametrize("module", ["scipy", "numpy"])
 def test_import_does_not_load(module):
-    assert _probe_imports(module) == "[0, 0, 0, 0] [False, False]"
+    assert _probe_imports(module) == "[0, 0, 0, 0] [False, False, False]"
 
 
 def test_only_verify_loads_acceptance():
-    assert _probe_imports("bergerflow.acceptance") == "[0, 0, 0, 0] [False, True]"
+    assert _probe_imports("bergerflow.acceptance") == "[0, 0, 0, 0] [False, False, True]"
+
+
+def test_simulate_and_portrait_do_not_load_json():
+    # only the two subcommands that print JSON import it
+    assert _probe_imports("json") == "[0, 0, 0, 0] [False, True, True]"
 
 
 # The import probe where numpy cannot be imported, then sample_portrait,
@@ -628,7 +652,7 @@ except ImportError as exc:
 def test_every_subcommand_runs_without_numpy():
     # numpy is no runtime dependency: only sample_portrait imports it
     assert _fresh_interpreter(_NO_NUMPY_PROBE, "bergerflow.acceptance") == (
-        "[0, 0, 0, 0] [False, True]\nModuleNotFoundError"
+        "[0, 0, 0, 0] [False, False, True]\nModuleNotFoundError"
     )
 
 
@@ -704,7 +728,7 @@ _RUN_FLAGS = {
     },
     "equilibria": _FLOW_FLAGS,
     "verify": {
-        "--filter": (["q_consistency", "sign_flip", "energy_identity", "tangency"], ["nosuchcheck"]),
+        "--filter": (["q_consistency", "sign_flip", "gradient_structure", "tangency"], ["nosuchcheck"]),
     },
 }
 _CSV_HEADERS = {"t,alpha,beta,volume,energy,f,g,dalpha,dbeta", "x,y,ux,uy,mag", "t,alpha,beta"}

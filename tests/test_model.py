@@ -16,12 +16,9 @@ from bergerflow import (
     GeometryScalars,
     State,
     energy,
-    energy_density_sixth,
     geometry_scalars,
     initial_state,
     normalizing_constant,
-    q1_collapse_components,
-    q1_normalized_components,
     spinor_coefficients,
     vector_field,
     volume,
@@ -226,54 +223,45 @@ class TestVolume:
 
 class TestCollapseComponents:
     def test_round_point(self):
-        assert q1_collapse_components(COLLAPSE, 1.0, 1.0) == (-1 / 16, -1 / 16)
+        got = geometry_scalars(COLLAPSE, 1.0, 1.0)
+        assert (got.q00, got.q11) == (-1 / 16, -1 / 16)
 
     def test_negative_product(self):
-        q00, q11 = q1_collapse_components(COLLAPSE_NEG, 1.0, 1.0)
-        assert q00 == pytest.approx(-33 / 16, rel=1e-15)
-        assert q11 == pytest.approx(7 / 16, rel=1e-15)
+        got = geometry_scalars(COLLAPSE_NEG, 1.0, 1.0)
+        assert got.q00 == pytest.approx(-33 / 16, rel=1e-15)
+        assert got.q11 == pytest.approx(7 / 16, rel=1e-15)
 
     def test_matches_initial_slope(self):
         # (alpha/2) q00 at (2/3, 1) is the closed-form initial slope -1/36
-        q00, _ = q1_collapse_components(COLLAPSE, 2.0 / 3.0, 1.0)
+        q00 = geometry_scalars(COLLAPSE, 2.0 / 3.0, 1.0).q00
         assert (2.0 / 3.0) / 2.0 * q00 == pytest.approx(-1 / 36, rel=1e-13)
-
-    def test_kind_mismatch(self):
-        with pytest.raises(ValueError):
-            q1_collapse_components(NORMALIZED, 1.0, 1.0)
 
 
 class TestNormalizedComponents:
+    # the layered reference for q before the volume correction e6
     def test_killing_case(self):
         # mu - a/4 = 0 kills the extra terms, matching the collapse value
-        q00, _ = q1_normalized_components(NORMALIZED, 1.0, 1.0)
+        q00, _ = reference_q1_normalized(NORMALIZED, 1.0, 1.0)
         assert q00 == pytest.approx(-1 / 16, rel=1e-14)
 
     def test_anti_killing_case(self):
-        q00, _ = q1_normalized_components(NORMALIZED_NEG, 1.0, 1.0)
+        q00, _ = reference_q1_normalized(NORMALIZED_NEG, 1.0, 1.0)
         assert q00 == pytest.approx(1 / 4 + 1 / 4 - 9 / 16, rel=1e-14)
-
-    def test_kind_mismatch(self):
-        with pytest.raises(ValueError):
-            q1_normalized_components(COLLAPSE, 1.0, 1.0)
 
 
 class TestEnergyDensity:
+    # the layered reference for e6, to which test_energy_identity ties the spinor
     def test_unit_volume_round_point(self):
         s = math.sqrt(normalizing_constant(1.0))
         expected = TWO_PI_SQ ** (2.0 / 3.0) / 16.0
-        assert energy_density_sixth(NORMALIZED, s, s) == pytest.approx(expected, rel=1e-13)
+        assert reference_energy_density_sixth(NORMALIZED, s, s) == pytest.approx(expected, rel=1e-13)
 
     @given(s=st.floats(0.05, 10.0))
     def test_diagonal_simplification(self, s):
         # for the Killing case on the diagonal the expression is 1/(16 s^2)
-        assert energy_density_sixth(NORMALIZED, s, s) == pytest.approx(
+        assert reference_energy_density_sixth(NORMALIZED, s, s) == pytest.approx(
             1.0 / (16.0 * s * s), rel=1e-12
         )
-
-    def test_kind_mismatch(self):
-        with pytest.raises(ValueError):
-            energy_density_sixth(COLLAPSE, 1.0, 1.0)
 
 
 class TestSpinorCoefficients:
@@ -310,7 +298,7 @@ class TestEnergy:
         rng = np.random.default_rng(3)
         for x, y in rng.uniform(0.1, 3.0, size=(200, 2)):
             lhs = energy(NORMALIZED_NEG, x, y)
-            rhs = 6.0 * volume(x, y) * energy_density_sixth(NORMALIZED_NEG, x, y)
+            rhs = 6.0 * volume(x, y) * reference_energy_density_sixth(NORMALIZED_NEG, x, y)
             assert abs(lhs - rhs) / rhs <= 1e-12
 
 
@@ -319,11 +307,7 @@ class TestEnergy:
 @given(x=scales, y=scales)
 def test_sign_flip_symmetry(params, x, y):
     other = flipped(params)
-    if params.kind is FlowKind.COLLAPSE:
-        assert q1_collapse_components(params, x, y) == q1_collapse_components(other, x, y)
-    else:
-        assert q1_normalized_components(params, x, y) == q1_normalized_components(other, x, y)
-        assert energy_density_sixth(params, x, y) == energy_density_sixth(other, x, y)
+    assert vector_field(params, (x, y)) == vector_field(other, (x, y))
     assert energy(params, x, y) == energy(other, x, y)
     f1, g1 = spinor_coefficients(params, x, y)
     f2, g2 = spinor_coefficients(other, x, y)
@@ -335,7 +319,7 @@ def test_sign_flip_symmetry(params, x, y):
 @given(x=scales, y=scales)
 def test_energy_identity(params, x, y):
     f, g = spinor_coefficients(params, x, y)
-    rhs = energy_density_sixth(params, x, y)
+    rhs = reference_energy_density_sixth(params, x, y)
     assert (f * f + 2 * g * g) / 12.0 == pytest.approx(rhs, rel=1e-12)
 
 
@@ -488,14 +472,6 @@ def test_field_bodies_match_the_layered_expressions(params):
         assert abs(dx - rx) <= 0.5 * x * tol00 and abs(dy - ry) <= 0.5 * y * tol11
         assert body(params, x, y) == point_field(None, (x, y)) == (dx, dy)
         assert (got.volume, got.energy, got.f, got.g) == (ref.volume, ref.energy, ref.f, ref.g)
-        if params.kind is FlowKind.COLLAPSE:
-            assert q1_collapse_components(params, x, y) == (v00, v11)
-        else:
-            q00, q11 = q1_normalized_components(params, x, y)
-            r00, r11 = reference_q1_normalized(params, x, y)
-            assert abs(q00 - r00) <= BOUND * s00 and abs(q11 - r11) <= BOUND * s11
-            e6 = energy_density_sixth(params, x, y)
-            assert abs(e6 - reference_energy_density_sixth(params, x, y)) <= BOUND * s6
 
 
 # On the diagonal r = alpha/beta is exactly 1, and the coefficients of each
