@@ -5,7 +5,7 @@ grid plus optional integral curves), ``equilibria`` (JSON), and ``verify``
 (JSON report of the built-in verification suite).
 
 Exit codes: 0 success, 1 argument error, 2 integration or field-evaluation
-failure, 3 verification failure.
+failure, 3 verification failure, 141 (128 + SIGPIPE) if stdout's reader leaves.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import os
 import sys
 
 from . import dynamics, phase
@@ -145,9 +146,10 @@ def cmd_portrait(args) -> int:
     except ArithmeticError as exc:  # before any output or integration
         print(f"error: field evaluation failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    subject = "--seeds entry must keep the field finite"
     for start in args.seeds:  # every start is checked before anything is written
         point = (start.alpha, start.beta)
-        _field_at_start(dynamics.vector_field, params, point, "--seeds entry must keep the field finite", point)
+        _field_at_start(lambda y: dynamics.vector_field(params, y), point, subject, point)
     with _open_out(args.out) as out:
         out.write("x,y,ux,uy,mag\n")
         for row in rows:
@@ -250,6 +252,9 @@ def main(argv=None) -> int:
         # overflow or division by zero at extreme but valid inputs
         print(f"error: integration failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the reader left
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the exit flush stays silent
+        return 141
 
 
 if __name__ == "__main__":

@@ -20,6 +20,8 @@ from .model import (
     State,
     _collapse_field,
     _normalized_field,
+    _off_half_line,
+    _off_quadrant,
     normalizing_constant,
 )
 
@@ -32,10 +34,6 @@ class Equilibrium:
     epsilon_star: float
     point: tuple[float, float]
     stability: str  # "attracting" | "repelling"
-
-
-def _off_quadrant(x: float, y: float) -> ValueError:
-    return ValueError(f"vector field is only defined on the open first quadrant, got ({x}, {y})")
 
 
 def vector_field(params: FlowParams, point) -> tuple[float, float]:
@@ -117,16 +115,16 @@ def closed_form(params: FlowParams, t: float) -> State | None:
 
 def curve_point(epsilon: float) -> tuple[float, float]:
     """Point of the unit-volume curve with curve parameter epsilon."""
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < math.inf:
+        raise _off_half_line(epsilon)
     c = TWO_PI_SQ ** (-1.0 / 3.0)
     return c * epsilon ** (2.0 / 3.0), c * epsilon ** (-1.0 / 3.0)
 
 
 def curve_tangent(epsilon: float) -> tuple[float, float]:
     """Derivative of :func:`curve_point` with respect to epsilon."""
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < math.inf:
+        raise _off_half_line(epsilon)
     c = TWO_PI_SQ ** (-1.0 / 3.0)
     return c * 2.0 / 3.0 * epsilon ** (-1.0 / 3.0), -c / 3.0 * epsilon ** (-4.0 / 3.0)
 
@@ -153,8 +151,8 @@ def curve_speed(params: FlowParams, epsilon: float) -> float:
     """
     if params.kind is not _NORMALIZED:
         raise ValueError("curve_speed requires normalized flow parameters")
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < math.inf:
+        raise _off_half_line(epsilon)
     return _curve_speed(params, epsilon)
 
 

@@ -1,29 +1,29 @@
 """Adaptive integration of the planar flows with event detection.
 
 A Dormand-Prince 5(4) embedded pair with a proportional-integral step
-controller drives both the planar integration and the reduced
-one-dimensional dynamics on the unit-volume curve.  The step runs on float
-tuples, is generated from the tableau as straight-line code, and reuses its
-last stage as the next step's first (FSAL).  The generic step, one per
-dimension in use (2 and 1), calls the field as f(params, y), with no stage
-time, since both flows are autonomous.  A step fused with one of the
-package's own fields instead inlines, from their source, the lines of
-model._collapse_field, model._normalized_field or dynamics._curve_speed
-below the line "# per point" at each stage, and the expression that body
-returns; the lines above it run once per run, and the run's start and event
-search call the same lines as a point field.  Fused sample assembly inlines
-likewise the spinor's body at each sample, reads the metric velocity off
-the derivative recorded there, and fills each record's instance dict with
-the arguments of the constructor call geometry_scalars returns.  Fused code
-carries formulas only and does the same operations in the same order, so it
-gives the same bits.  Each run reads its field, and integrate
+controller drives both the planar flow and the reduced dynamics on the
+unit-volume curve.  Its step is straight-line code generated from the
+tableau, runs on float tuples and reuses its last stage as the next step's
+first (FSAL).  Every step has one shape: a factory, called once per run with
+the run's field f and parameters, returns step(y, k0, h, atol, rtol), whose
+attribute field, f at y alone, the run's start and event search call.  The
+generic step calls f(params, y), or f(params, epsilon) for the reduced
+speed, with no stage time, since both flows are autonomous.  A step fused
+with one of the package's own fields instead inlines, from their source,
+the lines of model._collapse_field, model._normalized_field or
+dynamics._curve_speed below the line "# per point" at each stage, and the
+expression that body returns; its factory runs the lines above once.  Fused
+sample assembly likewise inlines the spinor's body and the arguments of the
+record geometry_scalars returns, and reads the metric velocity off the
+recorded derivative.  Fused code carries formulas only, in the same order,
+so it gives the same bits.  A run reads its field, and integrate
 geometry_scalars, once from this module's globals and looks them up in
 _STOCK: a wrapped function misses and sees every evaluation.  Steps that
 would leave the open first quadrant are rejected and halved.  Terminal
 events (collapse of one or both scales, convergence to an equilibrium) are
 located by bisection on the cubic Hermite interpolant of the step that
-crosses them, a collapse at no further right-hand-side cost; the event
-state's derivative is the equilibrium search's own, or one more evaluation.
+crosses them, a collapse at no further evaluation; the event state's
+derivative is the equilibrium search's own, or one more evaluation.
 """
 
 from __future__ import annotations
@@ -168,13 +168,10 @@ def _parts(fn):
 
 
 def _compiled(name, lines, namespace, prelude):
-    """The function name that lines define, or given a prelude the factory
-    name_for(params) that runs it and returns the function, compiled in a
-    module of its own.  inspect reads a function's source through the module
-    its __module__ names, and linecache asks that module's loader again once
-    cleared, so tracebacks and inspect.getsource show the text."""
-    if prelude is not None:
-        lines = [f"def {name}_for(params):", *prelude, *(f"    {line}" for line in lines), f"    return {name}"]
+    """The factory name_for(f, params) that runs prelude and returns the
+    function name that lines define, compiled in a module of its own whose
+    loader keeps the text, so inspect, linecache and tracebacks show it."""
+    lines = [f"def {name}_for(f, params):", *prelude, *(f"    {line}" for line in lines), f"    return {name}"]
     source = "\n".join(lines) + "\n"
     module = types.ModuleType(f"{__name__}.{name}")
     module.__loader__ = types.SimpleNamespace(get_source=lambda _name: source)
@@ -182,84 +179,81 @@ def _compiled(name, lines, namespace, prelude):
     exec(compile(source, module.__name__, "exec"), vars(module))
     sys.modules[module.__name__] = module
     linecache.lazycache(module.__name__, vars(module))
-    return getattr(module, name if prelude is None else f"{name}_for")
+    return getattr(module, f"{name}_for")
 
 
 @functools.cache
 def _step(n, stock=None):
-    """Compile, the first time a run needs it, the Dormand-Prince step for
-    an n-dimensional system as straight-line code from _A and _E.
+    """Compile, the first time a run needs it, the factory name_for(f,
+    params) of the Dormand-Prince step name for an n-dimensional run of
+    y' = f(params, y), as straight-line code from _A and _E.
 
-    step(f, p, y, k0, h, atol, rtol), given k0 = f(p, y), returns (k7, y_new,
-    err_norm) with k7 = f(p, y_new) and err_norm the RMS of the scaled error
-    estimate, or None if a stage input left the open quadrant; f is only
-    called on admissible states, and with no stage time, as both flows are
-    autonomous.  Sums run left to right over the nonzero coefficients,
-    inlined as float literals that round-trip exactly, so the step rounds
-    as a loop over the tableau does.
+    step(y, k0, h, atol, rtol), given k0 = f at y, returns (k7, y_new,
+    err_norm) with k7 = f at y_new and err_norm the RMS of the scaled error
+    estimate, or None if a stage input left the open quadrant.  Sums run
+    left to right over the nonzero coefficients, inlined as float literals
+    that round-trip exactly, so the step rounds as a loop over the tableau
+    does.  step.field is f at y alone; its caller tests the quadrant.
 
-    Given stock = (suffix, body), it returns the factory of the step fused
-    with the field f evaluates, which runs body's parameter-only lines once
-    per run.  The step names each stage input after body's point arguments,
-    and in place of calling f runs there body's per-point lines and assigns
-    the stage the expression body returns.  It ignores f and p, and returns
-    f's bits.  Its attribute field is f as the step inlines it, a function
-    of (p, y) that reads the same run's coefficients, ignores p and leaves
-    the quadrant test to its caller; it gives f's bits at every admissible
-    y.
+    The generic step calls f(params, (s0, s1)), or f(params, s0) in one
+    dimension, with no stage time: both flows are autonomous.  Given stock =
+    (suffix, body), the factory ignores f and runs body's parameter-only
+    lines, and at each stage input, named after body's point arguments, the
+    step runs body's per-point lines and assigns the stage what body
+    returns, so it gives f's bits.
     """
     name, dims = f"_rk_step{n}", range(n)
+
+    def tup(names):
+        return f"({', '.join(names)}{',' if n == 1 else ''})"
+
     s = [f"s{d}" for d in dims]
-    namespace, prelude = {"inf": math.inf, "sqrt": math.sqrt}, None
+    namespace, prelude, per_point = {"inf": math.inf, "sqrt": math.sqrt}, [], []
+    returned = [f"    return f(params, {tup(s) if n > 1 else s[0]})"]
     if stock is not None:
         name, s = f"{name}_{stock[0]}", stock[1].__code__.co_varnames[1 : n + 1]
         prelude, per_point, returned, read, _ = _parts(stock[1])
         namespace.update(read)
 
-    def tup(names):
-        return f"({', '.join(names)}{',' if n == 1 else ''})"
-
     def terms(coeffs, d):
         return " + ".join(f"{c!r} * k{j}_{d}" for j, c in enumerate(coeffs, 1) if c)
 
     admissible = " and ".join(f"0.0 < {s[d]} < inf" for d in dims)
-    lines = [f"def {name}(f, p, y, k0, h, atol, rtol):"]
+    keep = stock is None and n > 1  # a generic planar stage keeps f's value, which step returns as k7
+    lines = [f"def {name}(y, k0, h, atol, rtol):"]
     lines += [f"    {tup(f'y{d}' for d in dims)} = y", f"    {tup(f'k1_{d}' for d in dims)} = k0"]
     for j, a in enumerate(_A[1:], 2):
         lines += [f"    {s[d]} = y{d} + h * ({terms(a, d)})" for d in dims]
         lines += [f"    if not ({admissible}):", "        return None"]
-        if stock is None:
-            lines += [f"    k{j} = f(p, {tup(s)})", f"    {tup(f'k{j}_{d}' for d in dims)} = k{j}"]
-        else:
-            target = ", ".join(f"k{j}_{d}" for d in dims)
-            lines += [*per_point, returned[0].replace("return", f"{target} =", 1), *returned[1:]]
+        target = ", ".join(f"k{j}_{d}" for d in dims) + (f" = k{j}" if keep else "")
+        lines += [*per_point, returned[0].replace("return", f"{target} =", 1), *returned[1:]]
     # both states are positive, so max(y, s) is the larger, with no abs();
     # r * r overflows to inf, which rejects the step, where r ** 2 would raise
     lines += [
         f"    r{d} = h * ({terms(_E, d)}) / (atol + rtol * ({s[d]} if {s[d]} > y{d} else y{d}))" for d in dims
     ]
     squares = " + ".join(f"r{d} * r{d}" for d in dims)
-    last = f"k{len(_A)}" if stock is None else tup(f"k{len(_A)}_{d}" for d in dims)
+    last = f"k{len(_A)}" if keep else tup(f"k{len(_A)}_{d}" for d in dims)
     lines.append(f"    return {last}, {tup(s)}, sqrt(({squares}) / {n})")
-    if stock is not None:
-        field = f"_field{n}_{stock[0]}"
-        lines += [f"def {field}(p, y):", f"    {tup(s)} = y", *per_point, returned[0].replace("return", "k =", 1)]
-        lines += [*returned[1:], f"    return {'(k,)' if n == 1 else 'k'}", f"{name}.field = {field}"]
+    field = f"_field{name[len('_rk_step') :]}"
+    lines += [f"def {field}(y):", f"    {tup(s)} = y", *per_point, returned[0].replace("return", "k =", 1)]
+    lines += [*returned[1:], f"    return {'(k,)' if n == 1 else 'k'}", f"{name}.field = {field}"]
     return _compiled(name, lines, namespace, prelude)
 
 
 @functools.cache
 def _samples(stock):
     """Compile, the first time a run needs it, for stock = (suffix,
-    spinor_body, geometry_scalars), the factory of samples(points), which
-    returns the bits of [(State(t, *y), geometry_scalars(params, *y)) for
-    t, y, _ in points] on the points _advance records, all of which State
-    admits: the start, which the run checks, and states that a step or the
-    event search admitted.  It runs the spinor body's per-point lines, takes
-    (dalpha, dbeta) from the point's derivative and builds each record with
-    no call to its __init__: object.__new__, then its instance dict filled
-    in the order of its dataclass fields, State's with t, alpha and beta,
-    the other with the arguments of the call geometry_scalars returns."""
+    spinor_body, geometry_scalars), the factory, which ignores its f, of
+    samples(points).  That returns the bits of [(State(t, *y),
+    geometry_scalars(params, *y)) for t, y, _ in points] on the points
+    _advance records, all of which State admits: the start, which the run
+    checks, and states that a step or the event search admitted.  It runs
+    the spinor body's per-point lines, takes (dalpha, dbeta) from the
+    point's derivative and builds each record with no call to its __init__:
+    object.__new__, then its instance dict filled in the order of its
+    dataclass fields, State's with t, alpha and beta, the other with the
+    arguments of the call geometry_scalars returns."""
     name = f"_samples_{stock[0]}"
     prelude, per_point, _, read, _ = _parts(stock[1])
     *_, scalars_read, call = _parts(stock[2])
@@ -274,19 +268,18 @@ def _samples(stock):
     return _compiled(name, lines, namespace, prelude)
 
 
-def _advance(rk_step, f, p, t0, y0, k0, t_end, config, collapse_tol):
-    """Adaptive driver of y' = f(p, y) over float tuples of length 2 or 1,
-    from y0 with k0 = f(p, y0) as the caller evaluated it, taking the step
-    rk_step that the caller chose by _step_for from the field it read.
+def _advance(rk_step, t0, y0, k0, t_end, config, collapse_tol):
+    """Adaptive driver of y' = F(y), F = rk_step.field, over float tuples of
+    length 2 or 1, from y0 with k0 = F(y0) as the caller evaluated it.
 
     On the initial and every accepted state y it tests, in this order,
     Collapse, y[0] <= collapse_tol, and Equilibrium, |dy| / |y| <=
-    config.equilib_tol, with dy = f(p, y) as the driver holds it; a None
+    config.equilib_tol, with dy = F(y) as the driver holds it; a None
     tolerance skips its test.  When one fires, the event is located on the
     interpolant of the step that crossed it.  Returns ``(points, (tag,
     t_event, y_event, dy_event), h)``.  ``points`` holds every
     ``config.output_stride``-th (t, y, dy) triple from the initial one, then
-    the final or event state, recorded exactly once.  dy is f there: k0 at
+    the final or event state, recorded exactly once.  dy is F there: k0 at
     the initial state, the step's last stage at an accepted one, and at an
     event state the value _locate_event returns with it.  Steps start at
     _H_INIT, stay at most _H_MAX and end in StepUnderflow below
@@ -313,7 +306,7 @@ def _advance(rk_step, f, p, t0, y0, k0, t_end, config, collapse_tol):
         steps += 1
         h = _H_MAX if h > _H_MAX else h  # min(h, _H_MAX, t_end - t)
         h = t_end - t if h > t_end - t else h
-        step = rk_step(f, p, y, k0, h, atol, rtol)
+        step = rk_step(y, k0, h, atol, rtol)
         if step is not None:
             k7, y_new, err_norm = step
         if step is None or err_norm > 1.0:
@@ -328,7 +321,7 @@ def _advance(rk_step, f, p, t0, y0, k0, t_end, config, collapse_tol):
         # accepted
         collapse = ctol is not None and y_new[0] <= ctol
         if collapse or etol is not None and hypot(*k7) / hypot(*y_new) <= etol:
-            event = _locate_event(f, p, ctol if collapse else None, etol, t, h, y, y_new, k0, k7)
+            event = _locate_event(rk_step.field, ctol if collapse else None, etol, t, h, y, y_new, k0, k7)
             outcome = ("Collapse" if collapse else "Equilibrium", *event)
             break
         t += h
@@ -345,14 +338,14 @@ def _advance(rk_step, f, p, t0, y0, k0, t_end, config, collapse_tol):
     return points, outcome, h
 
 
-def _locate_event(f, p, ctol, etol, t, h, y0, y1, f0, f1):
+def _locate_event(field, ctol, etol, t, h, y0, y1, f0, f1):
     """Earliest time in (t, t + h] where y[0] <= ctol, or if ctol is None
-    |f(p, y)| / |y| <= etol, by bisection on the cubic Hermite interpolant
-    through (y0, f0) and (y1, f1), the state there and f at it: the value the
-    equilibrium test computed, else one evaluation.  Interpolated states
-    outside the open quadrant count as past the event and are never the
-    event state; the time returned is that of the state returned, so where
-    no in-quadrant state at or past the event was seen it is (t + h, y1, f1)."""
+    |field(y)| / |y| <= etol, by bisection on the cubic Hermite interpolant
+    through (y0, f0) and (y1, f1), the state there and its field value, the
+    equilibrium test's or one evaluation.  Interpolated states outside the
+    open quadrant count as past the event and are never the event state;
+    the time returned is that of the state returned, so where no
+    in-quadrant state at or past the event was seen it is (t + h, y1, f1)."""
     lo, hi, at, y_at, dy_at, nodes = 0.0, 1.0, 1.0, y1, f1, list(zip(y0, y1, f0, f1))
     while (hi - lo) * h > _EVENT_TIME_TOL:
         s = 0.5 * (lo + hi)
@@ -362,13 +355,13 @@ def _locate_event(f, p, ctol, etol, t, h, y0, y1, f0, f1):
         if not (0.0 < y_mid[0] < math.inf and 0.0 < y_mid[-1] < math.inf):
             hi = s
             continue
-        dy = None if ctol is not None else f(p, y_mid)
+        dy = None if ctol is not None else field(y_mid)
         if y_mid[0] <= ctol if dy is None else math.hypot(*dy) / math.hypot(*y_mid) <= etol:
             hi = at = s
             y_at, dy_at = y_mid, dy
         else:
             lo = s
-    return t + at * h, y_at, f(p, y_at) if dy_at is None else dy_at
+    return t + at * h, y_at, field(y_at) if dy_at is None else dy_at
 
 
 def integrate(
@@ -388,22 +381,20 @@ def integrate(
     if not t_end > 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
     s0 = initial_state(params) if start is None else State(start.t, start.alpha, start.beta)
-    f, scalars = vector_field, geometry_scalars  # read per call, so that a wrapper sees every evaluation
+    step, scalars = _step_for(vector_field, params, 2), geometry_scalars  # read per call: wrappers see every evaluation
     y0 = (float(s0.alpha), float(s0.beta))
-    step = _step_for(f, params, 2)
-    f = getattr(step, "field", f)  # a fused step's own, for the start and the event search
-    k0 = _field_at_start(f, params, y0, "start must keep the field finite", y0)
-    points, (tag, t_ev, y_ev, _), h = _advance(step, f, params, s0.t, y0, k0, s0.t + t_end, config, config.collapse_tol)
+    k0 = _field_at_start(step.field, y0, "start must keep the field finite", y0)
+    points, (tag, t_ev, y_ev, _), h = _advance(step, s0.t, y0, k0, s0.t + t_end, config, config.collapse_tol)
     build = _fused(scalars, params, _samples)
     samples = build(points) if build else [(State(t, *y), scalars(params, *y)) for t, y, _ in points]
     termination = _classify(params, tag, t_ev, y_ev, h, s0)
     return Trajectory(params, samples, termination, [dy for _, _, dy in points])
 
 
-def _field_at_start(f, p, y0, subject, value):
-    """k0 = f(p, y0); ValueError "{subject}, got {value}" if that raises ArithmeticError or is not finite."""
+def _field_at_start(field, y0, subject, value):
+    """k0 = field(y0); ValueError "{subject}, got {value}" if that raises ArithmeticError or is not finite."""
     try:
-        k0 = f(p, y0)
+        k0 = field(y0)
         finite = math.isfinite(k0[0]) and math.isfinite(k0[-1])
     except ArithmeticError:
         finite = False
@@ -461,16 +452,10 @@ def integrate_reduced(
         raise ValueError(f"epsilon0 must be positive and finite, got {epsilon0}")
     if not t_end > 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
-    speed = curve_speed  # read per call, so that a wrapped speed sees every evaluation
-
-    def f(p, y):
-        return (speed(p, y[0]),)
-
+    step = _step_for(curve_speed, params, 1)  # read per call, so that a wrapped speed sees every evaluation
     y0 = (float(epsilon0),)
-    step = _step_for(speed, params, 1)
-    f = getattr(step, "field", f)
-    k0 = _field_at_start(f, params, y0, "epsilon0 must keep the speed finite at the start", epsilon0)
-    points, (tag, t_ev, _, _), _ = _advance(step, f, params, 0.0, y0, k0, t_end, config, None)
+    k0 = _field_at_start(step.field, y0, "epsilon0 must keep the speed finite at the start", epsilon0)
+    points, (tag, t_ev, _, _), _ = _advance(step, 0.0, y0, k0, t_end, config, None)
     if tag == "StepUnderflow":
         raise ValueError(
             f"epsilon0 must keep the step above {_H_MIN:g} at rtol={config.rtol:g}, atol={config.atol:g},"
@@ -495,11 +480,11 @@ _STOCK = {
 
 
 def _fused(field, p, build):
-    """build(stock)(p) for the entry stock of field at p's flow kind in
-    _STOCK, or None if field is not the package's own or has no source."""
+    """build(stock)(field, p) for the entry stock of field at p's flow kind
+    in _STOCK, or None if field is not the package's own or has no source."""
     try:
         stock = _STOCK.get((field, p.kind))
-        return stock and build(stock)(p)
+        return stock and build(stock)(field, p)
     except OSError:  # no source to inline, as in an install without .py files
         return None
 
@@ -507,4 +492,4 @@ def _fused(field, p, build):
 def _step_for(field, p, n):
     """The step for a run that reads field at p: the fused one if field is
     the package's own and its source can be read, else the generic one."""
-    return _fused(field, p, functools.partial(_step, n)) or _step(n)
+    return _fused(field, p, functools.partial(_step, n)) or _step(n)(field, p)

@@ -33,6 +33,15 @@ _COLLAPSE = FlowKind.COLLAPSE
 _NORMALIZED = FlowKind.NORMALIZED
 
 
+# The two domain errors, each written once; callers test 0 < x < inf inline.
+def _off_quadrant(x: float, y: float) -> ValueError:
+    return ValueError(f"a point must lie in the open first quadrant, got ({x}, {y})")
+
+
+def _off_half_line(epsilon: float) -> ValueError:
+    return ValueError(f"epsilon must be positive and finite, got {epsilon}")
+
+
 @dataclass(frozen=True)
 class FlowParams:
     """Parameters selecting one of the two flows.
@@ -69,7 +78,7 @@ class FlowParams:
         else:
             raise ValueError(f"unknown flow kind {self.kind!r}")
         if not 0 < self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+            raise _off_half_line(self.epsilon)
         # The field at the start: r = alpha/beta = epsilon there, which no
         # rescaling removes, and r^3/beta grows as epsilon^3 (collapse) or
         # epsilon^(10/3) (normalized).
@@ -136,8 +145,8 @@ class GeometryScalars:
 
 def normalizing_constant(epsilon: float) -> float:
     """Scale factor c(eps) making the eps-Berger metric have unit volume."""
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < math.inf:
+        raise _off_half_line(epsilon)
     return (TWO_PI_SQ * epsilon) ** (-2.0 / 3.0)
 
 
@@ -243,6 +252,8 @@ def geometry_scalars(params: FlowParams, alpha: float, beta: float) -> GeometryS
     sample assembly fills the record's fields with the arguments of the
     return, in field order, whose names it binds: b2 = beta**2 the spinor
     body's, and (dalpha, dbeta) the field recorded with the sample."""
+    if not (0 < alpha < math.inf and 0 < beta < math.inf):
+        raise _off_quadrant(alpha, beta)
     f, g = spinor_coefficients(params, alpha, beta)
     dalpha, dbeta = (_collapse_field if params.kind is _COLLAPSE else _normalized_field)(params, alpha, beta)
     b2 = beta**2

@@ -616,6 +616,20 @@ def _fresh_interpreter(code, *argv):
     return done.stdout.strip()
 
 
+def test_a_reader_that_leaves_early_ends_the_process_quietly():
+    # as `bergerflow portrait ... | head -1` does: the reader takes one line
+    # and closes the pipe; the process exits 141 (128 + SIGPIPE), as a shell
+    # reports for cat, with no traceback and no exit-flush message
+    src = os.path.dirname(os.path.dirname(bergerflow.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [sys.executable, "-X", "dev", "-m", "bergerflow.cli", *PORTRAIT, "--grid", "300,300"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"x,y,ux,uy,mag\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+    assert (proc.returncode, stderr) == (141, b"")
+
+
 def _probe_imports(module):
     """Run all four subcommands in a fresh interpreter; report whether
     module was loaded after simulate and portrait, after equilibria and

@@ -235,14 +235,15 @@ class TestCurve:
         with pytest.raises(ValueError):
             curve_speed(COLLAPSE, 1.0)
 
-    @pytest.mark.parametrize("epsilon", [0.0, -0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("epsilon", [0.0, -0.0, -1.0, math.nan, math.inf])
     @pytest.mark.parametrize(
         "fn",
-        [curve_point, curve_tangent, lambda e: curve_speed(NORMALIZED, e)],
-        ids=["point", "tangent", "speed"],
+        [curve_point, curve_tangent, lambda e: curve_speed(NORMALIZED, e), normalizing_constant],
+        ids=["point", "tangent", "speed", "normalizing-constant"],
     )
     def test_curve_rejects_a_parameter_that_is_not_positive(self, fn, epsilon):
-        with pytest.raises(ValueError, match=f"epsilon must be positive, got {epsilon}"):
+        # the domain 0 < epsilon < inf of FlowParams, with its message
+        with pytest.raises(ValueError, match=rf"^epsilon must be positive and finite, got {epsilon}$"):
             fn(epsilon)
 
     @pytest.mark.parametrize("params", [NORMALIZED, NORMALIZED_NEG])

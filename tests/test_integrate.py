@@ -55,9 +55,9 @@ def count_attempts(monkeypatch, module):
         step = select(*args)
 
         @functools.wraps(step)  # keeps its name and its attribute field
-        def counted(f, p, y, k0, h, atol, rtol):
+        def counted(y, k0, h, atol, rtol):
             attempts.append(h)
-            return step(f, p, y, k0, h, atol, rtol)
+            return step(y, k0, h, atol, rtol)
 
         return counted
 
@@ -727,8 +727,14 @@ def selected_step(field, params):
 
 
 def speed_rhs(p, y):
-    """The reduced field as integrate_reduced hands it to the step."""
+    """The reduced field as a function of a 1-tuple, as the reference step calls it."""
     return (curve_speed(p, y[0]),)
+
+
+def generic_step(name, params):
+    """The generic step name, built over the stock field of its dimension."""
+    n = int(name[-1])
+    return importlib.import_module("bergerflow.integrate")._step(n)(vector_field if n == 2 else curve_speed, params)
 
 
 def reference_step(f, p, y, k0, h, atol, rtol):
@@ -782,7 +788,7 @@ def test_specialised_steps_match_the_tableau(name, params):
     planar = name.startswith("_rk_step2")
     f = vector_field if planar else speed_rhs
     if name in ("_rk_step2", "_rk_step1"):
-        step = module._step(int(name[-1]))
+        step = generic_step(name, params)
     else:
         step = selected_step(vector_field if planar else curve_speed, params)
     assert step.__name__ == name
@@ -793,16 +799,52 @@ def test_specialised_steps_match_the_tableau(name, params):
         h = math.exp(rng.uniform(-9.0, 1.0))
         atol, rtol = rng.choice([(1e-12, 1e-10), (1e-8, 1e-6)])
         k0 = f(params, y)
-        got = step(f, params, y, k0, h, atol, rtol)
+        got = step(y, k0, h, atol, rtol)
         assert got == reference_step(f, params, y, k0, h, atol, rtol)
         outcomes["domain" if got is None else "error" if got[2] > 1.0 else "accepted"] += 1
     assert outcomes["domain"] and outcomes["error"] and outcomes["accepted"]
 
 
+def bits(values):
+    return tuple(float.hex(v) for v in values)
+
+
+@pytest.mark.parametrize("fused", [True, False], ids=["fused", "generic"])
+@pytest.mark.parametrize(
+    "field,params",
+    [
+        pytest.param(vector_field, COLLAPSE, id="planar-collapse"),
+        pytest.param(vector_field, COLLAPSE_NEG, id="planar-collapse-neg"),
+        pytest.param(vector_field, NORMALIZED, id="planar-normalized"),
+        pytest.param(vector_field, NORMALIZED_NEG, id="planar-normalized-neg"),
+        pytest.param(curve_speed, NORMALIZED, id="reduced"),
+        pytest.param(curve_speed, NORMALIZED_NEG, id="reduced-neg"),
+    ],
+)
+def test_every_step_carries_its_point_field(field, params, fused):
+    # every step _step_for returns, fused with the stock field or generic
+    # over a wrapper of it, is called as step(y, k0, h, atol, rtol) and has
+    # step.field(y), the public function's bits on a grid, as a tuple
+    planar = field is vector_field
+    select = importlib.import_module("bergerflow.integrate")._step_for
+    step = select(field if fused else lambda p, y: field(p, y), params, 2 if planar else 1)
+    kind = params.kind.value if planar else "speed"
+    assert step.__name__ == f"_rk_step{2 if planar else 1}" + (f"_{kind}" if fused else "")
+    grid, taken = [math.exp(0.25 * i) for i in range(-12, 7)], 0
+    for y in [(x, b) for x in grid for b in grid] if planar else [(e,) for e in grid]:
+        want = vector_field(params, y) if planar else (curve_speed(params, y[0]),)
+        assert bits(step.field(y)) == bits(want)
+        got = step(y, step.field(y), 1e-3, 1e-12, 1e-10)  # the last stage is the field at the result
+        if got is not None:
+            taken += 1
+            assert bits(got[0]) == bits(step.field(got[1]))
+    assert taken
+
+
 @pytest.mark.parametrize("name", ["_rk_step2", "_rk_step1"])
 def test_generated_steps_show_their_source(name):
     # the steps are compiled from generated text registered with linecache
-    source = inspect.getsource(importlib.import_module("bergerflow.integrate")._step(int(name[-1])))
+    source = inspect.getsource(generic_step(name, NORMALIZED))
     assert source.count("f(") == 6
     assert "for" not in source.split()
 
@@ -810,10 +852,10 @@ def test_generated_steps_show_their_source(name):
 @pytest.mark.parametrize("name", ["_rk_step2", "_rk_step1"])
 def test_generated_source_survives_a_cleared_linecache(name):
     # the step's module has a loader that linecache can ask again
-    step = importlib.import_module("bergerflow.integrate")._step(int(name[-1]))
+    step = generic_step(name, NORMALIZED)
     linecache.clearcache()
-    source = inspect.getsource(step)
-    assert source.startswith(f"def {name}(f, p, y, k0, h, atol, rtol):")
+    source = textwrap.dedent(inspect.getsource(step))
+    assert source.startswith(f"def {name}(y, k0, h, atol, rtol):")
     assert source.count("f(") == 6
 
 
@@ -825,10 +867,10 @@ def test_traceback_inside_the_step_shows_its_line():
 
     linecache.clearcache()
     with pytest.raises(ZeroDivisionError) as info:
-        module._step(2)(failing, COLLAPSE, (1.0, 1.0), (0.1, 0.1), 1e-2, 1e-12, 1e-10)
+        module._step(2)(failing, COLLAPSE)((1.0, 1.0), (0.1, 0.1), 1e-2, 1e-12, 1e-10)
     text = "".join(traceback.format_exception(info.value))
-    assert 'File "bergerflow.integrate._rk_step2", line 8, in _rk_step2' in text
-    assert "    k2 = f(p, (s0, s1))\n" in text
+    assert 'File "bergerflow.integrate._rk_step2", line 9, in _rk_step2' in text
+    assert "    k2_0, k2_1 = k2 = f(params, (s0, s1))\n" in text
 
 
 FUSED = [
@@ -866,13 +908,13 @@ def test_fused_steps_show_their_source(name, params):
     source = textwrap.dedent(inspect.getsource(step))
     factory = inspect.getsource(getattr(sys.modules[step.__module__], f"{name}_for"))
     assert step.__module__ == f"bergerflow.integrate.{name}"
-    assert source.startswith(f"def {name}(f, p, y, k0, h, atol, rtol):")
+    assert source.startswith(f"def {name}(y, k0, h, atol, rtol):")
     dims = range(2 if name.startswith("_rk_step2") else 1)
     for j in range(2, 8):
         assert source.count(f"{per_point}    {', '.join(f'k{j}_{d}' for d in dims)} ={returned}") == 1
     module_source = sys.modules[step.__module__].__loader__.get_source(step.__module__)
     assert not [word for word in ("raise", "_NORMALIZED", "epsilon > 0", '"""') if word in module_source]
-    assert factory.startswith(f"def {name}_for(params):\n")
+    assert factory.startswith(f"def {name}_for(f, params):\n")
     assert factory.count(prelude.splitlines()[-1] + "\n") == 1
     assert prelude.splitlines()[-1] + "\n" not in source
     assert "f(" not in source
@@ -881,7 +923,7 @@ def test_fused_steps_show_their_source(name, params):
     assert source.count(output) == 6
     field = textwrap.dedent(inspect.getsource(step.field))
     assert step.field.__module__ == step.__module__
-    assert field.startswith(f"def _field{name[len('_rk_step'):]}(p, y):")
+    assert field.startswith(f"def _field{name[len('_rk_step'):]}(y):")
     assert field.count(f"{per_point}    k ={returned}") == field.count(output) == 1
     assert "f(" not in field
 
@@ -968,13 +1010,12 @@ def assert_fused_step_raises_as_the_field_does(name, params, y, k0, error, line_
     # the fused step raises the generic step's exception, and the traceback
     # shows, in the fused step, the line the field failed on
     field = stock_field(name)
-    f = vector_field if field is vector_field else speed_rhs
-    generic = importlib.import_module("bergerflow.integrate")._step(len(y))
+    generic = importlib.import_module("bergerflow.integrate")._step(len(y))(field, params)
     with pytest.raises(error) as want:
-        generic(f, params, y, k0, 1.0, 1e-12, 1e-10)
+        generic(y, k0, 1.0, 1e-12, 1e-10)
     linecache.clearcache()
     with pytest.raises(error) as got:
-        selected_step(field, params)(f, params, y, k0, 1.0, 1e-12, 1e-10)
+        selected_step(field, params)(y, k0, 1.0, 1e-12, 1e-10)
     assert str(got.value) == str(want.value)
     text = "".join(traceback.format_exception(got.value))
     assert f'File "bergerflow.integrate.{name}", line ' in text
@@ -1034,10 +1075,10 @@ def test_an_overflowing_stage_gives_the_generic_bits():
     y, k0 = (1.0, 1e-160), (0.0, -4.99e-160)
     stage = (1.0, 1e-160 + 0.2 * -4.99e-160)
     assert not all(math.isfinite(v) for v in vector_field(COLLAPSE, stage))
-    generic = importlib.import_module("bergerflow.integrate")._step(2)
-    want = generic(vector_field, COLLAPSE, y, k0, 1.0, 1e-12, 1e-10)
+    generic = importlib.import_module("bergerflow.integrate")._step(2)(vector_field, COLLAPSE)
+    want = generic(y, k0, 1.0, 1e-12, 1e-10)
     assert want is None
-    assert selected_step(vector_field, COLLAPSE)(vector_field, COLLAPSE, y, k0, 1.0, 1e-12, 1e-10) == want
+    assert selected_step(vector_field, COLLAPSE)(y, k0, 1.0, 1e-12, 1e-10) == want
 
 
 @pytest.mark.parametrize(
@@ -1057,12 +1098,12 @@ def test_event_location_never_returns_a_state_outside_the_quadrant(ctol, etol, f
     locate = importlib.import_module("bergerflow.integrate")._locate_event
     y0, y1, f1, seen = (1.0, 1.0), (5e-4, 1.0), (0.0, 0.0), []
 
-    def field(p, y):
+    def field(y):
         seen.append(y)
-        return vector_field(p, y)
+        return vector_field(COLLAPSE, y)
 
     assert min(0.5 * (a + b) + 0.125 * (fa - fb) for a, b, fa, fb in zip(y0, y1, f0, f1)) < 0.0
-    t_event, (alpha, beta), dy = locate(field, COLLAPSE, ctol, etol, 2.0, 1.0, y0, y1, f0, f1)
+    t_event, (alpha, beta), dy = locate(field, ctol, etol, 2.0, 1.0, y0, y1, f0, f1)
     if f0[1] < 0.0:  # beta leaves
         assert (t_event, (alpha, beta), dy) == (3.0, y1, f1)
     else:

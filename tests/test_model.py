@@ -221,6 +221,18 @@ class TestVolume:
         assert volume(s, s) == pytest.approx(1.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("params", [COLLAPSE, NORMALIZED], ids=["collapse", "normalized"])
+@pytest.mark.parametrize("alpha,beta", [(0.0, 1.0), (-1.0, 1.0), (1.0, math.inf), (math.nan, 1.0)])
+def test_geometry_scalars_rejects_a_point_off_the_quadrant(params, alpha, beta):
+    # one quadrant rule, with vector_field's message: off the quadrant there
+    # is no metric, and (-1, 1) would read as a negative volume
+    with pytest.raises(ValueError) as want:
+        vector_field(params, (alpha, beta))
+    with pytest.raises(ValueError, match=r"^a point must lie in the open first quadrant, got \(") as got:
+        geometry_scalars(params, alpha, beta)
+    assert str(got.value) == str(want.value)
+
+
 class TestCollapseComponents:
     def test_round_point(self):
         got = geometry_scalars(COLLAPSE, 1.0, 1.0)
@@ -470,7 +482,7 @@ def test_field_bodies_match_the_layered_expressions(params):
         assert abs(v00 - r00) <= tol00 and abs(v11 - r11) <= tol11
         (dx, dy), (rx, ry) = vector_field(params, (x, y)), reference_vector_field(params, (x, y))
         assert abs(dx - rx) <= 0.5 * x * tol00 and abs(dy - ry) <= 0.5 * y * tol11
-        assert body(params, x, y) == point_field(None, (x, y)) == (dx, dy)
+        assert body(params, x, y) == point_field((x, y)) == (dx, dy)
         assert (got.volume, got.energy, got.f, got.g) == (ref.volume, ref.energy, ref.f, ref.g)
 
 
