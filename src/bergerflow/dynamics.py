@@ -12,14 +12,11 @@ import math
 from dataclasses import dataclass
 
 from .model import (
-    _COLLAPSE,
     _NORMALIZED,
     TWO_PI_SQ,
     FlowKind,
     FlowParams,
     State,
-    _collapse_field,
-    _normalized_field,
     _off_half_line,
     _off_quadrant,
     normalizing_constant,
@@ -40,17 +37,15 @@ def vector_field(params: FlowParams, point) -> tuple[float, float]:
     """Right-hand side (dx, dy) of the flow at a first-quadrant point.
 
     Half the scale times the diagonal metric-velocity component, evaluated
-    by the straight-line body ``model._collapse_field`` or
-    ``model._normalized_field`` as a polynomial in alpha/beta over beta;
-    :func:`explicit_rhs` carries the multiplied-out coefficients as an
-    independent cross-check.  The integrator's fused steps inline the body.
+    by the flow kind's straight-line body ``params.kind.field`` as a
+    polynomial in alpha/beta over beta; :func:`explicit_rhs` carries the
+    multiplied-out coefficients as an independent cross-check.  The
+    integrator's fused steps inline the body.
     """
     alpha, beta = point
     if not (0 < alpha < math.inf and 0 < beta < math.inf):
         raise _off_quadrant(alpha, beta)
-    if params.kind is _COLLAPSE:
-        return _collapse_field(params, alpha, beta)
-    return _normalized_field(params, alpha, beta)
+    return params.kind.field(params, alpha, beta)
 
 
 def explicit_rhs(params: FlowParams, point) -> tuple[float, float]:

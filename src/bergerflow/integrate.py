@@ -10,20 +10,21 @@ attribute field, f at y alone, the run's start and event search call.  The
 generic step calls f(params, y), or f(params, epsilon) for the reduced
 speed, with no stage time, since both flows are autonomous.  A step fused
 with one of the package's own fields instead inlines, from their source,
-the lines of model._collapse_field, model._normalized_field or
+the lines of the flow kind's field body (FlowKind.field) or of
 dynamics._curve_speed below the line "# per point" at each stage, and the
 expression that body returns; its factory runs the lines above once.  Fused
-sample assembly likewise inlines the spinor's body and the arguments of the
-record geometry_scalars returns, and reads the metric velocity off the
-recorded derivative.  Fused code carries formulas only, in the same order,
-so it gives the same bits.  A run reads its field, and integrate
-geometry_scalars, once from this module's globals and looks them up in
-_STOCK: a wrapped function misses and sees every evaluation.  Steps that
-would leave the open first quadrant are rejected and halved.  Terminal
-events (collapse of one or both scales, convergence to an equilibrium) are
-located by bisection on the cubic Hermite interpolant of the step that
-crosses them, a collapse at no further evaluation; the event state's
-derivative is the equilibrium search's own, or one more evaluation.
+sample assembly likewise inlines the kind's spinor body (FlowKind.spinor)
+and the arguments of the record geometry_scalars returns, and reads the
+metric velocity off the recorded derivative.  Fused code carries formulas
+only, in the same order, so it gives the same bits.  A run reads its field,
+and integrate geometry_scalars, once from this module's globals and looks
+them up in _STOCK: a wrapped function misses and sees every evaluation.
+Steps that would leave the open first quadrant are rejected and halved.
+Terminal events (collapse of one or both scales, convergence to an
+equilibrium of the normalized flow) are located by bisection on the cubic
+Hermite interpolant of the step that crosses them, a collapse at no further
+evaluation; the event state's derivative is the equilibrium search's own,
+or one more evaluation.
 """
 
 from __future__ import annotations
@@ -38,20 +39,7 @@ from dataclasses import dataclass, field, fields
 
 from . import phase
 from .dynamics import _curve_speed, curve_speed, vector_field
-from .model import (
-    _COLLAPSE,
-    _NORMALIZED,
-    FlowKind,
-    FlowParams,
-    GeometryScalars,
-    State,
-    _collapse_field,
-    _normalized_field,
-    _spinor_collapse,
-    _spinor_normalized,
-    geometry_scalars,
-    initial_state,
-)
+from .model import FlowKind, FlowParams, GeometryScalars, State, geometry_scalars, initial_state
 
 # Dormand-Prince 5(4) tableau.  The last row of _A holds the fifth-order
 # weights, so the seventh stage is evaluated at the step's result.
@@ -91,12 +79,14 @@ class IntegratorConfig:
     """Caller settings: tolerances, event thresholds and output stride.  Step
     bounds and the step budget are the module constants _H_* and _MAX_STEPS.
 
-    Each driver tests ``equilib_tol`` against its own relative field size:
-    integrate against |F(y)| / |y|, integrate_reduced against |k(eps)| / eps.
-    So from one start eps0 on the unit-volume curve the reduced run's
-    Equilibrium comes later than the planar run's: by 0.700 to 0.703 at
-    a*kappa = 1 and by 0.058 to 0.082 at a*kappa = -1 (default config, six
-    starts each, eps0 from 0.7 or 0.03 up to 30)."""
+    Only the normalized flow has critical points, so ``equilib_tol`` has no
+    effect on a collapse-flow run, which never ends in Equilibrium.  Each
+    driver tests it against its own relative field size: integrate against
+    |F(y)| / |y|, integrate_reduced against |k(eps)| / eps.  So from one
+    start eps0 on the unit-volume curve the reduced run's Equilibrium comes
+    later than the planar run's: by 0.700 to 0.703 at a*kappa = 1 and by
+    0.058 to 0.082 at a*kappa = -1 (default config, six starts each, eps0
+    from 0.7 or 0.03 up to 30)."""
 
     rtol: float = 1e-10
     atol: float = 1e-12
@@ -268,13 +258,13 @@ def _samples(stock):
     return _compiled(name, lines, namespace, prelude)
 
 
-def _advance(rk_step, t0, y0, k0, t_end, config, collapse_tol):
+def _advance(rk_step, t0, y0, k0, t_end, config, collapse_tol, equilib_tol):
     """Adaptive driver of y' = F(y), F = rk_step.field, over float tuples of
     length 2 or 1, from y0 with k0 = F(y0) as the caller evaluated it.
 
     On the initial and every accepted state y it tests, in this order,
     Collapse, y[0] <= collapse_tol, and Equilibrium, |dy| / |y| <=
-    config.equilib_tol, with dy = F(y) as the driver holds it; a None
+    equilib_tol, with dy = F(y) as the driver holds it; a None
     tolerance skips its test.  When one fires, the event is located on the
     interpolant of the step that crossed it.  Returns ``(points, (tag,
     t_event, y_event, dy_event), h)``.  ``points`` holds every
@@ -286,7 +276,7 @@ def _advance(rk_step, t0, y0, k0, t_end, config, collapse_tol):
     _H_MIN, h then the last one attempted; attempting step _MAX_STEPS + 1
     raises StepBudgetError.
     """
-    atol, rtol, ctol, etol, hypot = config.atol, config.rtol, collapse_tol, config.equilib_tol, math.hypot
+    atol, rtol, ctol, etol, hypot = config.atol, config.rtol, collapse_tol, equilib_tol, math.hypot
     t, y = t0, y0
     points = [(t, y, k0)]
     n_accepted = 0
@@ -384,7 +374,8 @@ def integrate(
     step, scalars = _step_for(vector_field, params, 2), geometry_scalars  # read per call: wrappers see every evaluation
     y0 = (float(s0.alpha), float(s0.beta))
     k0 = _field_at_start(step.field, y0, "start must keep the field finite", y0)
-    points, (tag, t_ev, y_ev, _), h = _advance(step, s0.t, y0, k0, s0.t + t_end, config, config.collapse_tol)
+    etol = config.equilib_tol if params.kind is FlowKind.NORMALIZED else None  # as dynamics.equilibria rules
+    points, (tag, t_ev, y_ev, _), h = _advance(step, s0.t, y0, k0, s0.t + t_end, config, config.collapse_tol, etol)
     build = _fused(scalars, params, _samples)
     samples = build(points) if build else [(State(t, *y), scalars(params, *y)) for t, y, _ in points]
     termination = _classify(params, tag, t_ev, y_ev, h, s0)
@@ -455,7 +446,7 @@ def integrate_reduced(
     step = _step_for(curve_speed, params, 1)  # read per call, so that a wrapped speed sees every evaluation
     y0 = (float(epsilon0),)
     k0 = _field_at_start(step.field, y0, "epsilon0 must keep the speed finite at the start", epsilon0)
-    points, (tag, t_ev, _, _), _ = _advance(step, 0.0, y0, k0, t_end, config, None)
+    points, (tag, t_ev, _, _), _ = _advance(step, 0.0, y0, k0, t_end, config, None, config.equilib_tol)
     if tag == "StepUnderflow":
         raise ValueError(
             f"epsilon0 must keep the step above {_H_MIN:g} at rtol={config.rtol:g}, atol={config.atol:g},"
@@ -468,14 +459,13 @@ def integrate_reduced(
 # the stock of the fused code that stands in for them: its name suffix and
 # the body whose lines and return a step inlines, or the spinor body whose
 # lines a sample builder inlines and geometry_scalars, whose return it does.
-# A tracer that swaps the module globals leaves this table alone, so a run
-# that reads a swapped function misses it and calls that function.
+# The bodies are the kind's own, so fused code runs the public functions'
+# formulas.  A tracer that swaps the module globals leaves this table alone,
+# so a run that reads a swapped function misses it and calls that function.
 _STOCK = {
-    (vector_field, _COLLAPSE): ("collapse", _collapse_field),
-    (vector_field, _NORMALIZED): ("normalized", _normalized_field),
-    (curve_speed, _NORMALIZED): ("speed", _curve_speed),
-    (geometry_scalars, _COLLAPSE): ("collapse", _spinor_collapse, geometry_scalars),
-    (geometry_scalars, _NORMALIZED): ("normalized", _spinor_normalized, geometry_scalars),
+    **{(vector_field, kind): (kind.value, kind.field) for kind in FlowKind},
+    **{(geometry_scalars, kind): (kind.value, kind.spinor, geometry_scalars) for kind in FlowKind},
+    (curve_speed, FlowKind.NORMALIZED): ("speed", _curve_speed),
 }
 
 

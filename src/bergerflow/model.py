@@ -7,8 +7,11 @@ normalizing constant, the Riemannian volume, the diagonal components of the
 (negative) energy gradient, the spinorial energy itself, and the two scalar
 coefficients ``f`` and ``g`` through which the spinor enters.  The planar
 field and the spinor coefficients of each flow kind come from straight-line
-bodies, which ``dynamics.vector_field``, :func:`spinor_coefficients` and
-:func:`geometry_scalars` call and the integrator's fused code inlines; the
+bodies.  Each :class:`FlowKind` member carries its flow's two bodies as the
+attributes ``field`` and ``spinor``, assigned once below them: the one map
+from a kind to its formulas, which ``dynamics.vector_field``,
+:func:`spinor_coefficients`, :func:`geometry_scalars` and the start check
+of :class:`FlowParams` call and the integrator's fused code inlines.  The
 metric velocity is read off the field.
 """
 
@@ -23,6 +26,8 @@ TWO_PI_SQ = 2.0 * PI_SQ
 
 
 class FlowKind(enum.Enum):
+    """Which flow; each member's ``field`` and ``spinor`` are its flow's bodies."""
+
     COLLAPSE = "collapse"
     NORMALIZED = "normalized"
 
@@ -84,8 +89,7 @@ class FlowParams:
         # epsilon^(10/3) (normalized).
         try:
             start = initial_state(self)
-            body = _collapse_field if self.kind is FlowKind.COLLAPSE else _normalized_field
-            dx, dy = body(self, start.alpha, start.beta)
+            dx, dy = self.kind.field(self, start.alpha, start.beta)
             finite = math.isfinite(dx) and math.isfinite(dy)
         except (ArithmeticError, ValueError):  # ValueError: State rejects a start at 0 or inf
             finite = False
@@ -223,6 +227,12 @@ def _spinor_normalized(params: FlowParams, alpha: float, beta: float):
     return f, g
 
 
+# The one map from a flow kind to its formulas.  Member attributes, not a
+# dict keyed by kind: an Enum's __hash__ runs in Python, once per call.
+FlowKind.COLLAPSE.field, FlowKind.COLLAPSE.spinor = _collapse_field, _spinor_collapse
+FlowKind.NORMALIZED.field, FlowKind.NORMALIZED.spinor = _normalized_field, _spinor_normalized
+
+
 def spinor_coefficients(params: FlowParams, alpha: float, beta: float):
     """Scalar coefficients (f, g) of the spinor covariant derivative.
 
@@ -230,9 +240,7 @@ def spinor_coefficients(params: FlowParams, alpha: float, beta: float):
     Both flip sign under (a, kappa) -> (-a, -kappa); every other quantity
     in this module is invariant.
     """
-    if params.kind is _COLLAPSE:
-        return _spinor_collapse(params, alpha, beta)
-    return _spinor_normalized(params, alpha, beta)
+    return params.kind.spinor(params, alpha, beta)
 
 
 def energy(params: FlowParams, alpha: float, beta: float) -> float:
@@ -255,7 +263,7 @@ def geometry_scalars(params: FlowParams, alpha: float, beta: float) -> GeometryS
     if not (0 < alpha < math.inf and 0 < beta < math.inf):
         raise _off_quadrant(alpha, beta)
     f, g = spinor_coefficients(params, alpha, beta)
-    dalpha, dbeta = (_collapse_field if params.kind is _COLLAPSE else _normalized_field)(params, alpha, beta)
+    dalpha, dbeta = params.kind.field(params, alpha, beta)
     b2 = beta**2
     # positional, in field order, which fused sample assembly pairs them with
     return GeometryScalars(

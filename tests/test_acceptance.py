@@ -118,15 +118,17 @@ def test_collapse_fate_check_fails_on_a_planted_error(monkeypatch, cold_runs, pl
 # Planted errors in the field and spinor bodies and in the energy of each
 # sample, each of which its check must report as a failed result, not as an
 # error: one token of a model function's source is replaced, and the mutant
-# is set as the global that the check reads in the named module.
-def mutant(module, name, old, new):
+# is set where the check reads that function: a flow's body on its FlowKind
+# member, geometry_scalars as a global of the named module.
+def mutant(owner, attr, old, new):
     def plant(monkeypatch):
-        fn = getattr(importlib.import_module("bergerflow.model"), name)
+        target = importlib.import_module(owner) if isinstance(owner, str) else owner
+        fn = getattr(target, attr)
         source = inspect.getsource(fn)
-        assert source.count(old) == 1, (name, old)
+        assert source.count(old) == 1, (fn.__name__, old)
         namespace = dict(fn.__globals__)
         exec(source.replace(old, new), namespace)
-        monkeypatch.setattr(importlib.import_module(module), name, namespace[name])
+        monkeypatch.setattr(target, attr, namespace[fn.__name__])
 
     return plant
 
@@ -134,13 +136,13 @@ def mutant(module, name, old, new):
 @pytest.mark.parametrize(
     "plant,name",
     [
-        pytest.param(mutant("bergerflow.dynamics", "_collapse_field", "-9.0 / 128.0", "-9.0 / 127.0"),
+        pytest.param(mutant(FlowKind.COLLAPSE, "field", "-9.0 / 128.0", "-9.0 / 127.0"),
                      "gradient_structure", id="collapse-field-c3"),
-        pytest.param(mutant("bergerflow.dynamics", "_normalized_field", "m * m / 6.0", "m * m / 6.1"),
+        pytest.param(mutant(FlowKind.NORMALIZED, "field", "m * m / 6.0", "m * m / 6.1"),
                      "gradient_structure", id="normalized-field-xw"),
-        pytest.param(mutant("bergerflow.model", "_spinor_collapse", "kappa / beta - f", "kappa / beta + f"),
+        pytest.param(mutant(FlowKind.COLLAPSE, "spinor", "kappa / beta - f", "kappa / beta + f"),
                      "gradient_structure", id="collapse-spinor-sign"),
-        pytest.param(mutant("bergerflow.model", "_spinor_normalized", "gr = -a / 4.0", "gr = -a / 4.01"),
+        pytest.param(mutant(FlowKind.NORMALIZED, "spinor", "gr = -a / 4.0", "gr = -a / 4.01"),
                      "gradient_structure", id="normalized-spinor-gr"),
         pytest.param(mutant("bergerflow.integrate", "geometry_scalars", "PI_SQ * alpha * b2 * (",
                             "2.0 * PI_SQ * alpha * b2 * ("), "energy_dissipation", id="sample-energy-doubled"),

@@ -29,6 +29,7 @@ from bergerflow import (
     integrate,
     integrate_reduced,
     normalizing_constant,
+    spinor_coefficients,
     vector_field,
 )
 from bergerflow.model import State
@@ -190,6 +191,21 @@ class TestEvents:
         exact = ((3.0 * epsilon - p) ** 2 / abs(epsilon - p / 2.0) / 4.0) ** 0.25
         bound = 1e-9 * max(1.0, 1.0 / abs(3.0 * epsilon - p))
         assert traj.termination.detail["beta_inf"] == pytest.approx(exact, rel=bound)
+
+    @pytest.mark.parametrize("collapse_tol", [1e-9, 1e-12])
+    @pytest.mark.parametrize("kappa,epsilon", [(-1.0, 3.0), (1.0, 0.3), (-1.0, 20.0)])
+    def test_a_fine_collapse_tol_ends_in_the_fiber_collapse(self, kappa, epsilon, collapse_tol):
+        # |F| / |y| falls as alpha does, below the default equilib_tol near
+        # alpha = 1e-9, but the collapse flow has no critical point: no
+        # equilibrium test runs, and beta_inf keeps verify's 1e-9 bound
+        params = FlowParams(FlowKind.COLLAPSE, a=2.0, kappa=kappa, epsilon=epsilon)
+        traj = integrate(params, IntegratorConfig(collapse_tol=collapse_tol), t_end=1e9)
+        assert traj.termination.tag == "CollapseFiber"
+        p = 2.0 * kappa
+        exact = ((3.0 * epsilon - p) ** 2 / abs(epsilon - p / 2.0) / 4.0) ** 0.25
+        assert abs(traj.termination.detail["beta_inf"] / exact - 1.0) <= 1e-9
+        untested = IntegratorConfig(collapse_tol=collapse_tol, equilib_tol=None)
+        assert repr(integrate(params, untested, t_end=1e9)) == repr(traj)
 
     @pytest.mark.parametrize("a,kappa", [(2.0, 1.0), (-2.0, -1.0), (2.0, -1.0)])
     @pytest.mark.parametrize(
@@ -973,6 +989,29 @@ def test_the_per_point_marker_stands_only_in_inlined_functions():
                 marked.add((info.name, max(inner, key=lambda node: node.lineno).name if inner else None))
     inlined = {(stock[1].__module__.rsplit(".", 1)[1], stock[1].__name__) for stock in module._STOCK.values()}
     assert marked == inlined
+
+
+@pytest.mark.parametrize("kind", list(FlowKind), ids=lambda kind: kind.value)
+def test_each_kind_carries_the_one_map_to_its_formulas(kind):
+    # the public functions give the bits of the member's field and spinor
+    # bodies on a log grid, for both signs of a*kappa, and the fused code
+    # inlines exactly those bodies: a kind without its bodies fails here
+    field, spinor = kind.field, kind.spinor
+    grid = [math.exp(0.5 * i) for i in range(-12, 13)]
+    for params in (COLLAPSE, COLLAPSE_NEG) if kind is FlowKind.COLLAPSE else (NORMALIZED, NORMALIZED_NEG):
+        for x, y in [(x, y) for x in grid for y in grid]:
+            dx, dy = field(params, x, y)
+            f, g = spinor(params, x, y)
+            assert bits(vector_field(params, (x, y))) == bits((dx, dy))
+            assert bits(spinor_coefficients(params, x, y)) == bits((f, g))
+            scalars = geometry_scalars(params, x, y)
+            want = (2.0 * dx / x, 2.0 * dy / y, f, g)
+            assert bits((scalars.q00, scalars.q11, scalars.f, scalars.g)) == bits(want)
+    stock = importlib.import_module("bergerflow.integrate")._STOCK
+    assert stock[vector_field, kind] == (kind.value, field)
+    assert stock[geometry_scalars, kind] == (kind.value, spinor, geometry_scalars)
+    bodies = {entry[1] for (function, _), entry in stock.items() if function is not curve_speed}
+    assert bodies == {body for member in FlowKind for body in (member.field, member.spinor)}
 
 
 @pytest.mark.parametrize("params", [COLLAPSE, NORMALIZED], ids=["collapse", "normalized"])
