@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from . import dynamics, phase
 from .integrate import IntegratorConfig, StepBudgetError, Trajectory, integrate, integrate_reduced
-from .model import FlowKind, FlowParams, energy, initial_state, normalizing_constant, spinor_coefficients, volume
+from .model import FlowKind, FlowParams, curve_point, energy, initial_state, spinor_coefficients, volume
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,7 @@ def _convergent_runs():
 
 
 def check_convergence():
-    target = math.sqrt(normalizing_constant(1.0))
+    target = curve_point(1.0)[1]
     worst = 0.0
     for params, traj in _convergent_runs():
         final = traj.final_state
@@ -257,7 +257,7 @@ def check_algebraic_identities():
     for params in param_sets[2:]:
         for eps in [rng.uniform(0.1, 3.0) for _ in range(1000)]:
             res = dynamics.tangency_residual(params, eps)
-            fx, fy = dynamics.vector_field(params, dynamics.curve_point(eps))
+            fx, fy = dynamics.vector_field(params, curve_point(eps))
             mag = math.hypot(fx, fy)
             worst_t = max(worst_t, res / mag if mag > 0 else res)
     yield CheckResult("tangency_residual_relative", worst_t <= 1e-10, worst_t, 1e-10)
@@ -308,7 +308,7 @@ def check_spinor_limits():
     traj = _run(params, _DEFAULT, 500.0)
     final = traj.final_state
     f, g = spinor_coefficients(params, final.alpha, final.beta)
-    target = params.kappa / math.sqrt(normalizing_constant(1.0))
+    target = params.kappa / curve_point(1.0)[1]
     worst = max(abs(f - target), abs(g - target))
     yield CheckResult("spinor_coefficient_limits", worst <= 1e-6, worst, 1e-6)
 
@@ -319,7 +319,7 @@ def check_reduced_planar():
     for t_end in (1.0, 2.0, 5.0):
         planar = _run(params, _DEFAULT, t_end).final_state
         reduced = integrate_reduced(params, _DEFAULT, epsilon0=2.0, t_end=t_end)
-        x, y = dynamics.curve_point(reduced[-1][1])
+        x, y = curve_point(reduced[-1][1])
         worst = max(worst, abs(planar.alpha - x), abs(planar.beta - y))
     yield CheckResult("reduced_planar_agreement", worst <= 1e-7, worst, 1e-7)
 

@@ -2,8 +2,9 @@
 
 The flow of the metric scales (alpha, beta) is a planar ODE on the open
 first quadrant.  This module evaluates the right-hand sides, the handful of
-closed-form solutions, the unit-volume curve on which the normalized flow
-reduces to a one-dimensional ODE, and the equilibria of that reduction.
+closed-form solutions, the speed along the unit-volume curve (formed in
+``model``) on which the normalized flow reduces to a one-dimensional ODE,
+and the equilibria of that reduction.
 """
 
 from __future__ import annotations
@@ -12,14 +13,14 @@ import math
 from dataclasses import dataclass
 
 from .model import (
-    _NORMALIZED,
     TWO_PI_SQ,
     FlowKind,
     FlowParams,
     State,
     _off_half_line,
     _off_quadrant,
-    normalizing_constant,
+    curve_point,
+    curve_tangent,
 )
 
 
@@ -97,31 +98,11 @@ def closed_form(params: FlowParams, t: float) -> State | None:
             b = math.sqrt(36.0 - 3.0 * t) / 6.0
             return State(t=t, alpha=2.0 / 3.0 * b, beta=b)
         return None
-    if params.kind is FlowKind.NORMALIZED:
-        if math.isclose(eps, 1.0, rel_tol=1e-12):
-            s = math.sqrt(normalizing_constant(1.0))
-            return State(t=t, alpha=s, beta=s)
-        if p == 1.0 and math.isclose(eps, 2.0 / 3.0, rel_tol=1e-12):
-            s = math.sqrt(normalizing_constant(2.0 / 3.0))
-            return State(t=t, alpha=2.0 / 3.0 * s, beta=s)
-        return None
+    if params.kind is FlowKind.NORMALIZED:  # at rest on an equilibrium's point
+        for eq in equilibria(params):
+            if math.isclose(eps, eq.epsilon_star, rel_tol=1e-12):
+                return State(t, *eq.point)
     return None
-
-
-def curve_point(epsilon: float) -> tuple[float, float]:
-    """Point of the unit-volume curve with curve parameter epsilon."""
-    if not 0 < epsilon < math.inf:
-        raise _off_half_line(epsilon)
-    c = TWO_PI_SQ ** (-1.0 / 3.0)
-    return c * epsilon ** (2.0 / 3.0), c * epsilon ** (-1.0 / 3.0)
-
-
-def curve_tangent(epsilon: float) -> tuple[float, float]:
-    """Derivative of :func:`curve_point` with respect to epsilon."""
-    if not 0 < epsilon < math.inf:
-        raise _off_half_line(epsilon)
-    c = TWO_PI_SQ ** (-1.0 / 3.0)
-    return c * 2.0 / 3.0 * epsilon ** (-1.0 / 3.0), -c / 3.0 * epsilon ** (-4.0 / 3.0)
 
 
 _SPEED_SCALE = TWO_PI_SQ ** (2.0 / 3.0) / 8.0
@@ -144,7 +125,7 @@ def curve_speed(params: FlowParams, epsilon: float) -> float:
     The field on the curve equals k(epsilon) times the curve tangent, so
     the curve parameter evolves by epsilon' = k(epsilon).
     """
-    if params.kind is not _NORMALIZED:
+    if params.kind is not FlowKind.NORMALIZED:
         raise ValueError("curve_speed requires normalized flow parameters")
     if not 0 < epsilon < math.inf:
         raise _off_half_line(epsilon)

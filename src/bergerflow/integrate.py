@@ -86,7 +86,13 @@ class IntegratorConfig:
     start eps0 on the unit-volume curve the reduced run's Equilibrium comes
     later than the planar run's: by 0.700 to 0.703 at a*kappa = 1 and by
     0.058 to 0.082 at a*kappa = -1 (default config, six starts each, eps0
-    from 0.7 or 0.03 up to 30)."""
+    from 0.7 or 0.03 up to 30).
+
+    A fiber collapse reaches a ``collapse_tol`` as fine as 1e-12, but a
+    point collapse does not: alpha falls like (T - t)^(1/2) there, so the
+    step drops below _H_MIN at alpha of about 1.1e-7 to 1.3e-7, and at
+    ``collapse_tol`` 1e-7 or finer the run ends in StepUnderflow.  The
+    collapse flow's closed form (ROADMAP item 3) is the planned fix."""
 
     rtol: float = 1e-10
     atol: float = 1e-12

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 PI_SQ = math.pi**2
@@ -30,12 +31,6 @@ class FlowKind(enum.Enum):
 
     COLLAPSE = "collapse"
     NORMALIZED = "normalized"
-
-
-# Per-call kind tests read these module globals: FlowKind.X is a class
-# attribute lookup that Python does not specialise on an Enum.
-_COLLAPSE = FlowKind.COLLAPSE
-_NORMALIZED = FlowKind.NORMALIZED
 
 
 # The two domain errors, each written once; callers test 0 < x < inf inline.
@@ -123,10 +118,9 @@ class State:
 
 def initial_state(params: FlowParams) -> State:
     """Starting point of the flow for the given parameters."""
-    if params.kind is _COLLAPSE:
+    if params.kind is FlowKind.COLLAPSE:
         return State(t=0.0, alpha=params.epsilon, beta=1.0)
-    s = math.sqrt(normalizing_constant(params.epsilon))
-    return State(t=0.0, alpha=s * params.epsilon, beta=s)
+    return State(0.0, *curve_point(params.epsilon))
 
 
 @dataclass(frozen=True)
@@ -151,7 +145,24 @@ def normalizing_constant(epsilon: float) -> float:
     """Scale factor c(eps) making the eps-Berger metric have unit volume."""
     if not 0 < epsilon < math.inf:
         raise _off_half_line(epsilon)
-    return (TWO_PI_SQ * epsilon) ** (-2.0 / 3.0)
+    x = TWO_PI_SQ * epsilon
+    if not sys.float_info.min <= x < math.inf:  # overflowed or subnormal: take the powers apart
+        return TWO_PI_SQ ** (-2.0 / 3.0) * epsilon ** (-2.0 / 3.0)
+    return x ** (-2.0 / 3.0)
+
+
+def curve_point(epsilon: float) -> tuple[float, float]:
+    """Point (epsilon*s, s), s = sqrt(c(epsilon)), of the unit-volume curve:
+    the one place the unit-volume point is formed, so the normalized start,
+    its closed forms and the equilibria are the same floats."""
+    s = math.sqrt(normalizing_constant(epsilon))
+    return epsilon * s, s
+
+
+def curve_tangent(epsilon: float) -> tuple[float, float]:
+    """Derivative of :func:`curve_point` with respect to epsilon: s' = -s/(3 epsilon)."""
+    s = math.sqrt(normalizing_constant(epsilon))
+    return 2.0 * s / 3.0, -s / (3.0 * epsilon)
 
 
 def volume(alpha: float, beta: float) -> float:

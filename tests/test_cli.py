@@ -251,6 +251,17 @@ class TestSimulate:
         assert code == 2
         assert err.startswith("integration failure: step budget of 5 exhausted at t=")
 
+    def test_a_point_collapse_below_the_step_floor_exit_code(self, capsys):
+        # at collapse_tol 1e-7 the point collapse meets the 1e-13 step floor first
+        code, out, err = run(
+            capsys, "simulate", "--flow", "collapse", "--kappa", "1",
+            "--epsilon", "1", "--t-end", "20", "--collapse-tol", "1e-7",
+        )
+        assert code == 2
+        assert out.splitlines()[-1].startswith("# termination=StepUnderflow t=16.0000000195")
+        assert err.startswith("integration failure: step size underflow at t=16, state (1.3223e-07, 1.3223e-07), h=2.")
+        assert err.endswith("e-13 below the floor 1e-13\n") and err.count("\n") == 1
+
     def test_unattainable_tolerance_exit_code(self, capsys):
         code, out, err = run(
             capsys, "simulate", "--flow", "collapse", "--kappa", "1",
@@ -562,7 +573,7 @@ _GOLDEN_INVOCATIONS = [
     ["equilibria", "--flow", "normalized", "--kappa", "0.5", "--epsilon", "1"],
     ["verify"],
 ]
-_GOLDEN_SHA256 = "82a8f0a96fbbfb498b8215d360b208619fafd32269c8bd0c55c50e92a2a7ffd9"
+_GOLDEN_SHA256 = "fca91c90d0465d7593a5c6d9989d8dce409f7936e193377609db987c642ef806"
 
 
 def test_golden_output(capsys):

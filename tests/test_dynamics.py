@@ -8,6 +8,7 @@ import pytest
 from bergerflow import (
     FlowKind,
     FlowParams,
+    State,
     closed_form,
     curve_point,
     curve_speed,
@@ -180,6 +181,23 @@ class TestClosedForm:
                 tol = 1e-9
             assert dx == pytest.approx(num_dx, abs=tol)
             assert dy == pytest.approx(num_dy, abs=tol)
+
+
+# curve_point alone forms the unit-volume point: the normalized start, the
+# constant closed forms and the equilibria read it, so all are one float.
+@pytest.mark.parametrize("a,kappa", [(2.0, 0.5), (-2.0, -0.5), (2.0, -0.5), (-2.0, 0.5)])
+def test_curve_point_is_the_one_unit_volume_point(a, kappa):
+    for eps in np.logspace(-3.0, 3.0, 61):
+        params = FlowParams(FlowKind.NORMALIZED, a, kappa, float(eps))
+        assert initial_state(params) == State(0.0, *curve_point(float(eps)))
+    for eq in equilibria(FlowParams(FlowKind.NORMALIZED, a, kappa, 1.0)):
+        at = FlowParams(FlowKind.NORMALIZED, a, kappa, eq.epsilon_star)
+        for t in (0.0, 1.5, 100.0):
+            assert closed_form(at, t) == State(t, *eq.point)
+    params = FlowParams(FlowKind.NORMALIZED, a, kappa, 1.0)
+    s = 0.3700184841536781  # (2 pi^2)^(-1/3), correctly rounded
+    start, rest, eq = initial_state(params), closed_form(params, 7.0), equilibria(params)[-1]
+    assert (start.alpha, start.beta) == (rest.alpha, rest.beta) == eq.point == (s, s)
 
 
 class TestCurve:

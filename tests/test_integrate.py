@@ -207,6 +207,25 @@ class TestEvents:
         untested = IntegratorConfig(collapse_tol=collapse_tol, equilib_tol=None)
         assert repr(integrate(params, untested, t_end=1e9)) == repr(traj)
 
+    # Near a point collapse alpha falls like (T - t)^(1/2), so the step meets
+    # the 1e-13 floor at alpha of about 1.1e-7 to 1.3e-7: a collapse_tol of
+    # 1e-6 still ends in CollapsePoint, one of 1e-7 in StepUnderflow.
+    @pytest.mark.parametrize(
+        "epsilon,t_collapse,alpha_floor",
+        [(0.8, 13.7216357643, 1.18e-7), (1.0, 16.0000000195, 1.32e-7),
+         (1.3, 18.9529853196, 1.13e-7), (20.0, 83.6019439135, 1.27e-7)],
+    )
+    def test_a_point_collapse_meets_the_step_floor_below_1e_6(self, epsilon, t_collapse, alpha_floor):
+        params = FlowParams(FlowKind.COLLAPSE, a=2.0, kappa=1.0, epsilon=epsilon)
+        term = integrate(params, IntegratorConfig(collapse_tol=1e-6), t_end=200.0).termination
+        assert term.tag == "CollapsePoint"
+        assert term.t_event == pytest.approx(t_collapse, abs=1e-9)
+        term = integrate(params, IntegratorConfig(collapse_tol=1e-7), t_end=200.0).termination
+        assert term.tag == "StepUnderflow"
+        alpha, beta = term.detail["last_state"]
+        assert alpha == beta == pytest.approx(alpha_floor, rel=5e-3)
+        assert 1.6e-13 <= term.detail["h"] <= 2.3e-13
+
     @pytest.mark.parametrize("a,kappa", [(2.0, 1.0), (-2.0, -1.0), (2.0, -1.0)])
     @pytest.mark.parametrize(
         "epsilon",
@@ -929,7 +948,7 @@ def test_fused_steps_show_their_source(name, params):
     for j in range(2, 8):
         assert source.count(f"{per_point}    {', '.join(f'k{j}_{d}' for d in dims)} ={returned}") == 1
     module_source = sys.modules[step.__module__].__loader__.get_source(step.__module__)
-    assert not [word for word in ("raise", "_NORMALIZED", "epsilon > 0", '"""') if word in module_source]
+    assert not [word for word in ("raise", "FlowKind", "epsilon > 0", '"""') if word in module_source]
     assert factory.startswith(f"def {name}_for(f, params):\n")
     assert factory.count(prelude.splitlines()[-1] + "\n") == 1
     assert prelude.splitlines()[-1] + "\n" not in source

@@ -23,7 +23,7 @@ from bergerflow import (
     vector_field,
     volume,
 )
-from bergerflow.dynamics import curve_point, curve_speed
+from bergerflow.dynamics import curve_point
 from bergerflow.model import _collapse_field, _normalized_field
 
 TWO_PI_SQ = 2.0 * math.pi**2
@@ -175,13 +175,9 @@ class TestRecordApi:
         )
 
 
-@pytest.mark.parametrize(
-    "fn", [spinor_coefficients, initial_state, curve_speed],
-    ids=lambda fn: fn.__name__,
-)
-def test_per_call_kind_tests_do_not_look_up_the_enum(fn):
-    # FlowKind.X is an unspecialised class attribute lookup on every call;
-    # these functions read module aliases of the members instead
+@pytest.mark.parametrize("fn", [spinor_coefficients, geometry_scalars], ids=lambda fn: fn.__name__)
+def test_per_point_functions_dispatch_without_testing_the_kind(fn):
+    # a per-point function calls params.kind's body; it never compares kinds
     assert "FlowKind" not in fn.__code__.co_names
 
 
@@ -207,6 +203,13 @@ class TestNormalizingConstant:
         for eps in rng.uniform(0.01, 100.0, size=100):
             s = math.sqrt(normalizing_constant(eps))
             assert abs(volume(s * eps, s) - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize("eps", [5e-324, 1e-310, 1e307, 1.7976931348623157e308])
+    def test_holds_where_two_pi_sq_eps_is_not_a_normal_float(self, eps):
+        # 2 pi^2 eps overflows from about 9.1e306 and is subnormal below
+        # about 1.1e-309; c(eps) stays positive with unit volume
+        s = math.sqrt(normalizing_constant(eps))
+        assert abs(volume(s * eps, s) - 1.0) <= 1e-13
 
 
 class TestVolume:
@@ -519,9 +522,28 @@ def test_a_non_killing_critical_point_at_two_thirds(params):
     assert abs(got.q00) <= BOUND * (s00 + s6) and abs(got.q11) <= BOUND * (s11 + s6)
     assert got.f != got.g
     assert abs(got.g / got.f - 2.0) <= 2.0 * math.ulp(2.0)
-    got = geometry_scalars(params, *curve_point(1.0))
-    assert got.f == got.g
+    x, y = curve_point(1.0)
+    got = geometry_scalars(params, x, y)
+    # the Killing spinor: f = g = kappa/s, g exactly (alpha/beta is 1.0) and
+    # f, summed from two terms, to one ulp; f == g itself holds by rounding
+    assert x == y and got.g == params.kappa / y
+    assert abs(got.f - got.g) <= math.ulp(got.g)
     assert got.q00 == got.q11 == 0.0
+
+
+# Every round sphere (s, s) of the normalized flow carries the Killing
+# spinor, f = g = kappa/s: g exactly, f to one ulp (over 20,000 log-uniform
+# s in [e^-5, e^5] per sign of a*kappa, f == g exactly for 73% of them).
+@pytest.mark.parametrize(
+    "params", [NORMALIZED, flipped(NORMALIZED), NORMALIZED_NEG, flipped(NORMALIZED_NEG)],
+    ids=["plus", "plus-flipped", "minus", "minus-flipped"],
+)
+def test_round_spheres_carry_the_killing_spinor_to_one_ulp(params):
+    for k in range(-50, 51):
+        s = math.exp(k / 10.0)
+        f, g = spinor_coefficients(params, s, s)
+        assert g == params.kappa / s
+        assert abs(f - g) <= math.ulp(g)
 
 
 # The per-point lines of each field body, as dis shows them, do at most the
