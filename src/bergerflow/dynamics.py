@@ -78,31 +78,24 @@ def explicit_rhs(params: FlowParams, point) -> tuple[float, float]:
 
 
 def closed_form(params: FlowParams, t: float) -> State | None:
-    """Exact solution state at time t, for the parameter combinations that
-    admit one; None otherwise.
+    """Exact solution state at time t for a start exactly on a ray the flow
+    keeps; None for any other start, however close.
 
-    Raises ValueError if t lies beyond the finite existence interval of the
-    two blow-down solutions.
+    The normalized flow rests at an ``equilibria`` root.  The collapse flow
+    at a*kappa = 2 shrinks the rays epsilon = 1 and 2/3 to a point at
+    T = 16 and 12: beta = sqrt(1 - t/T), alpha = epsilon * beta.  Raises
+    ValueError for t >= T, where the solution no longer exists.
     """
-    p = params.product
     eps = params.epsilon
-    if params.kind is FlowKind.COLLAPSE and p == 2.0:
-        if math.isclose(eps, 1.0, rel_tol=1e-12):
-            if t >= 16.0:
-                raise ValueError(f"solution only exists for t < 16, got t={t}")
-            s = 0.25 * math.sqrt(16.0 - t)
-            return State(t=t, alpha=s, beta=s)
-        if math.isclose(eps, 2.0 / 3.0, rel_tol=1e-12):
-            if t >= 12.0:
-                raise ValueError(f"solution only exists for t < 12, got t={t}")
-            b = math.sqrt(36.0 - 3.0 * t) / 6.0
-            return State(t=t, alpha=2.0 / 3.0 * b, beta=b)
+    if params.kind is FlowKind.NORMALIZED:
+        return next((State(t, *eq.point) for eq in equilibria(params) if eps == eq.epsilon_star), None)
+    if params.product != 2.0 or eps not in (1.0, 2.0 / 3.0):
         return None
-    if params.kind is FlowKind.NORMALIZED:  # at rest on an equilibrium's point
-        for eq in equilibria(params):
-            if math.isclose(eps, eq.epsilon_star, rel_tol=1e-12):
-                return State(t, *eq.point)
-    return None
+    T = 16.0 if eps == 1.0 else 12.0
+    if t >= T:
+        raise ValueError(f"solution only exists for t < {T:g}, got t={t}")
+    beta = math.sqrt(T * T - T * t) / T  # not sqrt(1 - t/T): this rounds as sqrt(16 - t)/4, sqrt(36 - 3t)/6 do
+    return State(t, eps * beta, beta)
 
 
 _SPEED_SCALE = TWO_PI_SQ ** (2.0 / 3.0) / 8.0

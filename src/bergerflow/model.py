@@ -86,7 +86,7 @@ class FlowParams:
             start = initial_state(self)
             dx, dy = self.kind.field(self, start.alpha, start.beta)
             finite = math.isfinite(dx) and math.isfinite(dy)
-        except (ArithmeticError, ValueError):  # ValueError: State rejects a start at 0 or inf
+        except ArithmeticError:
             finite = False
         if not finite:
             raise ValueError(f"epsilon must keep the field finite at the start, got {self.epsilon}")

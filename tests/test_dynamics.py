@@ -126,10 +126,35 @@ class TestClosedForm:
         assert s.alpha == pytest.approx(2.0 / 3.0 * s.beta, rel=1e-15)
 
     def test_existence_interval(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^solution only exists for t < 16, got t=16\.0$"):
             closed_form(COLLAPSE, 16.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^solution only exists for t < 12, got t=12\.5$"):
             closed_form(COLLAPSE_23, 12.5)
+
+    @pytest.mark.parametrize(
+        "kind,a,kappa,root",
+        [
+            (FlowKind.COLLAPSE, 2.0, 1.0, 2.0 / 3.0),
+            (FlowKind.COLLAPSE, 2.0, 1.0, 1.0),
+            (FlowKind.COLLAPSE, -2.0, -1.0, 2.0 / 3.0),
+            (FlowKind.COLLAPSE, -2.0, -1.0, 1.0),
+            (FlowKind.NORMALIZED, 2.0, 0.5, 2.0 / 3.0),
+            (FlowKind.NORMALIZED, 2.0, 0.5, 1.0),
+            (FlowKind.NORMALIZED, 2.0, -0.5, 1.0),
+        ],
+    )
+    def test_only_a_start_exactly_on_a_kept_ray_has_one(self, kind, a, kappa, root):
+        # one ulp off the ray the run leaves it, so the root's solution is not its solution
+        on = FlowParams(kind, a, kappa, root)
+        assert closed_form(on, 0.0) == initial_state(on)
+        for eps in (math.nextafter(root, 0.0), math.nextafter(root, math.inf)):
+            assert closed_form(FlowParams(kind, a, kappa, eps), 0.0) is None
+
+    def test_a_start_4e_13_off_two_thirds_has_none(self):
+        eps = 2.0 / 3.0 * (1.0 + 4e-13)
+        assert eps != 2.0 / 3.0
+        for kind, kappa in ((FlowKind.NORMALIZED, 0.5), (FlowKind.COLLAPSE, 1.0)):
+            assert closed_form(FlowParams(kind, 2.0, kappa, eps), 0.0) is None
 
     def test_normalized_constants(self):
         for params in (NORMALIZED, NORMALIZED_NEG):

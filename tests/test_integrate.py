@@ -24,6 +24,7 @@ from bergerflow import (
     IntegratorConfig,
     StepBudgetError,
     closed_form,
+    curve_point,
     curve_speed,
     geometry_scalars,
     integrate,
@@ -122,6 +123,19 @@ class TestOracleMatch:
         )
         assert drift <= 1e-10
         assert traj.termination.tag == "ReachedTEnd"
+
+    def test_round_sphere_neighbourhood_at_minus_one_stays_put(self):
+        # At a*kappa = -1 the field at curve_point(1.0), (0, 2.8e-17), is too
+        # small for a step to move the start, so its drift of 0 proves
+        # little; the floats two ulps either side do move (up to 5.75e-11).
+        params = FlowParams(FlowKind.NORMALIZED, a=2.0, kappa=-0.5, epsilon=1.0)
+        s = curve_point(1.0)[1]
+        below = math.nextafter(s, 0.0)
+        above = math.nextafter(s, math.inf)
+        for x in (math.nextafter(below, 0.0), below, s, above, math.nextafter(above, math.inf)):
+            traj = integrate(params, NO_EQUILIB, 100.0, start=State(0.0, x, x))
+            assert traj.termination.tag == "ReachedTEnd"
+            assert max(max(abs(st.alpha - x), abs(st.beta - x)) for st, _ in traj.samples) <= 1e-10
 
 
 class TestEvents:
