@@ -49,6 +49,8 @@ _ORACLE_TOL = 1e-8  # the largest error of a run against its closed-form solutio
 
 
 def _closed_form_error(params, t_end):
+    if dynamics.closed_form(params, 0.0) is None:
+        raise LookupError(f"no closed form from epsilon={params.epsilon!r} at a*kappa={params.product:g}")
     traj = _run(params, _NO_EQUILIB, t_end)
     worst = 0.0
     for state, _ in traj.samples:
@@ -348,10 +350,10 @@ ALL_CHECKS = [
 
 def run_checks(name_filter: str = "") -> list[CheckResult]:
     """Run the verification suite, optionally keeping only checks whose
-    name contains ``name_filter``; every threshold is fixed in this
-    module, and no producer takes an argument.  Where a producer's run exhausts the
-    step budget or raises ArithmeticError, each of its kept checks not yet
-    reported fails with the error, and the next producer runs."""
+    name contains ``name_filter``; every threshold is fixed in this module,
+    and no producer takes an argument.  Where a producer's run exhausts the
+    step budget, raises ArithmeticError or finds no closed form (LookupError),
+    each of its kept checks not yet reported fails with the error, and the next producer runs."""
     results = []
     for names, fn in ALL_CHECKS:
         kept = [n for n in names if name_filter in n]
@@ -361,7 +363,7 @@ def run_checks(name_filter: str = "") -> list[CheckResult]:
             for result in fn():
                 if name_filter in result.name:
                     results.append(result)
-        except (StepBudgetError, ArithmeticError) as exc:
+        except (StepBudgetError, ArithmeticError, LookupError) as exc:
             error, reported = f"{type(exc).__name__}: {exc}", {r.name for r in results}
             results += [CheckResult(n, False, math.nan, math.nan, error=error) for n in kept if n not in reported]
     return results

@@ -88,7 +88,7 @@ def closed_form(params: FlowParams, t: float) -> State | None:
     """
     eps = params.epsilon
     if params.kind is FlowKind.NORMALIZED:
-        return next((State(t, *eq.point) for eq in equilibria(params) if eps == eq.epsilon_star), None)
+        return State(t, *curve_point(eps)) if eps in _ROOTS[params.product] else None
     if params.product != 2.0 or eps not in (1.0, 2.0 / 3.0):
         return None
     T = 16.0 if eps == 1.0 else 12.0
@@ -99,6 +99,7 @@ def closed_form(params: FlowParams, t: float) -> State | None:
 
 
 _SPEED_SCALE = TWO_PI_SQ ** (2.0 / 3.0) / 8.0
+_ROOTS = {1.0: (2.0 / 3.0, 1.0), -1.0: (1.0,)}  # the equilibria's epsilon by a*kappa, read by closed_form too
 
 
 # The fused reduced step inlines this body; e2 = epsilon^2 is bound only in the branch that uses it.
@@ -150,8 +151,7 @@ def equilibria(params: FlowParams) -> list[Equilibrium]:
             "the collapse flow has no isolated equilibria; its critical "
             "set is the degenerate boundary line of points (0, k) with k != 0"
         )
-    roots = (2.0 / 3.0, 1.0) if params.product == 1.0 else (1.0,)
     return [
         Equilibrium(root, curve_point(root), "attracting" if curve_speed(params, root - 1e-4) > 0 else "repelling")
-        for root in roots
+        for root in _ROOTS[params.product]
     ]

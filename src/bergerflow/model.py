@@ -5,14 +5,15 @@ fiber and ``beta`` on the horizontal complement.  Everything here is a pure
 function of the flow parameters and those two scales: the unit-volume
 normalizing constant, the Riemannian volume, the diagonal components of the
 (negative) energy gradient, the spinorial energy itself, and the two scalar
-coefficients ``f`` and ``g`` through which the spinor enters.  The planar
-field and the spinor coefficients of each flow kind come from straight-line
-bodies.  Each :class:`FlowKind` member carries its flow's two bodies as the
-attributes ``field`` and ``spinor``, assigned once below them: the one map
-from a kind to its formulas, which ``dynamics.vector_field``,
-:func:`spinor_coefficients`, :func:`geometry_scalars` and the start check
-of :class:`FlowParams` call and the integrator's fused code inlines.  The
-metric velocity is read off the field.
+coefficients ``f`` and ``g`` through which the spinor enters.  Each flow
+kind's planar field and spinor coefficients come from straight-line bodies,
+the field's reading the one table where its coefficients are written, a row
+per kind and a*kappa.  Each :class:`FlowKind` member carries the two bodies
+as the attributes ``field`` and ``spinor``, assigned once below them: the one
+map from a kind to its formulas, which ``dynamics.vector_field``,
+:func:`spinor_coefficients`, :func:`geometry_scalars` and the start check of
+:class:`FlowParams` call and the integrator's fused code inlines.  The metric
+velocity is read off the field.
 """
 
 from __future__ import annotations
@@ -171,19 +172,26 @@ def volume(alpha: float, beta: float) -> float:
 
 
 # The planar field (dalpha, dbeta) = (alpha q00 / 2, beta q11 / 2) of each
-# flow kind: the one place the flow's coefficients are written, each with
-# its 1/2; geometry_scalars reads q off it.  Homogeneous of degree -1, each
-# component is a Horner polynomial in r = alpha/beta divided by beta, plus,
-# for the normalized flow, a term in 1/alpha or beta/alpha^2.  Fused code
-# runs the lines above "# per point" once per run, those below it at every
-# stage, and stores the returned pair straight into its stage names.
+# flow kind; geometry_scalars reads q off it.  These rows are the one place
+# its coefficients are written, each with its 1/2: a row per kind and p =
+# a*kappa, on which alone they depend, each entry its rational in p (README).
+# Homogeneous of degree -1, each component is a Horner polynomial in r =
+# alpha/beta divided by beta, plus, for the normalized flow, a term in 1/alpha
+# or beta/alpha^2.  Fused code runs the lines above "# per point" once per
+# run, those below it at every stage, and stores the returned pair straight
+# into its stage names.
+_COLLAPSE_ROWS = {  # c3, c2, c1, d2, d1
+    2.0: (-9 / 32, 1 / 2, -1 / 4, 3 / 32, -1 / 8),
+    -2.0: (-9 / 32, -1 / 2, -1 / 4, 3 / 32, 1 / 8),
+}
+_NORMALIZED_ROWS = {  # c3, c2, c1, d2, d1, e2, e1, e0, xw, yw
+    1.0: (-9 / 32, 1 / 2, -1 / 4, 3 / 32, -1 / 8, 1 / 32, -1 / 12, 1 / 12, 0.0, -0.0),
+    -1.0: (-9 / 32, 0.0, 1 / 8, 3 / 32, 0.0, 1 / 32, -0.0, -1 / 24, 1 / 6, -1 / 12),
+}
+
+
 def _collapse_field(params: FlowParams, alpha: float, beta: float):
-    a, lam = params.a, params.kappa
-    c3 = -9.0 / 128.0 * a * a
-    c2 = 1.0 / 4.0 * a * lam
-    c1 = -1.0 / 4.0 * lam * lam
-    d2 = 3.0 / 128.0 * a * a
-    d1 = -1.0 / 16.0 * a * lam
+    c3, c2, c1, d2, d1 = _COLLAPSE_ROWS[params.product]
     # per point
     r = alpha / beta
     return (
@@ -196,19 +204,7 @@ def _collapse_field(params: FlowParams, alpha: float, beta: float):
 # each sums exactly, so every round sphere stays an exact rest point of the
 # a*kappa = 1 field.  e6 enters dalpha times r and dbeta as it is.
 def _normalized_field(params: FlowParams, alpha: float, beta: float):
-    a, mu = params.a, params.kappa
-    m = mu - a / 4.0
-    n = a / 4.0 + mu
-    c3 = -9.0 / 128.0 * a * a
-    c2 = a * a / 16.0 + a * mu / 4.0
-    c1 = -1.0 / 4.0 * mu * mu - 3.0 / 16.0 * a * mu
-    d2 = 3.0 / 128.0 * a * a
-    d1 = -a * a / 64.0 - a * mu / 16.0
-    e2 = a * a / 128.0
-    e1 = -a * n / 24.0
-    e0 = a * m / 48.0 + n * n / 12.0
-    xw = m * m / 6.0
-    yw = -m * m / 12.0
+    c3, c2, c1, d2, d1, e2, e1, e0, xw, yw = _NORMALIZED_ROWS[params.product]
     # per point
     r = alpha / beta
     e6 = (e2 * r + e1) * r + e0

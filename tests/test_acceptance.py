@@ -7,11 +7,13 @@ are produced, or rely on pytest's captured output on failure.
 
 import importlib
 import inspect
+import json
 
 import pytest
 
-from bergerflow import FlowKind, acceptance
+from bergerflow import FlowKind, acceptance, cli, dynamics
 from bergerflow.integrate import TerminationEvent
+from bergerflow.model import _COLLAPSE_ROWS, _NORMALIZED_ROWS
 
 
 @pytest.fixture(scope="module")
@@ -115,11 +117,22 @@ def test_collapse_fate_check_fails_on_a_planted_error(monkeypatch, cold_runs, pl
     assert not results[name].passed
 
 
-# Planted errors in the field and spinor bodies and in the energy of each
-# sample, each of which its check must report as a failed result, not as an
-# error: one token of a model function's source is replaced, and the mutant
-# is set where the check reads that function: a flow's body on its FlowKind
-# member, geometry_scalars as a global of the named module.
+# Planted errors in the field coefficients, the spinor bodies and the
+# energy of each sample, each of which its check must report as a failed
+# result, not as an error.  A field mutant replaces one entry of a row of
+# the coefficient table.  A spinor or energy mutant replaces one token of a
+# model function's source, and is set where the check reads that function:
+# a flow's body on its FlowKind member, geometry_scalars as a global of the
+# named module.
+def table_entry(rows, p, index, value):
+    def plant(monkeypatch):
+        row = list(rows[p])
+        row[index] = value
+        monkeypatch.setitem(rows, p, tuple(row))
+
+    return plant
+
+
 def mutant(owner, attr, old, new):
     def plant(monkeypatch):
         target = importlib.import_module(owner) if isinstance(owner, str) else owner
@@ -136,10 +149,8 @@ def mutant(owner, attr, old, new):
 @pytest.mark.parametrize(
     "plant,name",
     [
-        pytest.param(mutant(FlowKind.COLLAPSE, "field", "-9.0 / 128.0", "-9.0 / 127.0"),
-                     "gradient_structure", id="collapse-field-c3"),
-        pytest.param(mutant(FlowKind.NORMALIZED, "field", "m * m / 6.0", "m * m / 6.1"),
-                     "gradient_structure", id="normalized-field-xw"),
+        pytest.param(table_entry(_COLLAPSE_ROWS, 2.0, 0, -9 / 31.75), "gradient_structure", id="collapse-field-c3"),
+        pytest.param(table_entry(_NORMALIZED_ROWS, -1.0, 8, 1 / 6.1), "gradient_structure", id="normalized-field-xw"),
         pytest.param(mutant(FlowKind.COLLAPSE, "spinor", "kappa / beta - f", "kappa / beta + f"),
                      "gradient_structure", id="collapse-spinor-sign"),
         pytest.param(mutant(FlowKind.NORMALIZED, "spinor", "gr = -a / 4.0", "gr = -a / 4.01"),
@@ -154,3 +165,19 @@ def test_gradient_checks_fail_on_a_planted_error(monkeypatch, cold_runs, plant, 
     assert result.name == name
     assert not result.passed and not result.error
     assert result.measured > result.threshold
+
+
+def test_a_start_with_no_closed_form_fails_its_check_by_name(monkeypatch, capsys):
+    # the equilibria root 2/3 planted as 0.67: the constant-solution check
+    # fails with an error naming the start it has no closed form for, and
+    # verify reports it and exits 3, with no traceback
+    monkeypatch.setitem(dynamics._ROOTS, 1.0, (0.67, 1.0))
+    assert cli.main(["verify", "--filter", "constant_solution_drift"]) == 3
+    out, err = capsys.readouterr()
+    [check] = json.loads(out)["checks"]
+    assert check == {
+        "name": "constant_solution_drift",
+        "passed": False,
+        "error": "LookupError: no closed form from epsilon=0.6666666666666666 at a*kappa=1",
+    }
+    assert err == ""

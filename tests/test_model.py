@@ -5,6 +5,7 @@ import inspect
 import math
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,7 @@ from bergerflow import (
     volume,
 )
 from bergerflow.dynamics import curve_point
-from bergerflow.model import _collapse_field, _normalized_field
+from bergerflow.model import _COLLAPSE_ROWS, _NORMALIZED_ROWS, _collapse_field, _normalized_field
 
 TWO_PI_SQ = 2.0 * math.pi**2
 
@@ -555,3 +556,38 @@ def test_field_bodies_do_a_bounded_number_of_operations_per_point(body, most):
     marker = first + [line.strip() for line in lines].index("# per point")
     ops = [op for op in dis.get_instructions(body) if op.opname == "BINARY_OP" and op.positions.lineno > marker]
     assert 0 < len(ops) <= most
+
+
+# Each field coefficient as its rational in p = a*kappa, written here apart
+# from the table: (c3, c2, c1, d2, d1), then for the normalized flow
+# (e2, e1, e0, xw, yw).
+def collapse_row(p):
+    return Fraction(-9, 32), p / 4, Fraction(-1, 4), Fraction(3, 32), -p / 16
+
+
+def normalized_row(p):
+    return (
+        Fraction(-9, 32), (1 + p) / 4, -(1 + 3 * p) / 16, Fraction(3, 32), -(1 + p) / 16,
+        Fraction(1, 32), -(1 + p) / 24, (3 * p + 1) / 48, (1 - p) / 12, (p - 1) / 24,
+    )
+
+
+ROWS = [(FlowKind.COLLAPSE, _COLLAPSE_ROWS, collapse_row, (1.0, -1.0)),
+        (FlowKind.NORMALIZED, _NORMALIZED_ROWS, normalized_row, (0.5, -0.5))]
+
+
+@pytest.mark.parametrize("kind,rows,row,kappas", ROWS, ids=["collapse", "normalized"])
+def test_each_table_entry_is_its_rational_in_p_correctly_rounded(kind, rows, row, kappas):
+    # all 8 admitted (kind, a, kappa) find a row, and each row is keyed by
+    # the p of some of them
+    assert {FlowParams(kind, a, kappa, 1.0).product for a in (2.0, -2.0) for kappa in kappas} == set(rows)
+    for p, entries in rows.items():
+        assert entries == tuple(map(float, row(Fraction(p)))), (kind, p)
+
+
+def test_the_table_zeros_keep_their_signs():
+    # xw = +0.0 and yw = -0.0 at p = 1, and c2 = d1 = +0.0 at p = -1: the
+    # signs that arithmetic in (a, kappa) gives them
+    plus, minus = _NORMALIZED_ROWS[1.0], _NORMALIZED_ROWS[-1.0]
+    zeros = [plus[8], plus[9], minus[1], minus[4]]
+    assert [z.hex() for z in zeros] == ["0x0.0p+0", "-0x0.0p+0", "0x0.0p+0", "0x0.0p+0"]
