@@ -17,8 +17,8 @@ import os
 import sys
 
 from . import dynamics, phase
-from .integrate import _H_MIN, IntegratorConfig, StepBudgetError, _field_at_start, integrate
-from .model import FlowKind, FlowParams, State
+from .integrate import _H_MIN, IntegratorConfig, StepBudgetError, integrate
+from .model import FlowKind, FlowParams, State, _field_at_start
 
 
 def _fmt(x: float) -> str:

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, fields
 
 from . import phase
 from .dynamics import _curve_speed, curve_speed, vector_field
-from .model import FlowKind, FlowParams, GeometryScalars, State, geometry_scalars, initial_state
+from .model import FlowKind, FlowParams, GeometryScalars, State, _field_at_start, geometry_scalars, initial_state
 
 # Dormand-Prince 5(4) tableau.  The last row of _A holds the fifth-order
 # weights, so the seventh stage is evaluated at the step's result.
@@ -371,8 +371,9 @@ def integrate(
 
     ``start`` overrides the canonical initial state, which permits
     off-curve starting points for the normalized flow.  A start that State
-    rejects, or where the field raises ArithmeticError or is not finite,
-    raises ValueError before any step.
+    rejects or the one start rule (model._field_at_start) refuses raises
+    ValueError before any step: the field must be finite there, and beta at
+    most sqrt(DBL_MAX), above which a sample's beta**2 overflows.
     """
     if not t_end > 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
@@ -386,18 +387,6 @@ def integrate(
     samples = build(points) if build else [(State(t, *y), scalars(params, *y)) for t, y, _ in points]
     termination = _classify(params, tag, t_ev, y_ev, h, s0)
     return Trajectory(params, samples, termination, [dy for _, _, dy in points])
-
-
-def _field_at_start(field, y0, subject, value):
-    """k0 = field(y0); ValueError "{subject}, got {value}" if that raises ArithmeticError or is not finite."""
-    try:
-        k0 = field(y0)
-        finite = math.isfinite(k0[0]) and math.isfinite(k0[-1])
-    except ArithmeticError:
-        finite = False
-    if not finite:
-        raise ValueError(f"{subject}, got {value}")
-    return k0
 
 
 def _classify(params, tag, t_ev, y_ev, h, s0):

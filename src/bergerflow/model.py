@@ -34,13 +34,27 @@ class FlowKind(enum.Enum):
     NORMALIZED = "normalized"
 
 
-# The two domain errors, each written once; callers test 0 < x < inf inline.
+# The domain errors and the start rule, each written once; callers test 0 < x < inf inline.
 def _off_quadrant(x: float, y: float) -> ValueError:
     return ValueError(f"a point must lie in the open first quadrant, got ({x}, {y})")
 
 
 def _off_half_line(epsilon: float) -> ValueError:
     return ValueError(f"epsilon must be positive and finite, got {epsilon}")
+
+
+def _field_at_start(field, y0, subject, value):
+    """k0 = field(y0), the one start rule: finite, with y0[-1] <= sqrt(DBL_MAX), else ValueError naming value."""
+    try:
+        k0 = field(y0)
+        finite = math.isfinite(k0[0]) and math.isfinite(k0[-1])
+    except ArithmeticError:
+        finite = False
+    if not finite:
+        raise ValueError(f"{subject}, got {value}")
+    if not y0[-1] <= math.sqrt(sys.float_info.max):  # beta, whose square a sample takes, must not overflow
+        raise ValueError(f"{subject} and beta**2 finite, got {value}")
+    return k0
 
 
 @dataclass(frozen=True)
@@ -50,9 +64,10 @@ class FlowParams:
     ``a`` is the orientation constant (+-2).  ``kappa`` is the Killing
     constant of the initial spinor: +-1 for the collapse flow, +-1/2 for the
     volume-normalized flow.  ``epsilon`` is the initial fiber length scale,
-    accepted where the field at the initial state is finite: up to about
-    8.6e102 for the collapse flow, and from about 8.8e-243 (a*kappa = 1) or
-    4.6e-186 (a*kappa = -1) up to about 3.4e92 for the normalized flow.
+    accepted where the one start rule, ``_field_at_start``, holds at the
+    initial state: the field is finite, up to about 8.6e102 for the collapse
+    flow and from about 8.8e-243 (a*kappa = 1) or 4.6e-186 (a*kappa = -1) up
+    to about 3.4e92 for the normalized flow, and beta <= 1.8e80 < sqrt(DBL_MAX).
     All dynamics depend on (a, kappa) only through the product ``a*kappa``
     (and the fixed squares), so flipping both signs changes nothing except
     the signs of the coefficients f and g.
@@ -83,14 +98,9 @@ class FlowParams:
         # The field at the start: r = alpha/beta = epsilon there, which no
         # rescaling removes, and r^3/beta grows as epsilon^3 (collapse) or
         # epsilon^(10/3) (normalized).
-        try:
-            start = initial_state(self)
-            dx, dy = self.kind.field(self, start.alpha, start.beta)
-            finite = math.isfinite(dx) and math.isfinite(dy)
-        except ArithmeticError:
-            finite = False
-        if not finite:
-            raise ValueError(f"epsilon must keep the field finite at the start, got {self.epsilon}")
+        start = initial_state(self)
+        subject = "epsilon must keep the field finite at the start"
+        _field_at_start(lambda y: self.kind.field(self, *y), (start.alpha, start.beta), subject, self.epsilon)
 
     @property
     def product(self) -> float:

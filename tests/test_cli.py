@@ -465,15 +465,17 @@ class TestPortrait:
         assert head == "integration failure: step size underflow at t=0, state (1.3, 1)"
         assert 1e-13 <= float(h) < 5e-13
 
-    @pytest.mark.parametrize("seed", ["5e-324,5e-324", "1e-310,1e-310", "1,1e-120"])
+    @pytest.mark.parametrize("seed", ["5e-324,5e-324", "1e-310,1e-310", "1,1e-120", "1e-300,1e300"])
     def test_seed_with_a_non_finite_field_fails_before_any_output(self, capsys, seed):
-        # the field at the start overflows to inf: each seed is checked
-        # before the grid is written
+        # the field at the start overflows to inf or, at beta = 1e300, a
+        # sample's beta**2 would raise OverflowError after the first seed's
+        # block: each seed is checked before the grid is written
         code, out, err = run(capsys, *PORTRAIT, "--grid", "1,1", "--seeds", f"1,1;{seed}")
         assert code == 1
         assert out == ""
         x, y = (float(v) for v in seed.split(","))
-        assert err == f"error: --seeds entry must keep the field finite, got ({x!r}, {y!r})\n"
+        rule = " and beta**2 finite" if y > 1e154 else ""
+        assert err == f"error: --seeds entry must keep the field finite{rule}, got ({x!r}, {y!r})\n"
 
     def test_bad_seed(self, capsys):
         code, _, err = run(

@@ -514,6 +514,23 @@ class TestRobustness:
         assert traj.termination.tag == "ReachedTEnd"
         assert traj.final_state.t == 10.0
 
+    @pytest.mark.parametrize("params,alpha", [(COLLAPSE, 1e-300), (NORMALIZED, 1e-100)], ids=["collapse", "normalized"])
+    def test_start_whose_beta_squared_overflows_is_rejected_before_any_step(self, monkeypatch, params, alpha):
+        # the field is finite there, but a sample's beta**2 raises
+        # OverflowError above sqrt(DBL_MAX): that float itself runs, and a
+        # larger beta is refused before any step, not after the run
+        top = math.sqrt(sys.float_info.max)
+        attempts = count_attempts(monkeypatch, importlib.import_module("bergerflow.integrate"))
+        for beta in (1e300, math.nextafter(top, math.inf)):
+            point = (alpha, beta)
+            with pytest.raises(ValueError) as error:
+                integrate(params, IntegratorConfig(), 10.0, start=State(0.0, *point))
+            assert str(error.value) == f"start must keep the field finite and beta**2 finite, got {point!r}"
+        assert attempts == []
+        traj = integrate(params, IntegratorConfig(), 10.0, start=State(0.0, alpha, top))
+        assert traj.termination.tag == "CollapseFiber"
+        assert math.isfinite(traj.samples[0][1].volume)
+
     def test_off_curve_start_below_repeller(self):
         traj = integrate(
             NORMALIZED, IntegratorConfig(), t_end=2000.0,
@@ -1310,3 +1327,39 @@ def test_a_tracer_swap_sees_every_evaluation(monkeypatch, field):
     assert attempts
     assert len(calls) == 1 + 6 * len(attempts) + (field is vector_field)
     assert repr(result) == repr(run())
+
+
+def test_the_start_rule_has_one_owner(monkeypatch, capsys):
+    # every bergerflow module global that is the start rule becomes a
+    # recording wrapper: FlowParams, both integrators and portrait's seed
+    # check must each call it, so none keeps a copy of its own
+    cli = importlib.import_module("bergerflow.cli")
+    rule, subjects = importlib.import_module("bergerflow.model")._field_at_start, []
+
+    def recorded(field, y0, subject, value):
+        subjects.append(subject)
+        return rule(field, y0, subject, value)
+
+    swapped = []
+    for name, mod in list(sys.modules.items()):
+        if name == "bergerflow" or name.startswith("bergerflow."):
+            for key, value in list(vars(mod).items()):
+                if value is rule:
+                    monkeypatch.setattr(mod, key, recorded)
+                    swapped.append(name)
+    assert {"bergerflow.model", "bergerflow.integrate", "bergerflow.cli"} <= set(swapped)
+    params, start = "epsilon must keep the field finite at the start", "start must keep the field finite"
+    speed, seed = "epsilon0 must keep the speed finite at the start", "--seeds entry must keep the field finite"
+    portrait = ["portrait", "--flow", "collapse", "--kappa", "1", "--epsilon", "1", "--grid", "1,1", "--t-end", "1"]
+    runs = [
+        (lambda: FlowParams(FlowKind.COLLAPSE, 2.0, 1.0, 0.5), [params]),
+        (lambda: integrate(COLLAPSE, t_end=1.0, start=State(0.0, 0.9, 1.0)), [start]),
+        (lambda: integrate_reduced(NORMALIZED, epsilon0=1.2, t_end=1.0), [speed]),
+        # the CLI builds its FlowParams, checks both seeds, then runs each
+        (lambda: cli.main([*portrait, "--seeds", "1,1;0.5,1"]), [params, seed, seed, start, start]),
+    ]
+    for run, expected in runs:
+        subjects.clear()
+        run()
+        assert subjects == expected
+    assert capsys.readouterr().out.count("# seed=") == 2
