@@ -145,11 +145,11 @@ def _parts(fn):
     the source of each positional argument, else None.  The function ends
     before the next top-level statement.  Reading it thus, and not through
     inspect.getsource, spares the few milliseconds the tokenizer takes to
-    start; no syntax tree is kept."""
+    start; no syntax tree is kept.  None, cached too, if there is no source."""
     code = fn.__code__
     lines = linecache.getlines(code.co_filename)[code.co_firstlineno - 1 :]
     if not lines:
-        raise OSError(f"no source for {fn.__qualname__}")
+        return None
     end = next((i for i, line in enumerate(lines[1:], 1) if line[:1] not in " \n#"), len(lines))
     node = ast.parse("".join(lines[:end])).body[0]
     first, last = node.body[0].lineno - 1, node.body[-1].lineno - 1
@@ -466,12 +466,9 @@ _STOCK = {
 
 def _fused(field, p, build):
     """build(stock)(field, p) for the entry stock of field at p's flow kind
-    in _STOCK, or None if field is not the package's own or has no source."""
-    try:
-        stock = _STOCK.get((field, p.kind))
-        return stock and build(stock)(field, p)
-    except OSError:  # no source to inline, as in an install without .py files
-        return None
+    in _STOCK, or None if field is not the package's own or its stock has no source."""
+    stock = _STOCK.get((field, p.kind))
+    return build(stock)(field, p) if stock and all(map(_parts, stock[1:])) else None
 
 
 def _step_for(field, p, n):

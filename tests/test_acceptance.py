@@ -5,6 +5,7 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the lines as they
 are produced, or rely on pytest's captured output on failure.
 """
 
+import dataclasses
 import importlib
 import inspect
 import json
@@ -46,7 +47,7 @@ def test_criterion(results, name):
 @pytest.mark.parametrize("name_filter,kept", [("", ["first", "second", "third_x"]), ("_x", ["third_x"])])
 def test_a_producer_that_raises_fails_only_the_checks_it_has_not_reported(monkeypatch, name_filter, kept):
     def producer():
-        yield acceptance.CheckResult("first", True, 0.0, 1.0)
+        yield acceptance.CheckResult("first", 0.0, 1.0)
         raise ZeroDivisionError("planted")
 
     last = acceptance.ALL_CHECKS[-1]
@@ -179,5 +180,65 @@ def test_a_start_with_no_closed_form_fails_its_check_by_name(monkeypatch, capsys
         "name": "constant_solution_drift",
         "passed": False,
         "error": "LookupError: no closed form from epsilon=0.6666666666666666 at a*kappa=1",
+    }
+    assert err == ""
+
+
+def strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_every_verify_entry_passes_exactly_when_measured_is_at_most_threshold(capsys):
+    # the one pass rule, read off the report a user sees: a reader can
+    # recompute each verdict, and a check with an error never passes
+    cli.main(["verify"])
+    for check in strict_json(capsys.readouterr().out)["checks"]:
+        if "error" in check:
+            assert check["passed"] is False, check
+        else:
+            assert check["passed"] is (check["measured"] <= check["threshold"]), check
+
+
+def test_a_run_that_ends_in_another_event_fails_its_check_by_tag(monkeypatch, capsys):
+    # the event-time oracles at epsilon = 1 and 2/3 planted as fiber
+    # collapses and the epsilon = 0.3 divergence run as an equilibrium: each
+    # check fails with an error naming the event, and the rest still pass
+    planted = {
+        (acceptance._collapse(2.0, 1.0, 1.0), 20.0): "CollapseFiber",
+        (acceptance._collapse(2.0, 1.0, 2.0 / 3.0), 20.0): "CollapseFiber",
+        (acceptance._normalized(2.0, 0.5, 0.3), 2000.0): "Equilibrium",
+    }
+    run = acceptance._run
+
+    def planted_run(params, config, t_end):
+        traj = run(params, config, t_end)
+        tag = planted.get((params, t_end))
+        if tag is None:
+            return traj
+        return dataclasses.replace(traj, termination=TerminationEvent(tag, traj.termination.t_event, {}))
+
+    monkeypatch.setattr(acceptance, "_run", planted_run)
+    assert cli.main(["verify"]) == 3
+    out, err = capsys.readouterr()
+    failed = {c["name"]: c for c in strict_json(out)["checks"] if not c["passed"]}
+    assert failed == {
+        "oracle_eps1_event_time": {
+            "name": "oracle_eps1_event_time",
+            "passed": False,
+            "error": "epsilon=1.0 ended in CollapseFiber, not CollapsePoint",
+        },
+        "oracle_eps23_event_time": {
+            "name": "oracle_eps23_event_time",
+            "passed": False,
+            "error": "epsilon=0.6666666666666666 ended in CollapseFiber, not CollapsePoint",
+        },
+        "stability_divergence_beta": {
+            "name": "stability_divergence_beta",
+            "passed": False,
+            "error": "epsilon=0.3 ended in Equilibrium, not CollapseFiber",
+        },
     }
     assert err == ""

@@ -575,7 +575,7 @@ _GOLDEN_INVOCATIONS = [
     ["equilibria", "--flow", "normalized", "--kappa", "0.5", "--epsilon", "1"],
     ["verify"],
 ]
-_GOLDEN_SHA256 = "fca91c90d0465d7593a5c6d9989d8dce409f7936e193377609db987c642ef806"
+_GOLDEN_SHA256 = "d56d1112b457cf64912369cef40c4aca7648e07ba5411071254713859dc52b2a"
 
 
 def test_golden_output(capsys):

@@ -1082,17 +1082,34 @@ def test_a_malformed_start_raises_as_state_does_before_any_step(monkeypatch, par
     assert str(got.value) == str(want.value)
 
 
-def test_a_step_without_source_to_inline_is_generic(monkeypatch):
-    # where the stock function's source cannot be read, runs take the
-    # generic step, with the same bits
+@pytest.fixture
+def cold_fused():
+    """The integrate module, with its compiled steps, sample builders and
+    read sources dropped before and after the test, so that no test
+    inherits the code paths another selected."""
     module = importlib.import_module("bergerflow.integrate")
+    caches = (module._step, module._samples, module._parts)
+    for cached in caches:
+        cached.cache_clear()
+    yield module
+    for cached in caches:
+        cached.cache_clear()
+
+
+def test_a_step_without_source_to_inline_is_generic(monkeypatch, cold_fused):
+    # where the stock function's source cannot be read, runs take the
+    # generic step, with the same bits, and only the first run looks for it
     fused = integrate(COLLAPSE, NO_EQUILIB, t_end=20.0)
 
-    module._step.cache_clear()
-    module._parts.cache_clear()
-    monkeypatch.setattr(linecache, "getlines", lambda filename, module_globals=None: [])
+    cold_fused._step.cache_clear()
+    cold_fused._parts.cache_clear()
+    read = []
+    monkeypatch.setattr(linecache, "getlines", lambda filename, module_globals=None: read.append(filename) or [])
     assert selected_step(vector_field, COLLAPSE).__name__ == "_rk_step2"
     assert repr(integrate(COLLAPSE, NO_EQUILIB, t_end=20.0)) == repr(fused)
+    read.clear()
+    assert repr(integrate(COLLAPSE, NO_EQUILIB, t_end=20.0)) == repr(fused)
+    assert read == []
 
 
 def assert_fused_step_raises_as_the_field_does(name, params, y, k0, error, line_start):
@@ -1114,29 +1131,23 @@ def assert_fused_step_raises_as_the_field_does(name, params, y, k0, error, line_
     assert f"\n    {line}" in text
 
 
-def test_each_inlined_function_is_parsed_once(monkeypatch):
+def test_each_inlined_function_is_parsed_once(monkeypatch, cold_fused):
     # the collapse step and sample builder inline _collapse_field,
     # _spinor_collapse and geometry_scalars: three texts, each parsed once
-    module = importlib.import_module("bergerflow.integrate")
-    for cached in (module._step, module._samples, module._parts):
-        cached.cache_clear()
     parse, parsed = ast.parse, []
     monkeypatch.setattr(ast, "parse", lambda source, *args: parsed.append(source) or parse(source, *args))
     selected_step(vector_field, COLLAPSE)
-    module._fused(geometry_scalars, COLLAPSE, module._samples)
+    cold_fused._fused(geometry_scalars, COLLAPSE, cold_fused._samples)
     assert len(parsed) == len(set(parsed)) == 3
 
 
-def test_each_inlined_function_is_read_once(monkeypatch):
+def test_each_inlined_function_is_read_once(monkeypatch, cold_fused):
     # the step and the sample builder read three functions: three reads of
     # their module's lines, none repeated
-    module = importlib.import_module("bergerflow.integrate")
-    for cached in (module._step, module._samples, module._parts):
-        cached.cache_clear()
     getlines, read = linecache.getlines, []
     monkeypatch.setattr(linecache, "getlines", lambda *args: read.append(args[0]) or getlines(*args))
     selected_step(vector_field, COLLAPSE)
-    module._fused(geometry_scalars, COLLAPSE, module._samples)
+    cold_fused._fused(geometry_scalars, COLLAPSE, cold_fused._samples)
     assert len(read) == 3
 
 
