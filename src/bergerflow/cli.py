@@ -186,14 +186,17 @@ def cmd_verify(args) -> int:
     results = acceptance.run_checks(name_filter=args.filter)
     if not results:
         raise ValueError(f"--filter {args.filter!r} matches no check")
-    report = {
-        "status": "pass" if all(r.passed for r in results) else "fail",
-        "checks": [  # a check whose run failed carries its error in place of a measurement
-            {"name": r.name, "passed": bool(r.passed)}
-            | ({"error": r.error} if r.error else {"measured": float(r.measured), "threshold": float(r.threshold)})
-            for r in results
-        ],
-    }
+    checks = []
+    for r in results:  # a check whose run failed carries its error in place of a measurement
+        entry = {"name": r.name, "passed": bool(r.passed)}
+        if r.error:
+            entry["error"] = r.error
+        else:
+            entry |= {"measured": float(r.measured), "threshold": float(r.threshold)}
+            if r.note and not r.passed:  # what failed, e.g. the starts that ended in the wrong event
+                entry["note"] = r.note
+        checks.append(entry)
+    report = {"status": "pass" if all(r.passed for r in results) else "fail", "checks": checks}
     print(json.dumps(report, indent=2))
     return 0 if report["status"] == "pass" else 3
 

@@ -23,8 +23,8 @@ def results():
 
 
 def test_suite_is_complete(results):
-    expected = {name for names, _ in acceptance.ALL_CHECKS for name in names}
-    assert {r.name for r in results} == expected
+    # every name, in the order the producers yield them: verify's bytes keep that order
+    assert [r.name for r in results] == [name for names, _ in acceptance.ALL_CHECKS for name in names]
 
 
 @pytest.mark.parametrize(
@@ -60,10 +60,12 @@ def test_a_producer_that_raises_fails_only_the_checks_it_has_not_reported(monkey
     assert all(r.passed for r in results if not r.error)
 
 
-# Planted errors in the collapse fate, each of which the check must report
-# as a failed result, not as an error: the basin margin at 0 and at 1e-2,
-# the old rule that called a collapse a point when beta <= 2 collapse_tol,
-# and a beta_inf off by 1e-4 relative.
+# Planted errors in the collapse fate, each of which the collapse checks
+# must report as failed results, not as errors, and fail no other of the
+# four: the basin margin at 0 and at 1e-2, the old rule that called a
+# collapse a point when beta <= 2 collapse_tol, a beta_inf off by 1e-4
+# relative, every fiber bracket moved to (beta_inf, beta_inf + 1), and the
+# point start p = 2, epsilon = 1.3 relabelled as a fiber collapse.
 def basin_margin(value):
     return lambda module, monkeypatch: monkeypatch.setattr(module, "_BASIN_MARGIN", value)
 
@@ -95,6 +97,19 @@ def scaled_beta_inf(params, y_ev, term):
     return TerminationEvent(term.tag, term.t_event, {**term.detail, "beta_inf": term.detail["beta_inf"] * (1.0 + 1e-4)})
 
 
+def bracket_above_beta_inf(params, y_ev, term):
+    if "bracket" not in term.detail:
+        return term
+    beta_inf = term.detail["beta_inf"]
+    return TerminationEvent(term.tag, term.t_event, {**term.detail, "bracket": (beta_inf, beta_inf + 1.0)})
+
+
+def point_eps13_as_fiber(params, y_ev, term):
+    if params.kind is FlowKind.COLLAPSE and params.product == 2.0 and params.epsilon == 1.3:
+        return TerminationEvent("CollapseFiber", term.t_event, term.detail)
+    return term
+
+
 @pytest.fixture
 def cold_runs():
     acceptance._run.cache_clear()
@@ -102,20 +117,46 @@ def cold_runs():
     acceptance._run.cache_clear()
 
 
+_POINT, _FATE = "collapse_point_events", "collapse_fate_basin_rule"
+
+
 @pytest.mark.parametrize(
-    "plant,name",
+    "plant,failed",
     [
-        pytest.param(basin_margin(0.0), "collapse_fate_basin_rule", id="basin-margin-0"),
-        pytest.param(basin_margin(1e-2), "collapse_fate_basin_rule", id="basin-margin-1e-2"),
-        pytest.param(wrapped_classify(factor_two_rule), "collapse_fate_basin_rule", id="factor-two-rule"),
-        pytest.param(wrapped_classify(scaled_beta_inf), "collapse_beta_inf_limit", id="beta-inf-scaled"),
+        pytest.param(basin_margin(0.0), {_POINT, _FATE}, id="basin-margin-0"),
+        pytest.param(basin_margin(1e-2), {_FATE}, id="basin-margin-1e-2"),
+        pytest.param(wrapped_classify(factor_two_rule), {_FATE}, id="factor-two-rule"),
+        pytest.param(wrapped_classify(scaled_beta_inf), {"collapse_beta_inf_limit"}, id="beta-inf-scaled"),
+        pytest.param(wrapped_classify(bracket_above_beta_inf), {"collapse_fiber_brackets"}, id="bracket-above"),
+        pytest.param(wrapped_classify(point_eps13_as_fiber), {_POINT, _FATE}, id="point-eps13-as-fiber"),
     ],
 )
-def test_collapse_fate_check_fails_on_a_planted_error(monkeypatch, cold_runs, plant, name):
+def test_collapse_fate_check_fails_on_a_planted_error(monkeypatch, cold_runs, plant, failed):
     plant(importlib.import_module("bergerflow.integrate"), monkeypatch)
-    results = {r.name: r for r in acceptance.check_collapse_fate_and_limit()}
-    assert set(results) == {"collapse_fate_basin_rule", "collapse_beta_inf_limit"}
-    assert not results[name].passed
+    results = list(acceptance.check_collapse_events())
+    assert {r.name for r in results if not r.passed} == failed
+    assert not any(r.error for r in results)
+
+
+def test_a_bracket_that_excludes_beta_inf_fails_every_fiber_start(monkeypatch, cold_runs):
+    # the 12 starts of p = -2 and the 5 of p = 2 below epsilon = 2/3, each named in the note
+    wrapped_classify(bracket_above_beta_inf)(importlib.import_module("bergerflow.integrate"), monkeypatch)
+    brackets = next(acceptance.check_collapse_events())
+    assert brackets.measured == 17.0
+    third = 2.0 / 3.0
+    grid = (0.05, 0.3, 0.5, 0.6, third - 1e-8, third, third + 1e-8, 0.8, 1.0, 1.3, 3.0, 20.0)
+    fibers = [f"p=2,eps={eps!r}" for eps in grid[:5]] + [f"p=-2,eps={eps!r}" for eps in grid]
+    assert brackets.note == ";".join(fibers)
+
+
+def test_verify_names_the_start_that_ended_in_the_wrong_event(monkeypatch, cold_runs, capsys):
+    # a check that fails on its measurement carries its note; the others do not
+    wrapped_classify(point_eps13_as_fiber)(importlib.import_module("bergerflow.integrate"), monkeypatch)
+    assert cli.main(["verify", "--filter", "collapse"]) == 3
+    out, err = capsys.readouterr()
+    noted = {c["name"]: c["note"] for c in strict_json(out)["checks"] if "note" in c}
+    assert noted == {_POINT: "p=2,eps=1.3:CollapseFiber", _FATE: "p=2,eps=1.3:CollapseFiber"}
+    assert err == ""
 
 
 # Planted errors in the field coefficients, the spinor bodies and the
