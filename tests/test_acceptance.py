@@ -243,43 +243,82 @@ def test_every_verify_entry_passes_exactly_when_measured_is_at_most_threshold(ca
             assert check["passed"] is (check["measured"] <= check["threshold"]), check
 
 
-def test_a_run_that_ends_in_another_event_fails_its_check_by_tag(monkeypatch, capsys):
-    # the event-time oracles at epsilon = 1 and 2/3 planted as fiber
-    # collapses and the epsilon = 0.3 divergence run as an equilibrium: each
-    # check fails with an error naming the event, and the rest still pass
-    planted = {
-        (acceptance._collapse(2.0, 1.0, 1.0), 20.0): "CollapseFiber",
-        (acceptance._collapse(2.0, 1.0, 2.0 / 3.0), 20.0): "CollapseFiber",
-        (acceptance._normalized(2.0, 0.5, 0.3), 2000.0): "Equilibrium",
-    }
+def ended_in(tag):
+    """A plant that relabels a run's terminal event as tag."""
+    return lambda traj: dataclasses.replace(traj, termination=TerminationEvent(tag, traj.termination.t_event, {}))
+
+
+def final_beta(beta):
+    """A plant that moves a run's last sample to beta and keeps its event."""
+
+    def plant(traj):
+        state, scalars = traj.samples[-1]
+        return dataclasses.replace(traj, samples=[*traj.samples[:-1], (dataclasses.replace(state, beta=beta), scalars)])
+
+    return plant
+
+
+_EPS1_POINT = (acceptance._collapse(2.0, 1.0, 1.0), 20.0)
+_EPS23_POINT = (acceptance._collapse(2.0, 1.0, 2.0 / 3.0), 20.0)
+_DIVERGENCE_03 = (acceptance._normalized(2.0, 0.5, 0.3), 2000.0)
+
+
+@pytest.mark.parametrize(
+    "plants,failed",
+    [
+        # the event-time oracles at epsilon = 1 and 2/3 planted as fiber
+        # collapses and the epsilon = 0.3 divergence run as an equilibrium:
+        # each check fails with an error naming the event
+        pytest.param(
+            {_EPS1_POINT: ended_in("CollapseFiber"), _EPS23_POINT: ended_in("CollapseFiber"),
+             _DIVERGENCE_03: ended_in("Equilibrium")},
+            {
+                "oracle_eps1_event_time": {
+                    "name": "oracle_eps1_event_time",
+                    "passed": False,
+                    "error": "epsilon=1.0 ended in CollapseFiber, not CollapsePoint",
+                },
+                "oracle_eps23_event_time": {
+                    "name": "oracle_eps23_event_time",
+                    "passed": False,
+                    "error": "epsilon=0.6666666666666666 ended in CollapseFiber, not CollapsePoint",
+                },
+                "stability_divergence_beta": {
+                    "name": "stability_divergence_beta",
+                    "passed": False,
+                    "error": "epsilon=0.3 ended in Equilibrium, not CollapseFiber",
+                },
+            },
+            id="wrong-event",
+        ),
+        # the epsilon = 0.3 divergence run ends its fiber collapse at beta = 4:
+        # the check fails on its measurement, 1/4, and its note names the epsilon
+        pytest.param(
+            {_DIVERGENCE_03: final_beta(4.0)},
+            {
+                "stability_divergence_beta": {
+                    "name": "stability_divergence_beta",
+                    "passed": False,
+                    "measured": 0.25,
+                    "threshold": 0.2,
+                    "note": "eps=0.3",
+                },
+            },
+            id="divergence-beta-4",
+        ),
+    ],
+)
+def test_a_planted_run_fails_exactly_its_checks(monkeypatch, capsys, plants, failed):
+    # verify reports each failed check of a planted run, exits 3, and the rest still pass
     run = acceptance._run
 
     def planted_run(params, config, t_end):
         traj = run(params, config, t_end)
-        tag = planted.get((params, t_end))
-        if tag is None:
-            return traj
-        return dataclasses.replace(traj, termination=TerminationEvent(tag, traj.termination.t_event, {}))
+        plant = plants.get((params, t_end))
+        return traj if plant is None else plant(traj)
 
     monkeypatch.setattr(acceptance, "_run", planted_run)
     assert cli.main(["verify"]) == 3
     out, err = capsys.readouterr()
-    failed = {c["name"]: c for c in strict_json(out)["checks"] if not c["passed"]}
-    assert failed == {
-        "oracle_eps1_event_time": {
-            "name": "oracle_eps1_event_time",
-            "passed": False,
-            "error": "epsilon=1.0 ended in CollapseFiber, not CollapsePoint",
-        },
-        "oracle_eps23_event_time": {
-            "name": "oracle_eps23_event_time",
-            "passed": False,
-            "error": "epsilon=0.6666666666666666 ended in CollapseFiber, not CollapsePoint",
-        },
-        "stability_divergence_beta": {
-            "name": "stability_divergence_beta",
-            "passed": False,
-            "error": "epsilon=0.3 ended in Equilibrium, not CollapseFiber",
-        },
-    }
+    assert {c["name"]: c for c in strict_json(out)["checks"] if not c["passed"]} == failed
     assert err == ""
