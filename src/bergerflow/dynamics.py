@@ -17,6 +17,7 @@ from .model import (
     FlowKind,
     FlowParams,
     State,
+    _body,
     _off_half_line,
     _off_quadrant,
     curve_point,
@@ -41,7 +42,7 @@ def vector_field(params: FlowParams, point) -> tuple[float, float]:
     by the flow kind's straight-line body ``params.kind.field`` as a
     polynomial in alpha/beta over beta; :func:`explicit_rhs` carries the
     multiplied-out coefficients as an independent cross-check.  The
-    integrator's fused steps inline the body.
+    integrator's fused steps compile the body's text.
     """
     alpha, beta = point
     if not (0 < alpha < math.inf and 0 < beta < math.inf):
@@ -102,15 +103,13 @@ _SPEED_SCALE = TWO_PI_SQ ** (2.0 / 3.0) / 8.0
 _ROOTS = {1.0: (2.0 / 3.0, 1.0), -1.0: (1.0,)}  # the equilibria's epsilon by a*kappa, read by closed_form too
 
 
-# The fused reduced step inlines this body; e2 = epsilon^2 is bound only in the branch that uses it.
-def _curve_speed(params: FlowParams, epsilon: float):
-    plus = params.product == 1.0
-    # per point
-    return (
-        _SPEED_SCALE * epsilon ** (5.0 / 3.0) * ((-3.0 * epsilon + 5.0) * epsilon - 2.0)
-        if plus
-        else _SPEED_SCALE * epsilon ** (-1.0 / 3.0) * ((-3.0 * (e2 := epsilon * epsilon) + 1.0) * e2 + 2.0)
-    )
+# The reduced speed's body; e2 = epsilon^2 is bound only in the branch that uses it.
+_curve_speed = _body("_curve_speed", "epsilon", """
+plus = params.product == 1.0""", "", """(
+    _SPEED_SCALE * epsilon ** (5.0 / 3.0) * ((-3.0 * epsilon + 5.0) * epsilon - 2.0)
+    if plus
+    else _SPEED_SCALE * epsilon ** (-1.0 / 3.0) * ((-3.0 * (e2 := epsilon * epsilon) + 1.0) * e2 + 2.0)
+)""", _SPEED_SCALE=_SPEED_SCALE)
 
 
 def curve_speed(params: FlowParams, epsilon: float) -> float:

@@ -9,14 +9,14 @@ the run's field f and parameters, returns step(y, k0, h, atol, rtol), whose
 attribute field, f at y alone, the run's start and event search call.  The
 generic step calls f(params, y), or f(params, epsilon) for the reduced
 speed, with no stage time, since both flows are autonomous.  A step fused
-with one of the package's own fields instead inlines, from their source,
-the lines of the flow kind's field body (FlowKind.field) or of
-dynamics._curve_speed below the line "# per point" at each stage, and the
-expression that body returns; its factory runs the lines above once.  Fused
-sample assembly likewise inlines the kind's spinor body (FlowKind.spinor)
-and the arguments of the record geometry_scalars returns, and reads the
-metric velocity off the recorded derivative.  Fused code carries formulas
-only, in the same order, so it gives the same bits.  A run reads its field,
+with one of the package's own fields instead compiles the text that the
+flow kind's field body (FlowKind.field) or dynamics._curve_speed keeps
+(model._body): its factory runs the head once, and each stage the point
+lines and the value.  Fused sample assembly likewise compiles the text of
+the kind's spinor body (FlowKind.spinor) and of model._scalars, the record
+geometry_scalars returns, and reads the metric velocity off the recorded
+derivative.  Fused code carries formulas only, in the same order, so it
+gives the same bits, and it reads no source file.  A run reads its field,
 and integrate geometry_scalars, once from this module's globals and looks
 them up in _STOCK: a wrapped function misses and sees every evaluation.
 Steps that would leave the open first quadrant are rejected and halved.
@@ -29,15 +29,11 @@ or one more evaluation.
 
 from __future__ import annotations
 
-import ast
 import functools
-import linecache
 import math
-import sys
-import types
 from dataclasses import dataclass, field, fields
 
-from . import phase
+from . import model, phase
 from .dynamics import _curve_speed, curve_speed, vector_field
 from .model import FlowKind, FlowParams, GeometryScalars, State, _field_at_start, geometry_scalars, initial_state
 
@@ -136,46 +132,11 @@ class Trajectory:
         return self.samples[-1][0]
 
 
-@functools.cache
-def _parts(fn):
-    """A top-level straight-line function's source, read and parsed once:
-    its body lines above the line "# per point" (all of them where it has
-    none) and below it up to the final return; that return's lines; the
-    globals it reads; and where it returns a call of a name, that name and
-    the source of each positional argument, else None.  The function ends
-    before the next top-level statement.  Reading it thus, and not through
-    inspect.getsource, spares the few milliseconds the tokenizer takes to
-    start; no syntax tree is kept.  None, cached too, if there is no source."""
-    code = fn.__code__
-    lines = linecache.getlines(code.co_filename)[code.co_firstlineno - 1 :]
-    if not lines:
-        return None
-    end = next((i for i, line in enumerate(lines[1:], 1) if line[:1] not in " \n#"), len(lines))
-    node = ast.parse("".join(lines[:end])).body[0]
-    first, last = node.body[0].lineno - 1, node.body[-1].lineno - 1
-    lines = [line.rstrip("\n") for line in lines[: node.end_lineno]]
-    body = lines[first:last]
-    mark = body.index("    # per point") if "    # per point" in body else len(body)
-    read = {k: v for k, v in fn.__globals__.items() if k in code.co_names}
-    value, call = node.body[-1].value, None
-    if isinstance(value, ast.Call) and isinstance(value.func, ast.Name):
-        call = value.func.id, [ast.unparse(arg) for arg in value.args]
-    return body[:mark], body[mark + 1 :], lines[last:], read, call
-
-
-def _compiled(name, lines, namespace, prelude):
-    """The factory name_for(f, params) that runs prelude and returns the
-    function name that lines define, compiled in a module of its own whose
-    loader keeps the text, so inspect, linecache and tracebacks show it."""
-    lines = [f"def {name}_for(f, params):", *prelude, *(f"    {line}" for line in lines), f"    return {name}"]
-    source = "\n".join(lines) + "\n"
-    module = types.ModuleType(f"{__name__}.{name}")
-    module.__loader__ = types.SimpleNamespace(get_source=lambda _name: source)
-    vars(module).update(namespace)
-    exec(compile(source, module.__name__, "exec"), vars(module))
-    sys.modules[module.__name__] = module
-    linecache.lazycache(module.__name__, vars(module))
-    return getattr(module, f"{name}_for")
+def _factory(name, head, lines, namespace):
+    """The factory name_for(f, params) that runs the lines head and returns
+    the function name that lines define, compiled by model._compiled."""
+    lines = [f"def {name}_for(f, params):", *model._indented(head, *lines), f"    return {name}"]
+    return model._compiled(f"{__name__}.{name}", lines, namespace)[f"{name}_for"]
 
 
 @functools.cache
@@ -193,10 +154,10 @@ def _step(n, stock=None):
 
     The generic step calls f(params, (s0, s1)), or f(params, s0) in one
     dimension, with no stage time: both flows are autonomous.  Given stock =
-    (suffix, body), the factory ignores f and runs body's parameter-only
-    lines, and at each stage input, named after body's point arguments, the
-    step runs body's per-point lines and assigns the stage what body
-    returns, so it gives f's bits.
+    (suffix, body), the factory ignores f and runs the head of body.text,
+    and at each stage input, named after the text's point arguments, the
+    step runs its point lines and assigns the stage its value, so it gives
+    f's bits.
     """
     name, dims = f"_rk_step{n}", range(n)
 
@@ -204,12 +165,12 @@ def _step(n, stock=None):
         return f"({', '.join(names)}{',' if n == 1 else ''})"
 
     s = [f"s{d}" for d in dims]
-    namespace, prelude, per_point = {"inf": math.inf, "sqrt": math.sqrt}, [], []
-    returned = [f"    return f(params, {tup(s) if n > 1 else s[0]})"]
+    namespace, head, point = {"inf": math.inf, "sqrt": math.sqrt}, "", ""
+    value = f"f(params, {tup(s) if n > 1 else s[0]})"
     if stock is not None:
-        name, s = f"{name}_{stock[0]}", stock[1].__code__.co_varnames[1 : n + 1]
-        prelude, per_point, returned, read, _ = _parts(stock[1])
-        namespace.update(read)
+        name, text = f"{name}_{stock[0]}", stock[1].text
+        s, head, point, value = text.args.split(", "), text.head, text.point, text.value
+        namespace.update(text.env)
 
     def terms(coeffs, d):
         return " + ".join(f"{c!r} * k{j}_{d}" for j, c in enumerate(coeffs, 1) if c)
@@ -222,7 +183,7 @@ def _step(n, stock=None):
         lines += [f"    {s[d]} = y{d} + h * ({terms(a, d)})" for d in dims]
         lines += [f"    if not ({admissible}):", "        return None"]
         target = ", ".join(f"k{j}_{d}" for d in dims) + (f" = k{j}" if keep else "")
-        lines += [*per_point, returned[0].replace("return", f"{target} =", 1), *returned[1:]]
+        lines += model._indented(point, f"{target} = {value}")
     # both states are positive, so max(y, s) is the larger, with no abs();
     # r * r overflows to inf, which rejects the step, where r ** 2 would raise
     lines += [
@@ -232,36 +193,34 @@ def _step(n, stock=None):
     last = f"k{len(_A)}" if keep else tup(f"k{len(_A)}_{d}" for d in dims)
     lines.append(f"    return {last}, {tup(s)}, sqrt(({squares}) / {n})")
     field = f"_field{name[len('_rk_step') :]}"
-    lines += [f"def {field}(y):", f"    {tup(s)} = y", *per_point, returned[0].replace("return", "k =", 1)]
-    lines += [*returned[1:], f"    return {'(k,)' if n == 1 else 'k'}", f"{name}.field = {field}"]
-    return _compiled(name, lines, namespace, prelude)
+    lines += [f"def {field}(y):", f"    {tup(s)} = y", *model._indented(point, f"k = {value}")]
+    lines += [f"    return {'(k,)' if n == 1 else 'k'}", f"{name}.field = {field}"]
+    return _factory(name, head, lines, namespace)
 
 
 @functools.cache
 def _samples(stock):
     """Compile, the first time a run needs it, for stock = (suffix,
-    spinor_body, geometry_scalars), the factory, which ignores its f, of
+    spinor_body, record_body), the factory, which ignores its f, of
     samples(points).  That returns the bits of [(State(t, *y),
     geometry_scalars(params, *y)) for t, y, _ in points] on the points
     _advance records, all of which State admits: the start, which the run
     checks, and states that a step or the event search admitted.  It runs
-    the spinor body's per-point lines, takes (dalpha, dbeta) from the
-    point's derivative and builds each record with no call to its __init__:
+    the spinor body's point lines, takes (dalpha, dbeta) from the point's
+    derivative and builds each record with no call to its __init__:
     object.__new__, then its instance dict filled in the order of its
     dataclass fields, State's with t, alpha and beta, the other with the
-    arguments of the call geometry_scalars returns."""
-    name = f"_samples_{stock[0]}"
-    prelude, per_point, _, read, _ = _parts(stock[1])
-    *_, scalars_read, call = _parts(stock[2])
-    namespace = {**read, **scalars_read, "State": State, "new": object.__new__}
-    records = [("state", "State", ["t", "alpha", "beta"]), ("scalars", *call)]
+    record body's value, the record geometry_scalars returns."""
+    name, spinor, record = f"_samples_{stock[0]}", stock[1].text, stock[2].text
+    namespace = {**spinor.env, **record.env, "State": State, "GeometryScalars": GeometryScalars, "new": object.__new__}
     lines = [f"def {name}(points):", "    samples = []", "    for t, (alpha, beta), (dalpha, dbeta) in points:"]
-    lines += [f"    {line}" for line in per_point]
-    for var, cls, values in records:
-        lines += [f"        {var} = new({cls})", f"        dct = {var}.__dict__"]
-        lines += [f"        dct[{f.name!r}] = {v}" for f, v in zip(fields(namespace[cls]), values, strict=True)]
+    lines += model._indented(spinor.point, indent=" " * 8)
+    for var, cls, value in (("state", State, "t, alpha, beta"), ("scalars", GeometryScalars, record.value)):
+        filled = ", ".join(f"dct[{f.name!r}]" for f in fields(cls))
+        lines += [f"        {var} = new({cls.__name__})", f"        dct = {var}.__dict__"]
+        lines += model._indented(f"{filled} = {value}", indent=" " * 8)
     lines += ["        samples.append((state, scalars))", "    return samples"]
-    return _compiled(name, lines, namespace, prelude)
+    return _factory(name, spinor.head, lines, namespace)
 
 
 def _advance(rk_step, t0, y0, k0, t_end, config, collapse_tol, equilib_tol):
@@ -452,26 +411,26 @@ def integrate_reduced(
 
 # The package's own functions that a run reads, keyed with the flow kind, and
 # the stock of the fused code that stands in for them: its name suffix and
-# the body whose lines and return a step inlines, or the spinor body whose
-# lines a sample builder inlines and geometry_scalars, whose return it does.
-# The bodies are the kind's own, so fused code runs the public functions'
-# formulas.  A tracer that swaps the module globals leaves this table alone,
-# so a run that reads a swapped function misses it and calls that function.
+# the body whose text a step compiles, or the spinor and record bodies whose
+# text a sample builder compiles.  The bodies are the ones the public
+# functions call, so fused code runs their formulas.  A tracer that swaps the
+# module globals leaves this table alone, so a run that reads a swapped
+# function misses it and calls that function.
 _STOCK = {
     **{(vector_field, kind): (kind.value, kind.field) for kind in FlowKind},
-    **{(geometry_scalars, kind): (kind.value, kind.spinor, geometry_scalars) for kind in FlowKind},
+    **{(geometry_scalars, kind): (kind.value, kind.spinor, model._scalars) for kind in FlowKind},
     (curve_speed, FlowKind.NORMALIZED): ("speed", _curve_speed),
 }
 
 
 def _fused(field, p, build):
     """build(stock)(field, p) for the entry stock of field at p's flow kind
-    in _STOCK, or None if field is not the package's own or its stock has no source."""
+    in _STOCK, or None if field is not the package's own."""
     stock = _STOCK.get((field, p.kind))
-    return build(stock)(field, p) if stock and all(map(_parts, stock[1:])) else None
+    return build(stock)(field, p) if stock else None
 
 
 def _step_for(field, p, n):
     """The step for a run that reads field at p: the fused one if field is
-    the package's own and its source can be read, else the generic one."""
+    the package's own, else the generic one."""
     return _fused(field, p, functools.partial(_step, n)) or _step(n)(field, p)

@@ -6,21 +6,24 @@ function of the flow parameters and those two scales: the unit-volume
 normalizing constant, the Riemannian volume, the diagonal components of the
 (negative) energy gradient, the spinorial energy itself, and the two scalar
 coefficients ``f`` and ``g`` through which the spinor enters.  Each flow
-kind's planar field and spinor coefficients come from straight-line bodies,
-the field's reading the one table where its coefficients are written, a row
-per kind and a*kappa.  Each :class:`FlowKind` member carries the two bodies
-as the attributes ``field`` and ``spinor``, assigned once below them: the one
-map from a kind to its formulas, which ``dynamics.vector_field``,
-:func:`spinor_coefficients`, :func:`geometry_scalars` and the start check of
-:class:`FlowParams` call and the integrator's fused code inlines.  The metric
-velocity is read off the field.
+kind's planar field and spinor coefficients are straight-line bodies that
+``_body`` compiles from their text and that keep it, so the integrator's
+fused code compiles the same text; the field's reads the one table where its
+coefficients are written, a row per kind and a*kappa.  Each
+:class:`FlowKind` member carries the two bodies as the attributes ``field``
+and ``spinor``, assigned once below them: the one map from a kind to its
+formulas, which ``dynamics.vector_field``, :func:`spinor_coefficients`,
+:func:`geometry_scalars`, the start check of :class:`FlowParams` and the
+fused code read.  The metric velocity is read off the field.
 """
 
 from __future__ import annotations
 
 import enum
+import linecache
 import math
 import sys
+import types
 from dataclasses import dataclass
 
 PI_SQ = math.pi**2
@@ -181,15 +184,47 @@ def volume(alpha: float, beta: float) -> float:
     return TWO_PI_SQ * alpha * beta**2
 
 
+def _indented(*texts, indent="    "):
+    """The lines of texts, each prefixed with indent."""
+    return [indent + line for text in texts if text for line in text.split("\n")]
+
+
+def _compiled(module, lines, namespace):
+    """The globals of a new module named module after lines ran there from
+    namespace, so they hold what lines define.  Its loader keeps the text,
+    so inspect, linecache and tracebacks show it.  Bodies, steps and sample
+    builders are all compiled here."""
+    source = "\n".join(lines) + "\n"
+    compiled = types.ModuleType(module)
+    compiled.__loader__ = types.SimpleNamespace(get_source=lambda _name: source)
+    vars(compiled).update(namespace)
+    exec(compile(source, module, "exec"), vars(compiled))
+    sys.modules[module] = compiled
+    linecache.lazycache(module, vars(compiled))
+    return vars(compiled)
+
+
+def _body(name, args, head, point, value, **env):
+    """The function name(params, args), compiled with globals env from its
+    text: the lines head, which read params alone, the lines point, then
+    return value.  It keeps that text as its attribute text, which the
+    integrator's fused code compiles too, head once per run and point and
+    value at each stage or sample, so both evaluate the same expressions in
+    the same order and give the same bits."""
+    text = types.SimpleNamespace(args=args, head=head.strip(), point=point.strip(), value=value, env=env)
+    lines = [f"def {name}(params, {args}):", *_indented(text.head, text.point, f"return {value}")]
+    function = _compiled(f"{__name__}.{name}", lines, env)[name]
+    function.text = text
+    return function
+
+
 # The planar field (dalpha, dbeta) = (alpha q00 / 2, beta q11 / 2) of each
 # flow kind; geometry_scalars reads q off it.  These rows are the one place
 # its coefficients are written, each with its 1/2: a row per kind and p =
 # a*kappa, on which alone they depend, each entry its rational in p (README).
 # Homogeneous of degree -1, each component is a Horner polynomial in r =
 # alpha/beta divided by beta, plus, for the normalized flow, a term in 1/alpha
-# or beta/alpha^2.  Fused code runs the lines above "# per point" once per
-# run, those below it at every stage, and stores the returned pair straight
-# into its stage names.
+# or beta/alpha^2.
 _COLLAPSE_ROWS = {  # c3, c2, c1, d2, d1
     2.0: (-9 / 32, 1 / 2, -1 / 4, 3 / 32, -1 / 8),
     -2.0: (-9 / 32, -1 / 2, -1 / 4, 3 / 32, 1 / 8),
@@ -199,50 +234,38 @@ _NORMALIZED_ROWS = {  # c3, c2, c1, d2, d1, e2, e1, e0, xw, yw
     -1.0: (-9 / 32, 0.0, 1 / 8, 3 / 32, 0.0, 1 / 32, -0.0, -1 / 24, 1 / 6, -1 / 12),
 }
 
-
-def _collapse_field(params: FlowParams, alpha: float, beta: float):
-    c3, c2, c1, d2, d1 = _COLLAPSE_ROWS[params.product]
-    # per point
-    r = alpha / beta
-    return (
-        ((c3 * r + c2) * r + c1) * r / beta,  # dalpha
-        (d2 * r + d1) * r / beta,  # dbeta
-    )
-
+# Each body below is _body's name, point arguments, head, point and value.
+_collapse_field = _body("_collapse_field", "alpha, beta", """
+c3, c2, c1, d2, d1 = _COLLAPSE_ROWS[params.product]""", """
+r = alpha / beta""", """(
+    ((c3 * r + c2) * r + c1) * r / beta,  # dalpha
+    (d2 * r + d1) * r / beta,  # dbeta
+)""", _COLLAPSE_ROWS=_COLLAPSE_ROWS)
 
 # The q and e6 polynomials stay apart and are summed: on the diagonal r = 1
 # each sums exactly, so every round sphere stays an exact rest point of the
 # a*kappa = 1 field.  e6 enters dalpha times r and dbeta as it is.
-def _normalized_field(params: FlowParams, alpha: float, beta: float):
-    c3, c2, c1, d2, d1, e2, e1, e0, xw, yw = _NORMALIZED_ROWS[params.product]
-    # per point
-    r = alpha / beta
-    e6 = (e2 * r + e1) * r + e0
-    return (
-        (((c3 * r + c2) * r + c1) + e6) * r / beta + xw / alpha,  # dalpha
-        ((d2 * r + d1) * r + e6) / beta + yw * beta / (alpha * alpha),  # dbeta
-    )
+_normalized_field = _body("_normalized_field", "alpha, beta", """
+c3, c2, c1, d2, d1, e2, e1, e0, xw, yw = _NORMALIZED_ROWS[params.product]""", """
+r = alpha / beta
+e6 = (e2 * r + e1) * r + e0""", """(
+    (((c3 * r + c2) * r + c1) + e6) * r / beta + xw / alpha,  # dalpha
+    ((d2 * r + d1) * r + e6) / beta + yw * beta / (alpha * alpha),  # dbeta
+)""", _NORMALIZED_ROWS=_NORMALIZED_ROWS)
 
+_spinor_collapse = _body("_spinor_collapse", "alpha, beta", """
+a, kappa = params.a, params.kappa""", """
+b2 = beta**2
+f = 1.0 / 4.0 * alpha / b2 * a
+g = kappa / beta - f""", "f, g")
 
-def _spinor_collapse(params: FlowParams, alpha: float, beta: float):
-    a, kappa = params.a, params.kappa
-    # per point
-    b2 = beta**2
-    f = 1.0 / 4.0 * alpha / b2 * a
-    g = kappa / beta - f
-    return f, g
-
-
-def _spinor_normalized(params: FlowParams, alpha: float, beta: float):
-    a, kappa = params.a, params.kappa
-    fw = kappa - a / 4.0
-    gr = -a / 4.0
-    # per point
-    b2 = beta**2
-    f = fw / alpha + 1.0 / 4.0 * alpha / b2 * a
-    g = (gr * (alpha / beta - 1.0) + kappa) / beta
-    return f, g
-
+_spinor_normalized = _body("_spinor_normalized", "alpha, beta", """
+a, kappa = params.a, params.kappa
+fw = kappa - a / 4.0
+gr = -a / 4.0""", """
+b2 = beta**2
+f = fw / alpha + 1.0 / 4.0 * alpha / b2 * a
+g = (gr * (alpha / beta - 1.0) + kappa) / beta""", "f, g")
 
 # The one map from a flow kind to its formulas.  Member attributes, not a
 # dict keyed by kind: an Enum's __hash__ runs in Python, once per call.
@@ -272,23 +295,24 @@ def energy(params: FlowParams, alpha: float, beta: float) -> float:
     return PI_SQ * alpha * beta**2 * (f * f + 2.0 * g * g)
 
 
+# The record geometry_scalars returns, its fields in order.  Fused sample
+# assembly fills a record with this value, b2, f and g bound by the spinor
+# body's point lines.
+_scalars = _body("_scalars", "alpha, beta, b2, f, g, dalpha, dbeta", "", "", """(
+    TWO_PI_SQ * alpha * b2,  # volume
+    PI_SQ * alpha * b2 * (f * f + 2.0 * g * g),  # energy() on the (f, g) at hand, with its exact expression
+    2.0 * dalpha / alpha,  # q00, read off the field
+    2.0 * dbeta / beta,  # q11
+    f,
+    g,
+)""", PI_SQ=PI_SQ, TWO_PI_SQ=TWO_PI_SQ)
+
+
 def geometry_scalars(params: FlowParams, alpha: float, beta: float) -> GeometryScalars:
-    """Bundle all per-point diagnostics for one trajectory sample.  Fused
-    sample assembly fills the record's fields with the arguments of the
-    return, in field order, whose names it binds: b2 = beta**2 the spinor
-    body's, and (dalpha, dbeta) the field recorded with the sample."""
+    """Bundle all per-point diagnostics for one trajectory sample: the
+    record _scalars gives on the (f, g) of spinor_coefficients and the field."""
     if not (0 < alpha < math.inf and 0 < beta < math.inf):
         raise _off_quadrant(alpha, beta)
     f, g = spinor_coefficients(params, alpha, beta)
     dalpha, dbeta = params.kind.field(params, alpha, beta)
-    b2 = beta**2
-    # positional, in field order, which fused sample assembly pairs them with
-    return GeometryScalars(
-        TWO_PI_SQ * alpha * b2,  # volume
-        # energy() on the (f, g) already at hand, with its exact expression
-        PI_SQ * alpha * b2 * (f * f + 2.0 * g * g),
-        2.0 * dalpha / alpha,  # q00, read off the field
-        2.0 * dbeta / beta,  # q11
-        f,
-        g,
-    )
+    return GeometryScalars(*_scalars(params, alpha, beta, beta**2, f, g, dalpha, dbeta))

@@ -22,10 +22,10 @@ from .model import FlowKind, FlowParams, State
 class Region:
     """One of the trapping regions; all four are closed triangles.
 
-    K(v, w):  0 <= x <= v,  w <= y <= w + v - x           (v, w > 0)
-    K1(v, w): 0 <= x <= v,  3x/2 + w - 3v/2 <= y <= w     (0 < v < 2w/3)
-    K2(v):    0 <= x <= v,  x <= y <= 3x/2                (v > 0)
-    K3(v, w): 0 <= x <= v,  (w/v) x <= y <= x             (0 < w < v)
+    K(v, w):  0 <= x <= v,  w <= y <= w + v - x           (0 < v, w < inf)
+    K1(v, w): 0 <= x <= v,  3x/2 + w - 3v/2 <= y <= w     (0 < v < 2w/3 < inf)
+    K2(v):    0 <= x <= v,  x <= y <= 3x/2                (0 < v < inf)
+    K3(v, w): 0 <= x <= v,  (w/v) x <= y <= x             (0 < w < v < inf)
     """
 
     tag: str  # "K" | "K1" | "K2" | "K3"
@@ -34,19 +34,19 @@ class Region:
 
     def __post_init__(self):
         if self.tag == "K":
-            if not (self.v > 0 and self.w is not None and self.w > 0):
-                raise ValueError("K requires v > 0 and w > 0")
+            if not (0 < self.v < math.inf and self.w is not None and 0 < self.w < math.inf):
+                raise ValueError("K requires 0 < v < inf and 0 < w < inf")
         elif self.tag == "K1":
-            if not (self.w is not None and 0 < self.v < 2.0 / 3.0 * self.w):
-                raise ValueError("K1 requires 0 < v < 2w/3")
+            if not (self.w is not None and 0 < self.v < 2.0 / 3.0 * self.w < math.inf):
+                raise ValueError("K1 requires 0 < v < 2w/3 < inf")
         elif self.tag == "K2":
-            if not self.v > 0:
-                raise ValueError("K2 requires v > 0")
+            if not 0 < self.v < math.inf:
+                raise ValueError("K2 requires 0 < v < inf")
             if self.w is not None:
                 raise ValueError("K2 takes no second parameter")
         elif self.tag == "K3":
-            if not (self.w is not None and 0 < self.w < self.v):
-                raise ValueError("K3 requires 0 < w < v")
+            if not (self.w is not None and 0 < self.w < self.v < math.inf):
+                raise ValueError("K3 requires 0 < w < v < inf")
         else:
             raise ValueError(f"unknown region tag {self.tag!r}")
 

@@ -163,9 +163,8 @@ def test_verify_names_the_start_that_ended_in_the_wrong_event(monkeypatch, cold_
 # energy of each sample, each of which its check must report as a failed
 # result, not as an error.  A field mutant replaces one entry of a row of
 # the coefficient table.  A spinor or energy mutant replaces one token of a
-# model function's source, and is set where the check reads that function:
-# a flow's body on its FlowKind member, geometry_scalars as a global of the
-# named module.
+# model body's text, and is set where the check reads that body: a flow's
+# spinor on its FlowKind member, the record _scalars as a model global.
 def table_entry(rows, p, index, value):
     def plant(monkeypatch):
         row = list(rows[p])
@@ -188,6 +187,18 @@ def mutant(owner, attr, old, new):
     return plant
 
 
+def record_mutant(old, new):
+    # integrate, reading a wrapper of geometry_scalars, builds its samples by
+    # calling geometry_scalars, which reads the mutated record
+    def plant(monkeypatch):
+        model = importlib.import_module("bergerflow.model")
+        mutant(model, "_scalars", old, new)(monkeypatch)
+        integrate = importlib.import_module("bergerflow.integrate")
+        monkeypatch.setattr(integrate, "geometry_scalars", lambda *args: model.geometry_scalars(*args))
+
+    return plant
+
+
 @pytest.mark.parametrize(
     "plant,name",
     [
@@ -197,8 +208,8 @@ def mutant(owner, attr, old, new):
                      "gradient_structure", id="collapse-spinor-sign"),
         pytest.param(mutant(FlowKind.NORMALIZED, "spinor", "gr = -a / 4.0", "gr = -a / 4.01"),
                      "gradient_structure", id="normalized-spinor-gr"),
-        pytest.param(mutant("bergerflow.integrate", "geometry_scalars", "PI_SQ * alpha * b2 * (",
-                            "2.0 * PI_SQ * alpha * b2 * ("), "energy_dissipation", id="sample-energy-doubled"),
+        pytest.param(record_mutant("PI_SQ * alpha * b2 * (", "2.0 * PI_SQ * alpha * b2 * ("),
+                     "energy_dissipation", id="sample-energy-doubled"),
     ],
 )
 def test_gradient_checks_fail_on_a_planted_error(monkeypatch, cold_runs, plant, name):

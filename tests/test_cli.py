@@ -709,6 +709,29 @@ def test_a_process_compiles_only_the_steps_it_takes():
     )
 
 
+# Runs in a fresh interpreter: simulate, portrait and verify --filter
+# energy, then one integrate_reduced; lists the package's .py files that
+# linecache holds.
+_SOURCE_PROBE = """
+import contextlib, io, linecache, os
+import bergerflow
+from bergerflow import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(["simulate", "--flow", "collapse", "--kappa", "1", "--epsilon", "1", "--t-end", "5"])
+    cli.main(["portrait", "--flow", "normalized", "--kappa", "0.5", "--epsilon", "1", "--grid", "3,3"])
+    cli.main(["verify", "--filter", "energy"])
+params = bergerflow.FlowParams(bergerflow.FlowKind.NORMALIZED, 2.0, 0.5, 1.0)
+bergerflow.integrate_reduced(params, epsilon0=0.8, t_end=5.0)
+package = os.path.dirname(bergerflow.__file__) + os.sep
+print(sorted(path for path in linecache.cache if path.startswith(package) and path.endswith(".py")))
+"""
+
+
+def test_no_run_reads_the_package_source():
+    # the fused code is compiled from the bodies' text, not from the files
+    assert _fresh_interpreter(_SOURCE_PROBE) == "[]"
+
+
 # The input contract over generated argv.  Each flag has a short list of
 # valid and one of invalid texts; None leaves the flag out, which is valid
 # for an optional flag and invalid for a required one.  At most two flags

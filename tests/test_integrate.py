@@ -1,4 +1,3 @@
-import ast
 import dataclasses
 import functools
 import importlib
@@ -6,7 +5,6 @@ import inspect
 import linecache
 import math
 import pickle
-import pkgutil
 import random
 import re
 import sys
@@ -945,7 +943,7 @@ FUSED = [
     pytest.param("_rk_step1_speed", NORMALIZED, id="reduced"),
 ]
 
-# the function whose per-point lines each fused step inlines
+# the body whose text each fused step compiles
 FORMULA = {
     "collapse": "model._collapse_field",
     "normalized": "model._normalized_field",
@@ -958,17 +956,20 @@ def stock_field(name):
     return vector_field if name.startswith("_rk_step2") else curve_speed
 
 
+def indented(text, depth):
+    """text's lines, each indented by depth spaces, with a final newline; empty text stays empty."""
+    return textwrap.indent(text + "\n", " " * depth) if text else ""
+
+
 @pytest.mark.parametrize("name,params", FUSED)
 def test_fused_steps_show_their_source(name, params):
-    # the formula function's lines below "# per point" stand, verbatim, at
-    # each of the six stages of the step, its return assigned to the stage,
-    # and once in its point field, and those above it once, in the factory
-    # around the step that runs them once per run; no call is left, and no
-    # check but the quadrant test of each stage input
+    # the body's point lines stand, verbatim, at each of the six stages of
+    # the step, its value assigned to the stage, and once in its point
+    # field, and its head once, in the factory around the step that runs it
+    # once per run; no call is left, and no check but the quadrant test of
+    # each stage input
     module_name, function = FORMULA[name.rsplit("_", 1)[1]].split(".")
-    formula = inspect.getsource(getattr(importlib.import_module(f"bergerflow.{module_name}"), function))
-    prelude, per_point = formula.split("    # per point\n")
-    per_point, returned = per_point.rsplit("    return", 1)
+    text = getattr(importlib.import_module(f"bergerflow.{module_name}"), function).text
     step = selected_step(stock_field(name), params)
     linecache.clearcache()
     source = textwrap.dedent(inspect.getsource(step))
@@ -977,12 +978,13 @@ def test_fused_steps_show_their_source(name, params):
     assert source.startswith(f"def {name}(y, k0, h, atol, rtol):")
     dims = range(2 if name.startswith("_rk_step2") else 1)
     for j in range(2, 8):
-        assert source.count(f"{per_point}    {', '.join(f'k{j}_{d}' for d in dims)} ={returned}") == 1
+        target = ", ".join(f"k{j}_{d}" for d in dims)
+        assert source.count(indented(text.point, 4) + indented(f"{target} = {text.value}", 4)) == 1
     module_source = sys.modules[step.__module__].__loader__.get_source(step.__module__)
     assert not [word for word in ("raise", "FlowKind", "epsilon > 0", '"""') if word in module_source]
     assert factory.startswith(f"def {name}_for(f, params):\n")
-    assert factory.count(prelude.splitlines()[-1] + "\n") == 1
-    assert prelude.splitlines()[-1] + "\n" not in source
+    assert factory.count(indented(text.head, 4)) == 1
+    assert text.head.splitlines()[-1] not in source
     assert "f(" not in source
     assert "for" not in source.split()
     output = "  # dalpha" if name.startswith("_rk_step2") else "_SPEED_SCALE * epsilon ** (5.0 / 3.0)"
@@ -990,16 +992,17 @@ def test_fused_steps_show_their_source(name, params):
     field = textwrap.dedent(inspect.getsource(step.field))
     assert step.field.__module__ == step.__module__
     assert field.startswith(f"def _field{name[len('_rk_step'):]}(y):")
-    assert field.count(f"{per_point}    k ={returned}") == field.count(output) == 1
+    assert field.count(indented(text.point, 4) + indented(f"k = {text.value}", 4)) == field.count(output) == 1
     assert "f(" not in field
 
 
 @pytest.mark.parametrize("kind,params", [("collapse", COLLAPSE), ("normalized", NORMALIZED)])
 def test_fused_sample_assembly_shows_its_source(kind, params):
-    # the spinor body's lines below "# per point" stand, verbatim, once in
-    # the loop over the points, and those above it once before the loop; the
-    # metric velocity is read off the derivative each point carries, and no
-    # field body nor public model function is called
+    # the spinor body's point lines stand, verbatim, once in the loop over
+    # the points, and its head once before the loop; the record body's
+    # value fills the record's fields, the metric velocity is read off the
+    # derivative each point carries, and no body nor public model function
+    # is called
     module = importlib.import_module("bergerflow.integrate")
     model = importlib.import_module("bergerflow.model")
     samples = module._fused(geometry_scalars, params, module._samples)
@@ -1007,38 +1010,20 @@ def test_fused_sample_assembly_shows_its_source(kind, params):
     linecache.clearcache()
     source = inspect.getsource(getattr(sys.modules[samples.__module__], f"_samples_{kind}_for"))
     head, loop = source.split("        for t, (alpha, beta), (dalpha, dbeta) in points:\n")
-    prelude, per_point = inspect.getsource(getattr(model, f"_spinor_{kind}")).split("    # per point\n")
-    assert loop.count(textwrap.indent(per_point.rsplit("    return", 1)[0], " " * 8)) == 1
-    assert head.count(prelude.splitlines()[-1] + "\n") == 1
-    assert prelude.splitlines()[-1] + "\n" not in loop
+    spinor, record = getattr(model, f"_spinor_{kind}").text, model._scalars.text
+    assert loop.count(indented(spinor.point, 12)) == 1
+    assert head.count(indented(spinor.head, 4)) == 1
+    assert spinor.head.splitlines()[-1] not in loop
+    assert loop.count(" = " + indented(record.value, 12).lstrip()) == 1
     assert "_field(" not in source and "dalpha, dbeta =" not in source
     # each record is made by object.__new__ and its instance dict filled
     # field by field, with no call to its __init__
     assert loop.count("new(State)") == loop.count("new(GeometryScalars)") == 1
     assert "GeometryScalars(" not in loop
     assert "State(" not in source  # every point recorded is one State admits
-    filled = re.findall(r"dct\['(\w+)'\] = ", loop)
+    filled = re.findall(r"dct\['(\w+)'\]", loop)
     assert filled == [f.name for cls in (State, model.GeometryScalars) for f in dataclasses.fields(cls)]
-    assert not [call for call in ("geometry_scalars(", "spinor_coefficients(") if call in source]
-
-
-def test_the_per_point_marker_stands_only_in_inlined_functions():
-    # a line "# per point" splits a function for inlining: the functions of
-    # the package that hold one are exactly those whose lines _STOCK
-    # inlines, so a marker left behind in a function no longer inlined, or
-    # outside any function, fails here
-    module = importlib.import_module("bergerflow.integrate")
-    package = importlib.import_module("bergerflow")
-    marked = set()
-    for info in pkgutil.iter_modules(package.__path__):
-        source = inspect.getsource(importlib.import_module(f"bergerflow.{info.name}"))
-        functions = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)]
-        for number, line in enumerate(source.splitlines(), 1):
-            if line.strip() == "# per point":
-                inner = [node for node in functions if node.lineno <= number <= node.end_lineno]
-                marked.add((info.name, max(inner, key=lambda node: node.lineno).name if inner else None))
-    inlined = {(stock[1].__module__.rsplit(".", 1)[1], stock[1].__name__) for stock in module._STOCK.values()}
-    assert marked == inlined
+    assert not [call for call in ("geometry_scalars(", "spinor_coefficients(", "_scalars(") if call in source]
 
 
 @pytest.mark.parametrize("kind", list(FlowKind), ids=lambda kind: kind.value)
@@ -1059,7 +1044,7 @@ def test_each_kind_carries_the_one_map_to_its_formulas(kind):
             assert bits((scalars.q00, scalars.q11, scalars.f, scalars.g)) == bits(want)
     stock = importlib.import_module("bergerflow.integrate")._STOCK
     assert stock[vector_field, kind] == (kind.value, field)
-    assert stock[geometry_scalars, kind] == (kind.value, spinor, geometry_scalars)
+    assert stock[geometry_scalars, kind] == (kind.value, spinor, importlib.import_module("bergerflow.model")._scalars)
     bodies = {entry[1] for (function, _), entry in stock.items() if function is not curve_speed}
     assert bodies == {body for member in FlowKind for body in (member.field, member.spinor)}
 
@@ -1082,36 +1067,6 @@ def test_a_malformed_start_raises_as_state_does_before_any_step(monkeypatch, par
     assert str(got.value) == str(want.value)
 
 
-@pytest.fixture
-def cold_fused():
-    """The integrate module, with its compiled steps, sample builders and
-    read sources dropped before and after the test, so that no test
-    inherits the code paths another selected."""
-    module = importlib.import_module("bergerflow.integrate")
-    caches = (module._step, module._samples, module._parts)
-    for cached in caches:
-        cached.cache_clear()
-    yield module
-    for cached in caches:
-        cached.cache_clear()
-
-
-def test_a_step_without_source_to_inline_is_generic(monkeypatch, cold_fused):
-    # where the stock function's source cannot be read, runs take the
-    # generic step, with the same bits, and only the first run looks for it
-    fused = integrate(COLLAPSE, NO_EQUILIB, t_end=20.0)
-
-    cold_fused._step.cache_clear()
-    cold_fused._parts.cache_clear()
-    read = []
-    monkeypatch.setattr(linecache, "getlines", lambda filename, module_globals=None: read.append(filename) or [])
-    assert selected_step(vector_field, COLLAPSE).__name__ == "_rk_step2"
-    assert repr(integrate(COLLAPSE, NO_EQUILIB, t_end=20.0)) == repr(fused)
-    read.clear()
-    assert repr(integrate(COLLAPSE, NO_EQUILIB, t_end=20.0)) == repr(fused)
-    assert read == []
-
-
 def assert_fused_step_raises_as_the_field_does(name, params, y, k0, error, line_start):
     # the fused step raises the generic step's exception, and the traceback
     # shows, in the fused step, the line the field failed on
@@ -1129,26 +1084,6 @@ def assert_fused_step_raises_as_the_field_does(name, params, y, k0, error, line_
     assert line.startswith(line_start)
     assert traceback.extract_tb(got.value.__traceback__)[-1].line == line
     assert f"\n    {line}" in text
-
-
-def test_each_inlined_function_is_parsed_once(monkeypatch, cold_fused):
-    # the collapse step and sample builder inline _collapse_field,
-    # _spinor_collapse and geometry_scalars: three texts, each parsed once
-    parse, parsed = ast.parse, []
-    monkeypatch.setattr(ast, "parse", lambda source, *args: parsed.append(source) or parse(source, *args))
-    selected_step(vector_field, COLLAPSE)
-    cold_fused._fused(geometry_scalars, COLLAPSE, cold_fused._samples)
-    assert len(parsed) == len(set(parsed)) == 3
-
-
-def test_each_inlined_function_is_read_once(monkeypatch, cold_fused):
-    # the step and the sample builder read three functions: three reads of
-    # their module's lines, none repeated
-    getlines, read = linecache.getlines, []
-    monkeypatch.setattr(linecache, "getlines", lambda *args: read.append(args[0]) or getlines(*args))
-    selected_step(vector_field, COLLAPSE)
-    cold_fused._fused(geometry_scalars, COLLAPSE, cold_fused._samples)
-    assert len(read) == 3
 
 
 @pytest.mark.parametrize("name,params", FUSED[2:])

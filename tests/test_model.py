@@ -1,7 +1,6 @@
 import dataclasses
 import dis
 import importlib
-import inspect
 import math
 import pickle
 import random
@@ -547,14 +546,13 @@ def test_round_spheres_carry_the_killing_spinor_to_one_ulp(params):
         assert abs(f - g) <= math.ulp(g)
 
 
-# The per-point lines of each field body, as dis shows them, do at most the
-# arithmetic the polynomial form was sized by: a rewrite that adds an
-# operation to every stage of every step fails here.
+# The point lines and value of each field body's text, compiled as a fused
+# stage runs them, do at most the arithmetic the polynomial form was sized
+# by: a rewrite that adds an operation to every stage of every step fails here.
 @pytest.mark.parametrize("body,most", [(_collapse_field, 11), (_normalized_field, 23)], ids=["collapse", "normalized"])
 def test_field_bodies_do_a_bounded_number_of_operations_per_point(body, most):
-    lines, first = inspect.getsourcelines(body)
-    marker = first + [line.strip() for line in lines].index("# per point")
-    ops = [op for op in dis.get_instructions(body) if op.opname == "BINARY_OP" and op.positions.lineno > marker]
+    stage = compile(f"{body.text.point}\nk = {body.text.value}", "stage", "exec")
+    ops = [op for op in dis.get_instructions(stage) if op.opname.startswith("BINARY_")]
     assert 0 < len(ops) <= most
 
 

@@ -48,11 +48,17 @@ class TestRegionValidation:
             ("K2", 1.0, 1.0),
             ("K3", 1.0, 1.5),  # needs w < v
             ("BAD", 1.0, 1.0),
+            # each parameter finite
+            ("K", math.inf, 1.0),
+            ("K", 1.0, math.inf),
+            ("K1", 1.0, math.inf),
+            ("K2", math.inf, None),
+            ("K3", math.inf, 1.0),
         ],
     )
     def test_invalid(self, args):
         tag, v, w = args
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{tag} requires|^unknown region tag|^K2 takes no"):
             Region(tag, v, w)
 
 
