@@ -12,20 +12,21 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
 
 from . import dynamics, phase
 from .integrate import IntegratorConfig, StepBudgetError, Trajectory, integrate, integrate_reduced
-from .model import FlowKind, FlowParams, curve_point, energy, initial_state, spinor_coefficients, volume
+from .model import FlowKind, FlowParams, _Record, curve_point, energy, initial_state, spinor_coefficients, volume
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    measured: float
-    threshold: float
-    note: str = ""
-    error: str = ""  # why the run failed or ended in another event than the check measures
+class CheckResult(_Record):
+    """One check's measurement against its upper bound, with a note on what
+    it measured and the error that kept it from measuring, if any."""
+
+    __match_args__ = ("name", "measured", "threshold", "note", "error")
+
+    def __init__(self, name: str, measured: float, threshold: float, note: str = "", error: str = ""):
+        # error: why the run failed or ended in another event than the check measures
+        vars(self).update(name=name, measured=measured, threshold=threshold, note=note, error=error)
 
     @property
     def passed(self) -> bool:

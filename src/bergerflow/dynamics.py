@@ -10,7 +10,6 @@ and the equilibria of that reduction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .model import (
     TWO_PI_SQ,
@@ -18,6 +17,7 @@ from .model import (
     FlowParams,
     State,
     _body,
+    _Record,
     _off_half_line,
     _off_quadrant,
     curve_point,
@@ -25,14 +25,15 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class Equilibrium:
+class Equilibrium(_Record):
     """An equilibrium of the reduced unit-volume dynamics: its curve
     parameter, its point on the unit-volume curve and its stability."""
 
-    epsilon_star: float
-    point: tuple[float, float]
-    stability: str  # "attracting" | "repelling"
+    __match_args__ = ("epsilon_star", "point", "stability")
+
+    def __init__(self, epsilon_star: float, point: tuple[float, float], stability: str):
+        # stability: "attracting" | "repelling"
+        vars(self).update(epsilon_star=epsilon_star, point=point, stability=stability)
 
 
 def vector_field(params: FlowParams, point) -> tuple[float, float]:

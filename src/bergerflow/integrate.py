@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, fields
 
 from . import model, phase
 from .dynamics import _curve_speed, curve_speed, vector_field
@@ -70,8 +69,7 @@ class StepBudgetError(RuntimeError):
     """Raised when the step budget is exhausted before t_end or an event."""
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
+class IntegratorConfig(model._Record):
     """Caller settings: tolerances, event thresholds and output stride.  Step
     bounds and the step budget are the module constants _H_* and _MAX_STEPS.
 
@@ -90,42 +88,58 @@ class IntegratorConfig:
     ``collapse_tol`` 1e-7 or finer the run ends in StepUnderflow.  The
     collapse flow's closed form (ROADMAP item 3) is the planned fix."""
 
-    rtol: float = 1e-10
-    atol: float = 1e-12
-    collapse_tol: float = 1e-3
-    equilib_tol: float | None = 1e-10  # None disables equilibrium detection
-    output_stride: int = 1
+    __match_args__ = ("rtol", "atol", "collapse_tol", "equilib_tol", "output_stride")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        rtol: float = 1e-10,
+        atol: float = 1e-12,
+        collapse_tol: float = 1e-3,
+        equilib_tol: float | None = 1e-10,  # None disables equilibrium detection
+        output_stride: int = 1,
+    ):
         # Messages start with the field name, which the CLI turns into
         # the name of its flag.
-        for name, value in (("rtol", self.rtol), ("atol", self.atol), ("collapse_tol", self.collapse_tol)):
+        for name, value in (("rtol", rtol), ("atol", atol), ("collapse_tol", collapse_tol)):
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        if self.equilib_tol is not None and not 0 < self.equilib_tol < math.inf:
-            raise ValueError(f"equilib_tol must be positive and finite, or None, got {self.equilib_tol}")
-        if not (isinstance(self.output_stride, int) and self.output_stride >= 1):
-            raise ValueError(f"output_stride must be an integer >= 1, got {self.output_stride!r}")
+        if equilib_tol is not None and not 0 < equilib_tol < math.inf:
+            raise ValueError(f"equilib_tol must be positive and finite, or None, got {equilib_tol}")
+        if not (isinstance(output_stride, int) and output_stride >= 1):
+            raise ValueError(f"output_stride must be an integer >= 1, got {output_stride!r}")
+        vars(self).update(
+            rtol=rtol, atol=atol, collapse_tol=collapse_tol, equilib_tol=equilib_tol, output_stride=output_stride
+        )
 
 
-@dataclass(frozen=True)
-class TerminationEvent:
-    tag: str  # ReachedTEnd | CollapsePoint | CollapseFiber | Equilibrium | StepUnderflow
-    t_event: float
-    detail: dict = field(default_factory=dict)
+class TerminationEvent(model._Record):
+    """How a run ended, when, and the event's details; a new dict if none."""
+
+    __match_args__ = ("tag", "t_event", "detail")
+
+    def __init__(self, tag: str, t_event: float, detail: dict | None = None):
+        # tag: ReachedTEnd | CollapsePoint | CollapseFiber | Equilibrium | StepUnderflow
+        vars(self).update(tag=tag, t_event=t_event, detail={} if detail is None else detail)
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(model._Record):
     """``derivatives[i]`` is the field (dalpha, dbeta) at ``samples[i]``: the
     value the step or, at an event state, the event search held there.  It
-    is derived data, so it takes no part in repr or equality, and a
+    is derived data, so it takes no part in repr, equality or hash, and a
     trajectory built without it has an empty list."""
 
-    params: FlowParams
-    samples: list[tuple[State, GeometryScalars]]
-    termination: TerminationEvent
-    derivatives: list[tuple[float, float]] = field(default_factory=list, repr=False, compare=False)
+    __match_args__ = ("params", "samples", "termination", "derivatives")
+    _compared = ("params", "samples", "termination")
+
+    def __init__(
+        self,
+        params: FlowParams,
+        samples: list[tuple[State, GeometryScalars]],
+        termination: TerminationEvent,
+        derivatives: list[tuple[float, float]] | None = None,
+    ):
+        derivatives = [] if derivatives is None else derivatives
+        vars(self).update(params=params, samples=samples, termination=termination, derivatives=derivatives)
 
     @property
     def final_state(self) -> State:
@@ -209,14 +223,14 @@ def _samples(stock):
     the spinor body's point lines, takes (dalpha, dbeta) from the point's
     derivative and builds each record with no call to its __init__:
     object.__new__, then its instance dict filled in the order of its
-    dataclass fields, State's with t, alpha and beta, the other with the
-    record body's value, the record geometry_scalars returns."""
+    fields, __match_args__, State's with t, alpha and beta, the other with
+    the record body's value, the record geometry_scalars returns."""
     name, spinor, record = f"_samples_{stock[0]}", stock[1].text, stock[2].text
     namespace = {**spinor.env, **record.env, "State": State, "GeometryScalars": GeometryScalars, "new": object.__new__}
     lines = [f"def {name}(points):", "    samples = []", "    for t, (alpha, beta), (dalpha, dbeta) in points:"]
     lines += model._indented(spinor.point, indent=" " * 8)
     for var, cls, value in (("state", State, "t, alpha, beta"), ("scalars", GeometryScalars, record.value)):
-        filled = ", ".join(f"dct[{f.name!r}]" for f in fields(cls))
+        filled = ", ".join(f"dct[{name!r}]" for name in cls.__match_args__)
         lines += [f"        {var} = new({cls.__name__})", f"        dct = {var}.__dict__"]
         lines += model._indented(f"{filled} = {value}", indent=" " * 8)
     lines += ["        samples.append((state, scalars))", "    return samples"]

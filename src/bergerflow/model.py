@@ -20,11 +20,9 @@ fused code read.  The metric velocity is read off the field.
 from __future__ import annotations
 
 import enum
-import linecache
 import math
 import sys
 import types
-from dataclasses import dataclass
 
 PI_SQ = math.pi**2
 TWO_PI_SQ = 2.0 * PI_SQ
@@ -60,8 +58,43 @@ def _field_at_start(field, y0, subject, value):
     return k0
 
 
-@dataclass(frozen=True)
-class FlowParams:
+class _Record:
+    """The base of the package's records: immutable values that repr, ==
+    and hash read field by field.  A record names its fields in order in
+    ``__match_args__``; its ``__init__`` checks its arguments and fills its
+    instance dict in that order, which ``vars()`` and the pickled state
+    keep.  ``_compared`` names the fields that repr, == and hash read: all
+    of them, unless a record names fewer."""
+
+    __match_args__: tuple[str, ...] = ()
+
+    @property
+    def _compared(self):
+        return self.__match_args__
+
+    def _values(self):
+        return tuple([getattr(self, name) for name in self._compared])
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class FlowParams(_Record):
     """Parameters selecting one of the two flows.
 
     ``a`` is the orientation constant (+-2).  ``kappa`` is the Killing
@@ -76,34 +109,30 @@ class FlowParams:
     the signs of the coefficients f and g.
     """
 
-    kind: FlowKind
-    a: float
-    kappa: float
-    epsilon: float
+    __match_args__ = ("kind", "a", "kappa", "epsilon")
 
-    def __post_init__(self):
+    def __init__(self, kind: FlowKind, a: float, kappa: float, epsilon: float):
+        vars(self).update(kind=kind, a=a, kappa=kappa, epsilon=epsilon)  # first: the start rule reads the record
         # Messages start with the field name, which the CLI turns into
         # the name of its flag.
-        if self.a not in (-2.0, 2.0):
-            raise ValueError(f"a (the orientation constant) must be 2 or -2, got {self.a}")
-        if self.kind is FlowKind.COLLAPSE:
-            if self.kappa not in (-1.0, 1.0):
-                raise ValueError(f"kappa must be 1 or -1 for the collapse flow, got {self.kappa}")
-        elif self.kind is FlowKind.NORMALIZED:
-            if self.kappa not in (-0.5, 0.5):
-                raise ValueError(
-                    f"kappa must be 1/2 or -1/2 for the normalized flow, got {self.kappa}"
-                )
+        if a not in (-2.0, 2.0):
+            raise ValueError(f"a (the orientation constant) must be 2 or -2, got {a}")
+        if kind is FlowKind.COLLAPSE:
+            if kappa not in (-1.0, 1.0):
+                raise ValueError(f"kappa must be 1 or -1 for the collapse flow, got {kappa}")
+        elif kind is FlowKind.NORMALIZED:
+            if kappa not in (-0.5, 0.5):
+                raise ValueError(f"kappa must be 1/2 or -1/2 for the normalized flow, got {kappa}")
         else:
-            raise ValueError(f"unknown flow kind {self.kind!r}")
-        if not 0 < self.epsilon < math.inf:
-            raise _off_half_line(self.epsilon)
+            raise ValueError(f"unknown flow kind {kind!r}")
+        if not 0 < epsilon < math.inf:
+            raise _off_half_line(epsilon)
         # The field at the start: r = alpha/beta = epsilon there, which no
         # rescaling removes, and r^3/beta grows as epsilon^3 (collapse) or
         # epsilon^(10/3) (normalized).
         start = initial_state(self)
         subject = "epsilon must keep the field finite at the start"
-        _field_at_start(lambda y: self.kind.field(self, *y), (start.alpha, start.beta), subject, self.epsilon)
+        _field_at_start(lambda y: kind.field(self, *y), (start.alpha, start.beta), subject, epsilon)
 
     @property
     def product(self) -> float:
@@ -111,23 +140,21 @@ class FlowParams:
         return self.a * self.kappa
 
 
-@dataclass(frozen=True)
-class State:
+class State(_Record):
     """A point on a flow trajectory: a finite time plus the two metric
     scales, both positive and finite.  A State carries no derivative: a
     trajectory keeps the field's value at each of its samples, one per
     sample, in ``Trajectory.derivatives``.
     """
 
-    t: float
-    alpha: float
-    beta: float
+    __match_args__ = ("t", "alpha", "beta")
 
-    def __post_init__(self):
-        if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):
-            raise ValueError(f"metric scales must be positive and finite, got ({self.alpha}, {self.beta})")
-        if not math.isfinite(self.t):
-            raise ValueError(f"time must be finite, got {self.t}")
+    def __init__(self, t: float, alpha: float, beta: float):
+        if not (0 < alpha < math.inf and 0 < beta < math.inf):
+            raise ValueError(f"metric scales must be positive and finite, got ({alpha}, {beta})")
+        if not math.isfinite(t):
+            raise ValueError(f"time must be finite, got {t}")
+        vars(self).update(t=t, alpha=alpha, beta=beta)
 
 
 def initial_state(params: FlowParams) -> State:
@@ -137,8 +164,7 @@ def initial_state(params: FlowParams) -> State:
     return State(0.0, *curve_point(params.epsilon))
 
 
-@dataclass(frozen=True)
-class GeometryScalars:
+class GeometryScalars(_Record):
     """Per-sample diagnostics along a trajectory.
 
     ``q00``/``q11`` are the diagonal components of the metric velocity in
@@ -147,12 +173,10 @@ class GeometryScalars:
     entries vanish.
     """
 
-    volume: float
-    energy: float
-    q00: float
-    q11: float
-    f: float
-    g: float
+    __match_args__ = ("volume", "energy", "q00", "q11", "f", "g")
+
+    def __init__(self, volume: float, energy: float, q00: float, q11: float, f: float, g: float):
+        vars(self).update(volume=volume, energy=energy, q00=q00, q11=q11, f=f, g=g)
 
 
 def normalizing_constant(epsilon: float) -> float:
@@ -192,15 +216,14 @@ def _indented(*texts, indent="    "):
 def _compiled(module, lines, namespace):
     """The globals of a new module named module after lines ran there from
     namespace, so they hold what lines define.  Its loader keeps the text,
-    so inspect, linecache and tracebacks show it.  Bodies, steps and sample
-    builders are all compiled here."""
+    which linecache asks for when inspect or a traceback shows it.  Bodies,
+    steps and sample builders are all compiled here."""
     source = "\n".join(lines) + "\n"
     compiled = types.ModuleType(module)
     compiled.__loader__ = types.SimpleNamespace(get_source=lambda _name: source)
     vars(compiled).update(namespace)
     exec(compile(source, module, "exec"), vars(compiled))
     sys.modules[module] = compiled
-    linecache.lazycache(module, vars(compiled))
     return vars(compiled)
 
 

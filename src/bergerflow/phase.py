@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 from .dynamics import vector_field
-from .model import FlowKind, FlowParams, State
+from .model import FlowKind, FlowParams, State, _Record
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(_Record):
     """One of the trapping regions; all four are closed triangles.
 
     K(v, w):  0 <= x <= v,  w <= y <= w + v - x           (0 < v, w < inf)
@@ -28,27 +26,26 @@ class Region:
     K3(v, w): 0 <= x <= v,  (w/v) x <= y <= x             (0 < w < v < inf)
     """
 
-    tag: str  # "K" | "K1" | "K2" | "K3"
-    v: float
-    w: float | None = None
+    __match_args__ = ("tag", "v", "w")
 
-    def __post_init__(self):
-        if self.tag == "K":
-            if not (0 < self.v < math.inf and self.w is not None and 0 < self.w < math.inf):
+    def __init__(self, tag: str, v: float, w: float | None = None):
+        if tag == "K":
+            if not (0 < v < math.inf and w is not None and 0 < w < math.inf):
                 raise ValueError("K requires 0 < v < inf and 0 < w < inf")
-        elif self.tag == "K1":
-            if not (self.w is not None and 0 < self.v < 2.0 / 3.0 * self.w < math.inf):
+        elif tag == "K1":
+            if not (w is not None and 0 < v < 2.0 / 3.0 * w < math.inf):
                 raise ValueError("K1 requires 0 < v < 2w/3 < inf")
-        elif self.tag == "K2":
-            if not 0 < self.v < math.inf:
+        elif tag == "K2":
+            if not 0 < v < math.inf:
                 raise ValueError("K2 requires 0 < v < inf")
-            if self.w is not None:
+            if w is not None:
                 raise ValueError("K2 takes no second parameter")
-        elif self.tag == "K3":
-            if not (self.w is not None and 0 < self.w < self.v < math.inf):
+        elif tag == "K3":
+            if not (w is not None and 0 < w < v < math.inf):
                 raise ValueError("K3 requires 0 < w < v < inf")
         else:
-            raise ValueError(f"unknown region tag {self.tag!r}")
+            raise ValueError(f"unknown region tag {tag!r}")
+        vars(self).update(tag=tag, v=v, w=w)
 
     def vertices(self) -> list[tuple[float, float]]:
         """The corners in counter-clockwise order, so the interior lies left

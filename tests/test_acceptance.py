@@ -5,7 +5,6 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the lines as they
 are produced, or rely on pytest's captured output on failure.
 """
 
-import dataclasses
 import importlib
 import inspect
 import json
@@ -13,8 +12,8 @@ import json
 import pytest
 
 from bergerflow import FlowKind, acceptance, cli, dynamics
-from bergerflow.integrate import TerminationEvent
-from bergerflow.model import _COLLAPSE_ROWS, _NORMALIZED_ROWS
+from bergerflow.integrate import TerminationEvent, Trajectory
+from bergerflow.model import _COLLAPSE_ROWS, _NORMALIZED_ROWS, State
 
 
 @pytest.fixture(scope="module")
@@ -256,7 +255,12 @@ def test_every_verify_entry_passes_exactly_when_measured_is_at_most_threshold(ca
 
 def ended_in(tag):
     """A plant that relabels a run's terminal event as tag."""
-    return lambda traj: dataclasses.replace(traj, termination=TerminationEvent(tag, traj.termination.t_event, {}))
+
+    def plant(traj):
+        relabelled = TerminationEvent(tag, traj.termination.t_event, {})
+        return Trajectory(traj.params, traj.samples, relabelled, traj.derivatives)
+
+    return plant
 
 
 def final_beta(beta):
@@ -264,7 +268,8 @@ def final_beta(beta):
 
     def plant(traj):
         state, scalars = traj.samples[-1]
-        return dataclasses.replace(traj, samples=[*traj.samples[:-1], (dataclasses.replace(state, beta=beta), scalars)])
+        moved = State(state.t, state.alpha, beta)
+        return Trajectory(traj.params, [*traj.samples[:-1], (moved, scalars)], traj.termination, traj.derivatives)
 
     return plant
 

@@ -1,6 +1,5 @@
 import argparse
 import contextlib
-import dataclasses
 import hashlib
 import importlib
 import io
@@ -153,7 +152,7 @@ class TestSettingsSurface:
     def test_integrator_flags_are_the_config_fields(self):
         dests = set(vars(build_parser().parse_args(SIMULATE + ["--t-end", "1"])))
         run_dests = {"command", "fn", "flow", "a", "kappa", "epsilon", "t_end", "out"}
-        assert dests - run_dests == {f.name for f in dataclasses.fields(IntegratorConfig)}
+        assert dests - run_dests == set(IntegratorConfig.__match_args__)
 
     def test_each_subcommand_parses_only_the_flags_it_reads(self):
         # a flag that a subcommand would ignore is an argument error instead
@@ -592,9 +591,12 @@ def test_golden_output(capsys):
 # Runs in a fresh interpreter: imports the CLI, runs simulate and portrait
 # (without drawing a portrait), then equilibria, then verify, and reports
 # after each of those three steps whether the module named by argv[1] was
-# loaded.
+# loaded.  It first forgets that module, which an interpreter may load
+# before any code runs (3.13 loads linecache), so a True names an import
+# that the package made.
 _IMPORT_PROBE = """
 import contextlib, io, sys
+sys.modules.pop(sys.argv[1], None)
 from bergerflow import cli
 def run(*argv):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -645,7 +647,10 @@ def _probe_imports(module):
     return _fresh_interpreter(_IMPORT_PROBE, module)
 
 
-@pytest.mark.parametrize("module", ["scipy", "numpy"])
+# dataclasses and inspect (with the tokenize and linecache it brings) cost
+# a process more than its simulate run: the records and the loader of the
+# generated code need neither
+@pytest.mark.parametrize("module", ["scipy", "numpy", "dataclasses", "inspect", "linecache", "tokenize"])
 def test_import_does_not_load(module):
     assert _probe_imports(module) == "[0, 0, 0, 0] [False, False, False]"
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 
@@ -270,7 +269,7 @@ class TestCurve:
     def test_speed_vanishes_exactly_at_the_rounded_roots(self):
         # -3 fl(2/3) and 3 fl(2/3) both round to 2, so the Horner factor
         # (-3e + 5)e - 2 is exactly 0 there, as it is at 1
-        for params in (NORMALIZED, dataclasses.replace(NORMALIZED, a=-2.0, kappa=-0.5)):
+        for params in (NORMALIZED, FlowParams(FlowKind.NORMALIZED, a=-2.0, kappa=-0.5, epsilon=1.0)):
             assert curve_speed(params, 2.0 / 3.0) == curve_speed(params, 1.0) == 0.0
         assert curve_speed(NORMALIZED_NEG, 1.0) == 0.0
 

@@ -1,6 +1,6 @@
-import dataclasses
 import functools
 import importlib
+import importlib.util
 import inspect
 import linecache
 import math
@@ -11,6 +11,7 @@ import sys
 import textwrap
 import traceback
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +32,7 @@ from bergerflow import (
     spinor_coefficients,
     vector_field,
 )
+from bergerflow.integrate import TerminationEvent, Trajectory
 from bergerflow.model import State
 
 COLLAPSE = FlowParams(FlowKind.COLLAPSE, a=2.0, kappa=1.0, epsilon=1.0)
@@ -415,7 +417,7 @@ class TestRobustness:
     def test_step_budget_error_names_the_state_and_step(self, monkeypatch, budget):
         # the budget only decides where the run stops, so the state the
         # message names is a sample of the same run without one
-        params = dataclasses.replace(COLLAPSE, epsilon=0.8)
+        params = FlowParams(FlowKind.COLLAPSE, a=2.0, kappa=1.0, epsilon=0.8)
         samples = integrate(params, NO_EQUILIB, t_end=20.0).samples
         monkeypatch.setattr(importlib.import_module("bergerflow.integrate"), "_MAX_STEPS", budget)
         with pytest.raises(StepBudgetError) as info:
@@ -430,7 +432,7 @@ class TestRobustness:
 
     def test_unattainable_tolerance_underflows(self):
         # the scaled error overflows; that must reject the step, not raise
-        params = dataclasses.replace(COLLAPSE, epsilon=1.3)
+        params = FlowParams(FlowKind.COLLAPSE, a=2.0, kappa=1.0, epsilon=1.3)
         traj = integrate(params, IntegratorConfig(rtol=1e-300, atol=1e-300), t_end=20.0)
         assert traj.termination.tag == "StepUnderflow"
         assert traj.termination.t_event == 0.0
@@ -1022,7 +1024,7 @@ def test_fused_sample_assembly_shows_its_source(kind, params):
     assert "GeometryScalars(" not in loop
     assert "State(" not in source  # every point recorded is one State admits
     filled = re.findall(r"dct\['(\w+)'\]", loop)
-    assert filled == [f.name for cls in (State, model.GeometryScalars) for f in dataclasses.fields(cls)]
+    assert filled == [*State.__match_args__, *model.GeometryScalars.__match_args__]
     assert not [call for call in ("geometry_scalars(", "spinor_coefficients(", "_scalars(") if call in source]
 
 
@@ -1219,7 +1221,7 @@ def test_fused_and_wrapped_speeds_give_the_same_samples(monkeypatch, params, eps
             return f"ValueError: {error}"
 
     module = importlib.import_module("bergerflow.integrate")
-    config = dataclasses.replace(config, output_stride=stride)
+    config = IntegratorConfig(**{**vars(config), "output_stride": stride})
     assert selected_step(curve_speed, params).__name__ == "_rk_step1_speed"
     fused = run()
     calls = wrap_in_module(monkeypatch, "bergerflow.integrate", "curve_speed")
@@ -1309,3 +1311,25 @@ def test_the_start_rule_has_one_owner(monkeypatch, capsys):
         run()
         assert subjects == expected
     assert capsys.readouterr().out.count("# seed=") == 2
+
+
+def test_the_sweep_check_rejects_a_wrong_termination_tag(monkeypatch):
+    # a trajectory built with another terminal event than the phase picture
+    # predicts, as the benchmark's self-check injects one, fails the sweep
+    # workload's own check on its tag, while the run as integrated passes
+    pytest.importorskip("numpy")
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    bf = importlib.import_module("bergerflow")
+    wl = workloads.Workload("sweep", [], notes={"oracle_err_max": 0.0, "event_err_max": 0.0})
+    traj = integrate(COLLAPSE, IntegratorConfig(), t_end=workloads.SWEEP_T_END)
+    assert traj.termination.tag == "CollapsePoint"
+    assert workloads.check_trajectory(bf, wl, COLLAPSE, traj) is None
+    relabelled = TerminationEvent("ReachedTEnd", traj.termination.t_event, traj.termination.detail)
+    wrong = Trajectory(traj.params, traj.samples, relabelled, traj.derivatives)
+    assert workloads.check_trajectory(bf, wl, COLLAPSE, wrong) == (
+        f"{COLLAPSE}: termination ReachedTEnd, expected CollapsePoint"
+    )

@@ -1,4 +1,3 @@
-import dataclasses
 import dis
 import importlib
 import math
@@ -11,18 +10,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bergerflow import (
+    Equilibrium,
     FlowKind,
     FlowParams,
     GeometryScalars,
+    IntegratorConfig,
+    Region,
     State,
+    TerminationEvent,
     energy,
+    equilibria,
     geometry_scalars,
     initial_state,
+    integrate,
     normalizing_constant,
     spinor_coefficients,
     vector_field,
     volume,
 )
+from bergerflow.acceptance import CheckResult
 from bergerflow.dynamics import curve_point
 from bergerflow.model import _COLLAPSE_ROWS, _NORMALIZED_ROWS, _collapse_field, _normalized_field
 
@@ -117,9 +123,9 @@ class TestState:
         assert str(info.value) == f"time must be finite, got {t}"
 
 
-# Both records are plain frozen dataclasses, which fused sample assembly
-# builds without their generated __init__; the behaviour that __init__ and
-# the rest of the dataclass machinery give is pinned here.
+# Fused sample assembly builds both records without calling their
+# __init__; the behaviour that __init__ and the record base give is pinned
+# here.
 RECORDS = [
     (State, (0.5, 1.25, 2.0), "State(t=0.5, alpha=1.25, beta=2.0)"),
     (
@@ -130,16 +136,20 @@ RECORDS = [
 ]
 
 
+def field_values(record):
+    return tuple(getattr(record, name) for name in type(record).__match_args__)
+
+
 @pytest.mark.parametrize("cls,values,text", RECORDS, ids=["State", "GeometryScalars"])
 class TestRecordApi:
     def test_fields_in_order(self, cls, values, text):
-        names = [f.name for f in dataclasses.fields(cls)]
+        names = list(cls.__match_args__)
         assert names == {State: ["t", "alpha", "beta"],
                          GeometryScalars: ["volume", "energy", "q00", "q11", "f", "g"]}[cls]
-        assert cls.__match_args__ == tuple(names)
         record = cls(**dict(zip(names, values)))
         assert record == cls(*values)
         assert vars(record) == dict(zip(names, values))
+        assert list(vars(record)) == names
 
     def test_repr_eq_hash(self, cls, values, text):
         record = cls(*values)
@@ -147,32 +157,100 @@ class TestRecordApi:
         assert record == cls(*values)
         assert record != cls(*values[:-1], values[-1] + 1.0)
         assert hash(record) == hash(values)
-        assert dataclasses.astuple(record) == values
+        assert field_values(record) == values
 
     def test_pickle_and_replace(self, cls, values, text):
         record = cls(*values)
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             assert pickle.loads(pickle.dumps(record, protocol)) == record
-        last = dataclasses.fields(cls)[-1].name
-        moved = dataclasses.replace(record, **{last: 7.0})
-        assert dataclasses.astuple(moved) == (*values[:-1], 7.0)
+        moved = cls(*field_values(record)[:-1], 7.0)
+        assert field_values(moved) == (*values[:-1], 7.0)
 
     def test_frozen(self, cls, values, text):
         record = cls(*values)
-        for f in dataclasses.fields(cls):
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(record, f.name, 1.0)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        for name in cls.__match_args__:
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(record, name, 1.0)
+            with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+                delattr(record, name)
+        with pytest.raises(AttributeError):
             record.extra = 1.0
-        assert dataclasses.astuple(record) == values
+        assert field_values(record) == values
 
     def test_missing_argument(self, cls, values, text):
-        last = dataclasses.fields(cls)[-1].name
+        last = cls.__match_args__[-1]
         with pytest.raises(TypeError) as info:
             cls(*values[:-1])
         assert str(info.value) == (
             f"{cls.__name__}.__init__() missing 1 required positional argument: '{last}'"
         )
+
+
+# pickle.dumps(record, 4) as the records gave it when they were frozen
+# dataclasses: a pickle written then loads now, and a record pickles to the
+# same bytes.
+PICKLED = [
+    (
+        State(0.5, 1.25, 2.0),
+        b"\x80\x04\x95T\x00\x00\x00\x00\x00\x00\x00\x8c\x10bergerflow.model\x94\x8c\x05State\x94\x93\x94)"
+        b"\x81\x94}\x94(\x8c\x01t\x94G?\xe0\x00\x00\x00\x00\x00\x00\x8c\x05alpha\x94G?\xf4\x00\x00"
+        b"\x00\x00\x00\x00\x8c\x04beta\x94G@\x00\x00\x00\x00\x00\x00\x00ub.",
+    ),
+    (
+        GeometryScalars(1.0, 2.0, 3.0, 4.0, 5.0, 6.0),
+        b"\x80\x04\x95\x8c\x00\x00\x00\x00\x00\x00\x00\x8c\x10bergerflow.model\x94\x8c\x0fGeometryScalars"
+        b"\x94\x93\x94)\x81\x94}\x94(\x8c\x06volume\x94G?\xf0\x00\x00\x00\x00\x00\x00\x8c\x06energy"
+        b"\x94G@\x00\x00\x00\x00\x00\x00\x00\x8c\x03q00\x94G@\x08\x00\x00\x00\x00\x00\x00\x8c\x03q11"
+        b"\x94G@\x10\x00\x00\x00\x00\x00\x00\x8c\x01f\x94G@\x14\x00\x00\x00\x00\x00\x00\x8c\x01g"
+        b"\x94G@\x18\x00\x00\x00\x00\x00\x00ub.",
+    ),
+]
+
+
+@pytest.mark.parametrize("record,pickled", PICKLED, ids=["State", "GeometryScalars"])
+def test_pickles_of_the_dataclass_records_still_load(record, pickled):
+    loaded = pickle.loads(pickled)
+    assert type(loaded) is type(record) and loaded == record
+    assert vars(loaded) == vars(record)
+    assert pickle.dumps(record, 4) == pickled
+
+
+def every_record():
+    """One of each of the package's records."""
+    traj = integrate(COLLAPSE, IntegratorConfig(output_stride=40), t_end=1.0)
+    return [
+        COLLAPSE, State(0.5, 1.25, 2.0), traj.samples[-1][1], IntegratorConfig(), traj.termination,
+        TerminationEvent("Equilibrium", 2.0, {"location": (1.0, 1.0)}), traj, equilibria(NORMALIZED)[0],
+        Equilibrium(1.0, (0.5, 0.5), "attracting"), Region("K", 1.0, 2.0), Region("K2", 1.0),
+        CheckResult("x", 1.0, 2.0), CheckResult("y", 3.0, 2.0, "n", "e"),
+    ]
+
+
+@pytest.mark.parametrize("record", every_record(), ids=lambda record: type(record).__name__)
+def test_every_record_is_a_frozen_value_of_its_fields(record):
+    # vars() keeps the field order, positional and keyword construction
+    # agree, and repr, == and hash read every field but a trajectory's
+    # derivatives
+    cls = type(record)
+    assert list(vars(record)) == list(cls.__match_args__)
+    assert cls(*field_values(record)) == record == cls(**vars(record))
+    shown = tuple(name for name in cls.__match_args__ if name != "derivatives")
+    values = tuple(getattr(record, name) for name in shown)
+    assert repr(record) == f"{cls.__name__}({', '.join(f'{n}={v!r}' for n, v in zip(shown, values))})"
+    assert record.__eq__(values) is NotImplemented
+    try:
+        expected = hash(values)
+    except TypeError:  # a field holds a list or a dict
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == expected
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert vars(pickle.loads(pickle.dumps(record, protocol))) == vars(record)
+    for name in (*cls.__match_args__, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    assert list(vars(record)) == list(cls.__match_args__)
 
 
 @pytest.mark.parametrize("fn", [spinor_coefficients, geometry_scalars], ids=lambda fn: fn.__name__)
