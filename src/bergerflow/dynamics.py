@@ -43,7 +43,7 @@ def vector_field(params: FlowParams, point) -> tuple[float, float]:
     by the flow kind's straight-line body ``params.kind.field`` as a
     polynomial in alpha/beta over beta; :func:`explicit_rhs` carries the
     multiplied-out coefficients as an independent cross-check.  The
-    integrator's fused steps compile the body's text.
+    integrator's planar steps compile the body's text.
     """
     alpha, beta = point
     if not (0 < alpha < math.inf and 0 < beta < math.inf):

@@ -4,27 +4,24 @@ A Dormand-Prince 5(4) embedded pair with a proportional-integral step
 controller drives both the planar flow and the reduced dynamics on the
 unit-volume curve.  Its step is straight-line code generated from the
 tableau, runs on float tuples and reuses its last stage as the next step's
-first (FSAL).  Every step has one shape: a factory, called once per run with
-the run's field f and parameters, returns step(y, k0, h, atol, rtol), whose
-attribute field, f at y alone, the run's start and event search call.  The
-generic step calls f(params, y), or f(params, epsilon) for the reduced
-speed, with no stage time, since both flows are autonomous.  A step fused
-with one of the package's own fields instead compiles the text that the
-flow kind's field body (FlowKind.field) or dynamics._curve_speed keeps
-(model._body): its factory runs the head once, and each stage the point
-lines and the value.  Fused sample assembly likewise compiles the text of
-the kind's spinor body (FlowKind.spinor) and of model._scalars, the record
-geometry_scalars returns, and reads the metric velocity off the recorded
-derivative.  Fused code carries formulas only, in the same order, so it
-gives the same bits, and it reads no source file.  A run reads its field,
-and integrate geometry_scalars, once from this module's globals and looks
-them up in _STOCK: a wrapped function misses and sees every evaluation.
-Steps that would leave the open first quadrant are rejected and halved.
-Terminal events (collapse of one or both scales, convergence to an
-equilibrium of the normalized flow) are located by bisection on the cubic
-Hermite interpolant of the step that crosses them, a collapse at no further
-evaluation; the event state's derivative is the equilibrium search's own,
-or one more evaluation.
+first (FSAL).  A run has one step: compiled from the text that its formula
+body keeps (model._body), the flow kind's field (FlowKind.field) or
+dynamics._curve_speed, read when the run starts.  Its factory, called once
+per run with the parameters, runs the body's head and returns step(y, k0,
+h, atol, rtol), which runs the point lines and the value at each stage;
+its attribute field, the body at y alone, serves the run's start and event
+search.  Sample assembly likewise compiles the text of the kind's spinor
+body (FlowKind.spinor) and of model._scalars, the record geometry_scalars
+returns, and reads the metric velocity off the recorded derivative.  The
+compiled code carries the bodies' formulas only, in the same order, so it
+gives their bits, and it reads no source file.  A body set in place of a
+stock one, say one that counts its calls, sees every evaluation of the runs
+that start after it.  Steps that would leave the open first quadrant are
+rejected and halved.  Terminal events (collapse of one or both scales,
+convergence to an equilibrium of the normalized flow) are located by
+bisection on the cubic Hermite interpolant of the step that crosses them, a
+collapse at no further evaluation; the event state's derivative is the
+equilibrium search's own, or one more evaluation.
 """
 
 from __future__ import annotations
@@ -32,9 +29,8 @@ from __future__ import annotations
 import functools
 import math
 
-from . import model, phase
-from .dynamics import _curve_speed, curve_speed, vector_field
-from .model import FlowKind, FlowParams, GeometryScalars, State, _field_at_start, geometry_scalars, initial_state
+from . import dynamics, model, phase
+from .model import FlowKind, FlowParams, GeometryScalars, State, _field_at_start, initial_state
 
 # Dormand-Prince 5(4) tableau.  The last row of _A holds the fifth-order
 # weights, so the seventh stage is evaluated at the step's result.
@@ -147,76 +143,65 @@ class Trajectory(model._Record):
 
 
 def _factory(name, head, lines, namespace):
-    """The factory name_for(f, params) that runs the lines head and returns
+    """The factory name_for(params) that runs the lines head and returns
     the function name that lines define, compiled by model._compiled."""
-    lines = [f"def {name}_for(f, params):", *model._indented(head, *lines), f"    return {name}"]
+    lines = [f"def {name}_for(params):", *model._indented(head, *lines), f"    return {name}"]
     return model._compiled(f"{__name__}.{name}", lines, namespace)[f"{name}_for"]
 
 
 @functools.cache
-def _step(n, stock=None):
-    """Compile, the first time a run needs it, the factory name_for(f,
-    params) of the Dormand-Prince step name for an n-dimensional run of
-    y' = f(params, y), as straight-line code from _A and _E.
+def _step(n, body):
+    """Compile, the first time a run needs it, the factory name_for(params)
+    of the Dormand-Prince step name for an n-dimensional run of y' =
+    body(params, y), as straight-line code from _A and _E and the text body
+    keeps.  The factory runs the text's head; at each stage input, named
+    after the text's point arguments, the step runs its point lines and
+    assigns the stage its value, so it gives body's bits.  The step and its
+    module are named after body, so a planted body's text never stands in
+    the line cache for another's.
 
-    step(y, k0, h, atol, rtol), given k0 = f at y, returns (k7, y_new,
-    err_norm) with k7 = f at y_new and err_norm the RMS of the scaled error
-    estimate, or None if a stage input left the open quadrant.  Sums run
-    left to right over the nonzero coefficients, inlined as float literals
-    that round-trip exactly, so the step rounds as a loop over the tableau
-    does.  step.field is f at y alone; its caller tests the quadrant.
-
-    The generic step calls f(params, (s0, s1)), or f(params, s0) in one
-    dimension, with no stage time: both flows are autonomous.  Given stock =
-    (suffix, body), the factory ignores f and runs the head of body.text,
-    and at each stage input, named after the text's point arguments, the
-    step runs its point lines and assigns the stage its value, so it gives
-    f's bits.
+    step(y, k0, h, atol, rtol), given k0 = body at y, returns (k7, y_new,
+    err_norm) with k7 = body at y_new and err_norm the RMS of the scaled
+    error estimate, or None if a stage input left the open quadrant.  Sums
+    run left to right over the nonzero coefficients, inlined as float
+    literals that round-trip exactly, so the step rounds as a loop over the
+    tableau does.  step.field is body at y alone, as a tuple; its caller
+    tests the quadrant.
     """
-    name, dims = f"_rk_step{n}", range(n)
+    name, dims, text = f"_rk_step{n}{body.__name__}", range(n), body.text
+    s = text.args.split(", ")
 
     def tup(names):
         return f"({', '.join(names)}{',' if n == 1 else ''})"
-
-    s = [f"s{d}" for d in dims]
-    namespace, head, point = {"inf": math.inf, "sqrt": math.sqrt}, "", ""
-    value = f"f(params, {tup(s) if n > 1 else s[0]})"
-    if stock is not None:
-        name, text = f"{name}_{stock[0]}", stock[1].text
-        s, head, point, value = text.args.split(", "), text.head, text.point, text.value
-        namespace.update(text.env)
 
     def terms(coeffs, d):
         return " + ".join(f"{c!r} * k{j}_{d}" for j, c in enumerate(coeffs, 1) if c)
 
     admissible = " and ".join(f"0.0 < {s[d]} < inf" for d in dims)
-    keep = stock is None and n > 1  # a generic planar stage keeps f's value, which step returns as k7
     lines = [f"def {name}(y, k0, h, atol, rtol):"]
     lines += [f"    {tup(f'y{d}' for d in dims)} = y", f"    {tup(f'k1_{d}' for d in dims)} = k0"]
     for j, a in enumerate(_A[1:], 2):
         lines += [f"    {s[d]} = y{d} + h * ({terms(a, d)})" for d in dims]
         lines += [f"    if not ({admissible}):", "        return None"]
-        target = ", ".join(f"k{j}_{d}" for d in dims) + (f" = k{j}" if keep else "")
-        lines += model._indented(point, f"{target} = {value}")
+        lines += model._indented(text.point, f"{', '.join(f'k{j}_{d}' for d in dims)} = {text.value}")
     # both states are positive, so max(y, s) is the larger, with no abs();
     # r * r overflows to inf, which rejects the step, where r ** 2 would raise
     lines += [
         f"    r{d} = h * ({terms(_E, d)}) / (atol + rtol * ({s[d]} if {s[d]} > y{d} else y{d}))" for d in dims
     ]
     squares = " + ".join(f"r{d} * r{d}" for d in dims)
-    last = f"k{len(_A)}" if keep else tup(f"k{len(_A)}_{d}" for d in dims)
-    lines.append(f"    return {last}, {tup(s)}, sqrt(({squares}) / {n})")
+    lines.append(f"    return {tup(f'k{len(_A)}_{d}' for d in dims)}, {tup(s)}, sqrt(({squares}) / {n})")
     field = f"_field{name[len('_rk_step') :]}"
-    lines += [f"def {field}(y):", f"    {tup(s)} = y", *model._indented(point, f"k = {value}")]
+    lines += [f"def {field}(y):", f"    {tup(s)} = y", *model._indented(text.point, f"k = {text.value}")]
     lines += [f"    return {'(k,)' if n == 1 else 'k'}", f"{name}.field = {field}"]
-    return _factory(name, head, lines, namespace)
+    return _factory(name, text.head, lines, {"inf": math.inf, "sqrt": math.sqrt, **text.env})
 
 
 @functools.cache
-def _samples(stock):
-    """Compile, the first time a run needs it, for stock = (suffix,
-    spinor_body, record_body), the factory, which ignores its f, of
-    samples(points).  That returns the bits of [(State(t, *y),
+def _samples(spinor, record):
+    """Compile, the first time a run needs it, the factory, named after
+    both bodies, of samples(points) for the spinor body of a flow kind and
+    the record body.  That returns the bits of [(State(t, *y),
     geometry_scalars(params, *y)) for t, y, _ in points] on the points
     _advance records, all of which State admits: the start, which the run
     checks, and states that a step or the event search admitted.  It runs
@@ -225,7 +210,7 @@ def _samples(stock):
     object.__new__, then its instance dict filled in the order of its
     fields, __match_args__, State's with t, alpha and beta, the other with
     the record body's value, the record geometry_scalars returns."""
-    name, spinor, record = f"_samples_{stock[0]}", stock[1].text, stock[2].text
+    name, spinor, record = f"_samples{spinor.__name__}{record.__name__}", spinor.text, record.text
     namespace = {**spinor.env, **record.env, "State": State, "GeometryScalars": GeometryScalars, "new": object.__new__}
     lines = [f"def {name}(points):", "    samples = []", "    for t, (alpha, beta), (dalpha, dbeta) in points:"]
     lines += model._indented(spinor.point, indent=" " * 8)
@@ -351,15 +336,14 @@ def integrate(
     if not t_end > 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
     s0 = initial_state(params) if start is None else State(start.t, start.alpha, start.beta)
-    step, scalars = _step_for(vector_field, params, 2), geometry_scalars  # read per call: wrappers see every evaluation
+    kind = params.kind  # the run reads its bodies here, once: a body planted later serves later runs
+    step, build = _step(2, kind.field)(params), _samples(kind.spinor, model._scalars)(params)
     y0 = (float(s0.alpha), float(s0.beta))
     k0 = _field_at_start(step.field, y0, "start must keep the field finite", y0)
-    etol = config.equilib_tol if params.kind is FlowKind.NORMALIZED else None  # as dynamics.equilibria rules
+    etol = config.equilib_tol if kind is FlowKind.NORMALIZED else None  # as dynamics.equilibria rules
     points, (tag, t_ev, y_ev, _), h = _advance(step, s0.t, y0, k0, s0.t + t_end, config, config.collapse_tol, etol)
-    build = _fused(scalars, params, _samples)
-    samples = build(points) if build else [(State(t, *y), scalars(params, *y)) for t, y, _ in points]
     termination = _classify(params, tag, t_ev, y_ev, h, s0)
-    return Trajectory(params, samples, termination, [dy for _, _, dy in points])
+    return Trajectory(params, build(points), termination, [dy for _, _, dy in points])
 
 
 def _classify(params, tag, t_ev, y_ev, h, s0):
@@ -411,7 +395,7 @@ def integrate_reduced(
         raise ValueError(f"epsilon0 must be positive and finite, got {epsilon0}")
     if not t_end > 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
-    step = _step_for(curve_speed, params, 1)  # read per call, so that a wrapped speed sees every evaluation
+    step = _step(1, dynamics._curve_speed)(params)  # read per run, as integrate reads its bodies
     y0 = (float(epsilon0),)
     k0 = _field_at_start(step.field, y0, "epsilon0 must keep the speed finite at the start", epsilon0)
     points, (tag, t_ev, _, _), _ = _advance(step, 0.0, y0, k0, t_end, config, None, config.equilib_tol)
@@ -421,30 +405,3 @@ def integrate_reduced(
             f" got {epsilon0}: underflow at t={t_ev:.6g}"
         )
     return [(t, e) for t, (e,), _ in points]
-
-
-# The package's own functions that a run reads, keyed with the flow kind, and
-# the stock of the fused code that stands in for them: its name suffix and
-# the body whose text a step compiles, or the spinor and record bodies whose
-# text a sample builder compiles.  The bodies are the ones the public
-# functions call, so fused code runs their formulas.  A tracer that swaps the
-# module globals leaves this table alone, so a run that reads a swapped
-# function misses it and calls that function.
-_STOCK = {
-    **{(vector_field, kind): (kind.value, kind.field) for kind in FlowKind},
-    **{(geometry_scalars, kind): (kind.value, kind.spinor, model._scalars) for kind in FlowKind},
-    (curve_speed, FlowKind.NORMALIZED): ("speed", _curve_speed),
-}
-
-
-def _fused(field, p, build):
-    """build(stock)(field, p) for the entry stock of field at p's flow kind
-    in _STOCK, or None if field is not the package's own."""
-    stock = _STOCK.get((field, p.kind))
-    return build(stock)(field, p) if stock else None
-
-
-def _step_for(field, p, n):
-    """The step for a run that reads field at p: the fused one if field is
-    the package's own, else the generic one."""
-    return _fused(field, p, functools.partial(_step, n)) or _step(n)(field, p)

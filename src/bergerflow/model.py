@@ -7,14 +7,16 @@ normalizing constant, the Riemannian volume, the diagonal components of the
 (negative) energy gradient, the spinorial energy itself, and the two scalar
 coefficients ``f`` and ``g`` through which the spinor enters.  Each flow
 kind's planar field and spinor coefficients are straight-line bodies that
-``_body`` compiles from their text and that keep it, so the integrator's
-fused code compiles the same text; the field's reads the one table where its
-coefficients are written, a row per kind and a*kappa.  Each
-:class:`FlowKind` member carries the two bodies as the attributes ``field``
-and ``spinor``, assigned once below them: the one map from a kind to its
-formulas, which ``dynamics.vector_field``, :func:`spinor_coefficients`,
-:func:`geometry_scalars`, the start check of :class:`FlowParams` and the
-fused code read.  The metric velocity is read off the field.
+``_body`` compiles from their text and that keep it, so each integration
+run compiles the same text into its step and its sample builder; the
+field's reads the one table where its coefficients are written, a row per
+kind and a*kappa.  Each :class:`FlowKind` member carries the two bodies as
+the attributes ``field`` and ``spinor``, assigned once below them: the one
+map from a kind to its formulas, which ``dynamics.vector_field``,
+:func:`spinor_coefficients`, :func:`geometry_scalars`, the start check of
+:class:`FlowParams` and every run read.  A body set in a member's place,
+such as a copy whose text counts its calls, reaches all of them: the runs
+that start after it too.  The metric velocity is read off the field.
 """
 
 from __future__ import annotations
@@ -231,9 +233,9 @@ def _body(name, args, head, point, value, **env):
     """The function name(params, args), compiled with globals env from its
     text: the lines head, which read params alone, the lines point, then
     return value.  It keeps that text as its attribute text, which the
-    integrator's fused code compiles too, head once per run and point and
-    value at each stage or sample, so both evaluate the same expressions in
-    the same order and give the same bits."""
+    integrator compiles too, head once per run and point and value at each
+    stage or sample, so both evaluate the same expressions in the same
+    order and give the same bits."""
     text = types.SimpleNamespace(args=args, head=head.strip(), point=point.strip(), value=value, env=env)
     lines = [f"def {name}(params, {args}):", *_indented(text.head, text.point, f"return {value}")]
     function = _compiled(f"{__name__}.{name}", lines, env)[name]
@@ -318,8 +320,8 @@ def energy(params: FlowParams, alpha: float, beta: float) -> float:
     return PI_SQ * alpha * beta**2 * (f * f + 2.0 * g * g)
 
 
-# The record geometry_scalars returns, its fields in order.  Fused sample
-# assembly fills a record with this value, b2, f and g bound by the spinor
+# The record geometry_scalars returns, its fields in order.  A run's sample
+# builder fills a record with this value, b2, f and g bound by the spinor
 # body's point lines.
 _scalars = _body("_scalars", "alpha, beta, b2, f, g, dalpha, dbeta", "", "", """(
     TWO_PI_SQ * alpha * b2,  # volume

@@ -6,12 +6,11 @@ are produced, or rely on pytest's captured output on failure.
 """
 
 import importlib
-import inspect
 import json
 
 import pytest
 
-from bergerflow import FlowKind, acceptance, cli, dynamics
+from bergerflow import FlowKind, FlowParams, acceptance, cli, dynamics, integrate, model
 from bergerflow.integrate import TerminationEvent, Trajectory
 from bergerflow.model import _COLLAPSE_ROWS, _NORMALIZED_ROWS, State
 
@@ -161,9 +160,11 @@ def test_verify_names_the_start_that_ended_in_the_wrong_event(monkeypatch, cold_
 # Planted errors in the field coefficients, the spinor bodies and the
 # energy of each sample, each of which its check must report as a failed
 # result, not as an error.  A field mutant replaces one entry of a row of
-# the coefficient table.  A spinor or energy mutant replaces one token of a
-# model body's text, and is set where the check reads that body: a flow's
-# spinor on its FlowKind member, the record _scalars as a model global.
+# the coefficient table.  A spinor or energy mutant rebuilds a model body
+# from its text with one token replaced, and is set where every reader
+# reads that body: a flow's spinor on its FlowKind member, the record
+# _scalars as a model global.  The public functions and the sample builder
+# of every run that starts after the plant compile the mutant.
 def table_entry(rows, p, index, value):
     def plant(monkeypatch):
         row = list(rows[p])
@@ -176,26 +177,19 @@ def table_entry(rows, p, index, value):
 def mutant(owner, attr, old, new):
     def plant(monkeypatch):
         target = importlib.import_module(owner) if isinstance(owner, str) else owner
-        fn = getattr(target, attr)
-        source = inspect.getsource(fn)
-        assert source.count(old) == 1, (fn.__name__, old)
-        namespace = dict(fn.__globals__)
-        exec(source.replace(old, new), namespace)
-        monkeypatch.setattr(target, attr, namespace[fn.__name__])
+        body = getattr(target, attr)
+        text = body.text
+        parts = {"head": text.head, "point": text.point, "value": text.value}
+        assert sum(part.count(old) for part in parts.values()) == 1, (body.__name__, old)
+        parts = {key: part.replace(old, new) for key, part in parts.items()}
+        rebuilt = model._body(f"{body.__name__}_mutant", text.args, **parts, **text.env)
+        monkeypatch.setattr(target, attr, rebuilt)
 
     return plant
 
 
-def record_mutant(old, new):
-    # integrate, reading a wrapper of geometry_scalars, builds its samples by
-    # calling geometry_scalars, which reads the mutated record
-    def plant(monkeypatch):
-        model = importlib.import_module("bergerflow.model")
-        mutant(model, "_scalars", old, new)(monkeypatch)
-        integrate = importlib.import_module("bergerflow.integrate")
-        monkeypatch.setattr(integrate, "geometry_scalars", lambda *args: model.geometry_scalars(*args))
-
-    return plant
+_SPINOR_SIGN = mutant(FlowKind.COLLAPSE, "spinor", "kappa / beta - f", "kappa / beta + f")
+_ENERGY_DOUBLED = mutant("bergerflow.model", "_scalars", "PI_SQ * alpha * b2 * (", "2.0 * PI_SQ * alpha * b2 * (")
 
 
 @pytest.mark.parametrize(
@@ -203,12 +197,10 @@ def record_mutant(old, new):
     [
         pytest.param(table_entry(_COLLAPSE_ROWS, 2.0, 0, -9 / 31.75), "gradient_structure", id="collapse-field-c3"),
         pytest.param(table_entry(_NORMALIZED_ROWS, -1.0, 8, 1 / 6.1), "gradient_structure", id="normalized-field-xw"),
-        pytest.param(mutant(FlowKind.COLLAPSE, "spinor", "kappa / beta - f", "kappa / beta + f"),
-                     "gradient_structure", id="collapse-spinor-sign"),
+        pytest.param(_SPINOR_SIGN, "gradient_structure", id="collapse-spinor-sign"),
         pytest.param(mutant(FlowKind.NORMALIZED, "spinor", "gr = -a / 4.0", "gr = -a / 4.01"),
                      "gradient_structure", id="normalized-spinor-gr"),
-        pytest.param(record_mutant("PI_SQ * alpha * b2 * (", "2.0 * PI_SQ * alpha * b2 * ("),
-                     "energy_dissipation", id="sample-energy-doubled"),
+        pytest.param(_ENERGY_DOUBLED, "energy_dissipation", id="sample-energy-doubled"),
     ],
 )
 def test_gradient_checks_fail_on_a_planted_error(monkeypatch, cold_runs, plant, name):
@@ -217,6 +209,23 @@ def test_gradient_checks_fail_on_a_planted_error(monkeypatch, cold_runs, plant, 
     assert result.name == name
     assert not result.passed and not result.error
     assert result.measured > result.threshold
+
+
+@pytest.mark.parametrize(
+    "plant", [_SPINOR_SIGN, _ENERGY_DOUBLED], ids=["collapse-spinor-sign", "sample-energy-doubled"]
+)
+def test_a_planted_body_reaches_the_samples_of_a_run(monkeypatch, plant):
+    # the sample builder a run compiles reads the mutant: every sample keeps
+    # its state, and its scalars are the ones geometry_scalars now gives,
+    # not the stock ones
+    params = FlowParams(FlowKind.COLLAPSE, a=2.0, kappa=1.0, epsilon=0.8)
+    stock = integrate(params, t_end=5.0)
+    plant(monkeypatch)
+    planted = integrate(params, t_end=5.0)
+    assert [state for state, _ in planted.samples] == [state for state, _ in stock.samples]
+    for (state, scalars), (_, before) in zip(planted.samples, stock.samples):
+        assert scalars == model.geometry_scalars(params, state.alpha, state.beta)
+        assert scalars != before
 
 
 def test_a_start_with_no_closed_form_fails_its_check_by_name(monkeypatch, capsys):

@@ -326,15 +326,13 @@ class TestSimulate:
         ],
         ids=["collapse-1e50", "collapse-8e102", "normalized-3e92"],
     )
-    def test_extreme_scales_report_alike_on_both_steps(self, capsys, monkeypatch, argv):
-        # the stock field takes the fused step and a wrapped one the generic
-        # step; exit code, stdout and stderr must not tell them apart
+    def test_extreme_scales_report_alike_through_a_counting_body(self, capsys, counting_body, argv):
+        # a counting copy of the flow's field sees the run's evaluations;
+        # exit code, stdout and stderr must not tell the two runs apart
         fused = run(capsys, *argv)
-        stock = bergerflow.vector_field
-        monkeypatch.setattr(
-            importlib.import_module("bergerflow.integrate"), "vector_field", lambda p, y: stock(p, y)
-        )
+        calls = counting_body(bergerflow.FlowKind(argv[argv.index("--flow") + 1]), "field")
         assert run(capsys, *argv) == fused
+        assert calls
         assert fused[0] == 2
         assert fused[1].splitlines()[-1].startswith("# termination=StepUnderflow ")
 
@@ -353,23 +351,28 @@ class TestSimulate:
         ids=["event", "event-stride-7", "t-end-stride-7", "fiber-stride-7", "equilibrium",
              "underflow"],
     )
-    def test_derivative_columns_reuse_the_step(self, capsys, monkeypatch, argv, tag):
+    def test_derivative_columns_reuse_the_step(self, capsys, monkeypatch, counting_body, argv, tag):
         # the derivative the trajectory recorded fills dalpha,dbeta, the
-        # event row's included, so the CLI evaluates no field; every row
-        # keeps the bits of a fresh evaluation at its state
-        calls = []
+        # event row's included, so the CLI evaluates the field only at the
+        # start, where FlowParams checks it, and the run makes all the other
+        # evaluations; every row keeps the bits of a fresh evaluation at its
+        # state
+        flags = dict(zip(argv[1::2], argv[2::2]))
+        calls, in_runs, run_once = counting_body(bergerflow.FlowKind(flags["--flow"]), "field"), [], cli.integrate
 
-        def counted(params, point):
-            calls.append(point)
-            return bergerflow.vector_field(params, point)
+        def counted_run(*args):
+            before = len(calls)
+            traj = run_once(*args)
+            in_runs.append(len(calls) - before)
+            return traj
 
-        monkeypatch.setattr(importlib.import_module("bergerflow.dynamics"), "vector_field", counted)
+        monkeypatch.setattr(cli, "integrate", counted_run)
         code, out, _ = run(capsys, *argv)
         monkeypatch.undo()
         assert code == (2 if tag == "StepUnderflow" else 0)
         assert out.splitlines()[-1].startswith(f"# termination={tag} ")
-        assert calls == []
-        flags = dict(zip(argv[1::2], argv[2::2]))
+        assert len(in_runs) == 1
+        assert len(calls) - in_runs[0] == 1
         params = bergerflow.FlowParams(
             bergerflow.FlowKind(flags["--flow"]), 2.0, float(flags["--kappa"]),
             float(flags["--epsilon"]),
@@ -380,17 +383,14 @@ class TestSimulate:
             field = bergerflow.vector_field(params, (float(row[1]), float(row[2])))
             assert row[7:] == [cli._fmt(v) for v in field]
 
-    def test_arithmetic_failure_mid_run_exit_code(self, capsys, monkeypatch):
-        # a field that raises after the start is an integration failure
-        calls = []
-
-        def failing(params, point):
-            calls.append(point)
-            if len(calls) == 10:
+    def test_arithmetic_failure_mid_run_exit_code(self, capsys, counting_body):
+        # a field that raises after the start is an integration failure:
+        # the tenth evaluation, after FlowParams' and the run's start checks
+        def failing(points):
+            if len(points) == 10:
                 raise ZeroDivisionError("planted")
-            return bergerflow.vector_field(params, point)
 
-        monkeypatch.setattr(importlib.import_module("bergerflow.integrate"), "vector_field", failing)
+        counting_body(bergerflow.FlowKind.COLLAPSE, "field", failing)
         code, out, err = run(capsys, *SIMULATE, "--t-end", "20")
         assert (code, out) == (2, "")
         assert err == "error: integration failure: ZeroDivisionError: planted\n"
@@ -709,8 +709,8 @@ def test_a_process_compiles_only_the_steps_it_takes():
     # equilibria compiles nothing; a collapse simulate compiles the collapse
     # step and the collapse sample builder and nothing for the other kind
     assert _fresh_interpreter(_STEP_PROBE) == (
-        "[[], [], ['_rk_step2_collapse', '_samples_collapse'],"
-        " ['_rk_step1_speed', '_rk_step2_collapse', '_samples_collapse']]"
+        "[[], [], ['_rk_step2_collapse_field', '_samples_spinor_collapse_scalars'],"
+        " ['_rk_step1_curve_speed', '_rk_step2_collapse_field', '_samples_spinor_collapse_scalars']]"
     )
 
 

@@ -50,20 +50,25 @@ EXACT_EQUILIBRIUM_TIME_MINUS = 2.60793870074569
 
 def count_attempts(monkeypatch, module):
     """The step sizes of every step attempted by the runs that follow, each
-    step that _step_for returns wrapped so that it records them."""
-    attempts, select = [], module._step_for
+    step that a factory of _step returns wrapped so that it records them."""
+    attempts, build = [], module._step
 
-    def counting(*args):
-        step = select(*args)
+    def counting(n, body):
+        factory = build(n, body)
 
-        @functools.wraps(step)  # keeps its name and its attribute field
-        def counted(y, k0, h, atol, rtol):
-            attempts.append(h)
-            return step(y, k0, h, atol, rtol)
+        def counting_factory(params):
+            step = factory(params)
 
-        return counted
+            @functools.wraps(step)  # keeps its name and its attribute field
+            def counted(y, k0, h, atol, rtol):
+                attempts.append(h)
+                return step(y, k0, h, atol, rtol)
 
-    monkeypatch.setattr(module, "_step_for", counting)
+            return counted
+
+        return counting_factory
+
+    monkeypatch.setattr(module, "_step", counting)
     return attempts
 
 
@@ -285,54 +290,38 @@ class TestEvents:
         residual = math.hypot(*vector_field(params, (x, y))) / math.hypot(x, y)
         assert 0.99 * config.equilib_tol <= residual <= config.equilib_tol
 
-    def test_event_location_costs_no_rhs_call(self, monkeypatch):
+    def test_event_location_costs_no_rhs_call(self, monkeypatch, counting_body):
         # FSAL: one call for the initial state, then six per attempted
         # step; locating the collapse on the interpolant adds none, and the
         # event state's derivative is the one call made there.  The package
         # attribute bergerflow.integrate is the function, so the module
         # comes from importlib.
         module = importlib.import_module("bergerflow.integrate")
-        calls = []
-
-        def counted(params, point):
-            calls.append(point)
-            return vector_field(params, point)
-
-        monkeypatch.setattr(module, "vector_field", counted)
+        calls = counting_body(FlowKind.COLLAPSE, "field")
         attempts = count_attempts(monkeypatch, module)
         traj = integrate(COLLAPSE, NO_EQUILIB, t_end=20.0)
         assert traj.termination.tag == "CollapsePoint"
         assert len(calls) == 1 + 6 * len(attempts) + 1
         assert calls[-1] == (traj.final_state.alpha, traj.final_state.beta)
 
-    def test_reduced_steps_cost_six_rhs_calls(self, monkeypatch):
+    def test_reduced_steps_cost_six_rhs_calls(self, monkeypatch, counting_body):
         # the 1-D path shares the FSAL stage just as the planar one does
         module = importlib.import_module("bergerflow.integrate")
-        calls = []
-
-        def counted(params, epsilon):
-            calls.append(epsilon)
-            return curve_speed(params, epsilon)
-
-        monkeypatch.setattr(module, "curve_speed", counted)
+        calls = counting_body(importlib.import_module("bergerflow.dynamics"), "_curve_speed")
+        attempts = count_attempts(monkeypatch, module)
         samples = integrate_reduced(NORMALIZED, NO_EQUILIB, epsilon0=1.4, t_end=50.0)
         assert samples[-1][0] == 50.0
-        assert (len(calls) - 1) % 6 == 0
+        assert attempts
+        assert len(calls) == 1 + 6 * len(attempts)
 
-    def test_equilibrium_test_reads_the_fsal_stage(self, monkeypatch):
+    def test_equilibrium_test_reads_the_fsal_stage(self, counting_body):
         # the step's last stage is f at the accepted state, so the
         # equilibrium predicate must not evaluate the field there again
-        module = importlib.import_module("bergerflow.integrate")
-        calls = Counter()
-
-        def counted(params, point):
-            calls[tuple(point)] += 1
-            return vector_field(params, point)
-
-        monkeypatch.setattr(module, "vector_field", counted)
         params = FlowParams(FlowKind.NORMALIZED, a=2.0, kappa=0.5, epsilon=1.2)
+        points = counting_body(FlowKind.NORMALIZED, "field")
         traj = integrate(params, IntegratorConfig(), t_end=400.0)
         assert traj.termination.tag == "Equilibrium"
+        calls = Counter(points)
         counts = [calls[(s.alpha, s.beta)] for s, _ in traj.samples[:-1]]
         assert counts == [1] * len(counts)
 
@@ -343,35 +332,27 @@ class TestEvents:
          (FlowParams(FlowKind.NORMALIZED, a=2.0, kappa=0.5, epsilon=1.2), 400.0, "Equilibrium")],
         ids=["collapse-event", "t-end", "equilibrium-event"],
     )
-    def test_derivatives_are_the_held_stages(self, monkeypatch, params, t_end, tag, stride):
+    def test_derivatives_are_the_held_stages(self, monkeypatch, counting_body, params, t_end, tag, stride):
         # each recorded derivative is a value the step computed at that
-        # sample, not a new call; an interpolated collapse state has the one
-        # evaluation made there, and an equilibrium state the value its last
-        # accepting bisection round computed
+        # sample, not a new call: the run makes exactly the step's
+        # evaluations, and each sample's state is one of them; an
+        # interpolated collapse state has the one evaluation made there, and
+        # an equilibrium state the value a bisection round computed
         module = importlib.import_module("bergerflow.integrate")
-        returned, points = [], []
-
-        def counted(params, point):
-            returned.append(vector_field(params, point))
-            points.append(point)
-            return returned[-1]
-
-        monkeypatch.setattr(module, "vector_field", counted)
+        points = counting_body(params.kind, "field")
         attempts = count_attempts(monkeypatch, module)
         traj = integrate(params, IntegratorConfig(output_stride=stride), t_end=t_end)
         assert traj.termination.tag == tag
         rounds = bisection_rounds(module, attempts[-1]) if tag == "Equilibrium" else 0
-        assert len(returned) == 1 + 6 * len(attempts) + rounds + (tag == "CollapsePoint")
+        assert len(points) == 1 + 6 * len(attempts) + rounds + (tag == "CollapsePoint")
         assert len(traj.derivatives) == len(traj.samples)
-        ids = {id(k) for k in returned}
+        evaluated = set(points)
+        monkeypatch.undo()
         for (state, _), dy in zip(traj.samples, traj.derivatives):
-            assert id(dy) in ids
+            assert (state.alpha, state.beta) in evaluated
             assert dy == vector_field(params, (state.alpha, state.beta))
         if tag == "CollapsePoint":
-            assert traj.derivatives[-1] is returned[-1]
-        if tag == "Equilibrium":
-            final = (traj.final_state.alpha, traj.final_state.beta)
-            assert traj.derivatives[-1] is returned[max(i for i, y in enumerate(points) if y == final)]
+            assert points[-1] == (traj.final_state.alpha, traj.final_state.beta)
 
     def test_derivatives_stay_out_of_repr_and_equality(self):
         traj = integrate(COLLAPSE, NO_EQUILIB, t_end=1.0)
@@ -595,11 +576,9 @@ def test_sweep_box_samples_equal_the_public_constructors(stride):
     # as above, over seeded draws: the fused sample assembly builds, at
     # every stride and termination, the records of the public constructors,
     # and every derivative, the event state's included, is the field's bits
-    module = importlib.import_module("bergerflow.integrate")
     config = IntegratorConfig(output_stride=stride)
     tags = Counter()
     for params, t_end in sweep_box_runs(15):
-        assert module._fused(geometry_scalars, params, module._samples) is not None
         traj = integrate(params, config, t_end=t_end)
         tags[traj.termination.tag] += 1
         assert_samples_rebuild(traj)
@@ -608,30 +587,17 @@ def test_sweep_box_samples_equal_the_public_constructors(stride):
     assert set(tags) == {"CollapsePoint", "CollapseFiber", "Equilibrium", "ReachedTEnd", "StepUnderflow"}
 
 
-def test_a_tracer_swap_of_geometry_scalars_sees_every_sample(monkeypatch):
-    # as perfbench's tracer does: every bergerflow module global that is
-    # geometry_scalars becomes a counting wrapper; integrate then calls it
-    # once per sample, at the sample, and builds the fused assembly's records
+def test_a_counting_spinor_body_sees_every_sample(counting_body):
+    # the sample builder compiles the kind's spinor body, read when the run
+    # starts: a counting one planted there is called once per sample, at
+    # the sample, and the records keep the stock run's bits
     runs = [(COLLAPSE, 20.0, 1), (COLLAPSE_NEG, 5000.0, 7), (NORMALIZED, 5.0, 1), (NORMALIZED_NEG, 400.0, 3)]
-    fused = [integrate(params, IntegratorConfig(output_stride=stride), t_end) for params, t_end, stride in runs]
-    calls = []
-
-    def counted(params, alpha, beta):
-        calls.append((alpha, beta))
-        return geometry_scalars(params, alpha, beta)
-
-    swapped = []
-    for name, mod in list(sys.modules.items()):
-        if name == "bergerflow" or name.startswith("bergerflow."):
-            for key, value in list(vars(mod).items()):
-                if value is geometry_scalars:
-                    monkeypatch.setattr(mod, key, counted)
-                    swapped.append(name)
-    assert "bergerflow.integrate" in swapped
-    for (params, t_end, stride), want in zip(runs, fused):
-        calls.clear()
+    stock = [integrate(params, IntegratorConfig(output_stride=stride), t_end) for params, t_end, stride in runs]
+    calls = {kind: counting_body(kind, "spinor") for kind in FlowKind}
+    for (params, t_end, stride), want in zip(runs, stock):
+        calls[params.kind].clear()
         got = integrate(params, IntegratorConfig(output_stride=stride), t_end)
-        assert calls == [(s.alpha, s.beta) for s, _ in got.samples]
+        assert calls[params.kind] == [(s.alpha, s.beta) for s, _ in got.samples]
         assert got.samples == want.samples
         assert repr(got) == repr(want)
 
@@ -785,22 +751,18 @@ class TestReduced:
             integrate_reduced(params, NO_EQUILIB, epsilon0=edge, t_end=1.0)
 
 
-def selected_step(field, params):
-    """The step that integrate and integrate_reduced take when they read
-    field: vector_field or curve_speed, or a wrapper of either."""
+def stock_step(name, params):
+    """The step that a run at params takes: integrate's, over the flow
+    kind's field, if name is a planar step, else integrate_reduced's."""
     module = importlib.import_module("bergerflow.integrate")
-    return module._step_for(field, params, 2 if field is vector_field else 1)
+    if name.startswith("_rk_step2"):
+        return module._step(2, params.kind.field)(params)
+    return module._step(1, importlib.import_module("bergerflow.dynamics")._curve_speed)(params)
 
 
 def speed_rhs(p, y):
     """The reduced field as a function of a 1-tuple, as the reference step calls it."""
     return (curve_speed(p, y[0]),)
-
-
-def generic_step(name, params):
-    """The generic step name, built over the stock field of its dimension."""
-    n = int(name[-1])
-    return importlib.import_module("bergerflow.integrate")._step(n)(vector_field if n == 2 else curve_speed, params)
 
 
 def reference_step(f, p, y, k0, h, atol, rtol):
@@ -832,31 +794,21 @@ def reference_step(f, p, y, k0, h, atol, rtol):
 @pytest.mark.parametrize(
     "name,params",
     [
-        pytest.param("_rk_step2", COLLAPSE, id="planar-collapse"),
-        pytest.param("_rk_step2", COLLAPSE_NEG, id="planar-collapse-neg"),
-        pytest.param("_rk_step2", NORMALIZED, id="planar-normalized"),
-        pytest.param("_rk_step2", NORMALIZED_NEG, id="planar-normalized-neg"),
-        pytest.param("_rk_step1", NORMALIZED, id="reduced"),
-        pytest.param("_rk_step1", NORMALIZED_NEG, id="reduced-neg"),
-        pytest.param("_rk_step2_collapse", COLLAPSE, id="fused-collapse"),
-        pytest.param("_rk_step2_collapse", COLLAPSE_NEG, id="fused-collapse-neg"),
-        pytest.param("_rk_step2_normalized", NORMALIZED, id="fused-normalized"),
-        pytest.param("_rk_step2_normalized", NORMALIZED_NEG, id="fused-normalized-neg"),
-        pytest.param("_rk_step1_speed", NORMALIZED, id="fused-reduced"),
-        pytest.param("_rk_step1_speed", NORMALIZED_NEG, id="fused-reduced-neg"),
+        pytest.param("_rk_step2_collapse_field", COLLAPSE, id="fused-collapse"),
+        pytest.param("_rk_step2_collapse_field", COLLAPSE_NEG, id="fused-collapse-neg"),
+        pytest.param("_rk_step2_normalized_field", NORMALIZED, id="fused-normalized"),
+        pytest.param("_rk_step2_normalized_field", NORMALIZED_NEG, id="fused-normalized-neg"),
+        pytest.param("_rk_step1_curve_speed", NORMALIZED, id="fused-reduced"),
+        pytest.param("_rk_step1_curve_speed", NORMALIZED_NEG, id="fused-reduced-neg"),
     ],
 )
 def test_specialised_steps_match_the_tableau(name, params):
-    # the unrolled steps, generic and fused, must give the loop's bits on
-    # every admissible input, and reject exactly the steps whose stages
-    # leave the quadrant; the loop calls the stock field
-    module = importlib.import_module("bergerflow.integrate")
+    # the unrolled steps must give the loop's bits on every admissible
+    # input, and reject exactly the steps whose stages leave the quadrant;
+    # the loop calls the stock field
     planar = name.startswith("_rk_step2")
     f = vector_field if planar else speed_rhs
-    if name in ("_rk_step2", "_rk_step1"):
-        step = generic_step(name, params)
-    else:
-        step = selected_step(vector_field if planar else curve_speed, params)
+    step = stock_step(name, params)
     assert step.__name__ == name
     rng = random.Random(2024)
     outcomes = Counter()
@@ -875,27 +827,23 @@ def bits(values):
     return tuple(float.hex(v) for v in values)
 
 
-@pytest.mark.parametrize("fused", [True, False], ids=["fused", "generic"])
 @pytest.mark.parametrize(
-    "field,params",
+    "name,params",
     [
-        pytest.param(vector_field, COLLAPSE, id="planar-collapse"),
-        pytest.param(vector_field, COLLAPSE_NEG, id="planar-collapse-neg"),
-        pytest.param(vector_field, NORMALIZED, id="planar-normalized"),
-        pytest.param(vector_field, NORMALIZED_NEG, id="planar-normalized-neg"),
-        pytest.param(curve_speed, NORMALIZED, id="reduced"),
-        pytest.param(curve_speed, NORMALIZED_NEG, id="reduced-neg"),
+        pytest.param("_rk_step2_collapse_field", COLLAPSE, id="planar-collapse-fused"),
+        pytest.param("_rk_step2_collapse_field", COLLAPSE_NEG, id="planar-collapse-neg-fused"),
+        pytest.param("_rk_step2_normalized_field", NORMALIZED, id="planar-normalized-fused"),
+        pytest.param("_rk_step2_normalized_field", NORMALIZED_NEG, id="planar-normalized-neg-fused"),
+        pytest.param("_rk_step1_curve_speed", NORMALIZED, id="reduced-fused"),
+        pytest.param("_rk_step1_curve_speed", NORMALIZED_NEG, id="reduced-neg-fused"),
     ],
 )
-def test_every_step_carries_its_point_field(field, params, fused):
-    # every step _step_for returns, fused with the stock field or generic
-    # over a wrapper of it, is called as step(y, k0, h, atol, rtol) and has
+def test_every_step_carries_its_point_field(name, params):
+    # every step a run takes is called as step(y, k0, h, atol, rtol) and has
     # step.field(y), the public function's bits on a grid, as a tuple
-    planar = field is vector_field
-    select = importlib.import_module("bergerflow.integrate")._step_for
-    step = select(field if fused else lambda p, y: field(p, y), params, 2 if planar else 1)
-    kind = params.kind.value if planar else "speed"
-    assert step.__name__ == f"_rk_step{2 if planar else 1}" + (f"_{kind}" if fused else "")
+    planar = name.startswith("_rk_step2")
+    step = stock_step(name, params)
+    assert step.__name__ == name
     grid, taken = [math.exp(0.25 * i) for i in range(-12, 7)], 0
     for y in [(x, b) for x in grid for b in grid] if planar else [(e,) for e in grid]:
         want = vector_field(params, y) if planar else (curve_speed(params, y[0]),)
@@ -907,55 +855,65 @@ def test_every_step_carries_its_point_field(field, params, fused):
     assert taken
 
 
-@pytest.mark.parametrize("name", ["_rk_step2", "_rk_step1"])
-def test_generated_steps_show_their_source(name):
-    # the steps are compiled from generated text registered with linecache
-    source = inspect.getsource(generic_step(name, NORMALIZED))
-    assert source.count("f(") == 6
-    assert "for" not in source.split()
-
-
-@pytest.mark.parametrize("name", ["_rk_step2", "_rk_step1"])
+@pytest.mark.parametrize(
+    "name", ["_rk_step2_normalized_field", "_rk_step1_curve_speed"], ids=["_rk_step2", "_rk_step1"]
+)
 def test_generated_source_survives_a_cleared_linecache(name):
     # the step's module has a loader that linecache can ask again
-    step = generic_step(name, NORMALIZED)
+    step = stock_step(name, NORMALIZED)
     linecache.clearcache()
     source = textwrap.dedent(inspect.getsource(step))
     assert source.startswith(f"def {name}(y, k0, h, atol, rtol):")
-    assert source.count("f(") == 6
+    assert source.count("        return None\n") == 6
 
 
 def test_traceback_inside_the_step_shows_its_line():
+    # a body that raises: the traceback names the step's module and shows
+    # the stage line of the body's value
     module = importlib.import_module("bergerflow.integrate")
 
-    def failing(p, y):
+    def fail(alpha, beta):
         raise ZeroDivisionError("planted")
 
+    model = importlib.import_module("bergerflow.model")
+    failing = model._body("_failing", "alpha, beta", "", "", "fail(alpha, beta)", fail=fail)
     linecache.clearcache()
     with pytest.raises(ZeroDivisionError) as info:
-        module._step(2)(failing, COLLAPSE)((1.0, 1.0), (0.1, 0.1), 1e-2, 1e-12, 1e-10)
+        module._step(2, failing)(COLLAPSE)((1.0, 1.0), (0.1, 0.1), 1e-2, 1e-12, 1e-10)
     text = "".join(traceback.format_exception(info.value))
-    assert 'File "bergerflow.integrate._rk_step2", line 9, in _rk_step2' in text
-    assert "    k2_0, k2_1 = k2 = f(params, (s0, s1))\n" in text
+    assert 'File "bergerflow.integrate._rk_step2_failing", line 9, in _rk_step2_failing' in text
+    assert "    k2_0, k2_1 = fail(alpha, beta)\n" in text
+
+
+def test_a_planted_step_compiled_first_never_shows_for_the_stock_one(counting_body):
+    # each step is named after its body: the step of a planted body,
+    # compiled and shown before the stock body's, keeps a module name of
+    # its own, so the line cache never serves its text for the stock step
+    stock = FlowKind.COLLAPSE.field
+    fresh = functools.cache(importlib.import_module("bergerflow.integrate")._step.__wrapped__)  # compiles anew
+    linecache.clearcache()
+    counting_body(FlowKind.COLLAPSE, "field")
+    planted = fresh(2, FlowKind.COLLAPSE.field)(COLLAPSE)
+    assert inspect.getsource(planted).count("record(alpha, beta)") == 6
+    step = fresh(2, stock)(COLLAPSE)
+    assert step.__module__ != planted.__module__
+    source = inspect.getsource(step)
+    assert "record(" not in source
+    assert source.count("  # dalpha") == 6
 
 
 FUSED = [
-    pytest.param("_rk_step2_collapse", COLLAPSE, id="collapse"),
-    pytest.param("_rk_step2_normalized", NORMALIZED, id="normalized"),
-    pytest.param("_rk_step1_speed", NORMALIZED, id="reduced"),
+    pytest.param("_rk_step2_collapse_field", COLLAPSE, id="collapse"),
+    pytest.param("_rk_step2_normalized_field", NORMALIZED, id="normalized"),
+    pytest.param("_rk_step1_curve_speed", NORMALIZED, id="reduced"),
 ]
 
-# the body whose text each fused step compiles
+# the body whose text each step compiles, by the step's name
 FORMULA = {
-    "collapse": "model._collapse_field",
-    "normalized": "model._normalized_field",
-    "speed": "dynamics._curve_speed",
+    "_rk_step2_collapse_field": "model._collapse_field",
+    "_rk_step2_normalized_field": "model._normalized_field",
+    "_rk_step1_curve_speed": "dynamics._curve_speed",
 }
-
-
-def stock_field(name):
-    """The field whose run takes the fused step name."""
-    return vector_field if name.startswith("_rk_step2") else curve_speed
 
 
 def indented(text, depth):
@@ -970,9 +928,9 @@ def test_fused_steps_show_their_source(name, params):
     # field, and its head once, in the factory around the step that runs it
     # once per run; no call is left, and no check but the quadrant test of
     # each stage input
-    module_name, function = FORMULA[name.rsplit("_", 1)[1]].split(".")
+    module_name, function = FORMULA[name].split(".")
     text = getattr(importlib.import_module(f"bergerflow.{module_name}"), function).text
-    step = selected_step(stock_field(name), params)
+    step = stock_step(name, params)
     linecache.clearcache()
     source = textwrap.dedent(inspect.getsource(step))
     factory = inspect.getsource(getattr(sys.modules[step.__module__], f"{name}_for"))
@@ -984,7 +942,7 @@ def test_fused_steps_show_their_source(name, params):
         assert source.count(indented(text.point, 4) + indented(f"{target} = {text.value}", 4)) == 1
     module_source = sys.modules[step.__module__].__loader__.get_source(step.__module__)
     assert not [word for word in ("raise", "FlowKind", "epsilon > 0", '"""') if word in module_source]
-    assert factory.startswith(f"def {name}_for(f, params):\n")
+    assert factory.startswith(f"def {name}_for(params):\n")
     assert factory.count(indented(text.head, 4)) == 1
     assert text.head.splitlines()[-1] not in source
     assert "f(" not in source
@@ -1007,10 +965,12 @@ def test_fused_sample_assembly_shows_its_source(kind, params):
     # is called
     module = importlib.import_module("bergerflow.integrate")
     model = importlib.import_module("bergerflow.model")
-    samples = module._fused(geometry_scalars, params, module._samples)
-    assert samples.__module__ == f"bergerflow.integrate._samples_{kind}"
+    samples = module._samples(params.kind.spinor, model._scalars)(params)
+    name = f"_samples_spinor_{kind}_scalars"
+    assert samples.__module__ == f"bergerflow.integrate.{name}"
     linecache.clearcache()
-    source = inspect.getsource(getattr(sys.modules[samples.__module__], f"_samples_{kind}_for"))
+    source = inspect.getsource(getattr(sys.modules[samples.__module__], f"{name}_for"))
+    assert source.startswith(f"def {name}_for(params):\n")
     head, loop = source.split("        for t, (alpha, beta), (dalpha, dbeta) in points:\n")
     spinor, record = getattr(model, f"_spinor_{kind}").text, model._scalars.text
     assert loop.count(indented(spinor.point, 12)) == 1
@@ -1025,17 +985,18 @@ def test_fused_sample_assembly_shows_its_source(kind, params):
     assert "State(" not in source  # every point recorded is one State admits
     filled = re.findall(r"dct\['(\w+)'\]", loop)
     assert filled == [*State.__match_args__, *model.GeometryScalars.__match_args__]
-    assert not [call for call in ("geometry_scalars(", "spinor_coefficients(", "_scalars(") if call in source]
+    assert not re.findall(r"(?<!\w)(geometry_scalars|spinor_coefficients|_scalars)\(", source)
 
 
 @pytest.mark.parametrize("kind", list(FlowKind), ids=lambda kind: kind.value)
-def test_each_kind_carries_the_one_map_to_its_formulas(kind):
+def test_each_kind_carries_the_one_map_to_its_formulas(monkeypatch, kind):
     # the public functions give the bits of the member's field and spinor
-    # bodies on a log grid, for both signs of a*kappa, and the fused code
-    # inlines exactly those bodies: a kind without its bodies fails here
+    # bodies on a log grid, for both signs of a*kappa, and a run compiles
+    # exactly those bodies: a kind without its bodies fails here
     field, spinor = kind.field, kind.spinor
     grid = [math.exp(0.5 * i) for i in range(-12, 13)]
-    for params in (COLLAPSE, COLLAPSE_NEG) if kind is FlowKind.COLLAPSE else (NORMALIZED, NORMALIZED_NEG):
+    signs = (COLLAPSE, COLLAPSE_NEG) if kind is FlowKind.COLLAPSE else (NORMALIZED, NORMALIZED_NEG)
+    for params in signs:
         for x, y in [(x, y) for x in grid for y in grid]:
             dx, dy = field(params, x, y)
             f, g = spinor(params, x, y)
@@ -1044,11 +1005,12 @@ def test_each_kind_carries_the_one_map_to_its_formulas(kind):
             scalars = geometry_scalars(params, x, y)
             want = (2.0 * dx / x, 2.0 * dy / y, f, g)
             assert bits((scalars.q00, scalars.q11, scalars.f, scalars.g)) == bits(want)
-    stock = importlib.import_module("bergerflow.integrate")._STOCK
-    assert stock[vector_field, kind] == (kind.value, field)
-    assert stock[geometry_scalars, kind] == (kind.value, spinor, importlib.import_module("bergerflow.model")._scalars)
-    bodies = {entry[1] for (function, _), entry in stock.items() if function is not curve_speed}
-    assert bodies == {body for member in FlowKind for body in (member.field, member.spinor)}
+    module, compiled = importlib.import_module("bergerflow.integrate"), []
+    for name in ("_step", "_samples"):
+        build = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *bodies, build=build: compiled.append(bodies) or build(*bodies))
+    integrate(signs[0], NO_EQUILIB, t_end=1.0)
+    assert compiled == [(2, field), (spinor, importlib.import_module("bergerflow.model")._scalars)]
 
 
 @pytest.mark.parametrize("params", [COLLAPSE, NORMALIZED], ids=["collapse", "normalized"])
@@ -1070,15 +1032,15 @@ def test_a_malformed_start_raises_as_state_does_before_any_step(monkeypatch, par
 
 
 def assert_fused_step_raises_as_the_field_does(name, params, y, k0, error, line_start):
-    # the fused step raises the generic step's exception, and the traceback
-    # shows, in the fused step, the line the field failed on
-    field = stock_field(name)
-    generic = importlib.import_module("bergerflow.integrate")._step(len(y))(field, params)
+    # the step raises the exception that the reference loop's call of the
+    # public function raises, and the traceback shows, in the step, the
+    # line the field failed on
+    f = vector_field if len(y) == 2 else speed_rhs
     with pytest.raises(error) as want:
-        generic(y, k0, 1.0, 1e-12, 1e-10)
+        reference_step(f, params, y, k0, 1.0, 1e-12, 1e-10)
     linecache.clearcache()
     with pytest.raises(error) as got:
-        selected_step(field, params)(y, k0, 1.0, 1e-12, 1e-10)
+        stock_step(name, params)(y, k0, 1.0, 1e-12, 1e-10)
     assert str(got.value) == str(want.value)
     text = "".join(traceback.format_exception(got.value))
     assert f'File "bergerflow.integrate.{name}", line ' in text
@@ -1104,18 +1066,17 @@ def test_a_stage_division_by_zero_raises_as_the_field_does(name, params):
     )
 
 
-def test_an_overflowing_stage_gives_the_generic_bits():
+def test_an_overflowing_stage_gives_the_reference_bits():
     # the collapse body divides only by beta, so it cannot raise inside the
     # quadrant; where the second stage's beta, about 2e-163, makes r^3
-    # overflow, the field is infinite there, and the fused step gives the
-    # generic step's bits: the third stage leaves the quadrant
+    # overflow, the field is infinite there, and the step gives the
+    # reference loop's bits: the third stage leaves the quadrant
     y, k0 = (1.0, 1e-160), (0.0, -4.99e-160)
     stage = (1.0, 1e-160 + 0.2 * -4.99e-160)
     assert not all(math.isfinite(v) for v in vector_field(COLLAPSE, stage))
-    generic = importlib.import_module("bergerflow.integrate")._step(2)(vector_field, COLLAPSE)
-    want = generic(y, k0, 1.0, 1e-12, 1e-10)
+    want = reference_step(vector_field, COLLAPSE, y, k0, 1.0, 1e-12, 1e-10)
     assert want is None
-    assert selected_step(vector_field, COLLAPSE)(y, k0, 1.0, 1e-12, 1e-10) == want
+    assert stock_step("_rk_step2", COLLAPSE)(y, k0, 1.0, 1e-12, 1e-10) == want
 
 
 @pytest.mark.parametrize(
@@ -1152,19 +1113,6 @@ def test_event_location_never_returns_a_state_outside_the_quadrant(ctol, etol, f
     assert seen or etol is None
 
 
-def wrap_in_module(monkeypatch, module_name, attr):
-    """Replace module_name.attr by a pass-through wrapper; returns its calls."""
-    module = importlib.import_module(module_name)
-    inner, calls = getattr(module, attr), []
-
-    def wrapper(*args):
-        calls.append(args)
-        return inner(*args)
-
-    monkeypatch.setattr(module, attr, wrapper)
-    return calls
-
-
 def outcome(traj):
     return repr(traj), traj.derivatives, repr(traj.termination.detail)
 
@@ -1185,18 +1133,17 @@ def outcome(traj):
         (FlowKind.NORMALIZED, -0.5, 0.3, 1.0, "ReachedTEnd"),
     ],
 )
-def test_fused_and_wrapped_fields_give_the_same_trajectory(monkeypatch, kind, kappa, epsilon, t_end, tag, stride):
-    # the stock field takes the fused step; a wrapped one takes the generic
-    # step and sees every evaluation; the two runs agree bit for bit
+def test_fused_and_wrapped_fields_give_the_same_trajectory(counting_body, kind, kappa, epsilon, t_end, tag, stride):
+    # a counting copy of the kind's field, planted where a run reads it,
+    # sees the run's evaluations and leaves every bit of the run as it was
     params = FlowParams(kind, a=2.0, kappa=kappa, epsilon=epsilon)
     config = IntegratorConfig(output_stride=stride)
-    assert selected_step(vector_field, params).__name__ == f"_rk_step2_{kind.value}"
-    fused = integrate(params, config, t_end=t_end)
-    calls = wrap_in_module(monkeypatch, "bergerflow.integrate", "vector_field")
-    wrapped = integrate(params, config, t_end=t_end)
+    stock = integrate(params, config, t_end=t_end)
+    calls = counting_body(kind, "field")
+    counted = integrate(params, config, t_end=t_end)
     assert calls
-    assert fused.termination.tag == tag
-    assert outcome(fused) == outcome(wrapped)
+    assert stock.termination.tag == tag
+    assert outcome(stock) == outcome(counted)
 
 
 @pytest.mark.parametrize("stride", [1, 7])
@@ -1211,8 +1158,8 @@ def test_fused_and_wrapped_fields_give_the_same_trajectory(monkeypatch, kind, ka
     ],
     ids=["t-end", "equilibrium", "below-repeller", "neg-equilibrium", "underflow"],
 )
-def test_fused_and_wrapped_speeds_give_the_same_samples(monkeypatch, params, epsilon0, t_end, config, stride):
-    # both paths give the same samples, or raise the same error where the
+def test_fused_and_wrapped_speeds_give_the_same_samples(counting_body, params, epsilon0, t_end, config, stride):
+    # both runs give the same samples, or raise the same error where the
     # start needs a step below the floor
     def run():
         try:
@@ -1220,61 +1167,43 @@ def test_fused_and_wrapped_speeds_give_the_same_samples(monkeypatch, params, eps
         except ValueError as error:
             return f"ValueError: {error}"
 
-    module = importlib.import_module("bergerflow.integrate")
     config = IntegratorConfig(**{**vars(config), "output_stride": stride})
-    assert selected_step(curve_speed, params).__name__ == "_rk_step1_speed"
-    fused = run()
-    calls = wrap_in_module(monkeypatch, "bergerflow.integrate", "curve_speed")
-    # the run reads the wrapper, which misses the table of stock fields
-    assert selected_step(module.curve_speed, params).__name__ == "_rk_step1"
-    wrapped = run()
-    assert calls
-    assert fused.startswith("ValueError: epsilon0 must keep the step above") == (epsilon0 > 1.08e4)
-    assert fused == wrapped
+    stock = run()
+    calls = counting_body(importlib.import_module("bergerflow.dynamics"), "_curve_speed")
+    counted = run()
+    assert calls[0] == (epsilon0,)
+    assert stock.startswith("ValueError: epsilon0 must keep the step above") == (epsilon0 > 1.08e4)
+    assert stock == counted
 
 
-@pytest.mark.parametrize("field", [vector_field, curve_speed], ids=["vector_field", "curve_speed"])
-def test_a_tracer_swap_sees_every_evaluation(monkeypatch, field):
-    # as perfbench's tracer does: every bergerflow module global that is the
-    # field becomes a counting wrapper; the run must then take the generic
-    # step, one call at the start, six per attempted step and, at a collapse
-    # event, one at the event state
-    module = importlib.import_module("bergerflow.integrate")
-    calls, taken, select = [], [], module._step_for
+@pytest.mark.parametrize(
+    "function", [vector_field, curve_speed, geometry_scalars], ids=["vector_field", "curve_speed", "geometry_scalars"]
+)
+def test_a_tracer_swap_leaves_a_run_alone(monkeypatch, function):
+    # as perfbench's tracer does: every bergerflow module global that is
+    # the function becomes a counting wrapper; a run's step and samples
+    # compile the bodies, so no run calls it, and each gives the same result
+    def runs():
+        return [
+            repr(integrate(COLLAPSE, NO_EQUILIB, t_end=20.0)),
+            repr(integrate(NORMALIZED, IntegratorConfig(), t_end=50.0)),
+            repr(integrate_reduced(NORMALIZED, NO_EQUILIB, epsilon0=1.4, t_end=50.0)),
+        ]
 
-    def counted(params, point):
-        calls.append(point)
-        return field(params, point)
+    want, calls = runs(), []
 
-    def spy(*args):
-        taken.append(select(*args))
-        return taken[-1]
+    def counted(*args):
+        calls.append(args)
+        return function(*args)
 
-    def run():
-        if field is vector_field:
-            return integrate(COLLAPSE, NO_EQUILIB, t_end=20.0)
-        return integrate_reduced(NORMALIZED, NO_EQUILIB, epsilon0=1.4, t_end=50.0)
-
-    swapped = []
     for name, mod in list(sys.modules.items()):
         if name == "bergerflow" or name.startswith("bergerflow."):
             for key, value in list(vars(mod).items()):
-                if value is field:
+                if value is function:
                     monkeypatch.setattr(mod, key, counted)
-                    swapped.append(name)
-    assert "bergerflow.integrate" in swapped
-    monkeypatch.setattr(module, "_step_for", spy)
-    attempts = count_attempts(monkeypatch, module)
-    result = run()
-    monkeypatch.undo()
-    if field is vector_field:
-        assert result.termination.tag == "CollapsePoint"
-    else:
-        assert result[-1][0] == 50.0
-    assert [step.__name__ for step in taken] == ["_rk_step2" if field is vector_field else "_rk_step1"]
-    assert attempts
-    assert len(calls) == 1 + 6 * len(attempts) + (field is vector_field)
-    assert repr(result) == repr(run())
+    assert importlib.import_module("bergerflow").__dict__[function.__name__] is counted
+    assert runs() == want
+    assert calls == []
 
 
 def test_the_start_rule_has_one_owner(monkeypatch, capsys):
