@@ -760,6 +760,27 @@ def stock_step(name, params):
     return module._step(1, importlib.import_module("bergerflow.dynamics")._curve_speed)(params)
 
 
+# bodies whose value calls the public function: the step of such a planted
+# body is the stock step's generated code with a call at each stage
+PLANTED_FIELD = importlib.import_module("bergerflow.model")._body(
+    "_planted_field", "alpha, beta", "", "", "field(params, (alpha, beta))", field=vector_field
+)
+PLANTED_SPEED = importlib.import_module("bergerflow.model")._body(
+    "_planted_speed", "epsilon", "", "", "speed(params, epsilon)", speed=curve_speed
+)
+
+
+def compiled_step(name, params):
+    """The step named name at params: a planted body's, if its name says so,
+    else the step a run at params takes."""
+    if "_planted_" not in name:
+        return stock_step(name, params)
+    module = importlib.import_module("bergerflow.integrate")
+    if name.startswith("_rk_step2"):
+        return module._step(2, PLANTED_FIELD)(params)
+    return module._step(1, PLANTED_SPEED)(params)
+
+
 def speed_rhs(p, y):
     """The reduced field as a function of a 1-tuple, as the reference step calls it."""
     return (curve_speed(p, y[0]),)
@@ -800,15 +821,22 @@ def reference_step(f, p, y, k0, h, atol, rtol):
         pytest.param("_rk_step2_normalized_field", NORMALIZED_NEG, id="fused-normalized-neg"),
         pytest.param("_rk_step1_curve_speed", NORMALIZED, id="fused-reduced"),
         pytest.param("_rk_step1_curve_speed", NORMALIZED_NEG, id="fused-reduced-neg"),
+        pytest.param("_rk_step2_planted_field", COLLAPSE, id="planar-collapse"),
+        pytest.param("_rk_step2_planted_field", COLLAPSE_NEG, id="planar-collapse-neg"),
+        pytest.param("_rk_step2_planted_field", NORMALIZED, id="planar-normalized"),
+        pytest.param("_rk_step2_planted_field", NORMALIZED_NEG, id="planar-normalized-neg"),
+        pytest.param("_rk_step1_planted_speed", NORMALIZED, id="reduced"),
+        pytest.param("_rk_step1_planted_speed", NORMALIZED_NEG, id="reduced-neg"),
     ],
 )
 def test_specialised_steps_match_the_tableau(name, params):
-    # the unrolled steps must give the loop's bits on every admissible
-    # input, and reject exactly the steps whose stages leave the quadrant;
-    # the loop calls the stock field
+    # the unrolled steps, over the stock bodies and over planted ones that
+    # call the public functions, must give the loop's bits on every
+    # admissible input, and reject exactly the steps whose stages leave the
+    # quadrant; the loop calls the stock field
     planar = name.startswith("_rk_step2")
     f = vector_field if planar else speed_rhs
-    step = stock_step(name, params)
+    step = compiled_step(name, params)
     assert step.__name__ == name
     rng = random.Random(2024)
     outcomes = Counter()
@@ -836,13 +864,20 @@ def bits(values):
         pytest.param("_rk_step2_normalized_field", NORMALIZED_NEG, id="planar-normalized-neg-fused"),
         pytest.param("_rk_step1_curve_speed", NORMALIZED, id="reduced-fused"),
         pytest.param("_rk_step1_curve_speed", NORMALIZED_NEG, id="reduced-neg-fused"),
+        pytest.param("_rk_step2_planted_field", COLLAPSE, id="planar-collapse-planted"),
+        pytest.param("_rk_step2_planted_field", COLLAPSE_NEG, id="planar-collapse-neg-planted"),
+        pytest.param("_rk_step2_planted_field", NORMALIZED, id="planar-normalized-planted"),
+        pytest.param("_rk_step2_planted_field", NORMALIZED_NEG, id="planar-normalized-neg-planted"),
+        pytest.param("_rk_step1_planted_speed", NORMALIZED, id="reduced-planted"),
+        pytest.param("_rk_step1_planted_speed", NORMALIZED_NEG, id="reduced-neg-planted"),
     ],
 )
 def test_every_step_carries_its_point_field(name, params):
-    # every step a run takes is called as step(y, k0, h, atol, rtol) and has
-    # step.field(y), the public function's bits on a grid, as a tuple
+    # every step, a run's or a planted body's, is called as step(y, k0, h,
+    # atol, rtol) and has step.field(y), the public function's bits on a
+    # grid, as a tuple
     planar = name.startswith("_rk_step2")
-    step = stock_step(name, params)
+    step = compiled_step(name, params)
     assert step.__name__ == name
     grid, taken = [math.exp(0.25 * i) for i in range(-12, 7)], 0
     for y in [(x, b) for x in grid for b in grid] if planar else [(e,) for e in grid]:
@@ -853,6 +888,23 @@ def test_every_step_carries_its_point_field(name, params):
             taken += 1
             assert bits(got[0]) == bits(step.field(got[1]))
     assert taken
+
+
+@pytest.mark.parametrize(
+    "name,call",
+    [("_rk_step2_planted_field", "field(params, (alpha, beta))"), ("_rk_step1_planted_speed", "speed(params, epsilon)")],
+    ids=["_rk_step2", "_rk_step1"],
+)
+def test_generated_steps_show_their_source(name, call):
+    # a planted body's step is compiled from generated text registered with
+    # linecache under the body's name: its value's call stands at each of
+    # the six stages, unrolled, and once in its point field
+    step = compiled_step(name, NORMALIZED)
+    source = inspect.getsource(step)
+    assert step.__module__ == f"bergerflow.integrate.{name}"
+    assert source.count(call) == 6
+    assert "for" not in source.split()
+    assert inspect.getsource(step.field).count(call) == 1
 
 
 @pytest.mark.parametrize(
