@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import dynamics, phase
-from .integrate import _H_MIN, IntegratorConfig, StepBudgetError, integrate
+from .integrate import _H_MIN, IntegratorConfig, StepBudgetError, _where, integrate
 from .model import FlowKind, FlowParams, State, _field_at_start
 
 
@@ -123,9 +123,8 @@ def _report_underflow(term) -> int:
     """Exit code 2 for a StepUnderflow, after one stderr line naming t, the state, h and the floor; else 0."""
     if term.tag != "StepUnderflow":
         return 0
-    state, h = ", ".join(f"{v:.6g}" for v in term.detail["last_state"]), term.detail["h"]
-    print(f"integration failure: step size underflow at t={term.t_event:.6g}, state ({state}), h={h:.6g}"
-          f" below the floor {_H_MIN:g}", file=sys.stderr)
+    where = _where(term.t_event, term.detail["last_state"], term.detail["h"])
+    print(f"integration failure: step size underflow {where} below the floor {_H_MIN:g}", file=sys.stderr)
     return 2
 
 

@@ -10,9 +10,9 @@ dynamics._curve_speed, read when the run starts.  Its factory, called once
 per run with the parameters, runs the body's head and returns step(y, k0,
 h, atol, rtol), which runs the point lines and the value at each stage;
 its attribute field, the body at y alone, serves the run's start and event
-search.  Sample assembly likewise compiles the text of the kind's spinor
-body (FlowKind.spinor) and of model._scalars, the record geometry_scalars
-returns, and reads the metric velocity off the recorded derivative.  The
+search.  The run's samples come from model._samples, compiled from the
+text of the kind's spinor body (FlowKind.spinor) and of model._scalars,
+called once with the parameters and the points the driver recorded.  The
 compiled code carries the bodies' formulas only, in the same order, so it
 gives their bits, and it reads no source file.  A body set in place of a
 stock one, say one that counts its calls, sees every evaluation of the runs
@@ -63,6 +63,11 @@ _MAX_STEPS = 500_000
 
 class StepBudgetError(RuntimeError):
     """Raised when the step budget is exhausted before t_end or an event."""
+
+
+def _where(t, y, h):
+    """The one text placing a failed run, "at t=..., state (...), h=...", that each failure message reads."""
+    return f"at t={t:.6g}, state ({', '.join(f'{v:.6g}' for v in y)}), h={h:.6g}"
 
 
 class IntegratorConfig(model._Record):
@@ -142,13 +147,6 @@ class Trajectory(model._Record):
         return self.samples[-1][0]
 
 
-def _factory(name, head, lines, namespace):
-    """The factory name_for(params) that runs the lines head and returns
-    the function name that lines define, compiled by model._compiled."""
-    lines = [f"def {name}_for(params):", *model._indented(head, *lines), f"    return {name}"]
-    return model._compiled(f"{__name__}.{name}", lines, namespace)[f"{name}_for"]
-
-
 @functools.cache
 def _step(n, body):
     """Compile, the first time a run needs it, the factory name_for(params)
@@ -194,32 +192,8 @@ def _step(n, body):
     field = f"_field{name[len('_rk_step') :]}"
     lines += [f"def {field}(y):", f"    {tup(s)} = y", *model._indented(text.point, f"k = {text.value}")]
     lines += [f"    return {'(k,)' if n == 1 else 'k'}", f"{name}.field = {field}"]
-    return _factory(name, text.head, lines, {"inf": math.inf, "sqrt": math.sqrt, **text.env})
-
-
-@functools.cache
-def _samples(spinor, record):
-    """Compile, the first time a run needs it, the factory, named after
-    both bodies, of samples(points) for the spinor body of a flow kind and
-    the record body.  That returns the bits of [(State(t, *y),
-    geometry_scalars(params, *y)) for t, y, _ in points] on the points
-    _advance records, all of which State admits: the start, which the run
-    checks, and states that a step or the event search admitted.  It runs
-    the spinor body's point lines, takes (dalpha, dbeta) from the point's
-    derivative and builds each record with no call to its __init__:
-    object.__new__, then its instance dict filled in the order of its
-    fields, __match_args__, State's with t, alpha and beta, the other with
-    the record body's value, the record geometry_scalars returns."""
-    name, spinor, record = f"_samples{spinor.__name__}{record.__name__}", spinor.text, record.text
-    namespace = {**spinor.env, **record.env, "State": State, "GeometryScalars": GeometryScalars, "new": object.__new__}
-    lines = [f"def {name}(points):", "    samples = []", "    for t, (alpha, beta), (dalpha, dbeta) in points:"]
-    lines += model._indented(spinor.point, indent=" " * 8)
-    for var, cls, value in (("state", State, "t, alpha, beta"), ("scalars", GeometryScalars, record.value)):
-        filled = ", ".join(f"dct[{name!r}]" for name in cls.__match_args__)
-        lines += [f"        {var} = new({cls.__name__})", f"        dct = {var}.__dict__"]
-        lines += model._indented(f"{filled} = {value}", indent=" " * 8)
-    lines += ["        samples.append((state, scalars))", "    return samples"]
-    return _factory(name, spinor.head, lines, namespace)
+    lines = [f"def {name}_for(params):", *model._indented(text.head, *lines), f"    return {name}"]
+    return model._compiled(f"{__name__}.{name}", lines, {"inf": math.inf, "sqrt": math.sqrt, **text.env})[f"{name}_for"]
 
 
 def _advance(rk_step, t0, y0, k0, t_end, config, collapse_tol, equilib_tol):
@@ -255,8 +229,7 @@ def _advance(rk_step, t0, y0, k0, t_end, config, collapse_tol, equilib_tol):
             outcome = ("ReachedTEnd", t, y, k0)
             break
         if steps >= _MAX_STEPS:
-            state, h = ", ".join(f"{v:.6g}" for v in y), min(h, _H_MAX, t_end - t)
-            raise StepBudgetError(f"step budget of {_MAX_STEPS} exhausted at t={t:.6g}, state ({state}), h={h:.6g}")
+            raise StepBudgetError(f"step budget of {_MAX_STEPS} exhausted {_where(t, y, min(h, _H_MAX, t_end - t))}")
         steps += 1
         h = _H_MAX if h > _H_MAX else h  # min(h, _H_MAX, t_end - t)
         h = t_end - t if h > t_end - t else h
@@ -337,13 +310,13 @@ def integrate(
         raise ValueError(f"t_end must be positive, got {t_end}")
     s0 = initial_state(params) if start is None else State(start.t, start.alpha, start.beta)
     kind = params.kind  # the run reads its bodies here, once: a body planted later serves later runs
-    step, build = _step(2, kind.field)(params), _samples(kind.spinor, model._scalars)(params)
+    step, samples = _step(2, kind.field)(params), model._samples(kind.spinor, model._scalars)
     y0 = (float(s0.alpha), float(s0.beta))
     k0 = _field_at_start(step.field, y0, "start must keep the field finite", y0)
     etol = config.equilib_tol if kind is FlowKind.NORMALIZED else None  # as dynamics.equilibria rules
     points, (tag, t_ev, y_ev, _), h = _advance(step, s0.t, y0, k0, s0.t + t_end, config, config.collapse_tol, etol)
     termination = _classify(params, tag, t_ev, y_ev, h, s0)
-    return Trajectory(params, build(points), termination, [dy for _, _, dy in points])
+    return Trajectory(params, samples(params, points), termination, [dy for _, _, dy in points])
 
 
 def _classify(params, tag, t_ev, y_ev, h, s0):
@@ -398,10 +371,10 @@ def integrate_reduced(
     step = _step(1, dynamics._curve_speed)(params)  # read per run, as integrate reads its bodies
     y0 = (float(epsilon0),)
     k0 = _field_at_start(step.field, y0, "epsilon0 must keep the speed finite at the start", epsilon0)
-    points, (tag, t_ev, _, _), _ = _advance(step, 0.0, y0, k0, t_end, config, None, config.equilib_tol)
+    points, (tag, t_ev, y_ev, _), h = _advance(step, 0.0, y0, k0, t_end, config, None, config.equilib_tol)
     if tag == "StepUnderflow":
         raise ValueError(
             f"epsilon0 must keep the step above {_H_MIN:g} at rtol={config.rtol:g}, atol={config.atol:g},"
-            f" got {epsilon0}: underflow at t={t_ev:.6g}"
+            f" got {epsilon0}: underflow {_where(t_ev, y_ev, h)}"
         )
     return [(t, e) for t, (e,), _ in points]

@@ -8,20 +8,22 @@ normalizing constant, the Riemannian volume, the diagonal components of the
 coefficients ``f`` and ``g`` through which the spinor enters.  Each flow
 kind's planar field and spinor coefficients are straight-line bodies that
 ``_body`` compiles from their text and that keep it, so each integration
-run compiles the same text into its step and its sample builder; the
-field's reads the one table where its coefficients are written, a row per
-kind and a*kappa.  Each :class:`FlowKind` member carries the two bodies as
-the attributes ``field`` and ``spinor``, assigned once below them: the one
-map from a kind to its formulas, which ``dynamics.vector_field``,
-:func:`spinor_coefficients`, :func:`geometry_scalars`, the start check of
-:class:`FlowParams` and every run read.  A body set in a member's place,
-such as a copy whose text counts its calls, reaches all of them: the runs
-that start after it too.  The metric velocity is read off the field.
+run compiles the same text into its step, and ``_samples`` into the sample
+builder beside the records it fills; the field's reads the one table of its
+coefficients, a row per kind and a*kappa.  Each :class:`FlowKind` member
+carries the two bodies as the attributes ``field`` and ``spinor``,
+assigned once below them: the one map from a kind to its formulas, which
+``dynamics.vector_field``, :func:`spinor_coefficients`,
+:func:`geometry_scalars`, the start check of :class:`FlowParams` and every
+run read.  A body set in a member's place, such as a copy whose text
+counts its calls, reaches all of them: the runs that start after it too.
+The metric velocity is read off the field.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import sys
 import types
@@ -320,9 +322,9 @@ def energy(params: FlowParams, alpha: float, beta: float) -> float:
     return PI_SQ * alpha * beta**2 * (f * f + 2.0 * g * g)
 
 
-# The record geometry_scalars returns, its fields in order.  A run's sample
-# builder fills a record with this value, b2, f and g bound by the spinor
-# body's point lines.
+# The record geometry_scalars returns, its fields in order.  _samples fills
+# a record with this value, b2, f and g bound by the spinor body's point
+# lines.
 _scalars = _body("_scalars", "alpha, beta, b2, f, g, dalpha, dbeta", "", "", """(
     TWO_PI_SQ * alpha * b2,  # volume
     PI_SQ * alpha * b2 * (f * f + 2.0 * g * g),  # energy() on the (f, g) at hand, with its exact expression
@@ -341,3 +343,28 @@ def geometry_scalars(params: FlowParams, alpha: float, beta: float) -> GeometryS
     f, g = spinor_coefficients(params, alpha, beta)
     dalpha, dbeta = params.kind.field(params, alpha, beta)
     return GeometryScalars(*_scalars(params, alpha, beta, beta**2, f, g, dalpha, dbeta))
+
+
+@functools.cache
+def _samples(spinor, record):
+    """Compile, the first time a run needs it, samples(params, points),
+    named after both bodies, for the spinor body of a flow kind and the
+    record body: one function for both signs of a*kappa.  It returns the
+    bits of [(State(t, *y), geometry_scalars(params, *y)) for t, y, _ in
+    points] on points State admits: the start, which integrate checks, and
+    states a step or the event search admitted.  It runs the spinor body's
+    head once, then at each point its point lines, takes (dalpha, dbeta)
+    from the point's derivative and builds each record with no call to its
+    __init__: object.__new__, then its instance dict filled in the order of
+    __match_args__, State's with t, alpha and beta, the other with the
+    record body's value, the record geometry_scalars returns."""
+    name, spinor, record = f"_samples{spinor.__name__}{record.__name__}", spinor.text, record.text
+    namespace = {**spinor.env, **record.env, "State": State, "GeometryScalars": GeometryScalars, "new": object.__new__}
+    lines = [f"def {name}(params, points):", *_indented(spinor.head), "    samples = []"]
+    lines += ["    for t, (alpha, beta), (dalpha, dbeta) in points:", *_indented(spinor.point, indent=" " * 8)]
+    for var, cls, value in (("state", State, "t, alpha, beta"), ("scalars", GeometryScalars, record.value)):
+        filled = ", ".join(f"dct[{field!r}]" for field in cls.__match_args__)
+        lines += [f"        {var} = new({cls.__name__})", f"        dct = {var}.__dict__"]
+        lines += _indented(f"{filled} = {value}", indent=" " * 8)
+    lines += ["        samples.append((state, scalars))", "    return samples"]
+    return _compiled(f"{__name__}.{name}", lines, namespace)[name]

@@ -691,7 +691,8 @@ import contextlib, io, sys
 import bergerflow
 from bergerflow import cli
 def steps():
-    return sorted(n.rsplit(".", 1)[1] for n in sys.modules if n.startswith("bergerflow.integrate._"))
+    generated = ("bergerflow.integrate._", "bergerflow.model._samples")
+    return sorted(n.rsplit(".", 1)[1] for n in sys.modules if n.startswith(generated))
 seen = [steps()]
 with contextlib.redirect_stdout(io.StringIO()):
     cli.main(["equilibria", "--flow", "normalized", "--kappa", "0.5", "--epsilon", "1"])

@@ -723,9 +723,12 @@ class TestReduced:
             (1e200, "epsilon0 must keep the speed finite at the start, got 1e+200"),
             (1e85, "epsilon0 must keep the speed finite at the start, got 1e+85"),  # k = -inf
             # a finite speed too large for the smallest step
-            (1.09e4, "epsilon0 must keep the step above 1e-13 at rtol=1e-10, atol=1e-12, got 10900.0: underflow at t=0"),
-            (1e6, "epsilon0 must keep the step above 1e-13 at rtol=1e-10, atol=1e-12, got 1000000.0: underflow at t=0"),
-            (1e50, "epsilon0 must keep the step above 1e-13 at rtol=1e-10, atol=1e-12, got 1e+50: underflow at t=0"),
+            (1.09e4, "epsilon0 must keep the step above 1e-13 at rtol=1e-10, atol=1e-12, got 10900.0:"
+             " underflow at t=0, state (10900), h=1.49012e-13"),
+            (1e6, "epsilon0 must keep the step above 1e-13 at rtol=1e-10, atol=1e-12, got 1000000.0:"
+             " underflow at t=0, state (1e+06), h=1.16415e-13"),
+            (1e50, "epsilon0 must keep the step above 1e-13 at rtol=1e-10, atol=1e-12, got 1e+50:"
+             " underflow at t=0, state (1e+50), h=1.16415e-13"),
         ],
     )
     def test_rejects_epsilon0_outside_the_domain(self, params, epsilon0, needle):
@@ -1015,20 +1018,19 @@ def test_fused_sample_assembly_shows_its_source(kind, params):
     # value fills the record's fields, the metric velocity is read off the
     # derivative each point carries, and no body nor public model function
     # is called
-    module = importlib.import_module("bergerflow.integrate")
     model = importlib.import_module("bergerflow.model")
-    samples = module._samples(params.kind.spinor, model._scalars)(params)
+    samples = model._samples(params.kind.spinor, model._scalars)
     name = f"_samples_spinor_{kind}_scalars"
-    assert samples.__module__ == f"bergerflow.integrate.{name}"
+    assert samples.__module__ == f"bergerflow.model.{name}"
     linecache.clearcache()
-    source = inspect.getsource(getattr(sys.modules[samples.__module__], f"{name}_for"))
-    assert source.startswith(f"def {name}_for(params):\n")
-    head, loop = source.split("        for t, (alpha, beta), (dalpha, dbeta) in points:\n")
+    source = inspect.getsource(samples)
+    assert source.startswith(f"def {name}(params, points):\n")
+    head, loop = source.split("    for t, (alpha, beta), (dalpha, dbeta) in points:\n")
     spinor, record = getattr(model, f"_spinor_{kind}").text, model._scalars.text
-    assert loop.count(indented(spinor.point, 12)) == 1
+    assert loop.count(indented(spinor.point, 8)) == 1
     assert head.count(indented(spinor.head, 4)) == 1
     assert spinor.head.splitlines()[-1] not in loop
-    assert loop.count(" = " + indented(record.value, 12).lstrip()) == 1
+    assert loop.count(" = " + indented(record.value, 8).lstrip()) == 1
     assert "_field(" not in source and "dalpha, dbeta =" not in source
     # each record is made by object.__new__ and its instance dict filled
     # field by field, with no call to its __init__
@@ -1038,6 +1040,28 @@ def test_fused_sample_assembly_shows_its_source(kind, params):
     filled = re.findall(r"dct\['(\w+)'\]", loop)
     assert filled == [*State.__match_args__, *model.GeometryScalars.__match_args__]
     assert not re.findall(r"(?<!\w)(geometry_scalars|spinor_coefficients|_scalars)\(", source)
+
+
+@pytest.mark.parametrize("kind", list(FlowKind), ids=lambda kind: kind.value)
+def test_one_sample_builder_serves_both_signs_of_a_kind(kind):
+    # one function, compiled once per pair of bodies, builds the samples of
+    # both signs of a*kappa: on the same points it gives, for each sign,
+    # State's fields and the bits of geometry_scalars, in vars() order
+    model = importlib.import_module("bergerflow.model")
+    samples = model._samples(kind.spinor, model._scalars)
+    assert model._samples(kind.spinor, model._scalars) is samples
+    grid = [math.exp(0.5 * i) for i in range(-6, 7)]
+    scales = [(x, y) for x in grid for y in grid]
+    signs = (COLLAPSE, COLLAPSE_NEG) if kind is FlowKind.COLLAPSE else (NORMALIZED, NORMALIZED_NEG)
+    for params in signs:
+        points = [(0.25 * i, (x, y), kind.field(params, x, y)) for i, (x, y) in enumerate(scales)]
+        built = samples(params, points)
+        assert len(built) == len(points)
+        for (t, (x, y), _), (state, scalars) in zip(points, built):
+            want = geometry_scalars(params, x, y)
+            assert list(vars(state).items()) == [("t", t), ("alpha", x), ("beta", y)]
+            assert list(vars(scalars)) == list(vars(want)) == list(model.GeometryScalars.__match_args__)
+            assert bits(tuple(vars(scalars).values())) == bits(tuple(vars(want).values()))
 
 
 @pytest.mark.parametrize("kind", list(FlowKind), ids=lambda kind: kind.value)
@@ -1057,12 +1081,12 @@ def test_each_kind_carries_the_one_map_to_its_formulas(monkeypatch, kind):
             scalars = geometry_scalars(params, x, y)
             want = (2.0 * dx / x, 2.0 * dy / y, f, g)
             assert bits((scalars.q00, scalars.q11, scalars.f, scalars.g)) == bits(want)
-    module, compiled = importlib.import_module("bergerflow.integrate"), []
-    for name in ("_step", "_samples"):
+    model, compiled = importlib.import_module("bergerflow.model"), []
+    for module, name in ((importlib.import_module("bergerflow.integrate"), "_step"), (model, "_samples")):
         build = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *bodies, build=build: compiled.append(bodies) or build(*bodies))
     integrate(signs[0], NO_EQUILIB, t_end=1.0)
-    assert compiled == [(2, field), (spinor, importlib.import_module("bergerflow.model")._scalars)]
+    assert compiled == [(2, field), (spinor, model._scalars)]
 
 
 @pytest.mark.parametrize("params", [COLLAPSE, NORMALIZED], ids=["collapse", "normalized"])
