@@ -4,8 +4,9 @@ Subcommands: ``simulate`` (CSV trajectory), ``portrait`` (CSV vector-field
 grid plus optional integral curves), ``equilibria`` (JSON), and ``verify``
 (JSON report of the built-in verification suite).
 
-Exit codes: 0 success, 1 argument error, 2 integration or field-evaluation
-failure, 3 verification failure, 141 (128 + SIGPIPE) if stdout's reader leaves.
+Exit codes: 0 success, 1 argument or output error, 2 integration or
+field-evaluation failure, 3 verification failure, 141 (128 + SIGPIPE) if
+stdout's reader leaves.
 """
 
 from __future__ import annotations
@@ -243,7 +244,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        print(end="", flush=True)  # a write stdout still holds fails here, not in the exit flush
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -254,9 +257,13 @@ def main(argv=None) -> int:
         # overflow or division by zero at extreme but valid inputs
         print(f"error: integration failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:  # the reader left
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the exit flush stays silent
-        return 141
+    except OSError as exc:  # a write failed: the reader left (BrokenPipeError), or the disk is full, say
+        if sys.stdout is not None and sys.stdout is sys.__stdout__:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the exit flush stays silent
+        if isinstance(exc, BrokenPipeError):
+            return 141
+        print(f"error: cannot write the output: {exc.strerror or exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

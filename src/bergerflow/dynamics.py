@@ -1,10 +1,11 @@
 """Planar vector fields of both flows and their exactly known solutions.
 
 The flow of the metric scales (alpha, beta) is a planar ODE on the open
-first quadrant.  This module evaluates the right-hand sides, the handful of
-closed-form solutions, the speed along the unit-volume curve (formed in
-``model``) on which the normalized flow reduces to a one-dimensional ODE,
-and the equilibria of that reduction.
+first quadrant.  This module evaluates the right-hand sides and the speed
+along the unit-volume curve, on which the normalized flow reduces to a
+one-dimensional ODE, by the flow kind's bodies ``field`` and ``speed``,
+which ``model`` writes beside the curve; it gives the handful of
+closed-form solutions and the equilibria of that reduction.
 """
 
 from __future__ import annotations
@@ -12,11 +13,9 @@ from __future__ import annotations
 import math
 
 from .model import (
-    TWO_PI_SQ,
     FlowKind,
     FlowParams,
     State,
-    _body,
     _Record,
     _off_half_line,
     _off_quadrant,
@@ -100,30 +99,21 @@ def closed_form(params: FlowParams, t: float) -> State | None:
     return State(t, eps * beta, beta)
 
 
-_SPEED_SCALE = TWO_PI_SQ ** (2.0 / 3.0) / 8.0
 _ROOTS = {1.0: (2.0 / 3.0, 1.0), -1.0: (1.0,)}  # the equilibria's epsilon by a*kappa, read by closed_form too
-
-
-# The reduced speed's body; e2 = epsilon^2 is bound only in the branch that uses it.
-_curve_speed = _body("_curve_speed", "epsilon", """
-plus = params.product == 1.0""", "", """(
-    _SPEED_SCALE * epsilon ** (5.0 / 3.0) * ((-3.0 * epsilon + 5.0) * epsilon - 2.0)
-    if plus
-    else _SPEED_SCALE * epsilon ** (-1.0 / 3.0) * ((-3.0 * (e2 := epsilon * epsilon) + 1.0) * e2 + 2.0)
-)""", _SPEED_SCALE=_SPEED_SCALE)
 
 
 def curve_speed(params: FlowParams, epsilon: float) -> float:
     """Speed k(epsilon) of the normalized flow along the unit-volume curve.
 
     The field on the curve equals k(epsilon) times the curve tangent, so
-    the curve parameter evolves by epsilon' = k(epsilon).
+    the curve parameter evolves by epsilon' = k(epsilon), as the flow
+    kind's body ``params.kind.speed`` gives it.
     """
     if params.kind is not FlowKind.NORMALIZED:
         raise ValueError("curve_speed requires normalized flow parameters")
     if not 0 < epsilon < math.inf:
         raise _off_half_line(epsilon)
-    return _curve_speed(params, epsilon)
+    return params.kind.speed(params, epsilon)
 
 
 def tangency_residual(params: FlowParams, epsilon: float) -> float:

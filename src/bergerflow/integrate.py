@@ -5,11 +5,11 @@ controller drives both the planar flow and the reduced dynamics on the
 unit-volume curve.  Its step is straight-line code generated from the
 tableau, runs on float tuples and reuses its last stage as the next step's
 first (FSAL).  A run has one step: compiled from the text that its formula
-body keeps (model._body), the flow kind's field (FlowKind.field) or
-dynamics._curve_speed, read when the run starts.  Its factory, called once
-per run with the parameters, runs the body's head and returns step(y, k0,
-h, atol, rtol), which runs the point lines and the value at each stage;
-its attribute field, the body at y alone, serves the run's start and event
+body keeps (model._body), the flow kind's field or speed (FlowKind.field,
+FlowKind.speed), read when the run starts.  Its factory, called once per
+run with the parameters, runs the body's head and returns step(y, k0, h,
+atol, rtol), which runs the point lines and the value at each stage; its
+attribute field, the body at y alone, serves the run's start and event
 search.  The run's samples come from model._samples, compiled from the
 text of the kind's spinor body (FlowKind.spinor) and of model._scalars,
 called once with the parameters and the points the driver recorded.  The
@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import math
 
-from . import dynamics, model, phase
+from . import model, phase
 from .model import FlowKind, FlowParams, GeometryScalars, State, _field_at_start, initial_state
 
 # Dormand-Prince 5(4) tableau.  The last row of _A holds the fifth-order
@@ -148,15 +148,15 @@ class Trajectory(model._Record):
 
 
 @functools.cache
-def _step(n, body):
+def _step(body):
     """Compile, the first time a run needs it, the factory name_for(params)
-    of the Dormand-Prince step name for an n-dimensional run of y' =
-    body(params, y), as straight-line code from _A and _E and the text body
-    keeps.  The factory runs the text's head; at each stage input, named
-    after the text's point arguments, the step runs its point lines and
-    assigns the stage its value, so it gives body's bits.  The step and its
-    module are named after body, so a planted body's text never stands in
-    the line cache for another's.
+    of the Dormand-Prince step name for y' = body(params, y), as straight-line
+    code from _A and _E and the text body keeps, in as many dimensions n as
+    the text has point arguments.  The factory runs the text's head; at each
+    stage input, named after those arguments, the step runs its point lines
+    and assigns the stage its value, so it gives body's bits.  The step and
+    its module are keyed and named by body alone, so a planted body's text
+    never stands in the line cache for another's.
 
     step(y, k0, h, atol, rtol), given k0 = body at y, returns (k7, y_new,
     err_norm) with k7 = body at y_new and err_norm the RMS of the scaled
@@ -166,8 +166,8 @@ def _step(n, body):
     tableau does.  step.field is body at y alone, as a tuple; its caller
     tests the quadrant.
     """
-    name, dims, text = f"_rk_step{n}{body.__name__}", range(n), body.text
-    s = text.args.split(", ")
+    text, s = body.text, body.text.args.split(", ")
+    name, n, dims = f"_rk_step{len(s)}{body.__name__}", len(s), range(len(s))
 
     def tup(names):
         return f"({', '.join(names)}{',' if n == 1 else ''})"
@@ -310,7 +310,7 @@ def integrate(
         raise ValueError(f"t_end must be positive, got {t_end}")
     s0 = initial_state(params) if start is None else State(start.t, start.alpha, start.beta)
     kind = params.kind  # the run reads its bodies here, once: a body planted later serves later runs
-    step, samples = _step(2, kind.field)(params), model._samples(kind.spinor, model._scalars)
+    step, samples = _step(kind.field)(params), model._samples(kind.spinor, model._scalars)
     y0 = (float(s0.alpha), float(s0.beta))
     k0 = _field_at_start(step.field, y0, "start must keep the field finite", y0)
     etol = config.equilib_tol if kind is FlowKind.NORMALIZED else None  # as dynamics.equilibria rules
@@ -368,7 +368,7 @@ def integrate_reduced(
         raise ValueError(f"epsilon0 must be positive and finite, got {epsilon0}")
     if not t_end > 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
-    step = _step(1, dynamics._curve_speed)(params)  # read per run, as integrate reads its bodies
+    step = _step(params.kind.speed)(params)  # read per run, as integrate reads its bodies
     y0 = (float(epsilon0),)
     k0 = _field_at_start(step.field, y0, "epsilon0 must keep the speed finite at the start", epsilon0)
     points, (tag, t_ev, y_ev, _), h = _advance(step, 0.0, y0, k0, t_end, config, None, config.equilib_tol)

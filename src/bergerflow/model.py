@@ -6,18 +6,18 @@ function of the flow parameters and those two scales: the unit-volume
 normalizing constant, the Riemannian volume, the diagonal components of the
 (negative) energy gradient, the spinorial energy itself, and the two scalar
 coefficients ``f`` and ``g`` through which the spinor enters.  Each flow
-kind's planar field and spinor coefficients are straight-line bodies that
-``_body`` compiles from their text and that keep it, so each integration
-run compiles the same text into its step, and ``_samples`` into the sample
-builder beside the records it fills; the field's reads the one table of its
-coefficients, a row per kind and a*kappa.  Each :class:`FlowKind` member
-carries the two bodies as the attributes ``field`` and ``spinor``,
-assigned once below them: the one map from a kind to its formulas, which
-``dynamics.vector_field``, :func:`spinor_coefficients`,
-:func:`geometry_scalars`, the start check of :class:`FlowParams` and every
-run read.  A body set in a member's place, such as a copy whose text
-counts its calls, reaches all of them: the runs that start after it too.
-The metric velocity is read off the field.
+kind's field and spinor coefficients, and the normalized flow's speed on
+the unit-volume curve, are straight-line bodies that ``_body`` compiles
+from their text and that keep it, so each integration run compiles the
+same text into its step, and ``_samples`` into the sample builder beside
+the records it fills; the field's reads the one table of its coefficients,
+a row per kind and a*kappa.  Each :class:`FlowKind` member carries its
+bodies as the attributes ``field``, ``spinor`` and (normalized) ``speed``,
+assigned once below them: the one map from a kind to its formulas.  Every
+body that a run or a public function evaluates is ``kind.field``,
+``kind.spinor``, ``kind.speed`` or ``_scalars``.  A body set in a member's
+place, such as a copy whose text counts its calls, reaches every reader:
+the runs that start after it too.  The metric velocity is read off the field.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ TWO_PI_SQ = 2.0 * PI_SQ
 
 
 class FlowKind(enum.Enum):
-    """Which flow; each member's ``field`` and ``spinor`` are its flow's bodies."""
+    """Which flow; each member's ``field``, ``spinor`` and (normalized) ``speed`` are its flow's bodies."""
 
     COLLAPSE = "collapse"
     NORMALIZED = "normalized"
@@ -294,10 +294,20 @@ b2 = beta**2
 f = fw / alpha + 1.0 / 4.0 * alpha / b2 * a
 g = (gr * (alpha / beta - 1.0) + kappa) / beta""", "f, g")
 
+# The normalized flow's speed k(epsilon) on the unit-volume curve; e2 = epsilon^2 is bound in one branch.
+_SPEED_SCALE = TWO_PI_SQ ** (2.0 / 3.0) / 8.0
+_curve_speed = _body("_curve_speed", "epsilon", """
+plus = params.product == 1.0""", "", """(
+    _SPEED_SCALE * epsilon ** (5.0 / 3.0) * ((-3.0 * epsilon + 5.0) * epsilon - 2.0)
+    if plus
+    else _SPEED_SCALE * epsilon ** (-1.0 / 3.0) * ((-3.0 * (e2 := epsilon * epsilon) + 1.0) * e2 + 2.0)
+)""", _SPEED_SCALE=_SPEED_SCALE)
+
 # The one map from a flow kind to its formulas.  Member attributes, not a
 # dict keyed by kind: an Enum's __hash__ runs in Python, once per call.
 FlowKind.COLLAPSE.field, FlowKind.COLLAPSE.spinor = _collapse_field, _spinor_collapse
 FlowKind.NORMALIZED.field, FlowKind.NORMALIZED.spinor = _normalized_field, _spinor_normalized
+FlowKind.NORMALIZED.speed = _curve_speed  # the collapse flow has no reduced dynamics
 
 
 def spinor_coefficients(params: FlowParams, alpha: float, beta: float):

@@ -6,7 +6,7 @@ from bergerflow import model
 @pytest.fixture
 def counting_body(monkeypatch):
     """plant(owner, attr) sets the formula body owner.attr (a FlowKind
-    member's field or spinor, or dynamics._curve_speed) to a copy of it
+    member's field, spinor or speed) to a copy of it
     whose first point line records the point arguments of each evaluation,
     then calls hook(points) if one is given; returns the list of recorded
     points.  The copy runs the stock text, so it gives the stock bits.  A

@@ -640,6 +640,33 @@ def test_a_reader_that_leaves_early_ends_the_process_quietly():
     assert (proc.returncode, stderr) == (141, b"")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full, whose every write fails")
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "argv,to_stdout",
+    [
+        (SIMULATE + ["--t-end", "20", "--out", "/dev/full"], False),
+        (SIMULATE + ["--t-end", "20"], True),
+        (["equilibria", "--flow", "normalized", "--kappa", "0.5", "--epsilon", "1"], True),
+    ],
+    ids=["simulate-out", "simulate-stdout", "equilibria-stdout"],
+)
+def test_a_failed_write_ends_in_one_line(argv, to_stdout, unbuffered):
+    # a write that fails, to --out or to stdout, whether it fails at once
+    # or in a buffer, ends the process with exit 1 and one stderr line
+    # naming the failure: no traceback and no exit-flush message
+    src = os.path.dirname(os.path.dirname(bergerflow.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path, PYTHONUNBUFFERED=unbuffered)
+    with open("/dev/full", "wb") if to_stdout else contextlib.nullcontext(subprocess.DEVNULL) as stdout:
+        argv = [sys.executable, "-X", "dev", "-m", "bergerflow.cli", *argv]
+        done = subprocess.run(argv, stdout=stdout, stderr=subprocess.PIPE, env=env, text=True)
+    assert done.returncode == 1
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith("error: cannot write the output: ")
+    assert "Traceback" not in done.stderr
+
+
 def _probe_imports(module):
     """Run all four subcommands in a fresh interpreter; report whether
     module was loaded after simulate and portrait, after equilibria and

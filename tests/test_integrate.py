@@ -53,8 +53,8 @@ def count_attempts(monkeypatch, module):
     step that a factory of _step returns wrapped so that it records them."""
     attempts, build = [], module._step
 
-    def counting(n, body):
-        factory = build(n, body)
+    def counting(body):
+        factory = build(body)
 
         def counting_factory(params):
             step = factory(params)
@@ -307,7 +307,7 @@ class TestEvents:
     def test_reduced_steps_cost_six_rhs_calls(self, monkeypatch, counting_body):
         # the 1-D path shares the FSAL stage just as the planar one does
         module = importlib.import_module("bergerflow.integrate")
-        calls = counting_body(importlib.import_module("bergerflow.dynamics"), "_curve_speed")
+        calls = counting_body(FlowKind.NORMALIZED, "speed")
         attempts = count_attempts(monkeypatch, module)
         samples = integrate_reduced(NORMALIZED, NO_EQUILIB, epsilon0=1.4, t_end=50.0)
         assert samples[-1][0] == 50.0
@@ -758,9 +758,7 @@ def stock_step(name, params):
     """The step that a run at params takes: integrate's, over the flow
     kind's field, if name is a planar step, else integrate_reduced's."""
     module = importlib.import_module("bergerflow.integrate")
-    if name.startswith("_rk_step2"):
-        return module._step(2, params.kind.field)(params)
-    return module._step(1, importlib.import_module("bergerflow.dynamics")._curve_speed)(params)
+    return module._step(params.kind.field if name.startswith("_rk_step2") else params.kind.speed)(params)
 
 
 # bodies whose value calls the public function: the step of such a planted
@@ -779,9 +777,7 @@ def compiled_step(name, params):
     if "_planted_" not in name:
         return stock_step(name, params)
     module = importlib.import_module("bergerflow.integrate")
-    if name.startswith("_rk_step2"):
-        return module._step(2, PLANTED_FIELD)(params)
-    return module._step(1, PLANTED_SPEED)(params)
+    return module._step(PLANTED_FIELD if name.startswith("_rk_step2") else PLANTED_SPEED)(params)
 
 
 def speed_rhs(p, y):
@@ -934,7 +930,7 @@ def test_traceback_inside_the_step_shows_its_line():
     failing = model._body("_failing", "alpha, beta", "", "", "fail(alpha, beta)", fail=fail)
     linecache.clearcache()
     with pytest.raises(ZeroDivisionError) as info:
-        module._step(2, failing)(COLLAPSE)((1.0, 1.0), (0.1, 0.1), 1e-2, 1e-12, 1e-10)
+        module._step(failing)(COLLAPSE)((1.0, 1.0), (0.1, 0.1), 1e-2, 1e-12, 1e-10)
     text = "".join(traceback.format_exception(info.value))
     assert 'File "bergerflow.integrate._rk_step2_failing", line 9, in _rk_step2_failing' in text
     assert "    k2_0, k2_1 = fail(alpha, beta)\n" in text
@@ -948,9 +944,9 @@ def test_a_planted_step_compiled_first_never_shows_for_the_stock_one(counting_bo
     fresh = functools.cache(importlib.import_module("bergerflow.integrate")._step.__wrapped__)  # compiles anew
     linecache.clearcache()
     counting_body(FlowKind.COLLAPSE, "field")
-    planted = fresh(2, FlowKind.COLLAPSE.field)(COLLAPSE)
+    planted = fresh(FlowKind.COLLAPSE.field)(COLLAPSE)
     assert inspect.getsource(planted).count("record(alpha, beta)") == 6
-    step = fresh(2, stock)(COLLAPSE)
+    step = fresh(stock)(COLLAPSE)
     assert step.__module__ != planted.__module__
     source = inspect.getsource(step)
     assert "record(" not in source
@@ -967,7 +963,7 @@ FUSED = [
 FORMULA = {
     "_rk_step2_collapse_field": "model._collapse_field",
     "_rk_step2_normalized_field": "model._normalized_field",
-    "_rk_step1_curve_speed": "dynamics._curve_speed",
+    "_rk_step1_curve_speed": "model._curve_speed",
 }
 
 
@@ -1067,9 +1063,10 @@ def test_one_sample_builder_serves_both_signs_of_a_kind(kind):
 @pytest.mark.parametrize("kind", list(FlowKind), ids=lambda kind: kind.value)
 def test_each_kind_carries_the_one_map_to_its_formulas(monkeypatch, kind):
     # the public functions give the bits of the member's field and spinor
-    # bodies on a log grid, for both signs of a*kappa, and a run compiles
-    # exactly those bodies: a kind without its bodies fails here
-    field, spinor = kind.field, kind.spinor
+    # bodies, and of the normalized member's speed, on a log grid, for both
+    # signs of a*kappa, and a run compiles exactly those bodies: a kind
+    # without its bodies fails here; the collapse kind has no speed
+    field, spinor, speed = kind.field, kind.spinor, getattr(kind, "speed", None)
     grid = [math.exp(0.5 * i) for i in range(-12, 13)]
     signs = (COLLAPSE, COLLAPSE_NEG) if kind is FlowKind.COLLAPSE else (NORMALIZED, NORMALIZED_NEG)
     for params in signs:
@@ -1081,12 +1078,38 @@ def test_each_kind_carries_the_one_map_to_its_formulas(monkeypatch, kind):
             scalars = geometry_scalars(params, x, y)
             want = (2.0 * dx / x, 2.0 * dy / y, f, g)
             assert bits((scalars.q00, scalars.q11, scalars.f, scalars.g)) == bits(want)
+        for e in grid if speed is not None else ():
+            assert bits((curve_speed(params, e),)) == bits((speed(params, e),))
+    assert (speed is None) == (kind is FlowKind.COLLAPSE)
     model, compiled = importlib.import_module("bergerflow.model"), []
     for module, name in ((importlib.import_module("bergerflow.integrate"), "_step"), (model, "_samples")):
         build = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *bodies, build=build: compiled.append(bodies) or build(*bodies))
     integrate(signs[0], NO_EQUILIB, t_end=1.0)
-    assert compiled == [(2, field), (spinor, model._scalars)]
+    assert compiled == [(field,), (spinor, model._scalars)]
+    if speed is not None:
+        integrate_reduced(signs[0], NO_EQUILIB, epsilon0=0.8, t_end=1.0)
+        assert compiled[2:] == [(speed,)]
+
+
+def test_a_speed_planted_on_its_kind_reaches_curve_speed_and_later_reduced_runs(counting_body):
+    # the reduced speed is the normalized member's body: a copy planted
+    # there serves curve_speed and every reduced run that starts after the
+    # plant, for both signs of a*kappa, and gives the stock bits
+    grid, signs = [math.exp(0.5 * i) for i in range(-6, 7)], (NORMALIZED, NORMALIZED_NEG)
+
+    def speeds():
+        return [bits((curve_speed(params, e),)) for params in signs for e in grid]
+
+    def runs():
+        return [repr(integrate_reduced(params, NO_EQUILIB, epsilon0=1.4, t_end=50.0)) for params in signs]
+
+    stock_speeds, stock_runs = speeds(), runs()
+    calls = counting_body(FlowKind.NORMALIZED, "speed")
+    assert speeds() == stock_speeds
+    assert calls == [(e,) for _ in signs for e in grid]
+    assert runs() == stock_runs
+    assert len(calls) > 2 * len(grid) and calls[2 * len(grid)] == (1.4,)
 
 
 @pytest.mark.parametrize("params", [COLLAPSE, NORMALIZED], ids=["collapse", "normalized"])
@@ -1245,7 +1268,7 @@ def test_fused_and_wrapped_speeds_give_the_same_samples(counting_body, params, e
 
     config = IntegratorConfig(**{**vars(config), "output_stride": stride})
     stock = run()
-    calls = counting_body(importlib.import_module("bergerflow.dynamics"), "_curve_speed")
+    calls = counting_body(FlowKind.NORMALIZED, "speed")
     counted = run()
     assert calls[0] == (epsilon0,)
     assert stock.startswith("ValueError: epsilon0 must keep the step above") == (epsilon0 > 1.08e4)

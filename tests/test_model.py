@@ -551,7 +551,7 @@ def test_field_bodies_match_the_layered_expressions(params):
     # log-uniform over [1e-3, 1e3]^2; the field is the body's, and so is the
     # event search's point field of the run's fused step
     body = _collapse_field if params.kind is FlowKind.COLLAPSE else _normalized_field
-    point_field = importlib.import_module("bergerflow.integrate")._step(2, body)(params).field
+    point_field = importlib.import_module("bergerflow.integrate")._step(body)(params).field
     rng = random.Random(11)
     for _ in range(2000):
         x, y = 10.0 ** rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-3.0, 3.0)

@@ -151,6 +151,9 @@ class TestInwardFlux:
             (COLLAPSE, Region("K2", 0.6734879800390345)),
             (COLLAPSE, Region("K2", 0.9402684005510822)),
             (COLLAPSE, Region("K3", 1.2, 1.0)),
+            # a subnormal width: samples along the edges round to x = 0, off
+            # the open quadrant, where the field is not evaluated
+            (COLLAPSE_NEG, Region("K", 5e-324, 1.0)),
         ],
     )
     def test_certified_regions_have_no_violations(self, params, region):
