@@ -11,11 +11,11 @@ stdout's reader leaves.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import math
 import os
 import sys
+import types
 
 from . import dynamics, phase
 from .integrate import _H_MIN, IntegratorConfig, StepBudgetError, _where, integrate
@@ -63,14 +63,21 @@ def _open_out(path):
         raise ValueError(f"--out {path!r}: {exc.strerror}")
 
 
+def _type_error(message: str):
+    """The error a type helper raises, which argparse reports as the flag's error."""
+    import argparse  # only an invalid value needs it
+
+    return argparse.ArgumentTypeError(message)
+
+
 def _positive(text: str) -> float:
     """argparse type: a finite number > 0, so nan, inf, zero and negatives exit 1."""
     try:
         value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+        raise _type_error(f"invalid float value: {text!r}")
     if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+        raise _type_error(f"must be finite and > 0, got {text!r}")
     return value
 
 
@@ -80,7 +87,7 @@ def _pair(convert, form: str):
         try:
             first, second = (convert(v) for v in text.split(","))
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}")
+            raise _type_error(f"expected {form}, got {text!r}")
         return first, second
     return parse
 
@@ -93,21 +100,8 @@ def _seeds(text: str) -> list[State]:
             x, y = (float(v) for v in chunk.split(","))
             seeds.append(State(t=0.0, alpha=x, beta=y))
         except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"entry {chunk!r}: {exc}")
+            raise _type_error(f"entry {chunk!r}: {exc}")
     return seeds
-
-
-def _add_flow_flags(p: argparse.ArgumentParser):
-    p.add_argument("--flow", required=True, choices=["collapse", "normalized"])
-    p.add_argument("--a", type=float, default=2.0)
-    p.add_argument("--kappa", type=float, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-
-
-def _add_integrator_flags(p: argparse.ArgumentParser):
-    for name, flag in _CONFIG_FLAGS.items():
-        kind = int if name == "output_stride" else float
-        p.add_argument(flag, dest=name, metavar=flag[2:].upper().replace("-", "_"), type=kind, default=None)
 
 
 def _emit_csv_trajectory(traj, out):
@@ -201,48 +195,117 @@ def cmd_verify(args) -> int:
     return 0 if report["status"] == "pass" else 3
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _flag(flag, *, type=None, default=None, required=False, choices=None, metavar=None, dest=None):
+    """One row of a subcommand's flag table: (flag, dest, type, default, required, choices, metavar)."""
+    return flag, dest or flag[2:].replace("-", "_"), type, default, required, choices, metavar
+
+
+_FLOW_FLAGS = [
+    _flag("--flow", required=True, choices=["collapse", "normalized"]),
+    _flag("--a", type=float, default=2.0),
+    _flag("--kappa", type=float, required=True),
+    _flag("--epsilon", type=float, required=True),
+]
+_INTEGRATOR_FLAGS = [
+    _flag(flag, dest=name, metavar=flag[2:].upper().replace("-", "_"),
+          type=int if name == "output_stride" else float)
+    for name, flag in _CONFIG_FLAGS.items()
+]
+
+# Each subcommand's help, handler and flags, in the order argparse adds them.
+# build_parser and _parse both read this table.
+_SUBCOMMANDS = {
+    "simulate": ("integrate one trajectory and emit CSV", cmd_simulate, [
+        *_FLOW_FLAGS,
+        *_INTEGRATOR_FLAGS,
+        _flag("--t-end", type=_positive, required=True),
+        _flag("--out"),
+    ]),
+    "portrait": ("sample the vector field on a grid", cmd_portrait, [
+        *_FLOW_FLAGS,
+        *_INTEGRATOR_FLAGS,
+        _flag("--t-end", type=_positive, default=10.0),
+        _flag("--grid", type=_pair(int, "nx,ny"), default="20,20"),
+        _flag("--x-range", type=_pair(float, "lo,hi"), default="0.05,1.5"),
+        _flag("--y-range", type=_pair(float, "lo,hi"), default="0.05,1.5"),
+        _flag("--seeds", type=_seeds, default="1,1;0.6666666666666666,1"),
+        _flag("--out"),
+    ]),
+    "equilibria": ("list equilibria as JSON", cmd_equilibria, _FLOW_FLAGS),
+    "verify": ("run the verification suite", cmd_verify, [_flag("--filter", default="")]),
+}
+
+
+def build_parser():
+    """The argparse parser of the table above; it parses every argv that _parse declines."""
+    import argparse  # only --help, an argument error or an unusual spelling needs it
+
     parser = argparse.ArgumentParser(
         prog="bergerflow",
         description="Simulate and verify the Berger-sphere collapse and "
         "volume-normalized gradient flows.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="integrate one trajectory and emit CSV")
-    _add_flow_flags(p)
-    _add_integrator_flags(p)
-    p.add_argument("--t-end", dest="t_end", type=_positive, required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_simulate)
-
-    p = sub.add_parser("portrait", help="sample the vector field on a grid")
-    _add_flow_flags(p)
-    _add_integrator_flags(p)
-    p.add_argument("--t-end", dest="t_end", type=_positive, default=10.0)
-    p.add_argument("--grid", type=_pair(int, "nx,ny"), default="20,20")
-    p.add_argument("--x-range", dest="x_range", type=_pair(float, "lo,hi"), default="0.05,1.5")
-    p.add_argument("--y-range", dest="y_range", type=_pair(float, "lo,hi"), default="0.05,1.5")
-    p.add_argument("--seeds", type=_seeds, default="1,1;0.6666666666666666,1")
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_portrait)
-
-    p = sub.add_parser("equilibria", help="list equilibria as JSON")
-    _add_flow_flags(p)
-    p.set_defaults(fn=cmd_equilibria)
-
-    p = sub.add_parser("verify", help="run the verification suite")
-    p.add_argument("--filter", default="")
-    p.set_defaults(fn=cmd_verify)
+    for command, (summary, fn, flags) in _SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for flag, dest, kind, default, required, choices, metavar in flags:
+            p.add_argument(flag, dest=dest, type=kind, default=default, required=required, choices=choices,
+                           metavar=metavar)
+        p.set_defaults(fn=fn)
     return parser
 
 
+def _is_value(text: str) -> bool:
+    """Whether argparse reads text as a flag's value on every supported Python:
+    it does not start with '-', or it matches ^-\\d+$|^-\\d*\\.\\d+$, argparse's
+    negative number."""
+    if not text.startswith("-"):
+        return True
+    head, dot, tail = text[1:].partition(".")
+    return tail.isdecimal() and (not head or head.isdecimal()) if dot else head.isdecimal()
+
+
+def _parse(argv):
+    """The namespace build_parser().parse_args(argv) returns, with the same
+    attributes in the same order, for an argv of a subcommand and then
+    exact '--flag value' pairs with no flag repeated; None for any other
+    argv, and for one whose values fail their type, choices or required
+    flags, so that argparse parses it and reports whatever it reports."""
+    argv = sys.argv[1:] if argv is None else argv
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    _, fn, flags = _SUBCOMMANDS[argv[0]]
+    given = dict(zip(argv[1::2], argv[2::2]))
+    if 2 * len(given) != len(argv) - 1 or not all(map(_is_value, given.values())):
+        return None  # a flag without its value, a repeated flag or a value argparse reads as a flag
+    values = {"command": argv[0]}
+    for flag, dest, kind, default, required, choices, _ in flags:
+        text = given.pop(flag, None)
+        if text is None:
+            if required:
+                return None
+            if not isinstance(default, str):
+                values[dest] = default
+                continue
+            text = default  # argparse passes a string default through the type too
+        try:
+            values[dest] = kind(text) if kind else text
+        except Exception:  # argparse calls the type again, and reports its error or raises it
+            return None
+        if choices is not None and values[dest] not in choices:
+            return None
+    if given:  # a flag the subcommand does not have
+        return None
+    return types.SimpleNamespace(**values, fn=fn)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code not in (0, None) else 0
+    args = _parse(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return 1 if exc.code not in (0, None) else 0
     try:
         code = args.fn(args)
         print(end="", flush=True)  # a write stdout still holds fails here, not in the exit flush

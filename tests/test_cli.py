@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import hashlib
 import importlib
+import importlib.util
 import io
 import json
 import math
@@ -588,6 +589,68 @@ def test_golden_output(capsys):
     assert digest.hexdigest() == _GOLDEN_SHA256
 
 
+# The --help and argument-error invocations, each with the SHA-256 of
+# "<exit code>\n<stdout>\0<stderr>" at an 80-column terminal.  argparse
+# writes all of these texts, so a change to how the CLI parses must leave
+# every byte of them as it was.
+_PARSER_TEXTS = {
+    "help": (["-h"], "9e74e062b762852d3133d90731c873f161ded7cc28f331c9e867671cf83dc677"),
+    "simulate-help": (["simulate", "-h"], "2412679f5b56cf1f67eba35c9ca217cdcbaff3f79e680f87b230479ef34ac8ca"),
+    "portrait-help": (["portrait", "--help"], "093407c89effd6e14a038fe4d07c4d5f9bcb13ed6eb8f07abb507960e9549791"),
+    "equilibria-help": (["equilibria", "-h"], "930cb3f4b41fc8af85812545210884c6e1328231f5434fb5aaa87a7a39cd63f3"),
+    "verify-help": (["verify", "-h"], "5b0ef27e76cd1d111f9bc93c1225f2e3f0db2c729c14d3b1a038359e0f19adea"),
+    "no-subcommand": ([], "1fcbdeddd853b28c1a248429fe9ec3b507eba858b9a1077e39197037833a01cf"),
+    "unknown-subcommand": (["nosuch"], "043ac45be47e9d59361632935a47a1fc3c7fdbe24136c4b022cdc9ee1b6349ac"),
+    "missing-t-end": (SIMULATE, "9bdb2e8314b2f903f66094b716e025a9906a6eee2fbafeebba71378a2aec1438"),
+    "missing-kappa-epsilon": (
+        ["equilibria", "--flow", "collapse"],
+        "8dce6d9a19409060602ea3f01f6e06a38b8ce8549302776a68343cda32ec68e4",
+    ),
+    "bad-flow": (
+        ["simulate", "--flow", "x", "--kappa", "1", "--epsilon", "1", "--t-end", "1"],
+        "96286837356e200981dea46276ea60756432c373e14f447e455bd21b4616823b",
+    ),
+    "bad-float": (
+        ["simulate", "--flow", "collapse", "--kappa", "x", "--epsilon", "1", "--t-end", "1"],
+        "d54cdf55325d0b66a9a5d1c87010354ed888c67a0bd8b0f7579f08cf363c7f74",
+    ),
+    "bad-t-end": (SIMULATE + ["--t-end", "0"], "a87d17a1835bb83ba9e3c0aab1a5016476ef852f48e1016d489402077f69477e"),
+    "bad-stride": (
+        SIMULATE + ["--t-end", "1", "--stride", "2.5"],
+        "a2f6620d3ddf4bc59089250b978733749f8ece5a28f0f252666d763e00620540",
+    ),
+    "grid-negative-pair": (
+        PORTRAIT + ["--grid", "-1,2"], "9f55931ee5f8d33e1f3d019758eb8ee3b868418fa311cfda5578bafdfbd5344f",
+    ),
+    "bad-grid": (PORTRAIT + ["--grid", "x,1"], "774efcf2d6779b56d49d14008a0792e72ac084de4a51d8cca4046b58744abc45"),
+    "bad-x-range": (PORTRAIT + ["--x-range", "1"], "50e0be0861e629857273db786cd71678062cca999b9c1058fbb2ba4e14557f38"),
+    "bad-seeds": (PORTRAIT + ["--seeds", "1"], "24f93726e9f26e8baa9b1c4d58615fbf79a5eb6a99ddaea39238f75f0a1eaf5d"),
+    "exponent-epsilon": (
+        ["simulate", "--flow", "collapse", "--kappa", "1", "--epsilon", "-1e-6", "--t-end", "1"],
+        "d99d26424cef1435b31a8bbba33cc6ef182b31cc685b7adecf2556595f1c1344",
+    ),
+    "unknown-flag": (
+        SIMULATE + ["--t-end", "1", "--bogus", "1"],
+        "87ed73864df617270fb925c0f7e9517140fef0258370edd8fb27d97f9288b9e0",
+    ),
+    "extra-token": (
+        SIMULATE + ["--t-end", "1", "extra"], "713fd6527aa0a529bf888976534e7c707678a3820d48a1457cf5581aa381541f",
+    ),
+    "ambiguous-flag": (
+        SIMULATE + ["--t-end", "1", "--e", "1"], "25c44c4438aff922468429909c3aa17b0989453699244013fd25c92e3b3def5c",
+    ),
+    "flag-without-value": (["verify", "--filter"], "804b61f9e93f091ab183b85f8a785c2eb0c6990210699940675834d656dee813"),
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse's wording differs by Python version")
+@pytest.mark.parametrize("argv,sha256", _PARSER_TEXTS.values(), ids=_PARSER_TEXTS)
+def test_help_and_argument_errors_keep_their_bytes(capsys, monkeypatch, argv, sha256):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, *argv)
+    assert hashlib.sha256(f"{code}\n{out}\0{err}".encode()).hexdigest() == sha256
+
+
 # Runs in a fresh interpreter: imports the CLI, runs simulate and portrait
 # (without drawing a portrait), then equilibria, then verify, and reports
 # after each of those three steps whether the module named by argv[1] was
@@ -676,8 +739,11 @@ def _probe_imports(module):
 
 # dataclasses and inspect (with the tokenize and linecache it brings) cost
 # a process more than its simulate run: the records and the loader of the
-# generated code need neither
-@pytest.mark.parametrize("module", ["scipy", "numpy", "dataclasses", "inspect", "linecache", "tokenize"])
+# generated code need neither; argparse (with gettext) parses only --help,
+# an argument error or an argv the flag table declines
+@pytest.mark.parametrize(
+    "module", ["scipy", "numpy", "dataclasses", "inspect", "linecache", "tokenize", "argparse", "gettext"],
+)
 def test_import_does_not_load(module):
     assert _probe_imports(module) == "[0, 0, 0, 0] [False, False, False]"
 
@@ -851,3 +917,83 @@ def test_every_input_has_a_documented_outcome(tmp_path_factory, argv):
         for line in out.splitlines():
             if line and not line.startswith("#") and line not in _CSV_HEADERS:
                 assert all(f"{float(v):.17g}" == v for v in line.split(","))
+
+
+# Tokens that argparse reads otherwise than a '--flag value' pair, or that
+# come close: an abbreviation, the '=' spelling, help, the '--' separator,
+# values that start with '-' (argparse takes only ^-\d+$|^-\d*\.\d+$ as a
+# value), an empty value and an unknown flag.
+_ODD_TOKENS = ["--eps", "--kappa=-1", "-h", "--help", "--", "-", "-1e-6", "-.5", "-1.", "-1,2", "-1", "-2.5",
+               "", "--bogus"]
+
+
+def _agrees(argv):
+    """Whether cli._parse(argv) is None or what argparse parses from argv;
+    compared by repr, as a nan value is not equal to itself."""
+    parsed = cli._parse(argv)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            expected = build_parser().parse_args(argv)
+        except SystemExit:
+            return parsed is None
+    return parsed is None or repr(vars(parsed)) == repr(vars(expected))
+
+
+@st.composite
+def _edited_argvs(draw):
+    """An argv of _argvs after up to three edits, each one inserting an odd
+    token, putting one in place of a token, or repeating a flag and its
+    value at the end."""
+    argv = draw(_argvs())
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["insert", "replace", "repeat"]))
+        i = draw(st.integers(0, len(argv)))
+        if edit == "insert":
+            argv.insert(i, draw(st.sampled_from(_ODD_TOKENS)))
+        elif edit == "replace" and i < len(argv):
+            argv[i] = draw(st.sampled_from(_ODD_TOKENS))
+        elif edit == "repeat" and len(argv) > 2:
+            flag = 1 + 2 * (i % ((len(argv) - 1) // 2))
+            argv += argv[flag:flag + 2]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=st.one_of(_argvs(), _edited_argvs()))
+def test_the_flag_table_parses_as_argparse_does(argv):
+    assert _agrees(argv)
+
+
+_EQUILIBRIA = ["equilibria", "--flow", "normalized", "--kappa", "0.5", "--epsilon", "1"]
+
+
+@pytest.mark.parametrize("token", _ODD_TOKENS)
+@pytest.mark.parametrize("where", ["value", "flag", "pair"])
+def test_an_odd_token_parses_as_argparse_does(token, where):
+    argv = {
+        "value": PORTRAIT[:-1] + [token],
+        "flag": _EQUILIBRIA + [token],
+        "pair": _EQUILIBRIA + [token, "1"],
+    }[where]
+    assert _agrees(argv)
+
+
+def test_a_negative_pair_is_left_to_argparse():
+    # argparse reads -1,2 as a flag and reports that --grid lacks its value
+    assert cli._parse(PORTRAIT + ["--grid", "-1,2"]) is None
+    # and reads -1 and -.5 as values, as the table does
+    args = cli._parse(["portrait", "--flow", "collapse", "--kappa", "-1", "--epsilon", "1", "--a", "-.5"])
+    assert (args.kappa, args.a) == (-1.0, -0.5)
+
+
+def test_the_benchmark_and_golden_invocations_take_the_table(monkeypatch):
+    pytest.importorskip("numpy")  # the benchmark's workloads import it
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    for argv in [args for _, args in workloads.CLI_INVOCATIONS] + _GOLDEN_INVOCATIONS:
+        parsed = cli._parse(argv)
+        assert parsed is not None, argv
+        assert repr(vars(parsed)) == repr(vars(build_parser().parse_args(argv)))
